@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test lint bench bench-scale bench-scale-full bench-storage bench-fleet fleet chaos obs trace bench-obs replay bench-replay tables advise bench-advisor advisor slo bench-slo slo-tests
+.PHONY: test lint bench bench-storage bench-fleet fleet chaos obs trace bench-obs replay bench-replay tables advise bench-advisor advisor slo bench-slo slo-tests
 
 # Tier-1: the full test suite (scale-marked benchmarks are deselected
 # by default via pyproject addopts).
@@ -26,15 +26,13 @@ lint:
 		|| { echo "lint: DIY_STORAGE is read only by repro.plan.plan_from_env"; exit 1; }
 	@! grep -rn '# TYPE ' src/repro --include="*.py" | grep -v "obs/metrics\.py" \
 		|| { echo "lint: only repro.obs.metrics emits Prometheus exposition"; exit 1; }
+	@! grep -rnE '_BILLING_GRANULARITY_MICROS|// granularity|UsageKind\.(S3_PUT|DYNAMO_WRITES|LAMBDA_GB_SECONDS|TRANSFER_OUT_GB)' src/repro/sim --include="*.py" | grep -v "sim/fold\.py" \
+		|| { echo "lint: the Lambda billing rule lives only in repro.sim.fold"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).
 bench:
 	$(PY) -m pytest benchmarks -q
-
-# Fleet-scale throughput benchmark; writes BENCH_scale.json.
-bench-scale:
-	$(PY) -m repro bench-scale
 
 # Sharded fleet engine: one virtual year for 1M tenants at several
 # worker counts, with the cross-worker determinism proof; writes
@@ -52,10 +50,6 @@ fleet:
 bench-storage:
 	$(PY) -m repro bench-storage
 
-# The ≥1M-request headline run (opt-in; slow).
-bench-scale-full:
-	$(PY) -m pytest benchmarks/test_scale_throughput.py -m scale -s
-
 # Chaos-resilience experiments: the chat fleet under fault injection
 # (opt-in; the default test run deselects `-m chaos`).
 chaos:
@@ -70,7 +64,7 @@ obs:
 trace:
 	$(PY) -m repro trace
 
-# Tracing-overhead benchmark on the batched engine; writes BENCH_obs.json.
+# Tracing-overhead benchmark on the per-tenant engine; writes BENCH_obs.json.
 bench-obs:
 	$(PY) -m repro bench-obs
 

@@ -5,7 +5,6 @@
     python -m repro table3     # run the chat prototype, print its stats
     python -m repro tcb        # Figure 1's TCB comparison
     python -m repro ha         # the "50x cheaper" HA configurations
-    python -m repro bench-scale  # fleet-scale throughput benchmark
     python -m repro bench-fleet  # sharded engine: one virtual year, 1M tenants
     python -m repro chaos      # the chat fleet under fault injection
     python -m repro trace      # traced chat run + latency decomposition
@@ -213,55 +212,6 @@ def _cmd_ha(_args) -> None:
         ["VM configuration", "monthly cost", "x DIY email ($0.26)"], rows,
         title="Highly-available VM hosting vs DIY (the abstract's 50x claim)",
     ))
-
-
-def _cmd_bench_scale(args) -> None:
-    from repro.analysis.bench import write_bench_json
-    from repro.sim.scale import ScaleConfig, run_scale_benchmark
-
-    config = ScaleConfig(
-        tenants=args.tenants,
-        daily_requests=args.daily_requests,
-        days=args.days,
-        seed=args.seed,
-        memory_mb=args.memory_mb,
-        chunk=args.chunk,
-    )
-    print(
-        f"simulating {config.tenants} tenants x {config.daily_requests:g} req/day "
-        f"x {config.days:g} days (~{config.expected_requests():,.0f} requests) ..."
-    )
-    record = run_scale_benchmark(config, micro_events=args.micro_events)
-    rows = [
-        (name, f"{fleet['arrivals']:,}", f"{fleet['events_per_second']:,.0f}",
-         f"{fleet['wall_seconds']:.3f} s", fleet["invoice_total"])
-        for name, fleet in sorted(record["fleet"].items())
-    ]
-    print(format_table(
-        ["engine", "requests", "events/sec", "wall time", "invoice"],
-        rows,
-        title=f"Fleet throughput (seed {config.seed})",
-    ))
-    print(format_table(
-        ["hot path", "events", "seed evt/s", "fast evt/s", "speedup"],
-        [(m["name"], f"{m['events']:,}", f"{m['legacy_events_per_second']:,.0f}",
-          f"{m['fast_events_per_second']:,.0f}", f"{m['speedup']:.2f}x")
-         for m in record["micro"]],
-        title="Hot-path microbenchmarks (seed path vs fast path)",
-    ))
-    print(f"fleet speedup: {record['fleet_speedup']:.2f}x; "
-          f"engines identical: {record['determinism']['identical']} "
-          f"(total {record['determinism']['invoice_total']})")
-    digests = record.pop("determinism")
-    out = write_bench_json(
-        args.out,
-        headline=(f"batched engine {record['fleet_speedup']:.2f}x over the seed "
-                  f"path at {digests['arrivals']:,} requests"),
-        runs=[cell for _, cell in sorted(record.pop("fleet").items())],
-        digests=digests,
-        **record,
-    )
-    print(f"wrote {out}")
 
 
 def _cmd_bench_fleet(args) -> None:
@@ -529,7 +479,7 @@ def _cmd_record(args) -> None:
         f"recording {config.tenants} tenants x {config.daily_requests:g} req/day "
         f"x {config.days:g} days (~{config.expected_requests():,.0f} requests) ..."
     )
-    result = run_fleet(config, "batched", recorder=recorder, health=health)
+    result = run_fleet(config, recorder=recorder, health=health)
     trace = recorder.trace()
     recorder.write(args.out)
     rows = [("Events recorded", f"{len(trace.events):,}"),
@@ -907,20 +857,6 @@ def main(argv=None) -> int:
     bench_advisor.add_argument("--out", default="BENCH_advisor.json",
                                help="where to write the JSON record")
     bench_advisor.set_defaults(fn=_cmd_bench_advisor)
-    bench = sub.add_parser(
-        "bench-scale",
-        help="fleet-scale throughput benchmark (seed path vs batched engine)",
-    )
-    bench.add_argument("--tenants", type=int, default=12)
-    bench.add_argument("--daily-requests", type=float, default=1200.0)
-    bench.add_argument("--days", type=float, default=7.0)
-    bench.add_argument("--seed", type=int, default=2017)
-    bench.add_argument("--memory-mb", type=int, default=448)
-    bench.add_argument("--chunk", type=int, default=4096)
-    bench.add_argument("--micro-events", type=int, default=100_000)
-    bench.add_argument("--out", default="BENCH_scale.json",
-                       help="where to write the JSON perf record")
-    bench.set_defaults(fn=_cmd_bench_scale)
     fleet = sub.add_parser(
         "bench-fleet",
         help="sharded fleet benchmark: a virtual year for the whole fleet",

@@ -433,7 +433,7 @@ def recommend_plan(
 # and a storage-heavy archival slice where S3's at-rest price dominates.
 # Each profile is exactly the fleet engine's per-request component set
 # (memory-scaled handler + one storage put + one SQS send, see
-# ``repro.sim.scale.handler_components``), so the advisor's predictions
+# ``repro.sim.fold.handler_components``), so the advisor's predictions
 # and the re-simulated invoices describe the same workload.
 _FLEET_HANDLER = dict(base_ms=0.0, handler_calls=1.0, kms_calls=0.0)
 FLEET_CLASSES: Tuple[Tuple[WorkloadProfile, float], ...] = (

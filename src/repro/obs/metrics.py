@@ -454,7 +454,7 @@ class MetricsPlane:
     get-or-create keyed by ``(name, sorted labels)``; shapes (histogram
     bounds, window widths) are fixed at first creation and enforced on
     merge. Plain-data state throughout, so planes ride across process
-    pools in :class:`~repro.sim.shard.ShardResult` untouched.
+    pools in :class:`~repro.sim.fold.ShardResult` untouched.
     """
 
     __slots__ = ("_metrics",)

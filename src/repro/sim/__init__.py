@@ -35,7 +35,6 @@ from repro.sim.scale import (
     FleetResult,
     run_chaos_fleet,
     run_fleet,
-    run_scale_benchmark,
 )
 from repro.sim.shard import (
     FleetConfig,
@@ -58,7 +57,6 @@ __all__ = [
     "ScaleConfig",
     "FleetResult",
     "run_fleet",
-    "run_scale_benchmark",
     "SimClock",
     "EventLoop",
     "Event",

@@ -6,11 +6,11 @@ request streams a first-class workload. :mod:`~repro.sim.replay.format`
 defines the versioned JSONL trace format and is the single place trace
 files are parsed; :mod:`~repro.sim.replay.recorder` dumps traces from
 live runs (gateway seam and fleet engine); and
-:mod:`~repro.sim.replay.replayer` feeds traces back through the batched
-engine (byte-identical record→replay fixpoint), the sharded engine
-(worker-count- and numpy-independent digests), and real app stacks
-under chaos. The scenario library in :mod:`repro.sim.scenarios` builds
-on this format.
+:mod:`~repro.sim.replay.replayer` feeds traces back through the fleet
+fold per tenant (byte-identical record→replay fixpoint) and per shard
+(worker-count- and numpy-independent digests), and through real app
+stacks under chaos. The scenario library in :mod:`repro.sim.scenarios`
+builds on this format.
 """
 
 from repro.sim.replay.format import (
@@ -29,9 +29,7 @@ from repro.sim.replay.format import (
 from repro.sim.replay.recorder import FLEET_APP, FLEET_ROUTE, TraceRecorder
 from repro.sim.replay.replayer import (
     ReplayConfig,
-    ReplayFleetResult,
     ReplayResult,
-    ReplayShardResult,
     fleet_sla_report,
     merge_replay,
     partition_trace,
@@ -57,9 +55,7 @@ __all__ = [
     "FLEET_ROUTE",
     "TraceRecorder",
     "ReplayConfig",
-    "ReplayFleetResult",
     "ReplayResult",
-    "ReplayShardResult",
     "fleet_sla_report",
     "merge_replay",
     "partition_trace",

@@ -107,8 +107,9 @@ class TraceRecorder:
         """The fleet-engine seam: one chunk of synthetic arrivals.
 
         Every arrival in the chunk shares the tenant's synthetic app and
-        payload size — exactly the shape ``_tenant_batched`` bills — so
-        replaying these events re-derives the same usage quantities.
+        payload size — exactly the shape :func:`repro.sim.scale.run_fleet`
+        bills — so replaying these events re-derives the same usage
+        quantities.
         """
         append = self._events.append
         for at in timestamps:

@@ -1,36 +1,23 @@
-"""Fleet-scale simulation engine: many tenants, a virtual month, fast.
+"""Fleet-scale simulation: many tenants, a virtual month, per-tenant streams.
 
 The ROADMAP's north star is a substrate that can simulate "heavy
-traffic from millions of users". This module is the scale-out harness
-over the optimized kernel: it drives a *fleet* of DIY tenants — each
-with its own diurnal workload, per-component latency streams, and
-metered usage — through a virtual month and prices the result, counting
-real (wall-clock) throughput as it goes.
+traffic from millions of users". :func:`run_fleet` drives a *fleet* of
+DIY tenants — each with its own diurnal workload, per-component latency
+streams, and metered usage — through a virtual month and prices the
+result, counting real (wall-clock) throughput as it goes.
 
-Three interchangeable engines run the identical scenario:
+It is the per-tenant synthetic source of :mod:`repro.sim.fold`: each
+tenant's :meth:`DiurnalWorkload.arrival_batches` chunks (RNG namespace
+``scale/tenant-<t>/workload``) feed one :class:`~repro.sim.fold.Fold`,
+whose latency blocks come from :meth:`LatencyModel.sample_block` under
+``scale/tenant-<t>/<component>``, one stream per component, drawn in
+base, store, sqs order. These are the seed-era namespaces, so every
+golden invoice and arrival count holds byte for byte. The tracer and
+the trace recorder attach here and nowhere else; the scale-out engine
+is :mod:`repro.sim.shard`.
 
-``legacy``
-    The seed-era per-event path, via :mod:`repro.sim._legacy`: one
-    :class:`~repro.sim.workload.Arrival` dataclass per request, the
-    diurnal profile re-summed per draw, a fresh
-    :class:`~repro.sim.latency.LogNormal` per latency sample. The
-    frozen "before" every optimization is measured against.
-
-``inline``
-    The current library's per-event path: :meth:`DiurnalWorkload.arrivals`
-    and :meth:`LatencyModel.sample`, one object per event.
-
-``batched``
-    The throughput path: :meth:`DiurnalWorkload.arrival_batches` chunks
-    of bare timestamps, :meth:`LatencyModel.sample_block` per-component
-    blocks, and :meth:`BillingMeter.record_batch` aggregate metering.
-
-All three consume identical RNG streams (workload draws from one seeded
-stream per tenant; each latency component draws from its own, so block
-sampling reorders nothing) and accumulate billing quantities as exact
-integers, so a given :class:`ScaleConfig` produces **byte-identical
-invoice totals and arrival counts** on every engine. The only thing
-that changes is events per second.
+The module also hosts the chaos fleet (real chat stacks under fault
+injection) and the storage-backend ablation.
 """
 
 from __future__ import annotations
@@ -39,14 +26,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.cloud.billing import BillingMeter, Invoice, UsageKind
+from repro.cloud.billing import BillingMeter, Invoice
 from repro.cloud.pricing import PRICES_2017, PriceBook
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.collector import TraceCollector
 from repro.obs.trace import Tracer
-from repro.sim import _legacy
 from repro.sim.clock import SimClock
-from repro.sim.event import EventLoop
+from repro.sim.fold import HANDLER_COMPONENTS, Fold, Sampler, handler_components
 from repro.sim.latency import LatencyModel
 from repro.sim.metrics import AvailabilityTracker, MetricSeries, sla_report
 from repro.sim.profile import PerfCounters
@@ -58,44 +44,14 @@ __all__ = [
     "ScaleConfig",
     "FleetResult",
     "run_fleet",
-    "bench_workload",
-    "bench_event_loop",
-    "bench_latency",
-    "run_scale_benchmark",
+    "tenant_sampler",
     "run_obs_benchmark",
-    "SCALE_ENGINES",
     "HANDLER_COMPONENTS",
     "ChaosConfig",
     "run_chaos_fleet",
     "ABLATION_APPS",
     "run_storage_ablation",
 ]
-
-SCALE_ENGINES = ("legacy", "inline", "batched")
-
-# The per-request handler profile: invocation overhead plus the §6.2
-# chat prototype's dominant service calls (store ciphertext, notify).
-HANDLER_COMPONENTS: Tuple[str, ...] = ("lambda.handler_base", "s3.put", "sqs.send")
-
-_BILLING_GRANULARITY_MICROS = 100_000  # Lambda bills in 100 ms increments
-_USAGE_PER_COMPONENT: Dict[str, UsageKind] = {
-    "s3.put": UsageKind.S3_PUT,
-    "dynamo.put": UsageKind.DYNAMO_WRITES,
-    "sqs.send": UsageKind.SQS_REQUESTS,
-}
-
-
-def handler_components(storage: str = "s3") -> Tuple[str, ...]:
-    """The per-request component profile for one storage backend.
-
-    ``"s3"`` is :data:`HANDLER_COMPONENTS` itself — same strings, same
-    RNG namespaces, so default configs stay byte-identical to the
-    seed-era goldens. ``"dynamo"`` swaps the state write for the KV
-    backend's component (its own canonical stream).
-    """
-    if storage == "dynamo":
-        return ("lambda.handler_base", "dynamo.put", "sqs.send")
-    return HANDLER_COMPONENTS
 
 
 @dataclass(frozen=True)
@@ -158,9 +114,8 @@ class ScaleConfig:
 
 @dataclass(frozen=True)
 class FleetResult:
-    """What one engine produced: the bill, the counts, and the speed."""
+    """What a fleet run produced: the bill, the counts, and the speed."""
 
-    engine: str
     arrivals: int
     per_tenant_arrivals: Tuple[int, ...]
     total_billed_ms: int
@@ -174,7 +129,6 @@ class FleetResult:
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "engine": self.engine,
             "arrivals": self.arrivals,
             "total_billed_ms": self.total_billed_ms,
             "invoice_total": self.invoice_total,
@@ -187,98 +141,69 @@ class FleetResult:
         }
 
 
-def _workload_rng(config: ScaleConfig, tenant: int) -> SeededRng:
-    return SeededRng(config.seed, f"scale/tenant-{tenant}/workload")
-
-
-def _component_rng(config: ScaleConfig, tenant: int, component: str) -> SeededRng:
-    return SeededRng(config.seed, f"scale/tenant-{tenant}/{component}")
-
-
-def _billed_ms(run_micros: int) -> int:
-    """Lambda billing: round run time up to the 100 ms granularity."""
-    units = -(-run_micros // _BILLING_GRANULARITY_MICROS)  # ceil-div
-    return (units or 1) * 100
-
-
-def _meter_tenant_rollup(
-    meter: BillingMeter, config: ScaleConfig, count: int, total_billed_ms: int
-) -> None:
-    """Aggregate per-tenant charges, identical float ops on every engine.
-
-    The exact integer accumulators (``count``, ``total_billed_ms``) are
-    converted to billable float quantities in one expression each, so the
-    resulting invoice is byte-identical however the events were metered.
-    """
-    memory_gb = config.memory_mb / 1024
-    meter.record(UsageKind.LAMBDA_GB_SECONDS, total_billed_ms * memory_gb / 1000.0)
-    meter.record(UsageKind.TRANSFER_OUT_GB, count * config.payload_bytes / 1e9)
+def tenant_sampler(seed: int, tenant: int, components: Tuple[str, ...]) -> Sampler:
+    """A tenant's latency draws: one ``scale/tenant-<t>/<component>`` stream each."""
+    models = {
+        comp: LatencyModel(rng=SeededRng(seed, f"scale/tenant-{tenant}/{comp}"))
+        for comp in components
+    }
+    return lambda comp, n, memory_mb: models[comp].sample_block(comp, n, memory_mb)
 
 
 def run_fleet(
     config: ScaleConfig,
-    engine: str = "batched",
     prices: PriceBook = PRICES_2017,
     tracer: Tracer = None,
     recorder=None,
     health=None,
 ) -> FleetResult:
-    """Simulate the whole fleet on ``engine`` and price the month.
+    """Simulate the whole fleet tenant by tenant and price the month.
 
-    ``tracer`` (batched engine only) records the head-sampled requests
-    as synthetic span trees via :meth:`Tracer.record_request` — the
-    billing math and the unsampled fast path are untouched, which is
-    what keeps the tracing-on invoice byte-identical.
+    ``tracer`` records the head-sampled requests as synthetic span trees
+    via :meth:`Tracer.record_request` — the billing math and the
+    unsampled fast path are untouched, which is what keeps the
+    tracing-on invoice byte-identical.
 
-    ``recorder`` (batched engine only) is a
-    :class:`~repro.sim.replay.TraceRecorder` that captures every
-    arrival chunk as trace events. Recording is pure observation — no
-    RNG draw, no extra meter call — so the recorded run's invoice is
-    byte-identical to an unrecorded one, and replaying the trace with
-    the same config reproduces it exactly
+    ``recorder`` is a :class:`~repro.sim.replay.TraceRecorder` that
+    captures every arrival chunk as trace events. Recording is pure
+    observation — no RNG draw, no extra meter call — so the recorded
+    run's invoice is byte-identical to an unrecorded one, and replaying
+    the trace with the same config reproduces it exactly
     (``tests/sim/test_replay.py``).
 
-    ``health`` (batched engine only) is a
-    :class:`~repro.obs.metrics.MetricsPlane` that accumulates every
-    request's run time into ``fleet.request_us`` (log-bucketed
-    histogram) and counts arrivals/billed ms. Same contract as the
-    tracer: pure observation over the already-sampled latency blocks,
-    so the metered invoice is byte-identical to an unmetered one.
+    ``health`` is a :class:`~repro.obs.metrics.MetricsPlane` that
+    accumulates every request's run time into ``fleet.request_us``
+    (log-bucketed histogram) and counts arrivals/billed ms. Same
+    contract as the tracer: pure observation over the already-sampled
+    latency blocks, so the metered invoice is byte-identical to an
+    unmetered one.
     """
-    if engine not in SCALE_ENGINES:
-        raise ConfigurationError(f"unknown engine {engine!r}; pick one of {SCALE_ENGINES}")
-    if tracer is not None and engine != "batched":
-        raise ConfigurationError(
-            f"fleet tracing is wired through the batched engine, not {engine!r}"
-        )
-    if recorder is not None and engine != "batched":
-        raise ConfigurationError(
-            f"trace recording is wired through the batched engine, not {engine!r}"
-        )
-    if health is not None and engine != "batched":
-        raise ConfigurationError(
-            f"fleet metrics are wired through the batched engine, not {engine!r}"
-        )
     meter = BillingMeter()
     perf = PerfCounters()
+    components = config.components()
     per_tenant: List[int] = []
     total_billed_ms = 0
-    samples = 0
     start = time.perf_counter()
     with perf.phase("simulate"):
         for tenant in range(config.tenants):
-            if engine == "batched":
-                count, billed = _tenant_batched(
-                    config, tenant, meter, tracer, recorder, health
-                )
-            elif engine == "inline":
-                count, billed = _tenant_inline(config, tenant, meter)
-            else:
-                count, billed = _tenant_legacy(config, tenant, meter)
-            _meter_tenant_rollup(meter, config, count, billed)
-            per_tenant.append(count)
-            total_billed_ms += billed
-            samples += count * len(HANDLER_COMPONENTS)
+            workload = DiurnalWorkload(
+                config.daily_requests,
+                SeededRng(config.seed, f"scale/tenant-{tenant}/workload"),
+                HOURLY_PROFILE_PERSONAL,
+            )
+            fold = Fold(
+                components, tenant_sampler(config.seed, tenant, components),
+                config.memory_mb, meter=meter, health=health,
+            )
+            for chunk in workload.arrival_batches(config.days, chunk=config.chunk):
+                if recorder is not None:
+                    recorder.record_fleet_chunk(tenant, chunk, config.payload_bytes)
+                blocks = fold.chunk(len(chunk))
+                if tracer is not None:
+                    fold.trace(tracer, tenant, chunk, blocks)
+            fold.rollup(fold.events * config.payload_bytes)
+            per_tenant.append(fold.events)
+            total_billed_ms += fold.billed_units * 100
     with perf.phase("invoice"):
         invoice = Invoice(meter, prices)
         total = str(invoice.total())
@@ -286,152 +211,17 @@ def run_fleet(
     arrivals = sum(per_tenant)
     simulate_seconds = perf.phase_seconds("simulate")
     return FleetResult(
-        engine=engine,
         arrivals=arrivals,
         per_tenant_arrivals=tuple(per_tenant),
         total_billed_ms=total_billed_ms,
         invoice_total=total,
-        samples_drawn=samples,
+        samples_drawn=arrivals * len(components),
         meter_hits=meter.hits,
         meter_record_calls=meter.record_calls,
         wall_seconds=wall,
         events_per_second=arrivals / simulate_seconds if simulate_seconds > 0 else 0.0,
         phases={"simulate": simulate_seconds, "invoice": perf.phase_seconds("invoice")},
     )
-
-
-# -- the three engines --------------------------------------------------
-
-
-def _tenant_batched(
-    config: ScaleConfig, tenant: int, meter: BillingMeter, tracer: Tracer = None,
-    recorder=None, health=None,
-) -> Tuple[int, int]:
-    """Chunked timestamps, block sampling, aggregate metering.
-
-    With a tracer attached, head sampling is decided per chunk in one
-    arithmetic call (:meth:`TraceCollector.admit_batch`) and only the
-    sampled requests materialize span trees; the billing accumulators
-    are computed identically either way.
-
-    With a ``health`` plane attached, each chunk's per-request run
-    times land in ``fleet.request_us`` via one vectorized
-    ``observe_block`` call — no windows or per-tenant labels, so the
-    plane stays O(buckets) however many tenants run through it.
-    """
-    components = config.components()
-    workload = DiurnalWorkload(
-        config.daily_requests, _workload_rng(config, tenant), HOURLY_PROFILE_PERSONAL
-    )
-    models = {
-        comp: LatencyModel(rng=_component_rng(config, tenant, comp))
-        for comp in components
-    }
-    store_comp = components[1]
-    store_kind = _USAGE_PER_COMPONENT[store_comp]
-    memory_mb = config.memory_mb
-    memory_gb = memory_mb / 1024
-    granularity = _BILLING_GRANULARITY_MICROS
-    count = 0
-    total_billed_ms = 0
-    record_batch = meter.record_batch
-    for chunk in workload.arrival_batches(config.days, chunk=config.chunk):
-        n = len(chunk)
-        if recorder is not None:
-            recorder.record_fleet_chunk(tenant, chunk, config.payload_bytes)
-        blocks = [
-            models[comp].sample_block(comp, n, memory_mb) for comp in components
-        ]
-        base, store_put, sqs_send = blocks
-        billed_units = 0
-        if health is None:
-            for i in range(n):
-                run_micros = base[i] + store_put[i] + sqs_send[i]
-                units = -(-run_micros // granularity)
-                billed_units += units or 1
-        else:
-            run_block = [base[i] + store_put[i] + sqs_send[i] for i in range(n)]
-            for run_micros in run_block:
-                units = -(-run_micros // granularity)
-                billed_units += units or 1
-            health.counter("fleet.requests").inc(n)
-            health.counter("fleet.billed_ms").inc(billed_units * 100)
-            health.histogram("fleet.request_us").observe_block(run_block)
-        if tracer is not None:
-            # The billing loop above is identical with tracing on or
-            # off; only the head-sampled requests (a stride over the
-            # chunk, typically 1/64th) pay for span materialization.
-            for i in tracer.collector.admit_batch(n):
-                run_micros = base[i] + store_put[i] + sqs_send[i]
-                billed_ms_i = ((-(-run_micros // granularity)) or 1) * 100
-                tracer.record_request(
-                    chunk[i],
-                    (
-                        ("lambda.handler_base", base[i], None),
-                        (store_comp, store_put[i], (store_kind, 1.0)),
-                        ("sqs.send", sqs_send[i], (UsageKind.SQS_REQUESTS, 1.0)),
-                    ),
-                    root_usage=(
-                        (UsageKind.LAMBDA_REQUESTS, 1.0),
-                        (UsageKind.LAMBDA_GB_SECONDS, billed_ms_i * memory_gb / 1000.0),
-                    ),
-                    root_attrs={"tenant": tenant, "billed_ms": billed_ms_i},
-                )
-        total_billed_ms += billed_units * 100
-        record_batch(UsageKind.LAMBDA_REQUESTS, float(n), n)
-        record_batch(store_kind, float(n), n)
-        record_batch(UsageKind.SQS_REQUESTS, float(n), n)
-        count += n
-    return count, total_billed_ms
-
-
-def _tenant_inline(config: ScaleConfig, tenant: int, meter: BillingMeter) -> Tuple[int, int]:
-    """The current library's per-event objects, one meter call per event."""
-    components = config.components()
-    store_kind = _USAGE_PER_COMPONENT[components[1]]
-    workload = DiurnalWorkload(
-        config.daily_requests, _workload_rng(config, tenant), HOURLY_PROFILE_PERSONAL
-    )
-    models = {
-        comp: LatencyModel(rng=_component_rng(config, tenant, comp))
-        for comp in components
-    }
-    memory_mb = config.memory_mb
-    count = 0
-    total_billed_ms = 0
-    for _arrival in workload.arrivals(config.days):
-        run_micros = 0
-        for comp in components:
-            run_micros += models[comp].sample(comp, memory_mb).micros
-        total_billed_ms += _billed_ms(run_micros)
-        meter.record(UsageKind.LAMBDA_REQUESTS, 1.0)
-        meter.record(store_kind, 1.0)
-        meter.record(UsageKind.SQS_REQUESTS, 1.0)
-        count += 1
-    return count, total_billed_ms
-
-
-def _tenant_legacy(config: ScaleConfig, tenant: int, meter: BillingMeter) -> Tuple[int, int]:
-    """The seed-era hot paths, preserved in :mod:`repro.sim._legacy`."""
-    components = config.components()
-    store_kind = _USAGE_PER_COMPONENT[components[1]]
-    rng = _workload_rng(config, tenant)
-    rngs = {comp: _component_rng(config, tenant, comp) for comp in components}
-    memory_mb = config.memory_mb
-    count = 0
-    total_billed_ms = 0
-    for _arrival in _legacy.legacy_arrivals(
-        config.daily_requests, rng, HOURLY_PROFILE_PERSONAL, config.days
-    ):
-        run_micros = 0
-        for comp in components:
-            run_micros += _legacy.legacy_sample(rngs[comp], comp, memory_mb=memory_mb).micros
-        total_billed_ms += _billed_ms(run_micros)
-        meter.record(UsageKind.LAMBDA_REQUESTS, 1.0)
-        meter.record(store_kind, 1.0)
-        meter.record(UsageKind.SQS_REQUESTS, 1.0)
-        count += 1
-    return count, total_billed_ms
 
 
 # -- the chaos fleet ----------------------------------------------------
@@ -602,14 +392,6 @@ def _chaos_tenant(
     return report, tracker
 
 
-def _chaos_job(
-    payload: Tuple[ChaosConfig, int, bool]
-) -> Tuple[Dict[str, object], AvailabilityTracker]:
-    """Module-level worker entry point for the sharded chaos fleet."""
-    config, tenant, chaos = payload
-    return _chaos_tenant(config, tenant, chaos)
-
-
 def run_chaos_fleet(
     config: ChaosConfig, chaos: bool = True, workers: int = 1
 ) -> Dict[str, object]:
@@ -628,18 +410,11 @@ def run_chaos_fleet(
     results in tenant order, so the report is byte-identical to the
     sequential run (``tests/sim/test_chaos_fleet.py``).
     """
-    if workers <= 0:
-        raise ConfigurationError(f"worker count must be positive, got {workers}")
-    if workers == 1 or config.tenants == 1:
-        tenant_runs = [
-            _chaos_tenant(config, tenant, chaos) for tenant in range(config.tenants)
-        ]
-    else:
-        from repro.sim.shard import _pool_context
+    from repro.sim.shard import map_shards
 
-        jobs = [(config, tenant, chaos) for tenant in range(config.tenants)]
-        with _pool_context().Pool(min(workers, config.tenants)) as pool:
-            tenant_runs = pool.map(_chaos_job, jobs)
+    tenant_runs = map_shards(
+        _chaos_tenant, [(config, tenant, chaos) for tenant in range(config.tenants)], workers
+    )
     fleet_tracker = AvailabilityTracker()
     fleet_latency = MetricSeries("chaos.e2e_ms", "ms")
     per_tenant: List[Dict[str, object]] = []
@@ -791,158 +566,6 @@ def run_storage_ablation(
     }
 
 
-# -- microbenchmarks ----------------------------------------------------
-
-
-def bench_workload(arrivals: int = 100_000, seed: int = 2017) -> Dict[str, object]:
-    """Seed arrival loop vs batched generation, same stream asserted."""
-    daily = float(arrivals)  # one virtual day at this rate ≈ `arrivals` events
-    legacy_rng = SeededRng(seed, "bench/workload")
-    start = time.perf_counter()
-    legacy_times = [
-        a.at_micros
-        for a in _legacy.legacy_arrivals(daily, legacy_rng, HOURLY_PROFILE_PERSONAL, 1.0)
-    ]
-    legacy_seconds = time.perf_counter() - start
-
-    workload = DiurnalWorkload(daily, SeededRng(seed, "bench/workload"), HOURLY_PROFILE_PERSONAL)
-    start = time.perf_counter()
-    fast_times: List[int] = []
-    for chunk in workload.arrival_batches(1.0):
-        fast_times.extend(chunk)
-    fast_seconds = time.perf_counter() - start
-
-    if fast_times != legacy_times:
-        raise SimulationError("batched arrival stream diverged from the seed path")
-    return _micro_record("workload", len(fast_times), legacy_seconds, fast_seconds)
-
-
-def bench_event_loop(events: int = 50_000, seed: int = 2017) -> Dict[str, object]:
-    """Seed dataclass-heap loop vs tuple-heap loop, same schedule."""
-    times_rng = SeededRng(seed, "bench/events")
-    # Dense timestamps with many ties: heap comparisons fall through to
-    # the sequence number, the worst case for dataclass __lt__.
-    when = [times_rng.randint(0, max(events // 4, 1)) for _ in range(events)]
-
-    fired = [0]
-
-    def action() -> None:
-        fired[0] += 1
-
-    legacy_loop = _legacy.LegacyEventLoop()
-    start = time.perf_counter()
-    for t in when:
-        legacy_loop.schedule_at(t, action)
-    legacy_executed = legacy_loop.run_until_idle(max_events=events + 1)
-    legacy_seconds = time.perf_counter() - start
-
-    fast_loop = EventLoop()
-    start = time.perf_counter()
-    for t in when:
-        fast_loop.schedule_at(t, action)
-    fast_executed = 0
-    while True:
-        batch = fast_loop.run_batch()
-        if batch == 0:
-            break
-        fast_executed += batch
-    fast_seconds = time.perf_counter() - start
-
-    if fast_executed != legacy_executed or fired[0] != 2 * events:
-        raise SimulationError("event-loop fast path executed a different schedule")
-    return _micro_record("event_loop", events, legacy_seconds, fast_seconds)
-
-
-def bench_latency(samples: int = 100_000, seed: int = 2017, memory_mb: int = 448) -> Dict[str, object]:
-    """Seed per-call sampling vs block sampling, same values asserted."""
-    component = "s3.put"
-    legacy_rng = SeededRng(seed, "bench/latency")
-    start = time.perf_counter()
-    legacy_values = [
-        _legacy.legacy_sample(legacy_rng, component, memory_mb=memory_mb).micros
-        for _ in range(samples)
-    ]
-    legacy_seconds = time.perf_counter() - start
-
-    model = LatencyModel(rng=SeededRng(seed, "bench/latency"))
-    start = time.perf_counter()
-    fast_values = model.sample_block(component, samples, memory_mb)
-    fast_seconds = time.perf_counter() - start
-
-    if fast_values != legacy_values:
-        raise SimulationError("block sampling diverged from the seed path")
-    return _micro_record("latency", samples, legacy_seconds, fast_seconds)
-
-
-def _micro_record(
-    name: str, events: int, legacy_seconds: float, fast_seconds: float
-) -> Dict[str, object]:
-    return {
-        "name": name,
-        "events": events,
-        "legacy_seconds": round(legacy_seconds, 6),
-        "fast_seconds": round(fast_seconds, 6),
-        "legacy_events_per_second": round(events / legacy_seconds, 1) if legacy_seconds else 0.0,
-        "fast_events_per_second": round(events / fast_seconds, 1) if fast_seconds else 0.0,
-        "speedup": round(legacy_seconds / fast_seconds, 3) if fast_seconds else float("inf"),
-    }
-
-
-# -- the full benchmark record ------------------------------------------
-
-
-def run_scale_benchmark(
-    config: ScaleConfig,
-    micro_events: int = 100_000,
-    include_inline: bool = True,
-) -> Dict[str, object]:
-    """Run fleet (legacy vs batched) plus the microbenchmarks.
-
-    Returns the JSON-ready record the benchmark writes to
-    ``BENCH_scale.json``: per-engine fleet results, the headline
-    events/sec speedup, per-hot-path microbenchmark speedups, and a
-    determinism block proving every engine produced the same bill.
-    """
-    legacy = run_fleet(config, "legacy")
-    batched = run_fleet(config, "batched")
-    engines = {"legacy": legacy, "batched": batched}
-    if include_inline:
-        engines["inline"] = run_fleet(config, "inline")
-
-    totals = {result.invoice_total for result in engines.values()}
-    counts = {result.arrivals for result in engines.values()}
-    streams = {result.per_tenant_arrivals for result in engines.values()}
-    deterministic = len(totals) == 1 and len(counts) == 1 and len(streams) == 1
-    if not deterministic:
-        raise SimulationError(
-            f"engines disagreed: totals={sorted(totals)}, arrivals={sorted(counts)}"
-        )
-
-    fleet_speedup = (
-        legacy.phases["simulate"] / batched.phases["simulate"]
-        if batched.phases["simulate"] > 0
-        else float("inf")
-    )
-    micro = [
-        bench_workload(micro_events, config.seed),
-        bench_event_loop(max(micro_events // 2, 1), config.seed),
-        bench_latency(micro_events, config.seed, config.memory_mb),
-    ]
-    return {
-        "bench": "scale_throughput",
-        "config": config.as_dict(),
-        "fleet": {name: result.as_dict() for name, result in engines.items()},
-        "fleet_speedup": round(fleet_speedup, 3),
-        "micro": micro,
-        "determinism": {
-            "engines": sorted(engines),
-            "invoice_total": legacy.invoice_total,
-            "arrivals": legacy.arrivals,
-            "identical": deterministic,
-        },
-    }
-
-
 def run_obs_benchmark(
     config: ScaleConfig,
     sample_rate: float = 1 / 64,
@@ -950,7 +573,7 @@ def run_obs_benchmark(
     prices: PriceBook = PRICES_2017,
     repeats: int = 3,
 ) -> Dict[str, object]:
-    """Tracing-off vs tracing-on throughput on the batched engine.
+    """Tracing-off vs tracing-on throughput of :func:`run_fleet`.
 
     The acceptance budget is <10% overhead at the default 1/64 head
     sample rate. The run also proves tracing changed *nothing* billable
@@ -973,7 +596,7 @@ def run_obs_benchmark(
     # fastest repeat.
     off = on = tracer = None
     for _ in range(repeats):
-        candidate_off = run_fleet(config, "batched", prices)
+        candidate_off = run_fleet(config, prices)
         if off is None or candidate_off.wall_seconds < off.wall_seconds:
             off = candidate_off
         # A fresh tracer per repeat: the collector's stride counter and
@@ -983,7 +606,7 @@ def run_obs_benchmark(
             SeededRng(config.seed, "scale/obs"),
             TraceCollector(capacity=capacity, sample_rate=sample_rate),
         )
-        candidate_on = run_fleet(config, "batched", prices, tracer=candidate_tracer)
+        candidate_on = run_fleet(config, prices, tracer=candidate_tracer)
         if on is None or candidate_on.wall_seconds < on.wall_seconds:
             on, tracer = candidate_on, candidate_tracer
     identical = (
@@ -991,7 +614,7 @@ def run_obs_benchmark(
         and off.per_tenant_arrivals == on.per_tenant_arrivals
     )
     if not identical:
-        raise SimulationError("tracing perturbed the batched engine's bill")
+        raise SimulationError("tracing perturbed the fleet bill")
     off_eps = off.events_per_second
     on_eps = on.events_per_second
     overhead_pct = 100.0 * (off_eps - on_eps) / off_eps if off_eps else 0.0

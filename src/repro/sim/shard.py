@@ -1,11 +1,10 @@
 """Sharded, vectorized fleet engine: one virtual year for a million tenants.
 
-:mod:`repro.sim.scale` proved the single-process engines agree byte for
-byte; this module is the next rung on the ROADMAP's "millions of users"
+This module is the scale-out rung on the ROADMAP's "millions of users"
 ladder. The fleet is partitioned into a fixed number of **logical
 shards** — the unit of both vectorization and parallelism — and each
-shard runs independently on the bit-reproducible kernels in
-:mod:`repro.sim.vecmath`:
+shard is one source for the fold in :mod:`repro.sim.fold`, running on
+the bit-reproducible kernels in :mod:`repro.sim.vecmath`:
 
 * arrivals come from :meth:`DiurnalWorkload.arrival_batches_vec
   <repro.sim.workload.DiurnalWorkload.arrival_batches_vec>` over a
@@ -17,6 +16,13 @@ shard runs independently on the bit-reproducible kernels in
   <repro.sim.latency.LatencyModel.sample_block_vec>` quantile tables;
 * billing stays in exact integer accumulators until a single
   fleet-level float conversion after the merge.
+
+Each shard draws from its own RNG namespaces: ``fleet/shard-<id>/workload``
+for the pooled arrivals, ``fleet/shard-<id>/assign`` for the tenant
+draws, and ``fleet/shard-<id>/latency`` for every latency block. That is
+the sharded engine's *own* canonical stream — deterministic per seed,
+but not the per-tenant stream of :func:`repro.sim.scale.run_fleet`,
+whose seed-era goldens stay untouched.
 
 Determinism contract (``tests/sim/test_shard_fleet.py``):
 
@@ -34,41 +40,36 @@ Determinism contract (``tests/sim/test_shard_fleet.py``):
    without numpy (``tests/sim/test_vec_fallback.py``); the fallback is
    just slower.
 
-The sharded stream is its *own* canonical stream (per-shard RNG
-namespaces ``fleet/shard-<id>/...``): deterministic per seed, but not
-the per-tenant stream of :func:`repro.sim.scale.run_fleet`, whose
-seed-era goldens stay untouched.
+The pool dispatch here (:func:`map_shards`, :func:`run_sharded`) also
+runs the sharded replayer and the chaos fleet.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cloud.billing import BillingMeter, Invoice, UsageKind
+from repro.cloud.billing import UsageKind
 from repro.cloud.pricing import PRICES_2017, PriceBook
 from repro.errors import ConfigurationError
 from repro.sim import vecmath
+from repro.sim.fold import (
+    Fold,
+    ShardedFleetResult,
+    ShardResult,
+    handler_components,
+    health_plane,
+    merge_results,
+)
 from repro.sim.latency import LatencyModel
-from repro.sim.metrics import AvailabilityTracker, MetricSeries, sla_report
 from repro.sim.profile import PerfCounters
 from repro.sim.rng import SeededRng
-from repro.sim.scale import (
-    _BILLING_GRANULARITY_MICROS,
-    _USAGE_PER_COMPONENT,
-    HANDLER_COMPONENTS,
-    ScaleConfig,
-    handler_components,
-    run_fleet,
-)
-from repro.units import DAYS_PER_MONTH
+from repro.sim.scale import ScaleConfig, run_fleet
 from repro.sim.workload import HOURLY_PROFILE_PERSONAL, DiurnalWorkload
-from repro.units import MICROS_PER_HOUR
+from repro.units import DAYS_PER_MONTH
 
 __all__ = [
     "DEFAULT_LOGICAL_SHARDS",
@@ -79,6 +80,8 @@ __all__ = [
     "ShardedFleetResult",
     "run_shard",
     "merge_shards",
+    "map_shards",
+    "run_sharded",
     "run_fleet_sharded",
     "run_fleet_benchmark",
 ]
@@ -218,33 +221,6 @@ class FleetConfig:
         }
 
 
-@dataclass
-class ShardResult:
-    """One logical shard's exact accumulators — plain data, picklable.
-
-    Everything here is either an exact integer or a float produced by a
-    deterministic kernel, so merging shard results in any order
-    reconstructs the same fleet totals.
-    """
-
-    shard_id: int
-    tenant_count: int
-    events: int
-    billed_units: int
-    tenant_counts: List[int]
-    latency_ms: List[float]
-    hod_hist: List[int]
-    samples_drawn: int
-    run_seconds: float
-    # Shard-local health plane (repro.obs.metrics.MetricsPlane) when the
-    # run collected health, else None. Plain data + integer accumulators,
-    # so it pickles across the process pool and merges order-free.
-    health: Optional[object] = None
-
-    def total_billed_ms(self) -> int:
-        return self.billed_units * 100
-
-
 def _shard_rng(config: FleetConfig, shard_id: int, stream: str) -> SeededRng:
     return SeededRng(config.seed, f"fleet/shard-{shard_id}/{stream}")
 
@@ -273,152 +249,32 @@ def run_shard(
             f"shard id {shard_id} out of range [0, {config.logical_shards})"
         )
     start = time.perf_counter()
-    np = vecmath.numpy_or_none()
-    health = None
-    if collect_health:
-        from repro.obs.metrics import MetricsPlane
-
-        health = MetricsPlane()
     tenant_ids = shard_tenants(config.tenants, shard_id, config.logical_shards)
     n_t = len(tenant_ids)
-    if n_t == 0 or config.daily_requests == 0:
-        return ShardResult(
-            shard_id=shard_id, tenant_count=n_t, events=0, billed_units=0,
-            tenant_counts=[0] * n_t, latency_ms=[], hod_hist=[0] * 24,
-            samples_drawn=0, run_seconds=time.perf_counter() - start,
-            health=health,
-        )
+    model = LatencyModel(rng=_shard_rng(config, shard_id, "latency"))
+    fold = Fold(
+        config.components(), model.sample_block_vec, config.memory_mb,
+        stride=config.sample_stride(), n_tenants=n_t, health=health_plane(collect_health),
+    )
+    # A shard with no tenants (or a zero rate) pools a zero-rate workload,
+    # which yields no chunks.
     workload = DiurnalWorkload(
         config.daily_requests * n_t,
         _shard_rng(config, shard_id, "workload"),
         HOURLY_PROFILE_PERSONAL,
     )
     assign_rng = _shard_rng(config, shard_id, "assign")
-    model = LatencyModel(rng=_shard_rng(config, shard_id, "latency"))
-    put_component = config.components()[1]
-    memory_mb = config.memory_mb
-    granularity = _BILLING_GRANULARITY_MICROS
-    stride = config.sample_stride()
-    counts = np.zeros(n_t, dtype=np.int64) if np is not None else [0] * n_t
-    hod = np.zeros(24, dtype=np.int64) if np is not None else [0] * 24
-    events = 0
-    billed_units = 0
-    latency_ms: List[float] = []
+    np = vecmath.numpy_or_none()
     for chunk in workload.arrival_batches_vec(config.days, chunk=config.chunk_events):
-        n = len(chunk)
-        assign = assign_rng.uniform_block(n)
-        base = model.sample_block_vec("lambda.handler_base", n, memory_mb)
-        store_put = model.sample_block_vec(put_component, n, memory_mb)
-        sqs_send = model.sample_block_vec("sqs.send", n, memory_mb)
-        # First event index in this chunk that lands on the sampling stride.
-        first = (-events) % stride
-        if np is not None and not isinstance(base, list):
-            idx = (np.asarray(assign) * n_t).astype(np.int64)
-            # u < 1.0 can still round up to n_t at large n_t; clamp like
-            # the scalar path's min().
-            np.minimum(idx, n_t - 1, out=idx)
-            counts += np.bincount(idx, minlength=n_t)
-            run_micros = base + store_put + sqs_send
-            units = (run_micros + (granularity - 1)) // granularity
-            np.maximum(units, 1, out=units)
-            billed_units += int(units.sum())
-            hours = (np.asarray(chunk, dtype=np.int64) // MICROS_PER_HOUR) % 24
-            hod += np.bincount(hours, minlength=24)
-            if first < n:
-                picks = run_micros[first::stride]
-                latency_ms.extend((picks / 1000.0).tolist())
-            if health is not None:
-                health.histogram("fleet.request_us").observe_block(run_micros)
+        assign = assign_rng.uniform_block(len(chunk))
+        # u < 1.0 can still round up to n_t at large n_t; clamp.
+        if isinstance(assign, list):
+            tenants = [min(int(u * n_t), n_t - 1) for u in assign]
         else:
-            if health is not None:
-                health.histogram("fleet.request_us").observe_block(
-                    [base[i] + store_put[i] + sqs_send[i] for i in range(n)]
-                )
-            for u in assign:
-                counts[min(int(u * n_t), n_t - 1)] += 1
-            for i in range(n):
-                run_micros = base[i] + store_put[i] + sqs_send[i]
-                units = (run_micros + (granularity - 1)) // granularity
-                billed_units += units if units > 0 else 1
-                if i >= first and (i - first) % stride == 0:
-                    latency_ms.append(run_micros / 1000.0)
-            for at_micros in chunk:
-                hod[(at_micros // MICROS_PER_HOUR) % 24] += 1
-        events += n
-    if health is not None:
-        health.counter("fleet.requests").inc(events)
-        health.counter("fleet.billed_ms").inc(billed_units * 100)
-    return ShardResult(
-        shard_id=shard_id,
-        tenant_count=n_t,
-        events=events,
-        billed_units=billed_units,
-        tenant_counts=[int(c) for c in counts],
-        latency_ms=latency_ms,
-        hod_hist=[int(h) for h in hod],
-        samples_drawn=model.samples_drawn,
-        run_seconds=time.perf_counter() - start,
-        health=health,
-    )
-
-
-def _shard_job(payload: Tuple[FleetConfig, int, bool]) -> ShardResult:
-    """Module-level worker entry point (picklable for the process pool)."""
-    config, shard_id, collect_health = payload
-    return run_shard(config, shard_id, collect_health)
-
-
-@dataclass
-class ShardedFleetResult:
-    """The merged fleet: exact totals, the priced invoice, the SLA view."""
-
-    config: FleetConfig
-    workers: int
-    events: int
-    billed_units: int
-    tenant_counts: List[int]
-    hod_hist: List[int]
-    shard_events: List[int]
-    samples_drawn: int
-    latency: MetricSeries
-    tracker: AvailabilityTracker
-    meter: BillingMeter
-    invoice: Invoice
-    invoice_total: str
-    report: Dict[str, object]
-    perf: PerfCounters
-    # Merged fleet-wide health plane when shards collected health.
-    health: Optional[object] = None
-
-    def total_billed_ms(self) -> int:
-        return self.billed_units * 100
-
-    def counts_sha256(self) -> str:
-        """Digest of the per-tenant event counts, the byte-identity probe."""
-        payload = ",".join(map(str, self.tenant_counts)).encode("ascii")
-        return hashlib.sha256(payload).hexdigest()
-
-    def exposition_sha256(self) -> Optional[str]:
-        """Digest of the merged health plane's JSONL exposition, if any."""
-        if self.health is None:
-            return None
-        return hashlib.sha256(self.health.to_jsonl().encode("ascii")).hexdigest()
-
-    def determinism_digest(self) -> Dict[str, object]:
-        """Everything two runs must agree on byte-for-byte."""
-        digest = {
-            "events": self.events,
-            "billed_units": self.billed_units,
-            "invoice_total": self.invoice_total,
-            "tenant_counts_sha256": self.counts_sha256(),
-            "sla_report": json.loads(json.dumps(self.report)),
-            "latency_p99_ms": self.latency.p99() if len(self.latency) else None,
-        }
-        # Only present with health collection on, so health-off digests
-        # stay byte-identical to the seed's.
-        if self.health is not None:
-            digest["exposition_sha256"] = self.exposition_sha256()
-        return digest
+            tenants = (assign * n_t).astype(np.int64)
+            np.minimum(tenants, n_t - 1, out=tenants)
+        fold.chunk(len(chunk), at=chunk, tenants=tenants)
+    return fold.result(shard_id, tenant_ids, fold.events * config.payload_bytes, start)
 
 
 def merge_shards(
@@ -426,74 +282,17 @@ def merge_shards(
     results: Sequence[ShardResult],
     prices: PriceBook = PRICES_2017,
 ) -> ShardedFleetResult:
-    """Fold shard results into fleet totals, order-independently.
+    """Fold every shard's result into the fleet, order-independently.
 
-    Inputs are canonicalized by shard id, every count adds exactly in
-    integers, and the two float billing quantities are computed *once*
-    from the merged integers (the same single-expression conversions
-    :func:`repro.sim.scale._meter_tenant_rollup` uses) — so the invoice
-    cannot depend on which worker delivered which shard first.
+    :func:`repro.sim.fold.merge_results` checks that every logical
+    shard is present exactly once and converts the merged integers to
+    billable floats once; this adds the fleet's at-rest storage months
+    when the config meters any. The invoice is priced on first use.
     """
-    ordered = sorted(results, key=lambda r: r.shard_id)
-    if len({r.shard_id for r in ordered}) != len(ordered):
-        raise ConfigurationError("duplicate shard id in merge")
-    health = None
-    if any(r.health is not None for r in ordered):
-        # Counter/histogram merges are integer-exact and commutative, so
-        # folding in shard-id order here is a canonicalization, not a
-        # requirement — any order gives the same exposition bytes.
-        from repro.obs.metrics import MetricsPlane
-
-        health = MetricsPlane()
-        for result in ordered:
-            if result.health is not None:
-                health.merge(result.health)
-    np = vecmath.numpy_or_none()
-    tenant_counts = (
-        np.zeros(config.tenants, dtype=np.int64) if np is not None
-        else [0] * config.tenants
+    merged = merge_results(
+        results, config.tenants, config.logical_shards, config.components(),
+        config.memory_mb, prices,
     )
-    events = 0
-    billed_units = 0
-    samples_drawn = 0
-    hod = [0] * 24
-    shard_events = [0] * config.logical_shards
-    latency = MetricSeries("fleet.e2e_ms", "ms")
-    tracker = AvailabilityTracker()
-    for result in ordered:
-        ids = shard_tenants(config.tenants, result.shard_id, config.logical_shards)
-        if len(ids) != result.tenant_count:
-            raise ConfigurationError(
-                f"shard {result.shard_id} result does not match config "
-                f"({result.tenant_count} tenants vs {len(ids)})"
-            )
-        if np is not None and not isinstance(tenant_counts, list):
-            tenant_counts[ids] = np.asarray(result.tenant_counts, dtype=np.int64)
-        else:
-            for tenant, count in zip(ids, result.tenant_counts):
-                tenant_counts[tenant] = count
-        events += result.events
-        billed_units += result.billed_units
-        samples_drawn += result.samples_drawn
-        shard_events[result.shard_id] = result.events
-        for hour in range(24):
-            hod[hour] += result.hod_hist[hour]
-        shard_series = MetricSeries(f"shard-{result.shard_id}.e2e_ms", "ms")
-        shard_series.extend(result.latency_ms)
-        latency.merge(shard_series)
-        shard_tracker = AvailabilityTracker()
-        shard_tracker.attempts = result.events
-        shard_tracker.successes = result.events
-        tracker.merge(shard_tracker)
-    meter = BillingMeter()
-    total_billed_ms = billed_units * 100
-    memory_gb = config.memory_mb / 1024
-    store_kind = _USAGE_PER_COMPONENT[config.components()[1]]
-    meter.record_batch(UsageKind.LAMBDA_REQUESTS, float(events), events)
-    meter.record_batch(store_kind, float(events), events)
-    meter.record_batch(UsageKind.SQS_REQUESTS, float(events), events)
-    meter.record(UsageKind.LAMBDA_GB_SECONDS, total_billed_ms * memory_gb / 1000.0)
-    meter.record(UsageKind.TRANSFER_OUT_GB, events * config.payload_bytes / 1e9)
     if config.storage_gb_per_tenant > 0:
         gb_months = (
             config.storage_gb_per_tenant * config.tenants
@@ -503,32 +302,9 @@ def merge_shards(
             UsageKind.DYNAMO_STORAGE_GB_MONTH if config.storage == "dynamo"
             else UsageKind.S3_STORAGE_GB_MONTH
         )
-        meter.record(storage_kind, gb_months)
-    invoice = Invoice(meter, prices)
-    report = sla_report(
-        tracker,
-        delivered=events,
-        expected=events,
-        latency_ms=latency,
-    )
-    return ShardedFleetResult(
-        config=config,
-        workers=0,  # set by run_fleet_sharded
-        events=events,
-        billed_units=billed_units,
-        tenant_counts=[int(c) for c in tenant_counts],
-        hod_hist=hod,
-        shard_events=shard_events,
-        samples_drawn=samples_drawn,
-        latency=latency,
-        tracker=tracker,
-        meter=meter,
-        invoice=invoice,
-        invoice_total=str(invoice.total()),
-        report=report,
-        perf=PerfCounters(),
-        health=health,
-    )
+        merged.meter.record(storage_kind, gb_months)
+    merged.config = config
+    return merged
 
 
 def _pool_context():
@@ -537,6 +313,50 @@ def _pool_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-forking platforms
         return multiprocessing.get_context()
+
+
+def map_shards(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
+    """``[fn(*job) for job in jobs]``, inline or on a worker pool, in job order.
+
+    ``fn`` must be a module-level function so the pool can pickle it.
+    Results come back in job order whatever the worker count, which is
+    what makes every merge downstream worker-count invariant.
+    """
+    if workers <= 0:
+        raise ConfigurationError(f"worker count must be positive, got {workers}")
+    if workers == 1 or len(jobs) == 1:
+        return [fn(*job) for job in jobs]
+    pool_size = min(workers, len(jobs))
+    chunksize = max(1, len(jobs) // (pool_size * 4))
+    with _pool_context().Pool(pool_size) as pool:
+        return pool.starmap(fn, jobs, chunksize=chunksize)
+
+
+def run_sharded(
+    shard_fn: Callable[..., ShardResult],
+    jobs: Sequence[tuple],
+    merge: Callable[[List[ShardResult]], ShardedFleetResult],
+    workers: int,
+) -> ShardedFleetResult:
+    """Run one ``shard_fn(*job)`` per logical shard, merge, and price once.
+
+    ``workers`` only controls scheduling, so the merged result is
+    byte-identical for any worker count. The ``simulate``, ``merge``,
+    and ``invoice`` phases are timed apart.
+    """
+    perf = PerfCounters()
+    with perf.phase("simulate"):
+        results = map_shards(shard_fn, jobs, workers)
+    with perf.phase("merge"):
+        merged = merge(results)
+    with perf.phase("invoice"):
+        merged.invoice_total  # the first use prices the merged meter
+    merged.workers = workers
+    perf.set("events", merged.events)
+    perf.set("samples_drawn", merged.samples_drawn)
+    perf.set("shard_seconds", sum(r.run_seconds for r in results))
+    merged.perf = perf
+    return merged
 
 
 def run_fleet_sharded(
@@ -555,35 +375,13 @@ def run_fleet_sharded(
     the merge folds them — the merged exposition is byte-identical
     across worker counts too (the digest gains ``exposition_sha256``).
     """
-    if workers <= 0:
-        raise ConfigurationError(f"worker count must be positive, got {workers}")
-    perf = PerfCounters()
     jobs = [
         (config, shard_id, collect_health)
         for shard_id in range(config.logical_shards)
     ]
-    with perf.phase("simulate"):
-        if workers == 1 or config.logical_shards == 1:
-            results = [run_shard(config, shard_id, collect_health) for _, shard_id, _ in jobs]
-        else:
-            ctx = _pool_context()
-            pool_size = min(workers, config.logical_shards)
-            chunksize = max(1, config.logical_shards // (pool_size * 4))
-            with ctx.Pool(pool_size) as pool:
-                results = pool.map(_shard_job, jobs, chunksize=chunksize)
-    with perf.phase("merge"):
-        merged = merge_shards(config, results, prices)
-    with perf.phase("invoice"):
-        # Re-price from the merged meter so the invoice phase is timed
-        # apart from the merge arithmetic.
-        merged.invoice = Invoice(merged.meter, prices)
-        merged.invoice_total = str(merged.invoice.total())
-    merged.workers = workers
-    perf.set("events", merged.events)
-    perf.set("samples_drawn", merged.samples_drawn)
-    perf.set("shard_seconds", sum(r.run_seconds for r in results))
-    merged.perf = perf
-    return merged
+    return run_sharded(
+        run_shard, jobs, lambda results: merge_shards(config, results, prices), workers
+    )
 
 
 def run_fleet_benchmark(
@@ -595,10 +393,11 @@ def run_fleet_benchmark(
     """The headline benchmark: a virtual year at fleet scale, plus proof.
 
     Runs the sharded engine at each worker count on the same config,
-    measures a single-process batched-engine baseline on a calibration
-    config (small enough to finish, per-event cost is scale-free), and
-    emits a JSON-ready record with per-phase timings, events/s, the
-    speedup over the batched engine, and a determinism block showing
+    measures a single-process :func:`~repro.sim.scale.run_fleet`
+    baseline on a calibration config (small enough to finish, per-event
+    cost is scale-free), and emits a JSON-ready record with per-phase
+    timings, events/s, the speedup over that per-tenant engine
+    (``speedup_vs_batched``), and a determinism block showing
     the invoice, tenant-count digest, and SLA report byte-identical
     across worker counts.
     """
@@ -606,7 +405,7 @@ def run_fleet_benchmark(
     baseline = baseline or ScaleConfig(tenants=48, daily_requests=1500.0, days=3.0,
                                        seed=config.seed, memory_mb=config.memory_mb,
                                        payload_bytes=config.payload_bytes)
-    base_result = run_fleet(baseline, engine="batched", prices=prices)
+    base_result = run_fleet(baseline, prices=prices)
     runs: List[Dict[str, object]] = []
     digests: List[Dict[str, object]] = []
     for workers in worker_counts:
@@ -634,7 +433,6 @@ def run_fleet_benchmark(
             "numpy": vecmath.numpy_or_none() is not None,
         },
         "baseline": {
-            "engine": "batched",
             "config": baseline.as_dict(),
             "events": base_result.arrivals,
             "events_per_second": round(base_result.events_per_second, 1),

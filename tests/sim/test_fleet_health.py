@@ -2,7 +2,7 @@
 
 The contracts pinned here:
 
-* attaching a :class:`MetricsPlane` to the batched fleet engine does not
+* attaching a :class:`MetricsPlane` to the per-tenant fleet engine does not
   move the invoice — the golden bill holds with metrics on;
 * the plane's counters agree exactly with the engine's own totals;
 * sharded-fleet exposition is byte-identical across worker counts, and
@@ -13,6 +13,8 @@ The contracts pinned here:
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.obs.metrics import MetricsPlane
 from repro.sim.replay import TraceRecorder, run_replay_batched, run_replay_sharded
@@ -33,21 +35,21 @@ SMOKE_FLEET = FleetConfig(
 class TestFleetMetricsArePureObservation:
     def test_golden_bill_holds_with_metrics_attached(self):
         plane = MetricsPlane()
-        result = run_fleet(GOLDEN_CONFIG, "batched", health=plane)
+        result = run_fleet(GOLDEN_CONFIG, health=plane)
         assert result.per_tenant_arrivals == GOLDEN_ARRIVALS
         assert result.total_billed_ms == GOLDEN_BILLED_MS
         assert result.invoice_total == GOLDEN_TOTAL
 
     def test_plane_totals_match_engine_totals(self):
         plane = MetricsPlane()
-        result = run_fleet(GOLDEN_CONFIG, "batched", health=plane)
+        result = run_fleet(GOLDEN_CONFIG, health=plane)
         assert plane.counter("fleet.requests").value == result.arrivals
         assert plane.counter("fleet.billed_ms").value == result.total_billed_ms
         assert plane.histogram("fleet.request_us").count == result.arrivals
 
     def test_metrics_on_and_off_runs_agree(self):
-        bare = run_fleet(GOLDEN_CONFIG, "batched")
-        metered = run_fleet(GOLDEN_CONFIG, "batched", health=MetricsPlane())
+        bare = run_fleet(GOLDEN_CONFIG)
+        metered = run_fleet(GOLDEN_CONFIG, health=MetricsPlane())
         assert bare.as_dict()["invoice_total"] == metered.as_dict()["invoice_total"]
         assert bare.per_tenant_arrivals == metered.per_tenant_arrivals
         assert bare.samples_drawn == metered.samples_drawn
@@ -83,13 +85,14 @@ class TestShardedFleetHealth:
 
 
 class TestReplayHealthFixpoint:
-    def test_record_then_replay_reproduces_exposition_bytes(self):
-        config = ScaleConfig(tenants=3, daily_requests=300.0, days=1.0, seed=13)
+    @pytest.mark.parametrize("storage", ["s3", "dynamo"])
+    def test_record_then_replay_reproduces_exposition_bytes(self, storage):
+        config = ScaleConfig(tenants=3, daily_requests=300.0, days=1.0, seed=13,
+                             storage=storage)
         recorder = TraceRecorder(name="health", seed=config.seed,
                                  tenants=config.tenants)
         recorded_plane = MetricsPlane()
-        recorded = run_fleet(config, "batched", recorder=recorder,
-                             health=recorded_plane)
+        recorded = run_fleet(config, recorder=recorder, health=recorded_plane)
         replay_plane = MetricsPlane()
         replayed = run_replay_batched(recorder.trace(), config,
                                       health=replay_plane)
@@ -101,7 +104,7 @@ class TestReplayHealthFixpoint:
         config = ScaleConfig(tenants=6, daily_requests=200.0, days=1.0, seed=3)
         recorder = TraceRecorder(name="health-sharded", seed=config.seed,
                                  tenants=config.tenants)
-        run_fleet(config, "batched", recorder=recorder)
+        run_fleet(config, recorder=recorder)
         trace = recorder.trace()
         one = run_replay_sharded(trace, workers=1, collect_health=True)
         two = run_replay_sharded(trace, workers=2, collect_health=True)

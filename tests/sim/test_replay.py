@@ -6,9 +6,9 @@ The load-bearing claims, each pinned here:
   gzip — and the validator rejects malformed files at the right line;
 * recording is pure observation — a recorded fleet run bills and counts
   exactly like an unrecorded one;
-* record→replay is a fixpoint — replaying a recorded trace through the
-  batched engine reproduces the invoice, per-tenant counts, and SLA
-  report byte-for-byte;
+* record→replay is a fixpoint — replaying a recorded trace per tenant
+  reproduces the invoice, per-tenant counts, and SLA report
+  byte-for-byte, on every storage backend;
 * sharded replay is byte-identical across worker counts and with or
   without numpy;
 * chaos replay keeps the paper's SLA: 100% eventual delivery.
@@ -17,6 +17,7 @@ The load-bearing claims, each pinned here:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -148,25 +149,25 @@ FIXPOINT_CONFIG = ScaleConfig(tenants=4, daily_requests=300.0, days=1.0, seed=99
 
 class TestRecordReplayFixpoint:
     def test_recording_is_pure_observation(self):
-        plain = run_fleet(FIXPOINT_CONFIG, "batched")
+        plain = run_fleet(FIXPOINT_CONFIG)
         recorder = TraceRecorder(
             name="fix", seed=FIXPOINT_CONFIG.seed, tenants=FIXPOINT_CONFIG.tenants
         )
-        recorded = run_fleet(FIXPOINT_CONFIG, "batched", recorder=recorder)
+        recorded = run_fleet(FIXPOINT_CONFIG, recorder=recorder)
         assert recorded.invoice_total == plain.invoice_total
         assert recorded.per_tenant_arrivals == plain.per_tenant_arrivals
         assert recorded.total_billed_ms == plain.total_billed_ms
         assert len(recorder.trace().events) == plain.arrivals
 
-    def test_replay_reproduces_the_recorded_run(self, tmp_path):
-        recorder = TraceRecorder(
-            name="fix", seed=FIXPOINT_CONFIG.seed, tenants=FIXPOINT_CONFIG.tenants
-        )
-        recorded = run_fleet(FIXPOINT_CONFIG, "batched", recorder=recorder)
+    @pytest.mark.parametrize("storage", ["s3", "dynamo"])
+    def test_replay_reproduces_the_recorded_run(self, tmp_path, storage):
+        config = replace(FIXPOINT_CONFIG, storage=storage)
+        recorder = TraceRecorder(name="fix", seed=config.seed, tenants=config.tenants)
+        recorded = run_fleet(config, recorder=recorder)
         path = tmp_path / "fix.jsonl.gz"
         recorder.write(path)
 
-        replayed = run_replay_batched(read_trace(path), FIXPOINT_CONFIG)
+        replayed = run_replay_batched(read_trace(path), config)
         # The fixpoint: invoice, per-tenant counts, billed time, and the
         # SLA report all byte-identical to the recorded run.
         assert replayed.invoice_total == recorded.invoice_total
@@ -177,18 +178,11 @@ class TestRecordReplayFixpoint:
         assert json.dumps(replayed.report, sort_keys=True) == \
             json.dumps(recorded_report, sort_keys=True)
 
-    def test_recorder_only_supports_the_batched_engine(self):
-        recorder = TraceRecorder(name="x", seed=0, tenants=FIXPOINT_CONFIG.tenants)
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            run_fleet(FIXPOINT_CONFIG, "legacy", recorder=recorder)
-
     def test_edited_trace_bills_the_edited_bytes(self, tmp_path):
         recorder = TraceRecorder(
             name="fix", seed=FIXPOINT_CONFIG.seed, tenants=FIXPOINT_CONFIG.tenants
         )
-        run_fleet(FIXPOINT_CONFIG, "batched", recorder=recorder)
+        run_fleet(FIXPOINT_CONFIG, recorder=recorder)
         trace = recorder.trace()
         bigger = Trace(trace.header, [
             TraceEvent(e.at_micros, e.tenant, e.app, e.route, e.payload_bytes * 1000)

@@ -1,68 +1,19 @@
-"""Tier-1 smoke of the fleet-scale benchmark harness.
+"""Tier-1 smoke of the per-tenant fleet engine's result shape.
 
-A scaled-down fleet (a few tenants, a few days) runs the full
-legacy-vs-batched comparison on every test run, keeping the ≥2x
-throughput claim and the cross-engine billing determinism continuously
-verified. The `-m scale` marked run in ``benchmarks/`` does the same at
-≥1M requests and owns ``BENCH_scale.json``; the smoke run only
-bootstraps that record when it is missing, and re-validates it.
+``BENCH_scale.json`` at the repo root is the historical record of the
+seed path vs the batched engine; the host-time benchmark of the fleet
+paths lives in ``bench/``.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
-from repro.analysis.bench import write_bench_json
-from repro.sim.scale import (
-    SCALE_ENGINES,
-    ScaleConfig,
-    run_fleet,
-    run_scale_benchmark,
-)
-
-BENCH_RECORD = Path(__file__).resolve().parents[2] / "BENCH_scale.json"
-
-SMOKE_CONFIG = ScaleConfig(tenants=6, daily_requests=1200.0, days=3.0, seed=2017)
-
-
-def test_scale_benchmark_smoke():
-    record = run_scale_benchmark(SMOKE_CONFIG, micro_events=60_000)
-
-    # Engines agree to the byte, at ~20k requests.
-    determinism = record["determinism"]
-    assert determinism["identical"]
-    assert determinism["arrivals"] >= 15_000
-    assert sorted(determinism["engines"]) == sorted(SCALE_ENGINES)
-
-    # The optimized core clears 2x the seed path even at smoke size.
-    assert record["fleet_speedup"] >= 2.0, record["fleet_speedup"]
-    assert {m["name"] for m in record["micro"]} == {"workload", "event_loop", "latency"}
-    for micro in record["micro"]:
-        assert micro["speedup"] > 1.0, micro
-
-    # Bootstrap the perf record if the headline (-m scale) run hasn't
-    # written one yet; never clobber a bigger run's record.
-    if not BENCH_RECORD.exists():
-        payload = dict(record)
-        digests = payload.pop("determinism")
-        fleet = payload.pop("fleet")
-        write_bench_json(
-            BENCH_RECORD,
-            headline=(f"batched engine {payload['fleet_speedup']:.2f}x over the "
-                      f"seed path at {digests['arrivals']:,} requests (smoke)"),
-            runs=[cell for _, cell in sorted(fleet.items())],
-            digests=digests,
-            **payload,
-        )
-    parsed = json.loads(BENCH_RECORD.read_text())
-    assert parsed["bench"] == "scale_throughput"
-    assert parsed["fleet_speedup"] >= 2.0
+from repro.sim.scale import ScaleConfig, run_fleet
 
 
 def test_fleet_result_shape():
     result = run_fleet(ScaleConfig(tenants=2, daily_requests=300.0, days=1.0, seed=3))
-    assert result.engine == "batched"
     assert result.arrivals == sum(result.per_tenant_arrivals)
     assert result.samples_drawn == result.arrivals * 3
     assert result.events_per_second > 0

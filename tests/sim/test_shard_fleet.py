@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.cloud.billing import UsageKind
+from repro.errors import ConfigurationError
 from repro.sim.shard import (
     DEFAULT_LOGICAL_SHARDS,
     FleetConfig,
@@ -119,6 +120,15 @@ class TestMergeOrderIndependence:
         result = run_shard(SMOKE_CONFIG, 0)
         with pytest.raises(Exception):
             merge_shards(SMOKE_CONFIG, [result, result])
+
+    def test_missing_shard_rejected(self):
+        results = [
+            run_shard(SMOKE_CONFIG, shard_id)
+            for shard_id in range(SMOKE_CONFIG.logical_shards)
+            if shard_id != 5
+        ]
+        with pytest.raises(ConfigurationError, match=r"missing shard ids \[5\]"):
+            merge_shards(SMOKE_CONFIG, results)
 
 
 class TestFleetConfig:

@@ -3,9 +3,9 @@
 The throughput rewrite (batched arrivals, tuple-heap events, memoized
 latency distributions, aggregate metering) must not perturb a single
 draw: a seed is a contract. These tests pin exact values produced by
-fixed seeds and assert that every fast path — and the frozen seed-era
-reference implementations in :mod:`repro.sim._legacy` — produce
-bit-identical streams, samples, and invoice totals.
+fixed seeds and assert that every fast path produces bit-identical
+streams, samples, and invoice totals. Each oracle is a pinned value or
+a closed form, never a second implementation.
 """
 
 from __future__ import annotations
@@ -14,12 +14,16 @@ import pytest
 
 from repro.cloud.billing import BillingMeter, Invoice, UsageKind
 from repro.cloud.pricing import PRICES_2017
-from repro.sim import _legacy
 from repro.sim.event import EventLoop
-from repro.sim.latency import Constant, LatencyModel
+from repro.sim.latency import (
+    LAMBDA_MEMORY_CEILING_MB,
+    LAMBDA_MEMORY_FLOOR_MB,
+    Constant,
+    LatencyModel,
+)
 from repro.sim.rng import SeededRng
 from repro.sim.scale import ScaleConfig, run_fleet
-from repro.sim.workload import HOURLY_PROFILE_PERSONAL, DiurnalWorkload
+from repro.sim.workload import DiurnalWorkload
 from repro.units import ms
 
 # Pinned output of DiurnalWorkload(2000, SeededRng(42, "golden")) over one
@@ -68,16 +72,6 @@ class TestArrivalStream:
             streams.append([t for block in wl.arrival_batches(1.0, chunk=chunk) for t in block])
         assert all(stream == streams[0] for stream in streams)
 
-    def test_legacy_reference_matches(self):
-        legacy = [
-            a.at_micros
-            for a in _legacy.legacy_arrivals(
-                2000.0, SeededRng(42, "golden"), HOURLY_PROFILE_PERSONAL, 1.0
-            )
-        ]
-        assert legacy[:10] == GOLDEN_FIRST_ARRIVALS
-        assert len(legacy) == GOLDEN_ARRIVAL_COUNT
-
     def test_generated_counter_tracks_stream(self):
         wl = _golden_workload()
         total = sum(len(chunk) for chunk in wl.arrival_batches(1.0))
@@ -98,11 +92,6 @@ class TestLatencySamples:
         model = LatencyModel(rng=SeededRng(42, "golden-lat"))
         assert model.sample_block("s3.put", 6, 448) == GOLDEN_S3_SAMPLES
 
-    def test_legacy_reference_matches(self):
-        rng = SeededRng(42, "golden-lat")
-        values = [_legacy.legacy_sample(rng, "s3.put", memory_mb=448).micros for _ in range(6)]
-        assert values == GOLDEN_S3_SAMPLES
-
     def test_constant_block_skips_the_rng(self):
         model = LatencyModel(
             rng=SeededRng(5, "const"), overrides={"s3.put": Constant(ms(7))}
@@ -114,8 +103,10 @@ class TestLatencySamples:
         assert model.rng.random() == twin.random()
 
     def test_memory_factor_memoization_matches_legacy_formula(self):
+        # The seed's formula, in closed form: clamp, then divide.
         for mb in (64, 128, 256, 448, 1024, 1536, 4096):
-            assert LatencyModel.memory_factor(mb) == _legacy.legacy_memory_factor(mb)
+            clamped = min(max(mb, LAMBDA_MEMORY_FLOOR_MB), LAMBDA_MEMORY_CEILING_MB)
+            assert LatencyModel.memory_factor(mb) == LAMBDA_MEMORY_CEILING_MB / clamped
 
     def test_samples_drawn_counter(self):
         model = LatencyModel(rng=SeededRng(0, "count"))
@@ -125,49 +116,48 @@ class TestLatencySamples:
 
 
 class TestEventLoopParity:
-    @staticmethod
-    def _schedule(loop):
+    """The seed loop's semantics, derived from the schedule itself: events
+    run in ``(when, insertion index)`` order, cancelled ones never."""
+
+    CANCELLED = (3, 77, 120, 121)
+
+    @classmethod
+    def _schedule(cls, loop):
         order = []
         times = SeededRng(11, "sched")
         handles = []
+        whens = []
         for i in range(200):
             when = times.randint(0, 50)
+            whens.append(when)
             handles.append(loop.schedule_at(when, lambda i=i: order.append(i)))
-        for victim in (3, 77, 120, 121):
+        for victim in cls.CANCELLED:
             handles[victim].cancel()
-        return order
+        expected = sorted(
+            (i for i in range(200) if i not in cls.CANCELLED), key=lambda i: (whens[i], i)
+        )
+        return order, expected, whens
 
     def test_execution_order_matches_seed_loop(self):
-        legacy_loop = _legacy.LegacyEventLoop()
-        legacy_order = self._schedule(legacy_loop)
-        legacy_loop.run_until_idle()
-
-        fast_loop = EventLoop()
-        fast_order = self._schedule(fast_loop)
-        fast_loop.run_until_idle()
-        assert fast_order == legacy_order
+        loop = EventLoop()
+        order, expected, _ = self._schedule(loop)
+        loop.run_until_idle()
+        assert order == expected
 
     def test_run_batch_executes_the_same_schedule(self):
-        legacy_loop = _legacy.LegacyEventLoop()
-        legacy_order = self._schedule(legacy_loop)
-        legacy_loop.run_until_idle()
-
-        fast_loop = EventLoop()
-        fast_order = self._schedule(fast_loop)
-        while fast_loop.run_batch():
+        loop = EventLoop()
+        order, expected, _ = self._schedule(loop)
+        while loop.run_batch():
             pass
-        assert fast_order == legacy_order
-        assert fast_loop.pending() == 0
+        assert order == expected
+        assert loop.pending() == 0
 
     def test_live_counter_matches_o_n_scan(self):
-        legacy_loop = _legacy.LegacyEventLoop()
-        fast_loop = EventLoop()
-        self._schedule(legacy_loop)
-        self._schedule(fast_loop)
-        assert fast_loop.pending() == legacy_loop.pending() == 196
-        fast_loop.run_until(25)
-        legacy_loop.run_until(25)
-        assert fast_loop.pending() == legacy_loop.pending()
+        loop = EventLoop()
+        _, expected, whens = self._schedule(loop)
+        assert loop.pending() == len(expected) == 196
+        loop.run_until(25)
+        assert loop.pending() == sum(1 for i in expected if whens[i] > 25)
 
     def test_double_cancel_decrements_once(self):
         loop = EventLoop()
@@ -213,9 +203,8 @@ class TestBillingParity:
 
 
 class TestFleetInvoice:
-    @pytest.mark.parametrize("engine", ["legacy", "inline", "batched"])
-    def test_golden_bill_on_every_engine(self, engine):
-        result = run_fleet(GOLDEN_FLEET_CONFIG, engine)
+    def test_golden_bill(self):
+        result = run_fleet(GOLDEN_FLEET_CONFIG)
         assert result.per_tenant_arrivals == GOLDEN_FLEET_ARRIVALS
         assert result.total_billed_ms == GOLDEN_FLEET_BILLED_MS
         assert result.invoice_total == GOLDEN_FLEET_TOTAL
@@ -223,11 +212,9 @@ class TestFleetInvoice:
     def test_chunk_size_does_not_change_the_bill(self):
         small = run_fleet(
             ScaleConfig(tenants=2, daily_requests=400.0, days=1.0, seed=4, chunk=16),
-            "batched",
         )
         large = run_fleet(
             ScaleConfig(tenants=2, daily_requests=400.0, days=1.0, seed=4, chunk=65536),
-            "batched",
         )
         assert small.invoice_total == large.invoice_total
         assert small.per_tenant_arrivals == large.per_tenant_arrivals
@@ -249,7 +236,7 @@ class TestTracingPreservesGoldens:
             SeededRng(GOLDEN_FLEET_CONFIG.seed, "scale/obs"),
             TraceCollector(capacity=256, sample_rate=sample_rate),
         )
-        result = run_fleet(GOLDEN_FLEET_CONFIG, "batched", tracer=tracer)
+        result = run_fleet(GOLDEN_FLEET_CONFIG, tracer=tracer)
         assert result.per_tenant_arrivals == GOLDEN_FLEET_ARRIVALS
         assert result.total_billed_ms == GOLDEN_FLEET_BILLED_MS
         assert result.invoice_total == GOLDEN_FLEET_TOTAL
@@ -269,7 +256,7 @@ class TestTracingPreservesGoldens:
             SeededRng(GOLDEN_FLEET_CONFIG.seed, "scale/obs"),
             TraceCollector(capacity=4096, sample_rate=1.0),
         )
-        run_fleet(GOLDEN_FLEET_CONFIG, "batched", tracer=tracer)
+        run_fleet(GOLDEN_FLEET_CONFIG, tracer=tracer)
         traces = tracer.collector.traces()
         assert len(traces) == sum(GOLDEN_FLEET_ARRIVALS)
         total_billed_ms = 0
