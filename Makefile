@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test lint bench bench-storage bench-fleet fleet chaos obs trace bench-obs replay bench-replay tables advise bench-advisor advisor slo bench-slo slo-tests
+.PHONY: test lint bench bench-check bench-storage bench-fleet fleet chaos obs trace bench-obs replay bench-replay tables advise bench-advisor advisor slo bench-slo slo-tests
 
 # Tier-1: the full test suite (scale-marked benchmarks are deselected
 # by default via pyproject addopts).
@@ -33,6 +33,12 @@ lint:
 # The paper-reproduction benchmark suite (pytest-benchmark based).
 bench:
 	$(PY) -m pytest benchmarks -q
+
+# Host-time regression gate: fresh repetitions of every bench/run.py
+# workload against bench/baseline.json; exits 1 on a regression beyond
+# a metric's bound or a failed output check.
+bench-check:
+	PYTHONPATH=src python3 bench/run.py check
 
 # Sharded fleet engine: one virtual year for 1M tenants at several
 # worker counts, with the cross-worker determinism proof; writes

@@ -30,14 +30,17 @@ are bitwise equal:
 
 Determinism contract: for any input block, ``f(block)`` under numpy
 equals ``[f(x) for x in block]`` under the fallback, bit for bit.
-``tests/sim/test_vec_fallback.py`` enforces it.
+``tests/sim/test_vec_fallback.py`` enforces it, switching numpy off
+through ``repro._optional._FORCE_FALLBACK``; :func:`numpy_or_none` is
+re-exported from there.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from repro._optional import numpy_or_none
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -51,29 +54,6 @@ __all__ = [
     "exponential_table",
     "exponential_gaps",
 ]
-
-# Test hook: monkeypatch to True to exercise the pure-python fallback
-# with numpy still importable (tests/sim/test_vec_fallback.py).
-_FORCE_FALLBACK = False
-
-_numpy_cache: Optional[object] = None
-_numpy_checked = False
-
-
-def numpy_or_none():
-    """The ``numpy`` module, or ``None`` when absent (or forced off)."""
-    global _numpy_cache, _numpy_checked
-    if _FORCE_FALLBACK:
-        return None
-    if not _numpy_checked:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - exercised via _FORCE_FALLBACK
-            numpy = None
-        _numpy_cache = numpy
-        _numpy_checked = True
-    return _numpy_cache
-
 
 # -- block uniforms ------------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import _optional
+from repro.crypto import chacha20
 from repro.crypto.chacha20 import BLOCK_SIZE, chacha20_block, chacha20_encrypt
 from repro.errors import CryptoError
 
@@ -85,3 +87,94 @@ class TestEncrypt:
 
     def test_ciphertext_differs_from_plaintext(self):
         assert chacha20_encrypt(RFC_KEY, 1, RFC_NONCE, SUNSCREEN) != SUNSCREEN
+
+
+class TestEncryptValidation:
+    """Bad input fails before any output, whatever the message length."""
+
+    @pytest.mark.parametrize("data", [b"", b"x", bytes(BLOCK_SIZE * 20)])
+    def test_rejects_short_key(self, data):
+        with pytest.raises(CryptoError, match="key"):
+            chacha20_encrypt(b"short", 0, RFC_NONCE, data)
+
+    @pytest.mark.parametrize("data", [b"", b"x", bytes(BLOCK_SIZE * 20)])
+    def test_rejects_bad_nonce(self, data):
+        with pytest.raises(CryptoError, match="nonce"):
+            chacha20_encrypt(RFC_KEY, 0, b"bad", data)
+
+    @pytest.mark.parametrize("counter", [-1, 2**32])
+    def test_rejects_counter_out_of_range_on_empty_data(self, counter):
+        with pytest.raises(CryptoError, match="counter"):
+            chacha20_encrypt(RFC_KEY, counter, RFC_NONCE, b"")
+
+    @pytest.mark.parametrize("blocks", [2, 20])
+    def test_rejects_counter_range_past_the_last_block(self, blocks):
+        # The last block would need counter 2^32 (scalar and lane paths alike).
+        with pytest.raises(CryptoError, match="overflows"):
+            chacha20_encrypt(RFC_KEY, 2**32 - blocks + 1, RFC_NONCE, bytes(BLOCK_SIZE * blocks))
+
+    def test_rejects_one_byte_past_the_last_block(self):
+        with pytest.raises(CryptoError, match="overflows"):
+            chacha20_encrypt(RFC_KEY, 2**32 - 1, RFC_NONCE, bytes(BLOCK_SIZE + 1))
+
+    def test_accepts_a_range_ending_on_the_last_counter(self):
+        out = chacha20_encrypt(RFC_KEY, 2**32 - 1, RFC_NONCE, bytes(BLOCK_SIZE))
+        assert out == chacha20_block(RFC_KEY, 2**32 - 1, RFC_NONCE)
+
+    def test_keystream_is_the_concatenated_blocks(self):
+        out = chacha20_encrypt(RFC_KEY, 7, RFC_NONCE, bytes(BLOCK_SIZE * 9 + 5))
+        blocks = b"".join(chacha20_block(RFC_KEY, 7 + i, RFC_NONCE) for i in range(10))
+        assert out == blocks[: len(out)]
+
+
+CROSSOVER = chacha20._LANE_MIN_BLOCKS * BLOCK_SIZE
+EDGE_LENGTHS = sorted({
+    0, 1, 63, 64, 65,
+    CROSSOVER - BLOCK_SIZE, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, CROSSOVER + BLOCK_SIZE,
+    64 * 1024, 64 * 1024 + 11,
+})
+
+
+class TestNumpyFallbackIdentity:
+    """The numpy lanes and the scalar block give the same keystream."""
+
+    @staticmethod
+    def _both(monkeypatch, counter, length):
+        data = bytes(length)
+        with_numpy = chacha20_encrypt(RFC_KEY, counter, RFC_NONCE, data)
+        monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
+        return with_numpy, chacha20_encrypt(RFC_KEY, counter, RFC_NONCE, data)
+
+    @pytest.mark.parametrize("length", EDGE_LENGTHS)
+    def test_keystream_identical_without_numpy(self, monkeypatch, length):
+        with_numpy, without = self._both(monkeypatch, 1, length)
+        assert with_numpy == without
+        assert len(with_numpy) == length
+
+    @pytest.mark.parametrize("length", EDGE_LENGTHS[1:])
+    def test_keystream_identical_up_to_the_last_counter(self, monkeypatch, length):
+        # The last block uses counter 2^32-1; a wrapping uint32 lane
+        # counter would repeat block 0's keystream there instead.
+        last_start = (length - 1) // BLOCK_SIZE * BLOCK_SIZE
+        counter = 2**32 - 1 - last_start // BLOCK_SIZE
+        with_numpy, without = self._both(monkeypatch, counter, length)
+        assert with_numpy == without
+        last = chacha20_block(RFC_KEY, 2**32 - 1, RFC_NONCE)
+        assert with_numpy[last_start:] == last[: length - last_start]
+
+    def test_lanes_run_from_the_crossover_and_only_with_numpy(self, monkeypatch):
+        pytest.importorskip("numpy")
+        calls = []
+        lanes = chacha20._lane_keystream
+
+        def spy(np, key, counter, nonce, nblocks):
+            calls.append(nblocks)
+            return lanes(np, key, counter, nonce, nblocks)
+
+        monkeypatch.setattr(chacha20, "_lane_keystream", spy)
+        chacha20_encrypt(RFC_KEY, 1, RFC_NONCE, bytes(CROSSOVER - BLOCK_SIZE))
+        chacha20_encrypt(RFC_KEY, 1, RFC_NONCE, bytes(CROSSOVER - BLOCK_SIZE + 1))
+        assert calls == [chacha20._LANE_MIN_BLOCKS]
+        monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
+        chacha20_encrypt(RFC_KEY, 1, RFC_NONCE, bytes(CROSSOVER))
+        assert calls == [chacha20._LANE_MIN_BLOCKS]

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.sim import vecmath
+from repro import _optional
 from repro.sim.replay import (
     ReplayConfig,
     Trace,
@@ -218,7 +218,7 @@ class TestShardedReplay:
         trace = build_scenario("mailing-list-storm", seed=3)
         config = ReplayConfig(seed=3, logical_shards=8)
         with_numpy = run_replay_sharded(trace, config).determinism_digest()
-        monkeypatch.setattr(vecmath, "_FORCE_FALLBACK", True)
+        monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
         assert run_replay_sharded(trace, config).determinism_digest() == with_numpy
 
     def test_merged_totals_match_the_trace(self):

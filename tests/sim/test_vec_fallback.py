@@ -3,7 +3,7 @@
 :mod:`repro.sim.vecmath` promises that each kernel's numpy array form
 and pure-python scalar form execute the identical sequence of IEEE-754
 operations. These tests run each suite twice — once normally, once with
-``vecmath._FORCE_FALLBACK`` monkeypatched on (numpy treated as absent)
+``repro._optional._FORCE_FALLBACK`` monkeypatched on (numpy treated as absent)
 — and assert bitwise-equal outputs per seed, up through a whole sharded
 fleet run.
 """
@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+from repro import _optional
 from repro.sim import vecmath
 from repro.sim.latency import LatencyModel
 from repro.sim.rng import SeededRng
@@ -25,7 +26,7 @@ from repro.sim.workload import DiurnalWorkload
 def fallback(monkeypatch):
     """Force the pure-python path while numpy stays importable."""
     def activate():
-        monkeypatch.setattr(vecmath, "_FORCE_FALLBACK", True)
+        monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
     return activate
 
 

@@ -125,7 +125,7 @@ class TestVectorizedArrivals:
         assert self._collect(_workload(500, profile=(0.0,) * 24), days=2.0) == []
 
     def test_offset_stream_identical_without_numpy(self, monkeypatch):
-        from repro.sim import vecmath
+        from repro import _optional
 
         def stream():
             return self._collect(
@@ -134,7 +134,7 @@ class TestVectorizedArrivals:
             )
 
         with_numpy = stream()
-        monkeypatch.setattr(vecmath, "_FORCE_FALLBACK", True)
+        monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
         assert stream() == with_numpy
 
     def test_zero_start_stream_is_unchanged_by_the_offset_term(self):
