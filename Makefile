@@ -3,9 +3,9 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test lint bench bench-check bench-storage bench-fleet fleet chaos obs trace bench-obs replay bench-replay tables advise bench-advisor advisor slo bench-slo slo-tests
+.PHONY: test lint bench bench-check bench-storage chaos obs trace bench-obs tables advise bench-advisor advisor slo bench-slo slo-tests
 
-# Tier-1: the full test suite (scale-marked benchmarks are deselected
+# Tier-1: the full test suite (the slow opt-in markers are deselected
 # by default via pyproject addopts).
 test:
 	$(PY) -m pytest -x -q
@@ -40,17 +40,6 @@ bench:
 bench-check:
 	PYTHONPATH=src python3 bench/run.py check
 
-# Sharded fleet engine: one virtual year for 1M tenants at several
-# worker counts, with the cross-worker determinism proof; writes
-# BENCH_fleet.json.
-bench-fleet:
-	$(PY) -m repro bench-fleet
-
-# Sharded fleet-engine benchmark suite (opt-in; the default test run
-# deselects `-m fleet`; the fast smoke tests are already in tier-1).
-fleet:
-	$(PY) -m pytest benchmarks/test_fleet_throughput.py -m fleet -s
-
 # Storage-backend ablation across chat/email/filetransfer; writes
 # BENCH_storage.json.
 bench-storage:
@@ -73,16 +62,6 @@ trace:
 # Tracing-overhead benchmark on the per-tenant engine; writes BENCH_obs.json.
 bench-obs:
 	$(PY) -m repro bench-obs
-
-# Trace-replay acceptance benchmarks (opt-in; the default test run
-# deselects `-m replay`; the fast replay tests are already in tier-1).
-replay:
-	$(PY) -m pytest benchmarks/test_replay_throughput.py -m replay -s
-
-# Replay-throughput benchmark: ≥1M recorded events through the sharded
-# replayer vs the synthetic path; writes BENCH_replay.json.
-bench-replay:
-	$(PY) -m repro bench-replay
 
 # Deployment-plan advisor: joint memory x backend x polling sweep for
 # the default chat-like profile.

@@ -5,14 +5,12 @@
     python -m repro table3     # run the chat prototype, print its stats
     python -m repro tcb        # Figure 1's TCB comparison
     python -m repro ha         # the "50x cheaper" HA configurations
-    python -m repro bench-fleet  # sharded engine: one virtual year, 1M tenants
     python -m repro chaos      # the chat fleet under fault injection
     python -m repro trace      # traced chat run + latency decomposition
     python -m repro bench-obs  # tracing-overhead benchmark (BENCH_obs.json)
     python -m repro record     # record a fleet run to a workload trace
     python -m repro replay     # replay a trace (or library scenario)
     python -m repro scenarios  # list the scenario library + golden digests
-    python -m repro bench-replay  # replay throughput benchmark (BENCH_replay.json)
     python -m repro advise     # deployment-plan advisor (memory x backend x polling)
     python -m repro bench-advisor  # advisor closed loop (BENCH_advisor.json)
     python -m repro slo        # probe a chaos scenario, evaluate SLO burn alerts
@@ -212,62 +210,6 @@ def _cmd_ha(_args) -> None:
         ["VM configuration", "monthly cost", "x DIY email ($0.26)"], rows,
         title="Highly-available VM hosting vs DIY (the abstract's 50x claim)",
     ))
-
-
-def _cmd_bench_fleet(args) -> None:
-    import os
-
-    from repro.analysis.bench import write_bench_json
-    from repro.sim.shard import FleetConfig, run_fleet_benchmark
-
-    config = FleetConfig(
-        tenants=args.tenants,
-        daily_requests=args.daily_requests,
-        days=args.days,
-        seed=args.seed,
-        memory_mb=args.memory_mb,
-        logical_shards=args.shards,
-    )
-    worker_counts = tuple(
-        int(w.strip()) for w in args.workers.split(",") if w.strip()
-    ) or (1,)
-    print(
-        f"fleet: {config.tenants:,} tenants x {config.daily_requests:g} req/day "
-        f"x {config.days:g} days (~{config.expected_requests():,.0f} events), "
-        f"{config.logical_shards} logical shards, workers {list(worker_counts)} "
-        f"on {os.cpu_count()} core(s) ..."
-    )
-    record = run_fleet_benchmark(config, worker_counts=worker_counts)
-    rows = [
-        (run["workers"], f"{run['events']:,}", f"{run['events_per_second']:,.0f}",
-         f"{run['wall_seconds']:.1f} s", run["invoice_total"])
-        for run in record["runs"]
-    ]
-    print(format_table(
-        ["workers", "events", "events/sec", "wall time", "invoice"],
-        rows,
-        title=f"Sharded fleet engine (seed {config.seed})",
-    ))
-    base = record["baseline"]
-    print(f"batched-engine baseline: {base['events_per_second']:,.0f} events/s; "
-          f"sharded speedup {record['speedup_vs_batched']:.2f}x")
-    det = record.pop("determinism")
-    print(f"byte-identical across workers {det['worker_counts']}: "
-          f"{det['identical_across_worker_counts']} "
-          f"(invoice {det['digest']['invoice_total']}, "
-          f"counts sha256 {det['digest']['tenant_counts_sha256'][:16]}...)")
-    runs = record.pop("runs")
-    best = max(run["events_per_second"] for run in runs)
-    out = write_bench_json(
-        args.out,
-        headline=(f"sharded engine: {runs[0]['events']:,} events at up to "
-                  f"{best:,.0f} events/s, byte-identical across workers "
-                  f"{det['worker_counts']}"),
-        runs=runs,
-        digests=det,
-        **record,
-    )
-    print(f"wrote {out}")
 
 
 def _cmd_bench_storage(args) -> None:
@@ -565,7 +507,7 @@ def _replay_with_metrics(args, trace) -> None:
     import hashlib
 
     from repro.obs.metrics import MetricsPlane
-    from repro.sim.replay import run_replay_batched
+    from repro.sim.replay import run_replay_batched, trace_storage
     from repro.sim.scale import ScaleConfig
 
     config = ScaleConfig(
@@ -573,6 +515,7 @@ def _replay_with_metrics(args, trace) -> None:
         seed=trace.header.seed if args.replay_seed is None else args.replay_seed,
         memory_mb=args.memory_mb,
         chunk=args.chunk,
+        storage=trace_storage(trace.header),
     )
     health = MetricsPlane()
     result = run_replay_batched(trace, config, health=health)
@@ -621,90 +564,6 @@ def _cmd_scenarios(args) -> None:
         headers, rows,
         title=f"Scenario library (seed {args.seed}; digests are per-seed goldens)",
     ))
-
-
-def _cmd_bench_replay(args) -> None:
-    import time
-
-    from repro.analysis.bench import write_bench_json
-    from repro.sim.replay import ReplayConfig, run_replay_sharded
-    from repro.sim.scenarios import build_scenario, tenant_multiply
-    from repro.sim.shard import FleetConfig, run_fleet_sharded
-
-    base = build_scenario(args.scenario, seed=args.seed)
-    copies = max(1, -(-args.events // len(base.events)))
-    trace = tenant_multiply(base, copies) if copies > 1 else base
-    worker_counts = tuple(
-        int(w.strip()) for w in args.workers.split(",") if w.strip()
-    ) or (1,)
-    print(
-        f"replay bench: scenario {args.scenario!r} x {copies} tenant copies = "
-        f"{len(trace.events):,} events, workers {list(worker_counts)} ..."
-    )
-    config = ReplayConfig(seed=args.seed)
-    runs = []
-    digests = []
-    for workers in worker_counts:
-        start = time.perf_counter()
-        result = run_replay_sharded(trace, config, workers=workers)
-        wall = time.perf_counter() - start
-        runs.append({
-            "workers": workers,
-            "events": result.events,
-            "wall_seconds": round(wall, 3),
-            "events_per_second": round(result.events / wall, 1),
-            "invoice_total": result.invoice_total,
-        })
-        digests.append(result.determinism_digest())
-    identical = all(d == digests[0] for d in digests)
-    # The synthetic sharded engine at a comparable event count — the
-    # generate-vs-replay throughput comparison the record headlines.
-    synth_config = FleetConfig(
-        tenants=trace.header.tenants,
-        daily_requests=len(trace.events) / trace.header.tenants
-        / max(trace.duration_micros() / 86_400_000_000, 1 / 24),
-        days=max(trace.duration_micros() / 86_400_000_000, 1 / 24),
-        seed=args.seed,
-    )
-    start = time.perf_counter()
-    synth = run_fleet_sharded(synth_config, workers=worker_counts[-1])
-    synth_wall = time.perf_counter() - start
-    synth_rate = synth.events / synth_wall if synth_wall else 0.0
-    rows = [
-        (run["workers"], f"{run['events']:,}", f"{run['events_per_second']:,.0f}",
-         f"{run['wall_seconds']:.1f} s", run["invoice_total"])
-        for run in runs
-    ]
-    print(format_table(
-        ["workers", "events", "events/sec", "wall time", "invoice"],
-        rows,
-        title=f"Sharded replay throughput (seed {args.seed})",
-    ))
-    best = max(run["events_per_second"] for run in runs)
-    print(f"byte-identical across workers {list(worker_counts)}: {identical}; "
-          f"synthetic path: {synth_rate:,.0f} events/s on {synth.events:,} events")
-    out = write_bench_json(
-        args.out,
-        headline=(f"replayed {runs[0]['events']:,} recorded events at up to "
-                  f"{best:,.0f} events/s, byte-identical across workers "
-                  f"{list(worker_counts)}"),
-        runs=runs,
-        digests={
-            "identical_across_worker_counts": identical,
-            "worker_counts": list(worker_counts),
-            "digest": digests[0],
-        },
-        bench="replay_throughput",
-        scenario=args.scenario,
-        tenant_copies=copies,
-        synthetic={
-            "events": synth.events,
-            "wall_seconds": round(synth_wall, 3),
-            "events_per_second": round(synth_rate, 1),
-        },
-        replay_vs_synthetic=round(best / synth_rate, 3) if synth_rate else None,
-    )
-    print(f"wrote {out}")
 
 
 def _format_micros(micros) -> str:
@@ -857,22 +716,6 @@ def main(argv=None) -> int:
     bench_advisor.add_argument("--out", default="BENCH_advisor.json",
                                help="where to write the JSON record")
     bench_advisor.set_defaults(fn=_cmd_bench_advisor)
-    fleet = sub.add_parser(
-        "bench-fleet",
-        help="sharded fleet benchmark: a virtual year for the whole fleet",
-    )
-    fleet.add_argument("--tenants", type=int, default=1_000_000)
-    fleet.add_argument("--daily-requests", type=float, default=1.0)
-    fleet.add_argument("--days", type=float, default=365.0)
-    fleet.add_argument("--seed", type=int, default=2017)
-    fleet.add_argument("--memory-mb", type=int, default=448)
-    fleet.add_argument("--shards", type=int, default=64,
-                       help="logical shards (the determinism unit, not workers)")
-    fleet.add_argument("--workers", default="1,2,4",
-                       help="comma-separated worker counts to run and compare")
-    fleet.add_argument("--out", default="BENCH_fleet.json",
-                       help="where to write the JSON perf record")
-    fleet.set_defaults(fn=_cmd_bench_fleet)
     storage = sub.add_parser(
         "bench-storage",
         help="storage-backend ablation: each app on S3 vs DynamoDB state",
@@ -982,19 +825,6 @@ def main(argv=None) -> int:
     scenarios.add_argument("--json", action="store_true",
                            help="print the full catalog as JSON")
     scenarios.set_defaults(fn=_cmd_scenarios)
-    bench_replay = sub.add_parser(
-        "bench-replay",
-        help="replay-throughput benchmark vs the synthetic path; writes BENCH_replay.json",
-    )
-    bench_replay.add_argument("--scenario", default="iot-fleet")
-    bench_replay.add_argument("--seed", type=int, default=2017)
-    bench_replay.add_argument("--events", type=int, default=1_000_000,
-                              help="minimum replayed events (tenant-multiplied)")
-    bench_replay.add_argument("--workers", default="1,2",
-                              help="comma-separated worker counts to run and compare")
-    bench_replay.add_argument("--out", default="BENCH_replay.json",
-                              help="where to write the JSON perf record")
-    bench_replay.set_defaults(fn=_cmd_bench_replay)
     slo = sub.add_parser(
         "slo",
         help="probe a chaos scenario and evaluate SLO burn-rate alerts against ground truth",

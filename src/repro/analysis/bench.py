@@ -1,8 +1,6 @@
 """The shared BENCH_*.json schema: one writer for every benchmark record.
 
-Every benchmark artifact the repo ships (``BENCH_scale.json``,
-``BENCH_fleet.json``, ``BENCH_obs.json``, ``BENCH_chaos.json``,
-``BENCH_storage.json``, ``BENCH_replay.json``) goes through
+Every ``BENCH_*.json`` record the repo ships goes through
 :func:`write_bench_json`, so they all share four top-level keys:
 
 ``headline``
@@ -16,9 +14,7 @@ Every benchmark artifact the repo ships (``BENCH_scale.json``,
     The determinism block — whatever byte-identity evidence this
     benchmark pins (invoice totals, sha256 of per-tenant counts, ...).
 
-Benchmark-specific fields ride alongside via ``**extra``. Readers of
-records written before this schema existed should fall back from
-``digests`` to the legacy ``determinism`` key.
+Benchmark-specific fields ride alongside via ``**extra``.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ __all__ = [
     "Route",
     "Router",
     "RequestTrace",
-    "runtime_metrics",
     "StateStore",
     "S3Store",
     "DynamoStore",
@@ -44,7 +43,6 @@ _EXPORTS = {
     "Route": "repro.runtime.router",
     "Router": "repro.runtime.router",
     "RequestTrace": "repro.runtime.trace",
-    "runtime_metrics": "repro.runtime.trace",
     "StateStore": "repro.runtime.store",
     "S3Store": "repro.runtime.store",
     "DynamoStore": "repro.runtime.store",

@@ -12,7 +12,7 @@ state backend, resource needs, permission grants — and the
   pipeline ``trace → error_mapper → throttle_hints → envelope``:
 
   1. **trace** opens a :class:`~repro.runtime.trace.RequestTrace` and
-     records per-route latency/status into ``sim.metrics``;
+     records per-route latency/status into the ambient health plane;
   2. **error_mapper** turns the router's taxonomy into HTTP (404/405);
      every other :class:`~repro.errors.ReproError` propagates so the
      platform's crash billing and the clients' retry logic still see
@@ -52,7 +52,7 @@ from repro.runtime.store import (
     StateStore,
     backend_store,
 )
-from repro.runtime.trace import RequestTrace, runtime_metrics
+from repro.runtime.trace import RequestTrace
 
 __all__ = ["RouteDecl", "StoreDecl", "KernelFunction", "AppSpec", "AppKernel", "KernelContext"]
 
@@ -179,7 +179,7 @@ def _relative_path(path: str, instance: str) -> str:
 class AppKernel:
     """Builds manifests and middleware-wrapped handlers from one spec."""
 
-    def __init__(self, spec: AppSpec, storage: Optional[str] = None, metrics=None,
+    def __init__(self, spec: AppSpec, storage: Optional[str] = None,
                  plan: Optional[DeploymentPlan] = None):
         """Precedence: explicit ``storage`` arg > ``plan`` > ``DIY_STORAGE`` env.
 
@@ -199,7 +199,6 @@ class AppKernel:
         self.spec = spec
         self.plan = plan if resolved == plan.storage else plan.replace(storage=resolved)
         self.storage = resolved
-        self.metrics = metrics if metrics is not None else runtime_metrics()
         self._routers: Dict[str, Router] = {
             fn.suffix: Router(
                 Route(decl.method.upper(), decl.pattern, decl.endpoint, decl.name)
@@ -247,7 +246,7 @@ class AppKernel:
             raise ProtocolError(f"{scope} expects an HTTP request")
 
         def kernel_handler(event, ctx):
-            trace = RequestTrace(ctx.clock, scope, "event", metrics=self.metrics)
+            trace = RequestTrace(ctx.clock, scope, "event")
             # The ambient health plane is bound by the Lambda platform
             # around handler execution (repro.obs.metrics.bind_ambient);
             # one ContextVar read keeps the kernel provider-agnostic.
@@ -263,12 +262,12 @@ class AppKernel:
                 except BaseException:
                     trace.finish("error")
                     if health is not None:
-                        self._record_health(health, trace, ctx.clock.now, "error")
+                        self._record_health(health, trace, ctx.clock.now)
                     raise
                 status = getattr(response, "status", 200)
                 trace.finish(status)
                 if health is not None:
-                    self._record_health(health, trace, ctx.clock.now, status)
+                    self._record_health(health, trace, ctx.clock.now)
                 if rspan is not None:
                     rspan.set_attr("route", trace.route)
                     rspan.set_attr("status", status)
@@ -278,14 +277,14 @@ class AppKernel:
         kernel_handler.__qualname__ = kernel_handler.__name__
         return kernel_handler
 
-    def _record_health(self, health, trace: RequestTrace, now: int, status) -> None:
-        """Per-app request metrics into the ambient health plane.
+    def _record_health(self, health, trace: RequestTrace, now: int) -> None:
+        """A finished trace's request metrics into the ambient health plane.
 
         Pure observation on the virtual clock; "bad" is a handler error
         or a 5xx — kernel-level 4xxs are the deployment answering
-        correctly. Mirrors what RequestTrace feeds the sim registry, but
-        in the mergeable, exposition-ready plane.
+        correctly.
         """
+        status = trace.status
         bad = status == "error" or (isinstance(status, int) and status >= 500)
         health.counter(
             "runtime.requests", app=self.spec.app_id,

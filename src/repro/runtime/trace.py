@@ -1,16 +1,14 @@
 """Per-request tracing for the application kernel.
 
 The trace middleware opens one :class:`RequestTrace` per invocation and
-closes it after the response (or error) is known, feeding the samples
-into a :class:`repro.sim.metrics.MetricRegistry`:
-
-- ``runtime.<app>.<function>.<route>.ms`` — wall time of the request in
-  virtual milliseconds (everything the handler's service calls cost);
-- ``runtime.<app>.<function>.status.<code>`` — one count per response
-  status (errors that escape the pipeline count under ``status.error``).
+closes it after the response (or error) is known. The trace holds the
+request's route, start time, and named sub-spans; the kernel turns the
+closed trace into health-plane metrics (``runtime.requests``,
+``runtime.request_us``; see :meth:`repro.runtime.kernel.AppKernel`).
 
 Endpoints can add finer-grained spans with :meth:`RequestTrace.span`;
-each named span records ``runtime.<app>.<function>.span.<name>.ms``.
+each one also opens a ``runtime.span.<name>`` child in the
+:mod:`repro.obs.trace` span tree.
 
 Timing uses the simulation clock only — reading ``clock.now`` neither
 advances time nor consumes randomness, so tracing never perturbs the
@@ -20,43 +18,32 @@ golden determinism tests.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.trace import child_span
-from repro.sim.metrics import MetricRegistry
-from repro.units import ms
 
-__all__ = ["RequestTrace", "runtime_metrics"]
-
-_DEFAULT_REGISTRY = MetricRegistry()
-
-
-def runtime_metrics() -> MetricRegistry:
-    """The process-wide registry kernel traces feed by default."""
-    return _DEFAULT_REGISTRY
+__all__ = ["RequestTrace"]
 
 
 class RequestTrace:
     """One request's timing record: a root span plus named sub-spans."""
 
-    def __init__(self, clock, scope: str, route: str,
-                 metrics: Optional[MetricRegistry] = None):
+    def __init__(self, clock, scope: str, route: str):
         self._clock = clock
-        self._metrics = metrics if metrics is not None else _DEFAULT_REGISTRY
         self.scope = scope  # "<app>.<function>"
         self.route = route  # route name, or "event" for non-HTTP triggers
         self.started_at = clock.now
         self.spans: List[Tuple[str, int]] = []  # (name, duration micros)
+        self.status: object = None  # set by finish()
         self._finished = False
 
     @contextmanager
     def span(self, name: str):
         """Time one named section of the request on the virtual clock.
 
-        Raises once the trace is finished: a late span would land in
-        the registry with no root-span sample to account for it, which
-        silently skews the per-route medians.
+        Raises once the trace is finished: a late span would have no
+        root span to account for it.
         """
         if self._finished:
             raise SimulationError(
@@ -67,18 +54,15 @@ class RequestTrace:
             try:
                 yield
             finally:
-                elapsed = self._clock.now - started
-                self.spans.append((name, elapsed))
-                self._metrics.record(
-                    f"runtime.{self.scope}.span.{name}.ms", elapsed / ms(1), "ms"
-                )
+                self.spans.append((name, self._clock.now - started))
 
     def finish(self, status: object) -> int:
-        """Close the root span; ``status`` is an HTTP code or "error"."""
+        """Close the root span; returns its virtual micros (0 if already closed).
+
+        ``status`` is an HTTP code or "error"; the first one sticks.
+        """
         if self._finished:
             return 0
         self._finished = True
-        elapsed = self._clock.now - self.started_at
-        self._metrics.record(f"runtime.{self.scope}.{self.route}.ms", elapsed / ms(1), "ms")
-        self._metrics.record(f"runtime.{self.scope}.status.{status}", 1.0)
-        return elapsed
+        self.status = status
+        return self._clock.now - self.started_at

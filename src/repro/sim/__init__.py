@@ -41,7 +41,6 @@ from repro.sim.shard import (
     ShardResult,
     ShardedFleetResult,
     merge_shards,
-    run_fleet_benchmark,
     run_fleet_sharded,
     run_shard,
     shard_of,
@@ -87,5 +86,4 @@ __all__ = [
     "run_shard",
     "merge_shards",
     "run_fleet_sharded",
-    "run_fleet_benchmark",
 ]

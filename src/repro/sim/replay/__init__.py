@@ -24,6 +24,7 @@ from repro.sim.replay.format import (
     read_trace,
     sort_events,
     trace_digest,
+    trace_storage,
     write_trace,
 )
 from repro.sim.replay.recorder import FLEET_APP, FLEET_ROUTE, TraceRecorder
@@ -50,6 +51,7 @@ __all__ = [
     "read_trace",
     "sort_events",
     "trace_digest",
+    "trace_storage",
     "write_trace",
     "FLEET_APP",
     "FLEET_ROUTE",

@@ -37,6 +37,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "TRACE_FORMAT",
     "TRACE_VERSION",
+    "DEFAULT_STORAGE",
     "TraceFormatError",
     "TraceEvent",
     "TraceHeader",
@@ -45,6 +46,7 @@ __all__ = [
     "event_line",
     "header_line",
     "trace_digest",
+    "trace_storage",
     "write_trace",
     "read_trace",
     "iter_trace",
@@ -52,6 +54,9 @@ __all__ = [
 
 TRACE_FORMAT = "repro-trace"
 TRACE_VERSION = 1
+# The storage backend a header with no ``storage`` meta was recorded on.
+# Only other backends are written, so S3 traces keep their seed-era bytes.
+DEFAULT_STORAGE = "s3"
 
 
 class TraceFormatError(ConfigurationError):
@@ -116,6 +121,18 @@ class Trace:
     def validate(self) -> "Trace":
         _validate(self.header, self.events)
         return self
+
+
+def trace_storage(header: TraceHeader) -> str:
+    """The storage backend the trace's run billed: ``meta["storage"]`` or S3."""
+    from repro.runtime.store import STORAGE_BACKENDS
+
+    storage = header.meta_dict().get("storage", DEFAULT_STORAGE)
+    if storage not in STORAGE_BACKENDS:
+        raise TraceFormatError(
+            f"trace meta storage must be one of {STORAGE_BACKENDS}, got {storage!r}"
+        )
+    return storage
 
 
 def sort_events(events: Iterable[TraceEvent]) -> List[TraceEvent]:
@@ -212,10 +229,15 @@ def _parse_header(line: str) -> TraceHeader:
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         _fail(1, "header meta must be an object")
-    return TraceHeader(
+    header = TraceHeader(
         name=obj["name"], seed=obj["seed"], tenants=obj["tenants"],
         events=obj["events"], meta=meta_pairs(meta),
     )
+    try:
+        trace_storage(header)
+    except TraceFormatError as exc:
+        _fail(1, str(exc))
+    return header
 
 
 def _parse_event(line: str, line_no: int, header: TraceHeader, prev_at: int) -> TraceEvent:

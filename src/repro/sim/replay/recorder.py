@@ -12,9 +12,11 @@ record→replay fixpoint test meaningful.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional
 
 from repro.sim.replay.format import (
+    DEFAULT_STORAGE,
     PathLike,
     Trace,
     TraceEvent,
@@ -57,6 +59,19 @@ class TraceRecorder:
     @property
     def tenants(self) -> int:
         return self._header.tenants
+
+    def set_storage(self, storage: str) -> None:
+        """Note the storage backend the recorded run bills in the header meta.
+
+        S3 (the default) is left implicit, so S3 traces keep their exact
+        bytes and digests; any other backend lands in ``meta["storage"]``
+        for the replayers to bill.
+        """
+        meta = self._header.meta_dict()
+        meta.pop("storage", None)
+        if storage != DEFAULT_STORAGE:
+            meta["storage"] = storage
+        self._header = replace(self._header, meta=meta_pairs(meta))
 
     def record(
         self,

@@ -22,8 +22,8 @@ sources for :mod:`repro.sim.fold`, like the synthetic engines:
     quantile tables under ``replay/shard-<id>/latency`` namespaces, and
     :func:`merge_replay` is the shared order-independent merge. The
     resulting digest is byte-identical for any worker count and with or
-    without numpy — the same contract ``BENCH_fleet.json`` pins for the
-    synthetic path.
+    without numpy — the same contract ``tests/sim/test_shard_fleet.py``
+    pins for the synthetic path.
 
 ``run_replay_chaos``
     Replays a trace's per-tenant send schedule through **real app
@@ -43,17 +43,17 @@ from repro.cloud.pricing import PRICES_2017, PriceBook
 from repro.errors import ConfigurationError
 from repro.sim import vecmath
 from repro.sim.fold import (
-    HANDLER_COMPONENTS,
     Fold,
     ShardedFleetResult,
     ShardResult,
     fleet_sla_report,
+    handler_components,
     health_plane,
     merge_results,
 )
 from repro.sim.latency import LatencyModel
 from repro.sim.metrics import AvailabilityTracker, MetricSeries, sla_report
-from repro.sim.replay.format import Trace, TraceEvent, trace_digest
+from repro.sim.replay.format import Trace, TraceEvent, trace_digest, trace_storage
 from repro.sim.rng import SeededRng
 from repro.sim.scale import ScaleConfig, tenant_sampler
 from repro.sim.shard import DEFAULT_LOGICAL_SHARDS, run_sharded, shard_of
@@ -107,7 +107,9 @@ def run_replay_batched(
     """Replay a trace through :func:`repro.sim.scale.run_fleet`'s exact billing.
 
     ``config`` supplies what the trace does not carry: the latency-RNG
-    seed, Lambda memory size, chunk size, and storage backend. With the
+    seed, Lambda memory size, and chunk size. Its storage backend must
+    be the one the trace header records (S3 when the header is silent),
+    or the replay raises :class:`ConfigurationError`. With the
     config that *recorded* the trace, every RNG draw, meter call, and
     float conversion happens in the same order as the recorded run — the
     fixpoint. Payload bytes come from the trace itself (summed exactly
@@ -122,6 +124,12 @@ def run_replay_batched(
     """
     if trace.header.tenants < 1:
         raise ConfigurationError("replay needs a trace with at least one tenant")
+    recorded = trace_storage(trace.header)
+    if config.storage != recorded:
+        raise ConfigurationError(
+            f"trace {trace.header.name!r} was recorded on {recorded!r} storage, "
+            f"but the replay config bills {config.storage!r}"
+        )
     start = time.perf_counter()
     counts = [0] * trace.header.tenants
     payloads = [0] * trace.header.tenants
@@ -223,14 +231,15 @@ def replay_shard(
     config: ReplayConfig,
     stride: int,
     collect_health: bool = False,
+    storage: str = "s3",
 ) -> ShardResult:
     """Replay one shard's recorded arrivals on the vectorized kernels.
 
     Latencies draw from ``replay/shard-<id>/latency`` — one stream per
-    logical shard, components sampled in ``HANDLER_COMPONENTS`` order
-    per chunk, exactly like :func:`repro.sim.shard.run_shard` — so the
-    result is a pure function of ``(columns, shard_id, config,
-    stride)``, with or without numpy.
+    logical shard, components sampled in ``handler_components(storage)``
+    order per chunk, exactly like :func:`repro.sim.shard.run_shard` — so
+    the result is a pure function of ``(columns, shard_id, config,
+    stride, storage)``, with or without numpy.
     """
     start = time.perf_counter()
     at_col, tenant_col, payload_col = columns
@@ -244,7 +253,7 @@ def replay_shard(
         tenants = [local[tenant] for tenant in tenant_col]
     model = LatencyModel(rng=SeededRng(config.seed, f"replay/shard-{shard_id}/latency"))
     fold = Fold(
-        HANDLER_COMPONENTS, model.sample_block_vec, config.memory_mb,
+        handler_components(storage), model.sample_block_vec, config.memory_mb,
         stride=stride, n_tenants=len(tenant_ids), health=health_plane(collect_health),
     )
     for lo in range(0, len(at_col), config.chunk_events):
@@ -265,11 +274,12 @@ def merge_replay(
     (:func:`repro.sim.fold.merge_results`), checked against the trace:
     every event must have been replayed. The transfer bill comes from
     the trace's exact payload-byte sum, not a config-level request size,
-    and the digest also answers for the trace and its bytes.
+    the store charges come from the storage backend the trace header
+    records, and the digest also answers for the trace and its bytes.
     """
     merged = merge_results(
-        results, trace.header.tenants, config.logical_shards, HANDLER_COMPONENTS,
-        config.memory_mb, prices,
+        results, trace.header.tenants, config.logical_shards,
+        handler_components(trace_storage(trace.header)), config.memory_mb, prices,
     )
     if merged.events != len(trace.events):
         raise ConfigurationError(
@@ -291,6 +301,7 @@ def run_replay_sharded(
 ) -> ShardedFleetResult:
     """Replay a whole trace on the sharded engine and merge.
 
+    The trace header's storage backend picks the billed components.
     ``workers`` only controls scheduling — whole logical shards per
     worker — so the merged result (and its ``determinism_digest``) is
     byte-identical on 1, 2, or N workers, with or without numpy.
@@ -301,9 +312,10 @@ def run_replay_sharded(
     config = config or ReplayConfig()
     # The latency-sample stride: a pure function of (trace size, config).
     stride = max(1, len(trace.events) // config.latency_samples)
+    storage = trace_storage(trace.header)
     columns = partition_trace(trace, config.logical_shards)
     jobs = [
-        (columns[shard_id], shard_id, config, stride, collect_health)
+        (columns[shard_id], shard_id, config, stride, collect_health, storage)
         for shard_id in range(config.logical_shards)
     ]
     return run_sharded(

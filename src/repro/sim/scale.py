@@ -169,7 +169,8 @@ def run_fleet(
     observation — no RNG draw, no extra meter call — so the recorded
     run's invoice is byte-identical to an unrecorded one, and replaying
     the trace with the same config reproduces it exactly
-    (``tests/sim/test_replay.py``).
+    (``tests/sim/test_replay.py``). The header notes a non-S3 storage
+    backend, so the replayers bill the backend the run billed.
 
     ``health`` is a :class:`~repro.obs.metrics.MetricsPlane` that
     accumulates every request's run time into ``fleet.request_us``
@@ -183,6 +184,8 @@ def run_fleet(
     components = config.components()
     per_tenant: List[int] = []
     total_billed_ms = 0
+    if recorder is not None:
+        recorder.set_storage(config.storage)
     start = time.perf_counter()
     with perf.phase("simulate"):
         for tenant in range(config.tenants):

@@ -47,10 +47,9 @@ runs the sharded replayer and the chaos fleet.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.cloud.billing import UsageKind
 from repro.cloud.pricing import PRICES_2017, PriceBook
@@ -67,7 +66,6 @@ from repro.sim.fold import (
 from repro.sim.latency import LatencyModel
 from repro.sim.profile import PerfCounters
 from repro.sim.rng import SeededRng
-from repro.sim.scale import ScaleConfig, run_fleet
 from repro.sim.workload import HOURLY_PROFILE_PERSONAL, DiurnalWorkload
 from repro.units import DAYS_PER_MONTH
 
@@ -83,7 +81,6 @@ __all__ = [
     "map_shards",
     "run_sharded",
     "run_fleet_sharded",
-    "run_fleet_benchmark",
 ]
 
 # The fixed partitioning of the tenant space. Logical shards — not
@@ -383,66 +380,3 @@ def run_fleet_sharded(
         run_shard, jobs, lambda results: merge_shards(config, results, prices), workers
     )
 
-
-def run_fleet_benchmark(
-    config: Optional[FleetConfig] = None,
-    worker_counts: Sequence[int] = (1, 2, 4),
-    prices: PriceBook = PRICES_2017,
-    baseline: Optional[ScaleConfig] = None,
-) -> Dict[str, object]:
-    """The headline benchmark: a virtual year at fleet scale, plus proof.
-
-    Runs the sharded engine at each worker count on the same config,
-    measures a single-process :func:`~repro.sim.scale.run_fleet`
-    baseline on a calibration config (small enough to finish, per-event
-    cost is scale-free), and emits a JSON-ready record with per-phase
-    timings, events/s, the speedup over that per-tenant engine
-    (``speedup_vs_batched``), and a determinism block showing
-    the invoice, tenant-count digest, and SLA report byte-identical
-    across worker counts.
-    """
-    config = config or FleetConfig()
-    baseline = baseline or ScaleConfig(tenants=48, daily_requests=1500.0, days=3.0,
-                                       seed=config.seed, memory_mb=config.memory_mb,
-                                       payload_bytes=config.payload_bytes)
-    base_result = run_fleet(baseline, prices=prices)
-    runs: List[Dict[str, object]] = []
-    digests: List[Dict[str, object]] = []
-    for workers in worker_counts:
-        result = run_fleet_sharded(config, workers=workers, prices=prices)
-        snapshot = result.perf.snapshot()
-        simulate = result.perf.phase_seconds("simulate")
-        runs.append({
-            "workers": workers,
-            "events": result.events,
-            "wall_seconds": round(snapshot["wall_seconds"], 3),
-            "phases": snapshot["phases"],
-            "events_per_second": round(result.events / simulate, 1) if simulate else 0.0,
-            "invoice_total": result.invoice_total,
-            "latency_p99_ms": round(result.latency.p99(), 3) if len(result.latency) else None,
-        })
-        digests.append(result.determinism_digest())
-    reference = digests[0]
-    identical = all(d == reference for d in digests[1:])
-    best_eps = max(run["events_per_second"] for run in runs)
-    return {
-        "benchmark": "fleet_sharded",
-        "config": config.as_dict(),
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "numpy": vecmath.numpy_or_none() is not None,
-        },
-        "baseline": {
-            "config": baseline.as_dict(),
-            "events": base_result.arrivals,
-            "events_per_second": round(base_result.events_per_second, 1),
-        },
-        "runs": runs,
-        "speedup_vs_batched": round(best_eps / base_result.events_per_second, 2)
-        if base_result.events_per_second else None,
-        "determinism": {
-            "worker_counts": list(worker_counts),
-            "identical_across_worker_counts": identical,
-            "digest": reference,
-        },
-    }

@@ -10,7 +10,7 @@ The load-bearing claims, each pinned here:
   reproduces the invoice, per-tenant counts, and SLA report
   byte-for-byte, on every storage backend;
 * sharded replay is byte-identical across worker counts and with or
-  without numpy;
+  without numpy, and bills the storage backend the trace was recorded on;
 * chaos replay keeps the paper's SLA: 100% eventual delivery.
 """
 
@@ -22,6 +22,8 @@ from dataclasses import replace
 import pytest
 
 from repro import _optional
+from repro.cloud.billing import UsageKind
+from repro.errors import ConfigurationError
 from repro.sim.replay import (
     ReplayConfig,
     Trace,
@@ -134,6 +136,21 @@ class TestFormat:
         with pytest.raises(TraceFormatError, match="line 3"):
             read_trace(path)
 
+    def test_reader_rejects_unknown_storage(self, tmp_path):
+        path = tmp_path / "disk.jsonl"
+        path.write_text(
+            '{"format":"repro-trace","version":1,"name":"x","seed":0,'
+            '"tenants":1,"events":0,"meta":{"storage":"floppy"}}\n'
+        )
+        with pytest.raises(TraceFormatError, match="line 1: .*'floppy'"):
+            read_trace(path)
+
+    def test_s3_traces_keep_a_bare_header(self):
+        recorder = TraceRecorder(name="bare", seed=1, tenants=1)
+        recorder.set_storage("dynamo")
+        recorder.set_storage("s3")
+        assert recorder.trace().header.meta == ()
+
     def test_digest_covers_every_field(self):
         base = _small_trace()
         renamed = Trace(TraceHeader("other", base.header.seed, base.header.tenants),
@@ -177,6 +194,13 @@ class TestRecordReplayFixpoint:
         recorded_report = fleet_sla_report(recorded.arrivals)
         assert json.dumps(replayed.report, sort_keys=True) == \
             json.dumps(recorded_report, sort_keys=True)
+
+    def test_replay_rejects_a_storage_the_trace_was_not_recorded_on(self):
+        recorder = TraceRecorder(name="fix", seed=FIXPOINT_CONFIG.seed,
+                                 tenants=FIXPOINT_CONFIG.tenants)
+        run_fleet(replace(FIXPOINT_CONFIG, storage="dynamo"), recorder=recorder)
+        with pytest.raises(ConfigurationError, match="recorded on 'dynamo'"):
+            run_replay_batched(recorder.trace(), FIXPOINT_CONFIG)
 
     def test_edited_trace_bills_the_edited_bytes(self, tmp_path):
         recorder = TraceRecorder(
@@ -230,6 +254,22 @@ class TestShardedReplay:
         for event in trace.events:
             counts[event.tenant] += 1
         assert result.tenant_counts == counts
+
+    @pytest.mark.parametrize("storage,write,absent", [
+        ("s3", UsageKind.S3_PUT, UsageKind.DYNAMO_WRITES),
+        ("dynamo", UsageKind.DYNAMO_WRITES, UsageKind.S3_PUT),
+    ])
+    def test_bills_the_recorded_storage_backend(self, tmp_path, storage, write, absent):
+        config = ScaleConfig(tenants=3, daily_requests=300.0, days=1.0, seed=5,
+                             storage=storage)
+        recorder = TraceRecorder(name="store", seed=config.seed, tenants=config.tenants)
+        recorded = run_fleet(config, recorder=recorder)
+        path = tmp_path / "store.jsonl.gz"
+        recorder.write(path)
+        result = run_replay_sharded(read_trace(path), ReplayConfig(seed=5, logical_shards=8))
+        assert result.events == recorded.arrivals
+        assert result.meter.total(write) == float(result.events)
+        assert result.meter.total(absent) == 0.0
 
 
 class TestChaosReplay:

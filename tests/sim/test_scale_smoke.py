@@ -1,8 +1,6 @@
 """Tier-1 smoke of the per-tenant fleet engine's result shape.
 
-``BENCH_scale.json`` at the repo root is the historical record of the
-seed path vs the batched engine; the host-time benchmark of the fleet
-paths lives in ``bench/``.
+The host-time benchmark of the fleet paths lives in ``bench/``.
 """
 
 from __future__ import annotations

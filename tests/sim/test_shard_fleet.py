@@ -7,8 +7,8 @@ Three properties the engine promises (`DESIGN.md` §11):
 3. merging shard results is independent of arrival order.
 
 The configs here are scaled down so the whole module runs in tier-1;
-``benchmarks/test_fleet_throughput.py`` (``-m fleet``) proves the same
-contract at a million tenants.
+the ``fleet-month`` workload in ``bench/`` holds every repetition of a
+larger fleet to one pinned digest.
 """
 
 from __future__ import annotations

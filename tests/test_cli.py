@@ -1,8 +1,14 @@
 """The `python -m repro` command-line entry point."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
+
+ROOT = Path(__file__).resolve().parent.parent
+MAKEFILE = (ROOT / "Makefile").read_text()
 
 
 class TestCli:
@@ -153,3 +159,29 @@ class TestSloCli:
                      "--days", "0.5", "--seed", "3", "--out", trace]) == 0
         with pytest.raises(SystemExit):
             main(["replay", trace, "--metrics", "--chaos"])
+
+
+class TestMakefileTargets:
+    """Every command, file, and marker the Makefile names must exist."""
+
+    @pytest.mark.parametrize("command", sorted(set(re.findall(r"-m repro ([\w-]+)", MAKEFILE))))
+    def test_repro_subcommand_is_registered(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+
+    @pytest.mark.parametrize("path", sorted(set(re.findall(r"benchmarks/[\w/]+\.py", MAKEFILE))))
+    def test_benchmark_path_exists(self, path):
+        assert (ROOT / path).is_file()
+
+    def test_pytest_markers_are_declared(self):
+        pyproject = (ROOT / "pyproject.toml").read_text()
+        markers = re.search(r"^markers = \[(.*?)^\]", pyproject, re.M | re.S).group(1)
+        declared = set(re.findall(r'^\s*"(\w+):', markers, re.M))
+        used = {
+            marker
+            for line in MAKEFILE.splitlines() if "-m pytest" in line
+            for marker in re.findall(r"\s-m\s+(\w+)", line.split("-m pytest", 1)[1])
+        }
+        assert used, "no -m markers found in the Makefile"
+        assert used <= declared
