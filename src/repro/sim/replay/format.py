@@ -11,7 +11,9 @@ anything else rides in ``meta``. The format is:
   misinterpreting them;
 * **canonical** — events serialize with sorted keys, compact
   separators, and defaults omitted, so the same trace always produces
-  the same bytes (and therefore the same :func:`trace_digest`);
+  the same bytes (and therefore the same :func:`trace_digest`). One
+  formatter makes every event line for :func:`write_trace`,
+  :func:`trace_digest` and :func:`event_line`;
 * **gzip-friendly** — :func:`write_trace` writes ``*.gz`` paths
   through :class:`gzip.GzipFile` with ``mtime=0`` and an empty
   filename, keeping even the *compressed* bytes deterministic.
@@ -19,18 +21,31 @@ anything else rides in ``meta``. The format is:
 This module is the **only** place that parses trace JSONL (the
 ``make lint`` grep enforces it); every consumer goes through
 :func:`read_trace` / :func:`iter_trace` and gets schema validation for
-free.
+free. A corrupt file fails loudly: a truncated or non-gzip ``.gz`` and
+a non-ASCII byte raise :class:`TraceFormatError` naming the path.
+
+Cost model: a trace is read and written once per event line, so both
+directions are per-line Python around :mod:`json`. The formatter encodes
+each distinct string once per call and assembles lines with an
+f-string; :func:`trace_digest` hashes and :func:`write_trace` writes in
+chunks of a few thousand lines, never one whole-trace string. The reader
+decodes each line once, checks it by exact type, and builds the event
+positionally; a refused line is re-checked slowly to name its error.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import gzip
 import hashlib
 import io
+import itertools
 import json
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 
@@ -154,9 +169,15 @@ def meta_pairs(meta: Optional[Dict[str, object]]) -> Tuple[Tuple[str, object], .
 
 # -- canonical serialization ---------------------------------------------
 
+# Lines per hashed or written chunk: bounds the memory of a digest or a
+# write to a few hundred KiB whatever the trace's length.
+_CHUNK_LINES = 4096
 
-def event_line(event: TraceEvent) -> str:
-    """The event's one canonical JSON line (defaults omitted)."""
+_dumps_sorted = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+def _event_object(event: TraceEvent) -> Dict[str, object]:
+    """The event as the JSON object its line encodes (defaults omitted)."""
     obj: Dict[str, object] = {
         "at": event.at_micros,
         "tenant": event.tenant,
@@ -168,7 +189,53 @@ def event_line(event: TraceEvent) -> str:
         obj["actor"] = event.actor
     if event.meta:
         obj["meta"] = dict(event.meta)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return obj
+
+
+class _JsonStrings(dict):
+    """Each distinct string's JSON encoding, computed on first use."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = encoded = json.dumps(text)
+        return encoded
+
+
+def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
+    """The one canonical formatter: each event's line, in order.
+
+    A line is ``_dumps_sorted(_event_object(event))`` byte for byte. The
+    common event (``int`` numbers, ``str`` names) is assembled in key
+    order with an f-string, encoding each distinct string once per call;
+    ``meta`` and any field of another type (a ``bool``, a float) go
+    through ``json.dumps`` itself.
+    """
+    strings = _JsonStrings()
+    for event in events:
+        at, tenant, size = event.at_micros, event.tenant, event.payload_bytes
+        app, route, actor, meta = event.app, event.route, event.actor, event.meta
+        if not (type(at) is int and type(tenant) is int and type(size) is int
+                and type(app) is str and type(route) is str and type(actor) is str):
+            yield _dumps_sorted(_event_object(event))
+            continue
+        head = f'{{"actor":{strings[actor]},"app":' if actor else '{"app":'
+        tail = f',"meta":{_dumps_sorted(dict(meta))},"route":' if meta else ',"route":'
+        yield (f'{head}{strings[app]},"at":{at},"bytes":{size}'
+               f'{tail}{strings[route]},"tenant":{tenant}}}')
+
+
+def _event_chunks(events: Iterable[TraceEvent]) -> Iterator[bytes]:
+    """The event lines as ASCII chunks, each line preceded by a newline."""
+    lines = _event_lines(events)
+    while True:
+        batch = list(itertools.islice(lines, _CHUNK_LINES))
+        if not batch:
+            return
+        yield ("\n" + "\n".join(batch)).encode("ascii")
+
+
+def event_line(event: TraceEvent) -> str:
+    """The event's one canonical JSON line (defaults omitted)."""
+    return next(_event_lines((event,)))
 
 
 def header_line(header: TraceHeader, events: int) -> str:
@@ -182,7 +249,7 @@ def header_line(header: TraceHeader, events: int) -> str:
     }
     if header.meta:
         obj["meta"] = dict(header.meta)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _dumps_sorted(obj)
 
 
 def trace_digest(trace: Trace) -> str:
@@ -191,13 +258,12 @@ def trace_digest(trace: Trace) -> str:
     Two traces digest equal iff their headers (name, seed, tenants)
     and every event field agree; this is the value the scenario
     library pins per seed and the replay engines carry into their
-    determinism digests.
+    determinism digests. It is the sha256 of the written file minus its
+    final newline, hashed in bounded chunks.
     """
-    sha = hashlib.sha256()
-    sha.update(header_line(trace.header, len(trace.events)).encode("ascii"))
-    for event in trace.events:
-        sha.update(b"\n")
-        sha.update(event_line(event).encode("ascii"))
+    sha = hashlib.sha256(header_line(trace.header, len(trace.events)).encode("ascii"))
+    for chunk in _event_chunks(trace.events):
+        sha.update(chunk)
     return sha.hexdigest()
 
 
@@ -208,7 +274,7 @@ _EVENT_REQUIRED: Tuple[Tuple[str, type], ...] = (
 )
 
 
-def _fail(line_no: int, message: str) -> None:
+def _fail(line_no: int, message: str) -> NoReturn:
     raise TraceFormatError(f"trace line {line_no}: {message}")
 
 
@@ -240,36 +306,36 @@ def _parse_header(line: str) -> TraceHeader:
     return header
 
 
-def _parse_event(line: str, line_no: int, header: TraceHeader, prev_at: int) -> TraceEvent:
+def _event_error(line: str, tenants: int, prev_at: int) -> str:
+    """Why an event line fails the schema: the first failed check.
+
+    The reader's fast path accepts exactly the lines that pass every
+    check here; a line it refuses is explained by this slow path.
+    """
     try:
         obj = json.loads(line)
     except ValueError as exc:
-        _fail(line_no, f"event is not JSON ({exc})")
+        return f"event is not JSON ({exc})"
     if not isinstance(obj, dict):
-        _fail(line_no, "event must be a JSON object")
+        return "event must be a JSON object"
     for key, kind in _EVENT_REQUIRED:
         value = obj.get(key)
         if not isinstance(value, kind) or isinstance(value, bool):
-            _fail(line_no, f"field {key!r} must be {kind.__name__}, got {value!r}")
+            return f"field {key!r} must be {kind.__name__}, got {value!r}"
     if obj["at"] < 0:
-        _fail(line_no, f"negative timestamp {obj['at']}")
+        return f"negative timestamp {obj['at']}"
     if obj["at"] < prev_at:
-        _fail(line_no, f"timestamps must be non-decreasing ({obj['at']} after {prev_at})")
-    if not 0 <= obj["tenant"] < header.tenants:
-        _fail(line_no, f"tenant {obj['tenant']} outside [0, {header.tenants})")
+        return f"timestamps must be non-decreasing ({obj['at']} after {prev_at})"
+    if not 0 <= obj["tenant"] < tenants:
+        return f"tenant {obj['tenant']} outside [0, {tenants})"
     if obj["bytes"] < 0:
-        _fail(line_no, f"negative payload size {obj['bytes']}")
+        return f"negative payload size {obj['bytes']}"
     actor = obj.get("actor", "")
     if not isinstance(actor, str):
-        _fail(line_no, f"actor must be a string, got {actor!r}")
-    meta = obj.get("meta", {})
-    if not isinstance(meta, dict):
-        _fail(line_no, "event meta must be an object")
-    return TraceEvent(
-        at_micros=obj["at"], tenant=obj["tenant"], app=obj["app"],
-        route=obj["route"], payload_bytes=obj["bytes"], actor=actor,
-        meta=meta_pairs(meta),
-    )
+        return f"actor must be a string, got {actor!r}"
+    if not isinstance(obj.get("meta", {}), dict):
+        return "event meta must be an object"
+    raise AssertionError(f"the reader refused a valid event line: {line[:80]!r}")
 
 
 def _validate(header: TraceHeader, events: List[TraceEvent]) -> None:
@@ -298,20 +364,38 @@ def _validate(header: TraceHeader, events: List[TraceEvent]) -> None:
 
 PathLike = Union[str, Path]
 
+# What a damaged gzip stream raises mid-read: truncation, a file that is
+# not gzip at all or fails its CRC, and corrupt deflate data.
+_CORRUPT_GZIP = (EOFError, gzip.BadGzipFile, zlib.error)
 
-def _open_write(path: Path) -> io.TextIOBase:
-    if path.suffix == ".gz":
+# ``json.loads`` minus its whitespace passes: the reader strips each line
+# and checks that the object spans all of it.
+_decode_json = json.JSONDecoder().raw_decode
+# An absent event ``meta``: read only, never mutated.
+_NO_META: Dict[str, object] = {}
+
+
+@contextlib.contextmanager
+def _open_write(path: Path) -> Iterator[BinaryIO]:
+    with open(path, "wb") as raw:
+        if path.suffix != ".gz":
+            yield raw
+            return
         # mtime=0 + empty filename: the gzip container itself is
         # byte-deterministic, not just the payload.
-        raw = gzip.GzipFile(fileobj=open(path, "wb"), mode="wb", filename="", mtime=0)
-        return io.TextIOWrapper(raw, encoding="ascii", newline="\n")
-    return open(path, "w", encoding="ascii", newline="\n")
+        with gzip.GzipFile(fileobj=raw, mode="wb", filename="", mtime=0) as out:
+            yield out
+            # A sync flush before the final block, as a text-mode writer's
+            # close makes: traces keep the compressed bytes of such a writer.
+            out.flush()
 
 
 def _open_read(path: Path) -> io.TextIOBase:
+    # Latin-1 maps every byte to one character, so a non-ASCII byte
+    # reaches the reader as a character it can place on its line.
     if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="ascii")
-    return open(path, "r", encoding="ascii")
+        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="latin-1")
+    return open(path, "r", encoding="latin-1")
 
 
 def write_trace(path: PathLike, trace: Trace) -> int:
@@ -324,11 +408,10 @@ def write_trace(path: PathLike, trace: Trace) -> int:
     _validate(trace.header, trace.events)
     path = Path(path)
     with _open_write(path) as out:
-        out.write(header_line(trace.header, len(trace.events)))
-        for event in trace.events:
-            out.write("\n")
-            out.write(event_line(event))
-        out.write("\n")
+        out.write(header_line(trace.header, len(trace.events)).encode("ascii"))
+        for chunk in _event_chunks(trace.events):
+            out.write(chunk)
+        out.write(b"\n")
     return len(trace.events)
 
 
@@ -337,29 +420,63 @@ def iter_trace(path: PathLike) -> Iterator[Union[TraceHeader, TraceEvent]]:
 
     Validation happens line by line (schema, monotone timestamps,
     tenant range), so a malformed file fails at the offending line with
-    its number instead of producing a half-parsed workload.
+    its number instead of producing a half-parsed workload. A corrupt
+    file (truncated or non-gzip ``.gz``, a non-ASCII byte) fails with
+    :class:`TraceFormatError` naming the path and the line.
+
+    Each line is decoded once and checked by exact type; the ``app``,
+    ``route`` and ``actor`` strings are shared across the events of one
+    read. A line that fails is explained by :func:`_event_error`.
     """
     path = Path(path)
-    with _open_read(path) as handle:
-        first = handle.readline()
-        if not first.strip():
-            raise TraceFormatError(f"{path}: empty trace file")
-        header = _parse_header(first.strip())
-        yield header
-        prev_at = 0
-        count = 0
-        for line_no, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            event = _parse_event(line, line_no, header, prev_at)
-            prev_at = event.at_micros
-            count += 1
-            yield event
-        if header.events != count:
-            raise TraceFormatError(
-                f"{path}: header declares {header.events} events, file holds {count}"
-            )
+    handle = _open_read(path)
+    line_no = 0  # the last line read whole
+    try:
+        with handle:
+            first = handle.readline()
+            line_no = 1
+            if not first.isascii():
+                raise TraceFormatError(f"{path}: line 1: non-ASCII byte in trace")
+            if not first.strip():
+                raise TraceFormatError(f"{path}: empty trace file")
+            header = _parse_header(first.strip())
+            yield header
+            tenants = header.tenants
+            names: Dict[str, str] = {}
+            share = names.setdefault
+            prev_at = count = 0
+            for line_no, line in enumerate(handle, start=2):
+                if not line.isascii():
+                    raise TraceFormatError(f"{path}: line {line_no}: non-ASCII byte in trace")
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj, end = _decode_json(line)
+                    at, tenant, size = obj["at"], obj["tenant"], obj["bytes"]
+                    app, route = obj["app"], obj["route"]
+                    actor, meta = obj.get("actor", ""), obj.get("meta", _NO_META)
+                except (ValueError, KeyError, TypeError):
+                    end = -1
+                if not (end == len(line) and type(at) is int and type(tenant) is int
+                        and type(size) is int and type(app) is str and type(route) is str
+                        and type(actor) is str and type(meta) is dict
+                        and prev_at <= at and 0 <= tenant < tenants and size >= 0):
+                    _fail(line_no, _event_error(line, tenants, prev_at))
+                yield TraceEvent(
+                    at, tenant, share(app, app), share(route, route), size,
+                    share(actor, actor), meta_pairs(meta),
+                )
+                prev_at = at
+                count += 1
+            if header.events != count:
+                raise TraceFormatError(
+                    f"{path}: header declares {header.events} events, file holds {count}"
+                )
+    except _CORRUPT_GZIP as exc:
+        raise TraceFormatError(
+            f"{path}: line {line_no + 1}: corrupt gzip stream ({exc})"
+        ) from exc
 
 
 def read_trace(path: PathLike) -> Trace:

@@ -11,7 +11,6 @@ Compose freely::
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -41,8 +40,11 @@ def time_scale(trace: Trace, factor: float, name: Optional[str] = None) -> Trace
         return Trace(header=_renamed(trace.header, name, f"{trace.header.name}@x{factor:g}"))
     origin = trace.events[0].at_micros
     events = [
-        replace(event, at_micros=origin + round((event.at_micros - origin) * factor))
-        for event in trace.events
+        TraceEvent(
+            origin + round((e.at_micros - origin) * factor), e.tenant, e.app, e.route,
+            e.payload_bytes, e.actor, e.meta,
+        )
+        for e in trace.events
     ]
     header = _renamed(trace.header, name, f"{trace.header.name}@x{factor:g}")
     return Trace(header=header, events=events).validate()
@@ -60,10 +62,13 @@ def tenant_multiply(trace: Trace, copies: int, name: Optional[str] = None) -> Tr
     if copies <= 0:
         raise ConfigurationError(f"tenant_multiply needs a positive copy count, got {copies}")
     base = trace.header.tenants
-    events: List[TraceEvent] = []
-    for event in trace.events:
-        for k in range(copies):
-            events.append(replace(event, tenant=event.tenant + k * base))
+    events = [
+        TraceEvent(
+            e.at_micros, e.tenant + k * base, e.app, e.route, e.payload_bytes, e.actor, e.meta,
+        )
+        for e in trace.events
+        for k in range(copies)
+    ]
     header = TraceHeader(
         name=name or f"{trace.header.name}*{copies}",
         seed=trace.header.seed,
@@ -97,8 +102,12 @@ def splice(
             continue
         first = trace.events[0].at_micros
         offset = 0 if cursor is None else (cursor + gap_micros) - first
-        for event in trace.events:
-            events.append(replace(event, at_micros=event.at_micros + offset))
+        events.extend(
+            TraceEvent(
+                e.at_micros + offset, e.tenant, e.app, e.route, e.payload_bytes, e.actor, e.meta,
+            )
+            for e in trace.events
+        )
         cursor = events[-1].at_micros if events else cursor
     header = TraceHeader(
         name=name or "+".join(t.header.name for t in traces),
