@@ -28,6 +28,8 @@ lint:
 		|| { echo "lint: only repro.obs.metrics emits Prometheus exposition"; exit 1; }
 	@! grep -rnE '_BILLING_GRANULARITY_MICROS|// granularity|UsageKind\.(S3_PUT|DYNAMO_WRITES|LAMBDA_GB_SECONDS|TRANSFER_OUT_GB)' src/repro/sim --include="*.py" | grep -v "sim/fold\.py" \
 		|| { echo "lint: the Lambda billing rule lives only in repro.sim.fold"; exit 1; }
+	@! grep -rn 'chacha20_block(' src/repro --include="*.py" | grep -v "crypto/chacha20\.py\|crypto/__init__\.py" \
+		|| { echo "lint: the AEAD takes its Poly1305 key from its one keystream pass, not from chacha20_block"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).

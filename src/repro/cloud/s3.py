@@ -44,14 +44,36 @@ class S3Object:
 
 @dataclass
 class Bucket:
-    """A bucket: key → list of versions (newest last)."""
+    """A bucket: key → list of versions (newest last).
+
+    The bytes of every key's newest version are kept as a running count,
+    updated by :meth:`add_version` and :meth:`remove_key`, so storage
+    accrual on each mutation costs O(1) instead of a scan of the bucket.
+    """
 
     name: str
     region: Region
-    objects: Dict[str, List[S3Object]] = field(default_factory=dict)
+    objects: Dict[str, List[S3Object]] = field(default_factory=dict, init=False)
+    _current_bytes: int = field(default=0, init=False, repr=False, compare=False)
 
     def current_bytes(self) -> int:
-        return sum(versions[-1].nbytes for versions in self.objects.values() if versions)
+        return self._current_bytes
+
+    def add_version(self, key: str, data: bytes, stored_at: int) -> S3Object:
+        """Store ``data`` as the newest version of ``key``."""
+        versions = self.objects.setdefault(key, [])
+        obj = S3Object(key, bytes(data), len(versions) + 1, stored_at)
+        if versions:
+            self._current_bytes -= versions[-1].nbytes
+        versions.append(obj)
+        self._current_bytes += obj.nbytes
+        return obj
+
+    def remove_key(self, key: str) -> None:
+        """Drop ``key`` and all its versions, if present."""
+        versions = self.objects.pop(key, None)
+        if versions:
+            self._current_bytes -= versions[-1].nbytes
 
 
 class ObjectStore:
@@ -150,10 +172,7 @@ class ObjectStore:
             if self._health is not None:
                 self._health.service_request("s3", "put", micros, self._clock.now)
             self._meter.record(UsageKind.S3_PUT, 1.0)
-            versions = bucket.objects.setdefault(key, [])
-            obj = S3Object(key, bytes(data), len(versions) + 1, self._clock.now)
-            versions.append(obj)
-            return obj
+            return bucket.add_version(key, data, self._clock.now)
 
     def get_object(
         self,
@@ -197,7 +216,7 @@ class ObjectStore:
             self._clock.advance(micros)
             if self._health is not None:
                 self._health.service_request("s3", "delete", micros, self._clock.now)
-            bucket.objects.pop(key, None)
+            bucket.remove_key(key)
 
     def list_objects(
         self, principal: Principal, bucket_name: str, prefix: str = "",

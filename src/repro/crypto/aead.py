@@ -1,21 +1,30 @@
 """ChaCha20-Poly1305 AEAD construction (RFC 8439 §2.8).
 
-A one-time Poly1305 key is derived from block 0 of the ChaCha20
-keystream; the ciphertext starts at block 1. The tag authenticates
+A one-time Poly1305 key is the first 32 bytes of block 0 of the
+ChaCha20 keystream; the ciphertext starts at block 1. Both come from
+one keystream pass: :func:`_key_and_xor` runs :func:`chacha20_encrypt`
+from counter 0 over 64 zero bytes followed by the message, so block 0
+comes back as itself and the rest is the message XORed with blocks
+1 onwards. The tag authenticates
 ``aad || pad || ciphertext || pad || len(aad) || len(ciphertext)``.
-Tag comparison is constant-time (:func:`hmac.compare_digest`).
+Tag comparison is constant-time (:func:`hmac.compare_digest`), and
+:func:`open_sealed` returns no plaintext before the tag checks out.
 """
 
 from __future__ import annotations
 
 import hmac
 import struct
+from typing import Tuple
 
-from repro.crypto.chacha20 import KEY_SIZE, NONCE_SIZE, chacha20_block, chacha20_encrypt
+from repro.crypto.chacha20 import BLOCK_SIZE, KEY_SIZE, NONCE_SIZE, chacha20_encrypt
 from repro.crypto.poly1305 import TAG_SIZE, poly1305_mac
 from repro.errors import AuthenticationFailure, CryptoError
 
 __all__ = ["ChaCha20Poly1305", "seal", "open_sealed", "TAG_SIZE", "KEY_SIZE", "NONCE_SIZE"]
+
+# Block 0's place in the one-pass input: XOR with zeros is the keystream.
+_KEY_BLOCK = bytes(BLOCK_SIZE)
 
 
 def _pad16(data: bytes) -> bytes:
@@ -24,8 +33,10 @@ def _pad16(data: bytes) -> bytes:
     return b"\x00" * (16 - len(data) % 16)
 
 
-def _poly_key(key: bytes, nonce: bytes) -> bytes:
-    return chacha20_block(key, 0, nonce)[:32]
+def _key_and_xor(key: bytes, nonce: bytes, data: bytes) -> Tuple[bytes, bytes]:
+    """The Poly1305 key and ``data`` XORed from counter 1, in one keystream pass."""
+    stream = chacha20_encrypt(key, 0, nonce, _KEY_BLOCK + data)
+    return stream[:32], stream[BLOCK_SIZE:]
 
 
 def _auth_input(aad: bytes, ciphertext: bytes) -> bytes:
@@ -43,9 +54,8 @@ def _auth_input(aad: bytes, ciphertext: bytes) -> bytes:
 
 def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
     """Encrypt and authenticate; returns ``ciphertext || tag``."""
-    ciphertext = chacha20_encrypt(key, 1, nonce, plaintext)
-    tag = poly1305_mac(_poly_key(key, nonce), _auth_input(aad, ciphertext))
-    return ciphertext + tag
+    poly_key, ciphertext = _key_and_xor(key, nonce, plaintext)
+    return ciphertext + poly1305_mac(poly_key, _auth_input(aad, ciphertext))
 
 
 def open_sealed(key: bytes, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
@@ -53,10 +63,11 @@ def open_sealed(key: bytes, nonce: bytes, sealed: bytes, aad: bytes = b"") -> by
     if len(sealed) < TAG_SIZE:
         raise CryptoError("sealed box shorter than the authentication tag")
     ciphertext, tag = sealed[:-TAG_SIZE], sealed[-TAG_SIZE:]
-    expected = poly1305_mac(_poly_key(key, nonce), _auth_input(aad, ciphertext))
+    poly_key, plaintext = _key_and_xor(key, nonce, ciphertext)
+    expected = poly1305_mac(poly_key, _auth_input(aad, ciphertext))
     if not hmac.compare_digest(tag, expected):
         raise AuthenticationFailure("Poly1305 tag mismatch; ciphertext rejected")
-    return chacha20_encrypt(key, 1, nonce, ciphertext)
+    return plaintext
 
 
 class ChaCha20Poly1305:

@@ -41,6 +41,12 @@ host::
 The lanes cost a flat ~0.35 ms (about 460 numpy calls) up to a hundred
 blocks, while the scalar path grows with the width of its ints; they
 tie near 88 blocks (5.5 KiB).
+
+The AEAD (:mod:`repro.crypto.aead`) calls :func:`chacha20_encrypt`
+once per seal or open, from counter 0 over a zero block followed by the
+message, so its Poly1305 key block rides in the same pass. The block
+count that meets the crossover therefore includes block 0: a sealed
+message takes the lanes from 87 blocks of its own.
 """
 
 from __future__ import annotations
@@ -59,7 +65,8 @@ BLOCK_SIZE = 64
 _MASK32 = 0xFFFFFFFF
 # "expand 32-byte k" as four little-endian words.
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
-# Messages of at least this many blocks take the numpy lane path.
+# Calls of at least this many blocks (for the AEAD, block 0 included)
+# take the numpy lane path.
 _LANE_MIN_BLOCKS = 88
 # Row orders that move the diagonals of the 4x4 state into columns.
 _ROT1, _ROT2, _ROT3 = [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]

@@ -67,6 +67,34 @@ _FIELDS = (
 )
 
 
+def _check_types(plan: "DeploymentPlan") -> None:
+    """Reject a field of the wrong JSON type before any range check.
+
+    ``bool`` is an ``int`` to Python, so ``True`` is refused where a
+    number is meant, and ``cached`` accepts nothing but a ``bool``.
+    """
+    for name in ("storage", "accounting", "price_book"):
+        value = getattr(plan, name)
+        if not isinstance(value, str):
+            raise ConfigurationError(
+                f"{name} must be a string, got {type(value).__name__} {value!r}"
+            )
+    if type(plan.cached) is not bool:
+        raise ConfigurationError(
+            f"cached must be true or false, got {type(plan.cached).__name__} {plan.cached!r}"
+        )
+    wait = plan.poll_wait_seconds
+    if isinstance(wait, bool) or not isinstance(wait, (int, float)):
+        raise ConfigurationError(
+            f"poll_wait_seconds must be a number, got {type(wait).__name__} {wait!r}"
+        )
+    memory = plan.memory_mb
+    if memory is not None and (isinstance(memory, bool) or not isinstance(memory, int)):
+        raise ConfigurationError(
+            f"memory_mb must be an integer or null, got {type(memory).__name__} {memory!r}"
+        )
+
+
 @dataclass(frozen=True)
 class DeploymentPlan:
     """One deployment's complete knob settings. Frozen; JSON-stable."""
@@ -79,6 +107,7 @@ class DeploymentPlan:
     price_book: str = "2017"
 
     def __post_init__(self):
+        _check_types(self)
         if self.storage not in STORAGE_BACKENDS:
             raise ConfigurationError(
                 f"storage must be one of {STORAGE_BACKENDS}, got {self.storage!r}"

@@ -1,9 +1,14 @@
 """Object store: semantics, metering, and the attacker's raw view."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cloud.billing import UsageKind
 from repro.cloud.iam import Policy, Principal
+from repro.cloud.provider import CloudProvider
+from repro.cloud.s3 import Bucket
 from repro.errors import AccessDenied, NoSuchBucket, NoSuchKey, PayloadTooLarge
 from repro.units import GB, hours
 
@@ -109,3 +114,55 @@ class TestAttackerView:
     def test_stored_bytes(self, s3, root):
         s3.put_object(root, "mail", "a", bytes(100))
         assert s3.stored_bytes("mail") == 100
+
+
+def _summed_bytes(bucket: Bucket) -> int:
+    """The reference definition: sum the newest version of every key."""
+    return sum(versions[-1].nbytes for versions in bucket.objects.values() if versions)
+
+
+_BUCKETS = ("mail", "drop")
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("put", "put", "delete", "delete_bucket")),
+        st.sampled_from(_BUCKETS),
+        st.sampled_from(("a", "b", "c", "d")),
+        st.integers(0, 4096),  # object size
+        st.integers(0, hours(200)),  # virtual micros before the step
+    ),
+    max_size=40,
+)
+
+
+def _run(steps, check_counts):
+    """Apply ``steps`` to a fresh store; the storage meter after each one."""
+    provider = CloudProvider(name="aws-sim", seed=1234)
+    s3, root = provider.s3, Principal("root", None)
+    metered = []
+    for op, bucket, key, size, wait in steps:
+        provider.clock.advance(wait)
+        if op == "delete_bucket":
+            s3.delete_bucket(bucket)
+        else:
+            if not s3.bucket_exists(bucket):
+                s3.create_bucket(bucket, provider.home_region)
+            if op == "put":
+                s3.put_object(root, bucket, key, bytes(size))
+            else:
+                s3.delete_object(root, bucket, key)
+        if check_counts:
+            for name in _BUCKETS:
+                if s3.bucket_exists(name):
+                    held = s3.bucket(name)
+                    assert held.current_bytes() == _summed_bytes(held)
+        metered.append(provider.meter.total(UsageKind.S3_STORAGE_GB_MONTH))
+    return metered
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=_steps)
+def test_running_byte_count_matches_the_summed_definition(steps):
+    metered = _run(steps, check_counts=True)
+    with mock.patch.object(Bucket, "current_bytes", _summed_bytes):
+        reference = _run(steps, check_counts=False)
+    assert metered == reference  # the same floats, added in the same order

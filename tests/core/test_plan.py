@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cloud.pricing import PRICES_2017, PriceBook, register_price_book, resolve_price_book
 from repro.errors import ConfigurationError
@@ -13,6 +14,7 @@ from repro.plan import (
     DeploymentPlan,
     plan_from_env,
 )
+from repro.runtime.store import STORAGE_BACKENDS
 
 
 class TestValidation:
@@ -103,6 +105,77 @@ class TestJsonRoundTrip:
             DeploymentPlan.from_json("not json")
         with pytest.raises(ConfigurationError):
             DeploymentPlan.from_json("[1, 2]")
+
+
+valid_plans = st.builds(
+    DeploymentPlan,
+    memory_mb=st.none() | st.sampled_from(MEMORY_SIZES),
+    storage=st.sampled_from(STORAGE_BACKENDS),
+    cached=st.booleans(),
+    poll_wait_seconds=st.integers(1, 20)
+    | st.floats(0, 20, exclude_min=True, allow_nan=False),
+    accounting=st.sampled_from(ACCOUNTING_MODES),
+    price_book=st.just("2017"),
+)
+
+# JSON values of every type but the field's own.
+_json_values = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-(2**40), 2**40),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=8),
+    "list": st.lists(st.integers(0, 9), max_size=3),
+    "dict": st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+}
+
+
+def _json_except(*kinds):
+    return st.one_of(*(strategy for kind, strategy in _json_values.items() if kind not in kinds))
+
+
+_wrong_types = {
+    "cached": _json_except("bool"),
+    "poll_wait_seconds": _json_except("int", "float"),
+    "memory_mb": _json_except("null", "int"),
+    "storage": _json_except("str"),
+    "accounting": _json_except("str"),
+    "price_book": _json_except("str"),
+}
+_bad_fields = st.sampled_from(sorted(_wrong_types)).flatmap(
+    lambda name: st.tuples(st.just(name), _wrong_types[name])
+)
+
+
+class TestJsonProperties:
+    @given(plan=valid_plans)
+    def test_round_trip_is_the_identity_and_byte_stable(self, plan):
+        text = plan.to_json()
+        again = DeploymentPlan.from_json(text)
+        assert again == plan
+        assert again.to_json() == text
+
+    @given(plan=valid_plans, bad=_bad_fields)
+    def test_every_wrong_field_type_raises_naming_the_field(self, plan, bad):
+        name, value = bad
+        payload = json.loads(plan.to_json())
+        payload[name] = value
+        with pytest.raises(ConfigurationError, match=name):
+            DeploymentPlan.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"cached":"no"}', "cached"),
+        ('{"cached":1}', "cached"),
+        ('{"poll_wait_seconds":"5"}', "poll_wait_seconds"),
+        ('{"poll_wait_seconds":true}', "poll_wait_seconds"),
+        ('{"memory_mb":448.0}', "memory_mb"),
+        ('{"storage":["s3"]}', "storage"),
+        ('{"accounting":null}', "accounting"),
+        ('{"price_book":2017}', "price_book"),
+    ])
+    def test_known_bad_plans_fail_loudly(self, text, field):
+        with pytest.raises(ConfigurationError, match=field):
+            DeploymentPlan.from_json(text)
 
 
 class TestEnvBridge:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.crypto import chacha20
 from repro.crypto.aead import ChaCha20Poly1305, open_sealed, seal
 from repro.errors import AuthenticationFailure, CryptoError
 
@@ -64,6 +65,40 @@ class TestTamperRejection:
     def test_truncated_box_rejected(self):
         with pytest.raises(CryptoError):
             open_sealed(RFC_KEY, RFC_NONCE, b"tiny", RFC_AAD)
+
+
+class TestOneKeystreamPass:
+    """The Poly1305 key block and the message share one keystream pass."""
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        passes = []
+        for name in ("_scalar_keystream", "_lane_keystream"):
+            original = getattr(chacha20, name)
+
+            def spy(*args, _original=original, _name=name):
+                passes.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(chacha20, name, spy)
+        return passes
+
+    @pytest.mark.parametrize("length", [0, 1, 64, 200, chacha20._LANE_MIN_BLOCKS * 64])
+    def test_seal_and_open_each_make_one_pass(self, monkeypatch, length):
+        passes = self._count_passes(monkeypatch)
+        plaintext = bytes(i & 0xFF for i in range(length))
+        sealed = seal(RFC_KEY, RFC_NONCE, plaintext, RFC_AAD)
+        assert len(passes) == 1
+        assert open_sealed(RFC_KEY, RFC_NONCE, sealed, RFC_AAD) == plaintext
+        assert len(passes) == 2
+
+    def test_tampered_box_still_rejected_after_one_pass(self, monkeypatch):
+        passes = self._count_passes(monkeypatch)
+        sealed = bytearray(seal(RFC_KEY, RFC_NONCE, SUNSCREEN, RFC_AAD))
+        sealed[0] ^= 0x80
+        with pytest.raises(AuthenticationFailure):
+            open_sealed(RFC_KEY, RFC_NONCE, bytes(sealed), RFC_AAD)
+        assert len(passes) == 2
 
 
 class TestObjectApi:
