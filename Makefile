@@ -30,6 +30,8 @@ lint:
 		|| { echo "lint: the Lambda billing rule lives only in repro.sim.fold"; exit 1; }
 	@! grep -rn 'chacha20_block(' src/repro --include="*.py" | grep -v "crypto/chacha20\.py\|crypto/__init__\.py" \
 		|| { echo "lint: the AEAD takes its Poly1305 key from its one keystream pass, not from chacha20_block"; exit 1; }
+	@! grep -n 'trace\.events' src/repro/sim/replay/replayer.py src/repro/__main__.py \
+		|| { echo "lint: the replay engines and the CLI read trace columns, never trace.events"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).

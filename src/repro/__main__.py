@@ -424,7 +424,7 @@ def _cmd_record(args) -> None:
     result = run_fleet(config, recorder=recorder, health=health)
     trace = recorder.trace()
     recorder.write(args.out)
-    rows = [("Events recorded", f"{len(trace.events):,}"),
+    rows = [("Events recorded", f"{len(trace):,}"),
             ("Tenants", trace.header.tenants),
             ("Invoice (recorded run)", result.invoice_total),
             ("Trace sha256", trace.digest())]
@@ -445,7 +445,9 @@ def _cmd_record(args) -> None:
 
 
 def _cmd_replay(args) -> None:
-    from repro.sim.replay import ReplayConfig, read_trace, run_replay_chaos, run_replay_sharded
+    from repro.sim.replay import (
+        ReplayConfig, read_trace, run_replay_chaos, run_replay_sharded, trace_memory_mb,
+    )
     from repro.sim.scenarios import build_scenario
 
     if args.scenario:
@@ -456,7 +458,7 @@ def _cmd_replay(args) -> None:
         source = args.trace
     else:
         raise SystemExit("replay needs a trace file or --scenario NAME")
-    print(f"replaying {len(trace.events):,} events from {source} ...")
+    print(f"replaying {len(trace):,} events from {source} ...")
     if args.metrics and args.chaos:
         raise SystemExit("--metrics applies to the engine replay paths, not --chaos")
     if args.metrics:
@@ -478,7 +480,7 @@ def _cmd_replay(args) -> None:
         return
     config = ReplayConfig(
         seed=trace.header.seed if args.replay_seed is None else args.replay_seed,
-        memory_mb=args.memory_mb,
+        memory_mb=trace_memory_mb(trace.header) if args.memory_mb is None else args.memory_mb,
     )
     result = run_replay_sharded(trace, config, workers=args.workers)
     digest = result.determinism_digest()
@@ -507,13 +509,13 @@ def _replay_with_metrics(args, trace) -> None:
     import hashlib
 
     from repro.obs.metrics import MetricsPlane
-    from repro.sim.replay import run_replay_batched, trace_storage
+    from repro.sim.replay import run_replay_batched, trace_memory_mb, trace_storage
     from repro.sim.scale import ScaleConfig
 
     config = ScaleConfig(
         tenants=trace.header.tenants,
         seed=trace.header.seed if args.replay_seed is None else args.replay_seed,
-        memory_mb=args.memory_mb,
+        memory_mb=trace_memory_mb(trace.header) if args.memory_mb is None else args.memory_mb,
         chunk=args.chunk,
         storage=trace_storage(trace.header),
     )
@@ -801,7 +803,8 @@ def main(argv=None) -> int:
                         help="scenario seed (with --scenario)")
     replay.add_argument("--replay-seed", type=int, default=None,
                         help="latency-RNG seed (default: the trace header's seed)")
-    replay.add_argument("--memory-mb", type=int, default=448)
+    replay.add_argument("--memory-mb", type=int, default=None,
+                        help="Lambda memory size (default: the trace header's)")
     replay.add_argument("--workers", type=int, default=1)
     replay.add_argument("--chunk", type=int, default=4096,
                         help="batched-engine chunk size (with --metrics)")

@@ -17,6 +17,7 @@ from repro.sim.replay.format import (
     TRACE_FORMAT,
     TRACE_VERSION,
     Trace,
+    TraceColumns,
     TraceEvent,
     TraceFormatError,
     TraceHeader,
@@ -24,6 +25,7 @@ from repro.sim.replay.format import (
     read_trace,
     sort_events,
     trace_digest,
+    trace_memory_mb,
     trace_storage,
     write_trace,
 )
@@ -44,6 +46,7 @@ __all__ = [
     "TRACE_FORMAT",
     "TRACE_VERSION",
     "Trace",
+    "TraceColumns",
     "TraceEvent",
     "TraceFormatError",
     "TraceHeader",
@@ -51,6 +54,7 @@ __all__ = [
     "read_trace",
     "sort_events",
     "trace_digest",
+    "trace_memory_mb",
     "trace_storage",
     "write_trace",
     "FLEET_APP",

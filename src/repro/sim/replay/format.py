@@ -24,13 +24,15 @@ This module is the **only** place that parses trace JSONL (the
 free. A corrupt file fails loudly: a truncated or non-gzip ``.gz`` and
 a non-ASCII byte raise :class:`TraceFormatError` naming the path.
 
-Cost model: a trace is read and written once per event line, so both
-directions are per-line Python around :mod:`json`. The formatter encodes
-each distinct string once per call and assembles lines with an
-f-string; :func:`trace_digest` hashes and :func:`write_trace` writes in
-chunks of a few thousand lines, never one whole-trace string. The reader
-decodes each line once, checks it by exact type, and builds the event
-positionally; a refused line is re-checked slowly to name its error.
+Cost model: one reader serves :func:`read_trace` and :func:`iter_trace`.
+It takes the decompressed body in blocks of about 1 MiB of whole lines
+and decodes a block of canonical lines with one regular expression,
+straight into integer columns; any other block is decoded line by line
+around :mod:`json`, which also names a refused line's error. A trace
+read from disk is columnar (:class:`TraceColumns`): its
+:class:`TraceEvent` objects are built only when ``trace.events`` is
+asked for, and when every line was canonical its digest is the sha256
+of the raw lines, taken during the read.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ import contextlib
 import functools
 import gzip
 import hashlib
-import io
 import itertools
 import json
+import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
 
@@ -53,15 +56,18 @@ __all__ = [
     "TRACE_FORMAT",
     "TRACE_VERSION",
     "DEFAULT_STORAGE",
+    "DEFAULT_MEMORY_MB",
     "TraceFormatError",
     "TraceEvent",
     "TraceHeader",
+    "TraceColumns",
     "Trace",
     "sort_events",
     "event_line",
     "header_line",
     "trace_digest",
     "trace_storage",
+    "trace_memory_mb",
     "write_trace",
     "read_trace",
     "iter_trace",
@@ -69,9 +75,11 @@ __all__ = [
 
 TRACE_FORMAT = "repro-trace"
 TRACE_VERSION = 1
-# The storage backend a header with no ``storage`` meta was recorded on.
-# Only other backends are written, so S3 traces keep their seed-era bytes.
+# The storage backend and Lambda memory size a header with no
+# ``storage`` / ``memory_mb`` meta was recorded at. Only other values
+# are written, so default traces keep their seed-era bytes.
 DEFAULT_STORAGE = "s3"
+DEFAULT_MEMORY_MB = 448
 
 
 class TraceFormatError(ConfigurationError):
@@ -115,39 +123,180 @@ class TraceHeader:
         return dict(self.meta)
 
 
-@dataclass
-class Trace:
-    """A header plus its time-ordered events — the in-memory trace."""
+# An event's fields in :class:`TraceEvent` order: the row the formatter reads.
+Row = Tuple[int, int, str, str, int, str, Tuple[Tuple[str, object], ...]]
+# One distinct ``(app, route, actor, meta)`` of a trace: an event's non-number fields.
+Kind = Tuple[str, str, str, Tuple[Tuple[str, object], ...]]
 
-    header: TraceHeader
-    events: List[TraceEvent] = field(default_factory=list)
+_event_row = attrgetter("at_micros", "tenant", "app", "route", "payload_bytes", "actor", "meta")
+
+
+class _Kinds:
+    """A trace's distinct kinds, numbered in order of first appearance.
+
+    Events without ``meta`` share the kind of their ``(app, route,
+    actor)``; an event with ``meta`` gets a kind of its own, since meta
+    values need not be hashable.
+    """
+
+    def __init__(self):
+        self.kinds: List[Kind] = []
+        self._ids: Dict[Tuple[str, str, str], int] = {}
+
+    def add(self, app: str, route: str, actor: str, meta: Tuple[Tuple[str, object], ...]) -> int:
+        if meta:
+            self.kinds.append((app, route, actor, meta))
+            return len(self.kinds) - 1
+        kind = self._ids.get((app, route, actor))
+        if kind is None:
+            kind = self._ids[(app, route, actor)] = len(self.kinds)
+            self.kinds.append((app, route, actor, ()))
+        return kind
+
+
+@dataclass
+class TraceColumns:
+    """A trace's events as parallel columns, in trace order.
+
+    ``at``, ``tenant`` and ``size`` hold each event's arrival micros,
+    tenant id and payload bytes; ``kind`` indexes ``kinds``, the
+    trace's distinct ``(app, route, actor, meta)`` tuples (see
+    :class:`_Kinds` for which events share one).
+    """
+
+    at: List[int]
+    tenant: List[int]
+    size: List[int]
+    kind: List[int]
+    kinds: List[Kind]
+
+    @classmethod
+    def from_events(cls, events: List[TraceEvent]) -> "TraceColumns":
+        kinds = _Kinds()
+        add = kinds.add
+        return cls(
+            [e.at_micros for e in events], [e.tenant for e in events],
+            [e.payload_bytes for e in events],
+            [add(e.app, e.route, e.actor, e.meta) for e in events], kinds.kinds,
+        )
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.at)
+
+    def rows(self) -> Iterator[Row]:
+        kinds = self.kinds
+        for at, tenant, size, kind in zip(self.at, self.tenant, self.size, self.kind):
+            app, route, actor, meta = kinds[kind]
+            yield at, tenant, app, route, size, actor, meta
+
+    def events(self) -> List[TraceEvent]:
+        return [TraceEvent(*row) for row in self.rows()]
+
+
+class Trace:
+    """A header plus its time-ordered events — the in-memory trace.
+
+    A trace holds its events one of two ways, and exactly one is the
+    source of truth:
+
+    * built from an events list (the recorder, the scenario library,
+      the transforms), the list is the truth; :meth:`columns` derives
+      columns from it afresh on every call, since whoever holds the
+      list may change it;
+    * read from disk (:func:`read_trace`), the columns are the truth,
+      plus the digest when the reader proved every line canonical. The
+      first access to :attr:`events` builds the list from the columns;
+      from then on that list is the truth and the column and digest
+      caches are dropped, so editing it (``trace.events.reverse()``)
+      is always seen.
+    """
+
+    def __init__(self, header: TraceHeader, events: Optional[List[TraceEvent]] = None):
+        self.header = header
+        self._events: Optional[List[TraceEvent]] = [] if events is None else events
+        self._columns: Optional[TraceColumns] = None
+        self._digest: Optional[str] = None
+
+    @classmethod
+    def from_columns(
+        cls, header: TraceHeader, columns: TraceColumns, digest: Optional[str] = None,
+    ) -> "Trace":
+        """A trace whose truth is ``columns``; ``digest`` must be its :func:`trace_digest`."""
+        trace = cls(header)
+        trace._events, trace._columns, trace._digest = None, columns, digest
+        return trace
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        if self._events is None:
+            self._events = self._columns.events()
+            self._columns = self._digest = None
+        return self._events
+
+    @events.setter
+    def events(self, events: List[TraceEvent]) -> None:
+        self._events, self._columns, self._digest = events, None, None
+
+    def columns(self) -> TraceColumns:
+        if self._events is not None:
+            return TraceColumns.from_events(self._events)
+        return self._columns
+
+    def rows(self) -> Iterator[Row]:
+        """Each event's fields, without building events that do not exist yet."""
+        if self._events is not None:
+            return map(_event_row, self._events)
+        return self._columns.rows()
+
+    def __len__(self) -> int:
+        return len(self._events) if self._events is not None else len(self._columns)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.header == other.header and self.events == other.events
+
+    __hash__ = None  # equality follows mutable events
+
+    def __repr__(self) -> str:
+        return f"Trace(header={self.header!r}, events={len(self)})"
 
     def digest(self) -> str:
         return trace_digest(self)
 
     def duration_micros(self) -> int:
-        if not self.events:
+        if not len(self):
             return 0
-        return self.events[-1].at_micros - self.events[0].at_micros
+        if self._events is None:
+            return self._columns.at[-1] - self._columns.at[0]
+        return self._events[-1].at_micros - self._events[0].at_micros
 
     def validate(self) -> "Trace":
-        _validate(self.header, self.events)
+        if self._events is not None:  # a read trace was validated as it was read
+            _validate(self.header, self._events)
         return self
+
+
+def _recorded(header: TraceHeader, key: str, default: object, valid, expected: str) -> object:
+    """The header's ``meta[key]`` (``default`` when absent), checked by ``valid``."""
+    value = header.meta_dict().get(key, default)
+    if not valid(value):
+        raise TraceFormatError(f"trace meta {key} must be {expected}, got {value!r}")
+    return value
 
 
 def trace_storage(header: TraceHeader) -> str:
     """The storage backend the trace's run billed: ``meta["storage"]`` or S3."""
     from repro.runtime.store import STORAGE_BACKENDS
 
-    storage = header.meta_dict().get("storage", DEFAULT_STORAGE)
-    if storage not in STORAGE_BACKENDS:
-        raise TraceFormatError(
-            f"trace meta storage must be one of {STORAGE_BACKENDS}, got {storage!r}"
-        )
-    return storage
+    return _recorded(header, "storage", DEFAULT_STORAGE, STORAGE_BACKENDS.__contains__,
+                     f"one of {STORAGE_BACKENDS}")
+
+
+def trace_memory_mb(header: TraceHeader) -> int:
+    """The Lambda memory size the trace's run billed: ``meta["memory_mb"]`` or 448."""
+    return _recorded(header, "memory_mb", DEFAULT_MEMORY_MB,
+                     lambda value: type(value) is int and value > 0, "a positive int")
 
 
 def sort_events(events: Iterable[TraceEvent]) -> List[TraceEvent]:
@@ -176,19 +325,16 @@ _CHUNK_LINES = 4096
 _dumps_sorted = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
-def _event_object(event: TraceEvent) -> Dict[str, object]:
+def _event_object(row: Row) -> Dict[str, object]:
     """The event as the JSON object its line encodes (defaults omitted)."""
+    at, tenant, app, route, size, actor, meta = row
     obj: Dict[str, object] = {
-        "at": event.at_micros,
-        "tenant": event.tenant,
-        "app": event.app,
-        "route": event.route,
-        "bytes": event.payload_bytes,
+        "at": at, "tenant": tenant, "app": app, "route": route, "bytes": size,
     }
-    if event.actor:
-        obj["actor"] = event.actor
-    if event.meta:
-        obj["meta"] = dict(event.meta)
+    if actor:
+        obj["actor"] = actor
+    if meta:
+        obj["meta"] = dict(meta)
     return obj
 
 
@@ -200,22 +346,21 @@ class _JsonStrings(dict):
         return encoded
 
 
-def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
+def _event_lines(rows: Iterable[Row]) -> Iterator[str]:
     """The one canonical formatter: each event's line, in order.
 
-    A line is ``_dumps_sorted(_event_object(event))`` byte for byte. The
+    A line is ``_dumps_sorted(_event_object(row))`` byte for byte. The
     common event (``int`` numbers, ``str`` names) is assembled in key
     order with an f-string, encoding each distinct string once per call;
     ``meta`` and any field of another type (a ``bool``, a float) go
     through ``json.dumps`` itself.
     """
     strings = _JsonStrings()
-    for event in events:
-        at, tenant, size = event.at_micros, event.tenant, event.payload_bytes
-        app, route, actor, meta = event.app, event.route, event.actor, event.meta
+    for row in rows:
+        at, tenant, app, route, size, actor, meta = row
         if not (type(at) is int and type(tenant) is int and type(size) is int
                 and type(app) is str and type(route) is str and type(actor) is str):
-            yield _dumps_sorted(_event_object(event))
+            yield _dumps_sorted(_event_object(row))
             continue
         head = f'{{"actor":{strings[actor]},"app":' if actor else '{"app":'
         tail = f',"meta":{_dumps_sorted(dict(meta))},"route":' if meta else ',"route":'
@@ -223,9 +368,9 @@ def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
                f'{tail}{strings[route]},"tenant":{tenant}}}')
 
 
-def _event_chunks(events: Iterable[TraceEvent]) -> Iterator[bytes]:
+def _event_chunks(rows: Iterable[Row]) -> Iterator[bytes]:
     """The event lines as ASCII chunks, each line preceded by a newline."""
-    lines = _event_lines(events)
+    lines = _event_lines(rows)
     while True:
         batch = list(itertools.islice(lines, _CHUNK_LINES))
         if not batch:
@@ -235,7 +380,7 @@ def _event_chunks(events: Iterable[TraceEvent]) -> Iterator[bytes]:
 
 def event_line(event: TraceEvent) -> str:
     """The event's one canonical JSON line (defaults omitted)."""
-    return next(_event_lines((event,)))
+    return next(_event_lines((_event_row(event),)))
 
 
 def header_line(header: TraceHeader, events: int) -> str:
@@ -259,12 +404,18 @@ def trace_digest(trace: Trace) -> str:
     and every event field agree; this is the value the scenario
     library pins per seed and the replay engines carry into their
     determinism digests. It is the sha256 of the written file minus its
-    final newline, hashed in bounded chunks.
+    final newline, hashed in bounded chunks. A trace read from disk
+    keeps its digest: the reader's, or the first one computed here.
     """
-    sha = hashlib.sha256(header_line(trace.header, len(trace.events)).encode("ascii"))
-    for chunk in _event_chunks(trace.events):
+    if trace._digest is not None:
+        return trace._digest
+    sha = hashlib.sha256(header_line(trace.header, len(trace)).encode("ascii"))
+    for chunk in _event_chunks(trace.rows()):
         sha.update(chunk)
-    return sha.hexdigest()
+    digest = sha.hexdigest()
+    if trace._events is None:
+        trace._digest = digest
+    return digest
 
 
 # -- schema validation ---------------------------------------------------
@@ -301,6 +452,7 @@ def _parse_header(line: str) -> TraceHeader:
     )
     try:
         trace_storage(header)
+        trace_memory_mb(header)
     except TraceFormatError as exc:
         _fail(1, str(exc))
     return header
@@ -309,8 +461,8 @@ def _parse_header(line: str) -> TraceHeader:
 def _event_error(line: str, tenants: int, prev_at: int) -> str:
     """Why an event line fails the schema: the first failed check.
 
-    The reader's fast path accepts exactly the lines that pass every
-    check here; a line it refuses is explained by this slow path.
+    The reader's per-line path accepts exactly the lines that pass
+    every check here; a line it refuses is explained by this slow path.
     """
     try:
         obj = json.loads(line)
@@ -368,11 +520,37 @@ PathLike = Union[str, Path]
 # not gzip at all or fails its CRC, and corrupt deflate data.
 _CORRUPT_GZIP = (EOFError, gzip.BadGzipFile, zlib.error)
 
+# Decompressed bytes per read: a block is this much, cut after its last newline.
+_BLOCK_BYTES = 1 << 20
+
+# A canonical event line: exactly what the formatter writes for an event
+# with no ``meta``, ``str`` names free of characters ``json.dumps``
+# escapes, and ``int`` numbers of at most 19 digits. Keys come in sorted
+# order and ``actor`` only when non-empty, so a line that matches is
+# byte for byte the formatter's line for the event it decodes to. The
+# groups are the ``actor``/``app`` prefix, at, bytes, route and tenant.
+# A string's class excludes its closing quote, so its quantifiers are
+# possessive: no backtracking can change a match, and none is tried.
+_SAFE = rb'[ !#-\[\]-~]'  # printable ASCII but '"' and '\'
+_NUMBER = rb'(0|[1-9][0-9]{0,18})'
+_CANONICAL_LINE = re.compile(
+    rb'^\{((?:"actor":"' + _SAFE + rb'++",)?"app":"' + _SAFE + rb'*+"),"at":' + _NUMBER
+    + rb',"bytes":' + _NUMBER + rb',"route":"(' + _SAFE + rb'*+)","tenant":' + _NUMBER
+    + rb'\}$',
+    re.MULTILINE,
+)
+_PREFIX, _AT, _SIZE, _ROUTE, _TENANT = map(itemgetter, range(5))
+# The header's terminator as a text-mode reader sees it: universal newlines.
+_LINE_END = re.compile(rb'\r\n?|\n')
+
 # ``json.loads`` minus its whitespace passes: the reader strips each line
 # and checks that the object spans all of it.
 _decode_json = json.JSONDecoder().raw_decode
 # An absent event ``meta``: read only, never mutated.
 _NO_META: Dict[str, object] = {}
+
+# One block's events as columns: at, tenant, size, kind.
+_BlockColumns = Tuple[List[int], List[int], List[int], List[int]]
 
 
 @contextlib.contextmanager
@@ -390,12 +568,46 @@ def _open_write(path: Path) -> Iterator[BinaryIO]:
             out.flush()
 
 
-def _open_read(path: Path) -> io.TextIOBase:
-    # Latin-1 maps every byte to one character, so a non-ASCII byte
-    # reaches the reader as a character it can place on its line.
+def _open_read(path: Path) -> BinaryIO:
     if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="latin-1")
-    return open(path, "r", encoding="latin-1")
+        return gzip.open(path, "rb")
+    return open(path, "rb")
+
+
+def _blocks(handle: BinaryIO) -> Iterator[bytes]:
+    """The file's bytes in blocks of whole lines, each ending in a newline.
+
+    A final line with no newline gets one, so every block splits into
+    lines the same way. ``read1`` hands over each piece as soon as it is
+    decompressed, so a damaged stream still yields every whole line
+    before the damage, then raises: its error names the first line not
+    read whole, as a line-at-a-time reader's would.
+    """
+    rest = b""
+    while True:
+        pieces, fresh = [rest], 0
+        try:
+            while fresh < _BLOCK_BYTES:
+                piece = handle.read1(_BLOCK_BYTES)
+                if not piece:
+                    break
+                pieces.append(piece)
+                fresh += len(piece)
+        except _CORRUPT_GZIP:
+            data = b"".join(pieces)
+            cut = data.rfind(b"\n") + 1
+            if cut:
+                yield data[:cut]
+            raise
+        if not fresh:
+            break
+        data = b"".join(pieces)
+        cut = data.rfind(b"\n") + 1
+        rest = data[cut:]
+        if cut:
+            yield data[:cut]
+    if rest:
+        yield rest + b"\n"
 
 
 def write_trace(path: PathLike, trace: Trace) -> int:
@@ -405,83 +617,203 @@ def write_trace(path: PathLike, trace: Trace) -> int:
     :func:`sort_events` after composing transforms. A ``.gz`` suffix
     compresses deterministically.
     """
-    _validate(trace.header, trace.events)
+    trace.validate()
     path = Path(path)
     with _open_write(path) as out:
-        out.write(header_line(trace.header, len(trace.events)).encode("ascii"))
-        for chunk in _event_chunks(trace.events):
+        out.write(header_line(trace.header, len(trace)).encode("ascii"))
+        for chunk in _event_chunks(trace.rows()):
             out.write(chunk)
         out.write(b"\n")
-    return len(trace.events)
+    return len(trace)
+
+
+class _Tenants(dict):
+    """Tenant ids keyed by their raw digits: one ``int`` per tenant, parsed once."""
+
+    def __missing__(self, raw: bytes) -> int:
+        self[raw] = tenant = int(raw)
+        return tenant
+
+
+class _RawKinds(dict):
+    """Kind ids keyed by a canonical line's raw ``actor``/``app`` prefix and route."""
+
+    def __init__(self, kinds: _Kinds):
+        super().__init__()
+        self._kinds = kinds
+
+    def __missing__(self, raw: Tuple[bytes, bytes]) -> int:
+        prefix, route = raw
+        names = json.loads(b"{" + prefix + b"}")
+        self[raw] = kind = self._kinds.add(
+            names["app"], route.decode("ascii"), names.get("actor", ""), (),
+        )
+        return kind
+
+
+class _TraceScan:
+    """One validating pass over a trace file, a block of lines at a time.
+
+    Iterating yields the header, then each block's events as columns
+    ``(at, tenant, size, kind)`` whose kinds index :attr:`kinds`. Every
+    check runs as the file is read (schema, monotone timestamps, tenant
+    range, the declared event count), so a malformed file fails at the
+    offending line with its number. Once the pass is over, :attr:`digest`
+    is the trace digest when every event line was canonical, else
+    ``None``.
+
+    A block whose lines all match :data:`_CANONICAL_LINE` is decoded by
+    one ``findall`` and checked over its columns. Any other block, and a
+    canonical block that fails a check, goes line by line through
+    ``raw_decode`` and exact-type checks, and :func:`_event_error` names
+    a refused line — the same messages and line numbers either way.
+    """
+
+    def __init__(self, path: PathLike):
+        self.path = Path(path)
+        self.kinds = _Kinds()
+        self.digest: Optional[str] = None
+        self._raw_kinds = _RawKinds(self.kinds)
+        self._tenants = _Tenants()
+
+    def __iter__(self) -> Iterator[Union[TraceHeader, _BlockColumns]]:
+        path = self.path
+        handle = _open_read(path)
+        line_no = 0  # the last line read whole
+        try:
+            with handle:
+                blocks = _blocks(handle)
+                first = next(blocks, b"")
+                end = _LINE_END.search(first)
+                line = first[:end.start()].decode("latin-1") if end else ""
+                rest = first[end.end():] if end else b""
+                line_no = 1
+                if not line.isascii():
+                    raise TraceFormatError(f"{path}: line 1: non-ASCII byte in trace")
+                if not line.strip():
+                    raise TraceFormatError(f"{path}: empty trace file")
+                header = _parse_header(line.strip())
+                yield header
+                sha = hashlib.sha256(header_line(header, header.events).encode("ascii"))
+                prev_at = count = 0
+                for block in itertools.chain((rest,), blocks):
+                    if not block:
+                        continue
+                    columns = self._canonical(block, prev_at, header.tenants)
+                    if columns is not None:
+                        lines = len(columns[0])
+                        if sha is not None:
+                            sha.update(b"\n")
+                            sha.update(memoryview(block)[:-1])
+                    else:
+                        sha = None
+                        columns, lines = self._line_by_line(
+                            block, line_no, prev_at, header.tenants,
+                        )
+                    line_no += lines
+                    if columns[0]:
+                        prev_at = columns[0][-1]
+                        count += len(columns[0])
+                        yield columns
+                if header.events != count:
+                    raise TraceFormatError(
+                        f"{path}: header declares {header.events} events, file holds {count}"
+                    )
+                self.digest = sha.hexdigest() if sha is not None else None
+        except _CORRUPT_GZIP as exc:
+            raise TraceFormatError(
+                f"{path}: line {line_no + 1}: corrupt gzip stream ({exc})"
+            ) from exc
+
+    def _canonical(self, block: bytes, prev_at: int, tenants: int) -> Optional[_BlockColumns]:
+        """The block's columns if every line is canonical and passes; else ``None``."""
+        matches = _CANONICAL_LINE.findall(block)
+        if len(matches) != block.count(b"\n"):
+            return None
+        at = list(map(int, map(_AT, matches)))
+        tenant = list(map(self._tenants.__getitem__, map(_TENANT, matches)))
+        # The pattern admits no negative number, so these are the only
+        # checks left: timestamps non-decreasing, also across blocks, and
+        # the tenant range.
+        if at[0] < prev_at or at != sorted(at) or max(tenant) >= tenants:
+            return None
+        kind = list(map(self._raw_kinds.__getitem__,
+                        zip(map(_PREFIX, matches), map(_ROUTE, matches))))
+        return at, tenant, list(map(int, map(_SIZE, matches))), kind
+
+    def _line_by_line(
+        self, block: bytes, line_no: int, prev_at: int, tenants: int,
+    ) -> Tuple[_BlockColumns, int]:
+        """The block decoded one line at a time; returns its columns and line count.
+
+        Lines split as a text-mode reader splits them (``\\n``, ``\\r\\n``
+        or ``\\r``), and each is decoded once and checked by exact type.
+        """
+        # Latin-1 maps every byte to one character, so a non-ASCII byte
+        # reaches the line check as a character it can place on its line.
+        lines = block.decode("latin-1").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        lines.pop()  # the empty text after the block's final newline
+        at_col: List[int] = []
+        tenant_col: List[int] = []
+        size_col: List[int] = []
+        kind_col: List[int] = []
+        add_kind = self.kinds.add
+        for line_no, line in enumerate(lines, start=line_no + 1):
+            if not line.isascii():
+                raise TraceFormatError(f"{self.path}: line {line_no}: non-ASCII byte in trace")
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj, end = _decode_json(line)
+                at, tenant, size = obj["at"], obj["tenant"], obj["bytes"]
+                app, route = obj["app"], obj["route"]
+                actor, meta = obj.get("actor", ""), obj.get("meta", _NO_META)
+            except (ValueError, KeyError, TypeError):
+                end = -1
+            if not (end == len(line) and type(at) is int and type(tenant) is int
+                    and type(size) is int and type(app) is str and type(route) is str
+                    and type(actor) is str and type(meta) is dict
+                    and prev_at <= at and 0 <= tenant < tenants and size >= 0):
+                _fail(line_no, _event_error(line, tenants, prev_at))
+            at_col.append(at)
+            tenant_col.append(tenant)
+            size_col.append(size)
+            kind_col.append(add_kind(app, route, actor, meta_pairs(meta)))
+            prev_at = at
+        return (at_col, tenant_col, size_col, kind_col), len(lines)
 
 
 def iter_trace(path: PathLike) -> Iterator[Union[TraceHeader, TraceEvent]]:
     """Stream a trace file: yields the header first, then each event.
 
-    Validation happens line by line (schema, monotone timestamps,
-    tenant range), so a malformed file fails at the offending line with
-    its number instead of producing a half-parsed workload. A corrupt
-    file (truncated or non-gzip ``.gz``, a non-ASCII byte) fails with
-    :class:`TraceFormatError` naming the path and the line.
-
-    Each line is decoded once and checked by exact type; the ``app``,
-    ``route`` and ``actor`` strings are shared across the events of one
-    read. A line that fails is explained by :func:`_event_error`.
+    Validation happens as the file is read (schema, monotone
+    timestamps, tenant range), so a malformed file fails at the
+    offending line with its number instead of producing a half-parsed
+    workload. A corrupt file (truncated or non-gzip ``.gz``, a
+    non-ASCII byte) fails with :class:`TraceFormatError` naming the path
+    and the line. Events come from the same blocks :func:`read_trace`
+    reads, so a bad line fails before any event of its block.
     """
-    path = Path(path)
-    handle = _open_read(path)
-    line_no = 0  # the last line read whole
-    try:
-        with handle:
-            first = handle.readline()
-            line_no = 1
-            if not first.isascii():
-                raise TraceFormatError(f"{path}: line 1: non-ASCII byte in trace")
-            if not first.strip():
-                raise TraceFormatError(f"{path}: empty trace file")
-            header = _parse_header(first.strip())
-            yield header
-            tenants = header.tenants
-            names: Dict[str, str] = {}
-            share = names.setdefault
-            prev_at = count = 0
-            for line_no, line in enumerate(handle, start=2):
-                if not line.isascii():
-                    raise TraceFormatError(f"{path}: line {line_no}: non-ASCII byte in trace")
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj, end = _decode_json(line)
-                    at, tenant, size = obj["at"], obj["tenant"], obj["bytes"]
-                    app, route = obj["app"], obj["route"]
-                    actor, meta = obj.get("actor", ""), obj.get("meta", _NO_META)
-                except (ValueError, KeyError, TypeError):
-                    end = -1
-                if not (end == len(line) and type(at) is int and type(tenant) is int
-                        and type(size) is int and type(app) is str and type(route) is str
-                        and type(actor) is str and type(meta) is dict
-                        and prev_at <= at and 0 <= tenant < tenants and size >= 0):
-                    _fail(line_no, _event_error(line, tenants, prev_at))
-                yield TraceEvent(
-                    at, tenant, share(app, app), share(route, route), size,
-                    share(actor, actor), meta_pairs(meta),
-                )
-                prev_at = at
-                count += 1
-            if header.events != count:
-                raise TraceFormatError(
-                    f"{path}: header declares {header.events} events, file holds {count}"
-                )
-    except _CORRUPT_GZIP as exc:
-        raise TraceFormatError(
-            f"{path}: line {line_no + 1}: corrupt gzip stream ({exc})"
-        ) from exc
+    scan = _TraceScan(path)
+    blocks = iter(scan)
+    yield next(blocks)
+    kinds = scan.kinds.kinds
+    for at_col, tenant_col, size_col, kind_col in blocks:
+        for at, tenant, size, kind in zip(at_col, tenant_col, size_col, kind_col):
+            app, route, actor, meta = kinds[kind]
+            yield TraceEvent(at, tenant, app, route, size, actor, meta)
 
 
 def read_trace(path: PathLike) -> Trace:
-    """Read and validate a whole trace file into memory."""
-    stream = iter_trace(path)
-    header = next(stream)
-    events = list(stream)
-    return Trace(header=header, events=events)
+    """Read and validate a whole trace file into a columnar :class:`Trace`."""
+    scan = _TraceScan(path)
+    blocks = iter(scan)
+    header = next(blocks)
+    columns = TraceColumns([], [], [], [], scan.kinds.kinds)
+    for at, tenant, size, kind in blocks:
+        columns.at += at
+        columns.tenant += tenant
+        columns.size += size
+        columns.kind += kind
+    return Trace.from_columns(header, columns, scan.digest)

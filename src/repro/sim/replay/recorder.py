@@ -16,6 +16,7 @@ from dataclasses import replace
 from typing import Dict, Iterable, List, Optional
 
 from repro.sim.replay.format import (
+    DEFAULT_MEMORY_MB,
     DEFAULT_STORAGE,
     PathLike,
     Trace,
@@ -60,17 +61,23 @@ class TraceRecorder:
     def tenants(self) -> int:
         return self._header.tenants
 
-    def set_storage(self, storage: str) -> None:
-        """Note the storage backend the recorded run bills in the header meta.
+    def set_plan(
+        self, storage: str = DEFAULT_STORAGE, memory_mb: int = DEFAULT_MEMORY_MB,
+    ) -> None:
+        """Note the storage backend and Lambda memory size the run bills.
 
-        S3 (the default) is left implicit, so S3 traces keep their exact
-        bytes and digests; any other backend lands in ``meta["storage"]``
-        for the replayers to bill.
+        The defaults (S3, 448 MB) are left implicit, so default traces
+        keep their exact bytes and digests; any other value lands in
+        ``meta["storage"]`` or ``meta["memory_mb"]`` for the replayers to
+        bill, or to refuse a config that disagrees.
         """
         meta = self._header.meta_dict()
-        meta.pop("storage", None)
-        if storage != DEFAULT_STORAGE:
-            meta["storage"] = storage
+        for key, value, default in (
+            ("storage", storage, DEFAULT_STORAGE), ("memory_mb", memory_mb, DEFAULT_MEMORY_MB),
+        ):
+            meta.pop(key, None)
+            if value != default:
+                meta[key] = value
         self._header = replace(self._header, meta=meta_pairs(meta))
 
     def record(

@@ -53,7 +53,7 @@ from repro.sim.fold import (
 )
 from repro.sim.latency import LatencyModel
 from repro.sim.metrics import AvailabilityTracker, MetricSeries, sla_report
-from repro.sim.replay.format import Trace, TraceEvent, trace_digest, trace_storage
+from repro.sim.replay.format import Trace, trace_digest, trace_memory_mb, trace_storage
 from repro.sim.rng import SeededRng
 from repro.sim.scale import ScaleConfig, tenant_sampler
 from repro.sim.shard import DEFAULT_LOGICAL_SHARDS, run_sharded, shard_of
@@ -72,6 +72,16 @@ __all__ = [
 
 
 # -- batched replay (the fixpoint path) ----------------------------------
+
+
+def _check_memory(trace: Trace, memory_mb: int) -> None:
+    """Refuse to bill a trace at a Lambda size other than the one it recorded."""
+    recorded = trace_memory_mb(trace.header)
+    if memory_mb != recorded:
+        raise ConfigurationError(
+            f"trace {trace.header.name!r} was recorded at {recorded} MB, "
+            f"but the replay config bills {memory_mb} MB"
+        )
 
 
 @dataclass(frozen=True)
@@ -107,13 +117,14 @@ def run_replay_batched(
     """Replay a trace through :func:`repro.sim.scale.run_fleet`'s exact billing.
 
     ``config`` supplies what the trace does not carry: the latency-RNG
-    seed, Lambda memory size, and chunk size. Its storage backend must
-    be the one the trace header records (S3 when the header is silent),
-    or the replay raises :class:`ConfigurationError`. With the
-    config that *recorded* the trace, every RNG draw, meter call, and
+    seed and chunk size. Its storage backend and Lambda memory size must
+    be the ones the trace header records (S3 and 448 MB when the header
+    is silent), or the replay raises :class:`ConfigurationError`. With
+    the config that *recorded* the trace, every RNG draw, meter call, and
     float conversion happens in the same order as the recorded run — the
-    fixpoint. Payload bytes come from the trace itself (summed exactly
-    in integers), so replaying an edited trace bills the edited bytes.
+    fixpoint. Per-tenant counts and payload bytes come from the trace's
+    columns (summed exactly in integers), so replaying an edited trace
+    bills the edited bytes.
 
     ``health`` (a :class:`~repro.obs.metrics.MetricsPlane`) accumulates
     the same series the recorded run's plane did (``fleet.requests``,
@@ -130,12 +141,14 @@ def run_replay_batched(
             f"trace {trace.header.name!r} was recorded on {recorded!r} storage, "
             f"but the replay config bills {config.storage!r}"
         )
+    _check_memory(trace, config.memory_mb)
     start = time.perf_counter()
     counts = [0] * trace.header.tenants
     payloads = [0] * trace.header.tenants
-    for event in trace.events:
-        counts[event.tenant] += 1
-        payloads[event.tenant] += event.payload_bytes
+    columns = trace.columns()
+    for tenant, size in zip(columns.tenant, columns.size):
+        counts[tenant] += 1
+        payloads[tenant] += size
     meter = BillingMeter()
     components = config.components()
     total_billed_ms = 0
@@ -150,7 +163,7 @@ def run_replay_batched(
         total_billed_ms += fold.billed_units * 100
     invoice = Invoice(meter, prices)
     wall = time.perf_counter() - start
-    arrivals = len(trace.events)
+    arrivals = len(trace)
     return ReplayResult(
         trace_name=trace.header.name,
         trace_sha256=trace_digest(trace),
@@ -203,26 +216,25 @@ ShardColumns = Tuple[List[int], List[int], List[int]]
 def partition_trace(trace: Trace, shards: int = DEFAULT_LOGICAL_SHARDS) -> List[ShardColumns]:
     """Split a trace into per-shard columns by the splitmix64 tenant map.
 
-    Each event lands on ``shard_of(event.tenant)`` — the same pure
-    function of the tenant id the synthetic sharded engine uses — and
-    keeps its trace order within the shard. Worker count never enters
-    the partitioning, which is what makes sharded replay byte-identical
-    on any pool size.
+    Each event lands on ``shard_of(tenant)`` — the same pure function
+    of the tenant id the synthetic sharded engine uses — and keeps its
+    trace order within the shard. Worker count never enters the
+    partitioning, which is what makes sharded replay byte-identical on
+    any pool size. The trace's columns feed it; no event is built.
     """
     if shards <= 0:
         raise ConfigurationError(f"shard count must be positive, got {shards}")
-    columns: List[ShardColumns] = [([], [], []) for _ in range(shards)]
-    shard_cache: Dict[int, int] = {}
-    for event in trace.events:
-        shard_id = shard_cache.get(event.tenant)
-        if shard_id is None:
-            shard_id = shard_of(event.tenant, shards)
-            shard_cache[event.tenant] = shard_id
-        at, tenants, payloads = columns[shard_id]
-        at.append(event.at_micros)
-        tenants.append(event.tenant)
-        payloads.append(event.payload_bytes)
-    return columns
+    parts: List[ShardColumns] = [([], [], []) for _ in range(shards)]
+    shard_cache: Dict[int, ShardColumns] = {}
+    columns = trace.columns()
+    for at, tenant, size in zip(columns.at, columns.tenant, columns.size):
+        part = shard_cache.get(tenant)
+        if part is None:
+            part = shard_cache[tenant] = parts[shard_of(tenant, shards)]
+        part[0].append(at)
+        part[1].append(tenant)
+        part[2].append(size)
+    return parts
 
 
 def replay_shard(
@@ -281,9 +293,9 @@ def merge_replay(
         results, trace.header.tenants, config.logical_shards,
         handler_components(trace_storage(trace.header)), config.memory_mb, prices,
     )
-    if merged.events != len(trace.events):
+    if merged.events != len(trace):
         raise ConfigurationError(
-            f"replay lost events: trace holds {len(trace.events)}, "
+            f"replay lost events: trace holds {len(trace)}, "
             f"shards replayed {merged.events}"
         )
     merged.config = config
@@ -301,17 +313,20 @@ def run_replay_sharded(
 ) -> ShardedFleetResult:
     """Replay a whole trace on the sharded engine and merge.
 
-    The trace header's storage backend picks the billed components.
-    ``workers`` only controls scheduling — whole logical shards per
-    worker — so the merged result (and its ``determinism_digest``) is
-    byte-identical on 1, 2, or N workers, with or without numpy.
+    The trace header's storage backend picks the billed components; its
+    memory size must be the config's, or the replay raises
+    :class:`ConfigurationError`. ``workers`` only controls scheduling —
+    whole logical shards per worker — so the merged result (and its
+    ``determinism_digest``) is byte-identical on 1, 2, or N workers, with
+    or without numpy.
     ``collect_health`` adds shard-local metrics planes merged
     order-independently, exactly like
     :func:`repro.sim.shard.run_fleet_sharded`.
     """
     config = config or ReplayConfig()
+    _check_memory(trace, config.memory_mb)
     # The latency-sample stride: a pure function of (trace size, config).
-    stride = max(1, len(trace.events) // config.latency_samples)
+    stride = max(1, len(trace) // config.latency_samples)
     storage = trace_storage(trace.header)
     columns = partition_trace(trace, config.logical_shards)
     jobs = [
@@ -352,9 +367,11 @@ def run_replay_chaos(
     from repro.sim.scale import _schedule_chaos, ChaosConfig
     from repro.units import seconds
 
-    by_tenant: Dict[int, List[TraceEvent]] = {}
-    for event in trace.events:
-        by_tenant.setdefault(event.tenant, []).append(event)
+    # Each tenant's arrival times, in trace order: all a send schedule needs.
+    by_tenant: Dict[int, List[int]] = {}
+    columns = trace.columns()
+    for at, tenant in zip(columns.at, columns.tenant):
+        by_tenant.setdefault(tenant, []).append(at)
     fleet_tracker = AvailabilityTracker()
     fleet_latency = MetricSeries("replay-chaos.e2e_ms", "ms")
     per_tenant: List[Dict[str, object]] = []
@@ -363,7 +380,7 @@ def run_replay_chaos(
     breaker_trips = 0
     injected: Dict[str, int] = {}
     for tenant in sorted(by_tenant):
-        events = by_tenant[tenant]
+        arrivals = by_tenant[tenant]
         provider = CloudProvider(name=f"replay-{trace.header.name}-{tenant}",
                                  seed=trace.header.seed)
         app = Deployer(provider).deploy(
@@ -378,12 +395,12 @@ def run_replay_chaos(
         bob.join("room")
         bob.connect()
 
-        base = events[0].at_micros
-        horizon = max(events[-1].at_micros - base, seconds(1))
+        base = arrivals[0]
+        horizon = max(arrivals[-1] - base, seconds(1))
         start = provider.clock.now
         if chaos:
             chaos_config = ChaosConfig(
-                tenants=1, messages=len(events), seed=trace.header.seed,
+                tenants=1, messages=len(arrivals), seed=trace.header.seed,
                 error_rate=error_rate, brownout_rate=brownout_rate,
                 memory_mb=memory_mb, storage=storage,
             )
@@ -391,8 +408,8 @@ def run_replay_chaos(
 
         bodies = []
         received_bodies = set()
-        for i, event in enumerate(events):
-            target = start + (event.at_micros - base)
+        for i, at in enumerate(arrivals):
+            target = start + (at - base)
             if target > provider.clock.now:
                 provider.clock.advance(target - provider.clock.now)
             body = f"replay-{tenant}-{i}"

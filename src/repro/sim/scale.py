@@ -170,7 +170,8 @@ def run_fleet(
     run's invoice is byte-identical to an unrecorded one, and replaying
     the trace with the same config reproduces it exactly
     (``tests/sim/test_replay.py``). The header notes a non-S3 storage
-    backend, so the replayers bill the backend the run billed.
+    backend and a memory size other than 448 MB, so the replayers bill
+    what the run billed or refuse a config that disagrees.
 
     ``health`` is a :class:`~repro.obs.metrics.MetricsPlane` that
     accumulates every request's run time into ``fleet.request_us``
@@ -185,7 +186,7 @@ def run_fleet(
     per_tenant: List[int] = []
     total_billed_ms = 0
     if recorder is not None:
-        recorder.set_storage(config.storage)
+        recorder.set_plan(config.storage, config.memory_mb)
     start = time.perf_counter()
     with perf.phase("simulate"):
         for tenant in range(config.tenants):

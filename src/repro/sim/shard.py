@@ -53,7 +53,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.cloud.billing import UsageKind
 from repro.cloud.pricing import PRICES_2017, PriceBook
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim import vecmath
 from repro.sim.fold import (
     Fold,
@@ -312,21 +312,45 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
+def _run_jobs(fn: Callable, jobs: Sequence[tuple]) -> list:
+    return [fn(*job) for job in jobs]
+
+
 def map_shards(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
     """``[fn(*job) for job in jobs]``, inline or on a worker pool, in job order.
 
     ``fn`` must be a module-level function so the pool can pickle it.
     Results come back in job order whatever the worker count, which is
-    what makes every merge downstream worker-count invariant.
+    what makes every merge downstream worker-count invariant. A job that
+    raises re-raises here; a worker that dies (``os._exit``, an OOM kill)
+    breaks the pool, and the run fails with a :class:`SimulationError`
+    naming the jobs that did not finish instead of waiting forever.
     """
     if workers <= 0:
         raise ConfigurationError(f"worker count must be positive, got {workers}")
     if workers == 1 or len(jobs) == 1:
-        return [fn(*job) for job in jobs]
+        return _run_jobs(fn, jobs)
+    # Imported here: the pool machinery costs a run that never forks.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     pool_size = min(workers, len(jobs))
     chunksize = max(1, len(jobs) // (pool_size * 4))
-    with _pool_context().Pool(pool_size) as pool:
-        return pool.starmap(fn, jobs, chunksize=chunksize)
+    starts = range(0, len(jobs), chunksize)
+    with ProcessPoolExecutor(pool_size, mp_context=_pool_context()) as pool:
+        futures = [pool.submit(_run_jobs, fn, jobs[lo:lo + chunksize]) for lo in starts]
+        try:
+            return [result for future in futures for result in future.result()]
+        except BrokenProcessPool as exc:
+            lost = [
+                index
+                for lo, future in zip(starts, futures)
+                if isinstance(future.exception(), BrokenProcessPool)
+                for index in range(lo, min(lo + chunksize, len(jobs)))
+            ]
+            raise SimulationError(
+                f"a shard worker died: jobs {lost} of {len(jobs)} did not finish"
+            ) from exc
 
 
 def run_sharded(

@@ -38,6 +38,7 @@ from repro.sim.replay import (
     run_replay_chaos,
     run_replay_sharded,
     sort_events,
+    trace_memory_mb,
     write_trace,
 )
 from repro.sim.replay.format import TraceHeader, event_line
@@ -147,8 +148,8 @@ class TestFormat:
 
     def test_s3_traces_keep_a_bare_header(self):
         recorder = TraceRecorder(name="bare", seed=1, tenants=1)
-        recorder.set_storage("dynamo")
-        recorder.set_storage("s3")
+        recorder.set_plan(storage="dynamo", memory_mb=1024)
+        recorder.set_plan(storage="s3", memory_mb=448)
         assert recorder.trace().header.meta == ()
 
     def test_digest_covers_every_field(self):
@@ -217,6 +218,61 @@ class TestRecordReplayFixpoint:
         assert inflated.arrivals == baseline.arrivals
         assert float(inflated.invoice_total.lstrip("$")) > \
             float(baseline.invoice_total.lstrip("$"))
+
+
+class TestRecordedMemory:
+    """A trace records a non-default Lambda size, and replay bills only that size."""
+
+    CONFIG = ScaleConfig(memory_mb=1024, tenants=4, daily_requests=2000.0, days=1.0, seed=99)
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        recorder = TraceRecorder(name="mem", seed=self.CONFIG.seed, tenants=self.CONFIG.tenants)
+        live = run_fleet(self.CONFIG, recorder=recorder)
+        path = tmp_path_factory.mktemp("mem") / "mem.jsonl.gz"
+        recorder.write(path)
+        return live, read_trace(path)
+
+    def test_header_records_the_size(self, recorded):
+        _, trace = recorded
+        assert trace.header.meta == (("memory_mb", 1024),)
+        assert trace_memory_mb(trace.header) == 1024
+
+    def test_batched_replay_refuses_another_size(self, recorded):
+        _, trace = recorded
+        default = replace(self.CONFIG, memory_mb=448)
+        with pytest.raises(ConfigurationError,
+                           match="recorded at 1024 MB, but the replay config bills 448 MB"):
+            run_replay_batched(trace, default)
+
+    def test_batched_replay_at_the_recorded_size_is_the_fixpoint(self, recorded):
+        live, trace = recorded
+        replayed = run_replay_batched(trace, self.CONFIG)
+        assert replayed.total_billed_ms == live.total_billed_ms
+        assert replayed.invoice_total == live.invoice_total
+        # What replay billed before the header carried the size.
+        silent = Trace(replace(trace.header, meta=()), trace.events)
+        assert run_replay_batched(silent, replace(self.CONFIG, memory_mb=448)) \
+            .total_billed_ms != live.total_billed_ms
+
+    def test_sharded_replay_refuses_another_size(self, recorded):
+        _, trace = recorded
+        with pytest.raises(ConfigurationError, match="recorded at 1024 MB"):
+            run_replay_sharded(trace, ReplayConfig(seed=99, logical_shards=8))
+        result = run_replay_sharded(trace, ReplayConfig(seed=99, memory_mb=1024,
+                                                        logical_shards=8))
+        assert result.events == len(trace)
+
+    @pytest.mark.parametrize("value", ['"big"', "0", "true", "1.5"])
+    def test_reader_rejects_a_bad_size(self, tmp_path, value):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"format":"repro-trace","version":1,"name":"x","seed":0,'
+            f'"tenants":1,"events":0,"meta":{{"memory_mb":{value}}}}}\n'
+        )
+        with pytest.raises(TraceFormatError,
+                           match="trace line 1: trace meta memory_mb must be a positive int"):
+            read_trace(path)
 
 
 class TestShardedReplay:

@@ -13,7 +13,12 @@ larger fleet to one pinned digest.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,7 @@ from repro.errors import ConfigurationError
 from repro.sim.shard import (
     DEFAULT_LOGICAL_SHARDS,
     FleetConfig,
+    map_shards,
     merge_shards,
     run_fleet_sharded,
     run_shard,
@@ -129,6 +135,52 @@ class TestMergeOrderIndependence:
         ]
         with pytest.raises(ConfigurationError, match=r"missing shard ids \[5\]"):
             merge_shards(SMOKE_CONFIG, results)
+
+
+def _square_or_raise(index: int) -> int:
+    if index == 3:
+        raise ValueError("job 3 refused")
+    return index * index
+
+
+class TestWorkerPool:
+    def test_results_in_job_order(self):
+        jobs = [(index,) for index in range(10) if index != 3]
+        assert map_shards(_square_or_raise, jobs, 2) == [index * index for index, in jobs]
+
+    def test_a_job_error_re_raises(self):
+        with pytest.raises(ValueError, match="job 3 refused"):
+            map_shards(_square_or_raise, [(index,) for index in range(8)], 2)
+
+    def test_a_dead_worker_fails_the_run(self):
+        # Run in a child process, so a pool that hangs on a dead worker
+        # fails this test at the timeout instead of hanging the suite.
+        script = textwrap.dedent("""
+            import os
+            from repro.errors import SimulationError
+            from repro.sim.shard import map_shards
+
+            def job(index):
+                if index == 5:
+                    os._exit(1)
+                return index
+
+            try:
+                map_shards(job, [(index,) for index in range(16)], 2)
+            except SimulationError as exc:
+                print(exc)
+        """)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        message = done.stdout.strip()
+        assert message.startswith("a shard worker died: jobs [")
+        assert message.endswith("of 16 did not finish")
+        lost = [int(index) for index in message.split("[")[1].split("]")[0].split(", ")]
+        assert 5 in lost and lost == sorted(set(lost))
 
 
 class TestFleetConfig:

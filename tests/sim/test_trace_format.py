@@ -8,6 +8,10 @@
   with :class:`TraceFormatError` naming the path.
 * A ``.gz`` write closes every handle it opens and compresses to the
   same bytes as a text-mode writer over :class:`gzip.GzipFile`.
+* The block reader agrees with a line-by-line reference reader on every
+  file, canonical or not: length, columns, events, digest and errors.
+* A line the canonical pattern matches is exactly the formatter's line
+  for the fields ``json.loads`` decodes from it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import io
 import json
 import sys
 import warnings
+import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -31,7 +37,16 @@ from repro.sim.replay import (
     trace_digest,
     write_trace,
 )
-from repro.sim.replay.format import TraceHeader, event_line, header_line
+from repro.sim.replay import format as trace_format
+from repro.sim.replay.format import (
+    TraceHeader,
+    _event_error,
+    _fail,
+    _parse_header,
+    event_line,
+    header_line,
+    meta_pairs,
+)
 
 HEADER = (
     '{"events":2,"format":"repro-trace","name":"x","seed":0,'
@@ -110,6 +125,8 @@ def _odd_events(draw) -> TraceEvent:
 
 _SETTINGS = settings(max_examples=150, deadline=None,
                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+# Each example of the reader oracle writes a file and reads it three ways.
+_READ_SETTINGS = settings(_SETTINGS, max_examples=60)
 
 
 class TestFormatterOracle:
@@ -208,6 +225,13 @@ def _small(events: int = 300) -> Trace:
 
 
 class TestCorruptFiles:
+    @pytest.mark.parametrize("keep", [30, 2_000, 9_000, 40_000])
+    def test_truncated_gzip_names_the_line_it_broke_in(self, tmp_path, keep):
+        path = tmp_path / "t.jsonl.gz"
+        write_trace(path, _small(events=20_000))
+        path.write_bytes(path.read_bytes()[:keep])
+        _assert_reads_like_reference(path)
+
     def test_truncated_gzip(self, tmp_path):
         path = tmp_path / "t.jsonl.gz"
         write_trace(path, _small())
@@ -264,3 +288,307 @@ class TestGzipWriter:
         out.write("\n")
         out.close()  # flushes, then closes the GzipFile but not the BytesIO
         assert path.read_bytes() == reference.getvalue()
+
+
+# -- the block reader against a line-by-line reference --------------------
+
+
+def _reference_read(path: Path) -> Trace:
+    """The line-at-a-time reader the block reader replaced, kept as the oracle.
+
+    A text-mode pass (universal newlines) that decodes each line with
+    ``json`` and checks it by exact type; :func:`_event_error` names a
+    refused line, and a damaged gzip stream names the first line not
+    read whole.
+    """
+    decode = json.JSONDecoder().raw_decode
+    if path.suffix == ".gz":
+        handle = io.TextIOWrapper(gzip.open(path, "rb"), encoding="latin-1")
+    else:
+        handle = open(path, "r", encoding="latin-1")
+    line_no = 0  # the last line read whole
+    try:
+        with handle:
+            first = handle.readline()
+            line_no = 1
+            if not first.isascii():
+                raise TraceFormatError(f"{path}: line 1: non-ASCII byte in trace")
+            if not first.strip():
+                raise TraceFormatError(f"{path}: empty trace file")
+            header = _parse_header(first.strip())
+            events = []
+            prev_at = 0
+            for line_no, line in enumerate(handle, start=2):
+                if not line.isascii():
+                    raise TraceFormatError(f"{path}: line {line_no}: non-ASCII byte in trace")
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj, end = decode(line)
+                    at, tenant, size = obj["at"], obj["tenant"], obj["bytes"]
+                    app, route = obj["app"], obj["route"]
+                    actor, meta = obj.get("actor", ""), obj.get("meta", {})
+                except (ValueError, KeyError, TypeError):
+                    end = -1
+                if not (end == len(line) and type(at) is int and type(tenant) is int
+                        and type(size) is int and type(app) is str and type(route) is str
+                        and type(actor) is str and type(meta) is dict
+                        and prev_at <= at and 0 <= tenant < header.tenants and size >= 0):
+                    _fail(line_no, _event_error(line, header.tenants, prev_at))
+                events.append(TraceEvent(at, tenant, app, route, size, actor, meta_pairs(meta)))
+                prev_at = at
+            if header.events != len(events):
+                raise TraceFormatError(
+                    f"{path}: header declares {header.events} events, file holds {len(events)}"
+                )
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise TraceFormatError(
+            f"{path}: line {line_no + 1}: corrupt gzip stream ({exc})"
+        ) from exc
+    return Trace(header, events)
+
+
+def _outcome(read, path: Path):
+    """What a reader makes of a file: its error message, or the trace's views.
+
+    The read trace's columns and digest are taken before its events,
+    which would replace them.
+    """
+    try:
+        trace = read(path)
+    except TraceFormatError as exc:
+        return str(exc)
+    return len(trace), trace.columns(), trace_digest(trace), trace.events, trace_digest(trace)
+
+
+def _assert_reads_like_reference(path: Path) -> None:
+    got, want = _outcome(read_trace, path), _outcome(_reference_read, path)
+    assert got == want
+    if isinstance(want, str):
+        with pytest.raises(TraceFormatError) as info:
+            list(trace_format.iter_trace(path))
+        assert str(info.value) == want
+    else:
+        stream = trace_format.iter_trace(path)
+        next(stream)
+        assert list(stream) == want[3]
+
+
+def _write_lines(path: Path, events: int, lines, ending: str = "\n", final: bool = True):
+    header = (f'{{"events":{events},"format":"repro-trace","name":"x","seed":0,'
+              f'"tenants":3,"version":1}}')
+    body = ending.join([header, *lines]) + (ending if final else "")
+    path.write_bytes(body.encode("latin-1"))
+
+
+_GOOD_2 = '{"actor":"d","app":"a","at":20,"bytes":2,"route":"/r","tenant":1}'
+
+NON_CANONICAL = {
+    "extra-whitespace": ['  { "app" : "a", "at" : 10,"bytes":1,"route":"/r","tenant":0 }\t',
+                         _GOOD_2],
+    "reordered-keys": ['{"at":10,"tenant":0,"app":"a","route":"/r","bytes":1}', _GOOD_2],
+    "unicode-escape": ['{"app":"\\u0041","at":10,"bytes":1,"route":"/\\u00e9","tenant":0}',
+                       _GOOD_2],
+    "slash-escape": ['{"app":"a","at":10,"bytes":1,"route":"\\/r","tenant":0}', _GOOD_2],
+    "meta-object": [GOOD, '{"app":"a","at":20,"bytes":2,"meta":{"k":[1,true]},'
+                          '"route":"/r","tenant":1}'],
+    "empty-actor": ['{"actor":"","app":"a","at":10,"bytes":1,"route":"/r","tenant":0}',
+                    _GOOD_2],
+    "big-number": ['{"app":"a","at":10,"bytes":123456789012345678901,"route":"/r",'
+                   '"tenant":0}', _GOOD_2],
+    "leading-zero-free-float": ['{"app":"a","at":10,"bytes":1e3,"route":"/r","tenant":0}',
+                                _GOOD_2],
+}
+
+
+class TestBlockReaderOracle:
+    @pytest.mark.parametrize("kind", sorted(NON_CANONICAL))
+    def test_non_canonical_lines(self, tmp_path, kind):
+        path = tmp_path / "t.jsonl"
+        _write_lines(path, 2, NON_CANONICAL[kind])
+        _assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_other_line_endings(self, tmp_path, ending):
+        path = tmp_path / "t.jsonl"
+        _write_lines(path, 2, [GOOD, _GOOD_2], ending=ending)
+        _assert_reads_like_reference(path)
+        assert len(read_trace(path)) == 2
+
+    def test_no_final_newline(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        _write_lines(path, 2, [GOOD, _GOOD_2], final=False)
+        _assert_reads_like_reference(path)
+        # Still canonical: the digest comes from the raw lines.
+        assert read_trace(path)._digest is not None
+
+    def test_blank_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        _write_lines(path, 2, [GOOD, "", _GOOD_2])
+        _assert_reads_like_reference(path)
+
+    def test_canonical_file_keeps_the_raw_digest(self, tmp_path):
+        path = tmp_path / "t.jsonl.gz"
+        write_trace(path, _small())
+        trace = read_trace(path)
+        assert trace._digest == trace_digest(_small())
+        assert trace.events == _small().events  # built from the columns ...
+        assert trace._digest is None  # ... which are then dropped with the digest
+        assert trace_digest(trace) == trace_digest(_small())
+
+    @pytest.mark.parametrize("kind", sorted(READER_ERRORS))
+    def test_error_cases(self, tmp_path, kind):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([HEADER, GOOD, READER_ERRORS[kind][0]]) + "\n")
+        _assert_reads_like_reference(path)
+
+    @_READ_SETTINGS
+    @given(_traces(), st.sampled_from([64, 200, 1 << 20]))
+    def test_written_traces(self, tmp_path, monkeypatch, trace, block):
+        monkeypatch.setattr(trace_format, "_BLOCK_BYTES", block)
+        path = tmp_path / "t.jsonl"
+        write_trace(path, trace)
+        _assert_reads_like_reference(path)
+
+    @_READ_SETTINGS
+    @given(st.lists(_odd_events(), max_size=6), st.sampled_from([64, 1 << 20]))
+    def test_odd_events(self, tmp_path, monkeypatch, events, block):
+        monkeypatch.setattr(trace_format, "_BLOCK_BYTES", block)
+        path = tmp_path / "t.jsonl"
+        header = ('{"events":%d,"format":"repro-trace","name":"odd","seed":0,'
+                  '"tenants":4,"version":1}' % len(events))
+        path.write_text("\n".join([header, *map(event_line, events)]) + "\n")
+        _assert_reads_like_reference(path)
+
+
+# -- across 1 MiB blocks -------------------------------------------------
+
+
+def _line(at: int, tenant: int = 0, actor: str = "dev") -> str:
+    return event_line(TraceEvent(at, tenant, "iot", "/iot/report", 100, actor))
+
+
+def _block_lines(count: int):
+    """``count`` canonical lines, ``at`` 0 to ``count - 1``."""
+    return [_line(at, at % 3, f"dev-{at % 7}") for at in range(count)]
+
+
+def _second_block(path: Path):
+    """Where the reader's second block starts.
+
+    Returns the index among the event lines of the block's first line,
+    and whether the ``_BLOCK_BYTES`` boundary fell inside that line
+    rather than right after a newline.
+    """
+    data = path.read_bytes()
+    cut = data.rfind(b"\n", 0, trace_format._BLOCK_BYTES) + 1
+    return data.count(b"\n", 0, cut) - 1, cut != trace_format._BLOCK_BYTES
+
+
+class TestAcrossBlocks:
+    COUNT = 16_000  # ~1.3 MiB of lines: two blocks
+
+    def _write(self, path: Path, lines) -> int:
+        _write_lines(path, self.COUNT, lines)
+        first, _ = _second_block(path)
+        return first
+
+    def test_mixed_blocks_read_like_the_reference(self, tmp_path):
+        lines = _block_lines(self.COUNT)
+        lines[12_000] = lines[12_000].replace('{"actor"', '{ "actor"')
+        path = tmp_path / "t.jsonl"
+        _write_lines(path, self.COUNT, lines)
+        _assert_reads_like_reference(path)
+        assert read_trace(path)._digest is None  # the formatter digests this one
+
+    def test_a_bad_line_in_the_second_block(self, tmp_path):
+        lines = _block_lines(self.COUNT)
+        path = tmp_path / "t.jsonl"
+        bad = self._write(path, lines) + 500
+        lines[bad] = lines[bad].rsplit(":", 1)[0] + ":9}"
+        _write_lines(path, self.COUNT, lines)
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(path)
+        assert str(info.value) == f"trace line {bad + 2}: tenant 9 outside [0, 3)"
+        _assert_reads_like_reference(path)
+
+    def test_a_line_split_across_blocks(self, tmp_path):
+        lines = _block_lines(self.COUNT)
+        path = tmp_path / "t.jsonl"
+        split = self._write(path, lines)
+        assert _second_block(path)[1]  # the boundary falls inside this line
+        _assert_reads_like_reference(path)
+        assert read_trace(path)._digest == hashlib.sha256(path.read_bytes()[:-1]).hexdigest()
+        lines[split] = lines[split][:-1]  # and now that line is broken
+        _write_lines(path, self.COUNT, lines)
+        with pytest.raises(TraceFormatError, match=f"^trace line {split + 2}: event is not JSON"):
+            read_trace(path)
+        _assert_reads_like_reference(path)
+
+    def test_a_timestamp_that_decreases_at_the_block_boundary(self, tmp_path):
+        lines = _block_lines(self.COUNT)
+        path = tmp_path / "t.jsonl"
+        first = self._write(path, lines)
+        lines[first] = _line(first - 2, 0, "dev-0")
+        _write_lines(path, self.COUNT, lines)
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(path)
+        assert str(info.value) == (
+            f"trace line {first + 2}: timestamps must be non-decreasing "
+            f"({first - 2} after {first - 1})"
+        )
+        _assert_reads_like_reference(path)
+
+
+# -- the canonical pattern -----------------------------------------------
+
+_raw_text = st.text(alphabet=st.sampled_from(list('ab/ -~"\\\x7f\x1fé')), max_size=4)
+
+
+@st.composite
+def _candidate_lines(draw) -> str:
+    """JSON-ish event lines: some canonical, most a small step from it."""
+    fields = {
+        "app": draw(_raw_text), "route": draw(_raw_text),
+        "at": draw(_ints), "bytes": draw(_ints), "tenant": draw(_ints),
+    }
+    if draw(st.booleans()):
+        fields["actor"] = draw(_raw_text)
+    keys = sorted(fields)
+    if draw(st.integers(0, 9)) == 0:
+        keys = draw(st.permutations(keys))
+    parts = []
+    for key in keys:
+        value = fields[key]
+        if isinstance(value, str):
+            text = json.dumps(value) if draw(st.booleans()) else f'"{value}"'
+        else:
+            text = draw(st.sampled_from([str(value), str(value), f"0{value}", f"-{value}"]))
+        parts.append(f'"{key}":{text}')
+    separator = draw(st.sampled_from([",", ",", ", "]))
+    return "{" + separator.join(parts) + "}"
+
+
+class TestCanonicalPattern:
+    @settings(max_examples=400, deadline=None)
+    @given(_candidate_lines())
+    def test_a_match_is_the_formatter_line(self, line):
+        raw = line.encode("utf-8")
+        match = trace_format._CANONICAL_LINE.match(raw)
+        if match is None or match.end() != len(raw):
+            return
+        obj = json.loads(line)
+        names = json.loads(b"{" + match[1] + b"}")
+        assert (names.get("actor", ""), names["app"]) == (obj.get("actor", ""), obj["app"])
+        assert obj.get("actor", None) != ""
+        assert [int(match[2]), int(match[3]), match[4].decode(), int(match[5])] == \
+            [obj["at"], obj["bytes"], obj["route"], obj["tenant"]]
+        event = TraceEvent(obj["at"], obj["tenant"], obj["app"], obj["route"], obj["bytes"],
+                           obj.get("actor", ""))
+        assert event_line(event) == line
+
+    def test_canonical_lines_match(self):
+        for event in [TraceEvent(0, 0, "", ""), TraceEvent(10**18, 7, "a b", "/~!#", 0, "x")]:
+            line = event_line(event).encode("ascii")
+            assert trace_format._CANONICAL_LINE.match(line).end() == len(line)
