@@ -480,7 +480,7 @@ def _cmd_replay(args) -> None:
         return
     config = ReplayConfig(
         seed=trace.header.seed if args.replay_seed is None else args.replay_seed,
-        memory_mb=trace_memory_mb(trace.header) if args.memory_mb is None else args.memory_mb,
+        memory_mb=trace_memory_mb(trace.header),
     )
     result = run_replay_sharded(trace, config, workers=args.workers)
     digest = result.determinism_digest()
@@ -502,9 +502,10 @@ def _replay_with_metrics(args, trace) -> None:
     """Replay through the batched engine with the health plane attached.
 
     The batched path re-draws the *recording* run's per-tenant latency
-    streams, so with the recording seed/memory/chunk the emitted
+    streams, so with the recording seed and chunk the emitted
     exposition is byte-identical to ``record --metrics`` — the health
-    plane rides the record→replay fixpoint.
+    plane rides the record→replay fixpoint. The memory size and storage
+    backend come from the trace header.
     """
     import hashlib
 
@@ -515,7 +516,7 @@ def _replay_with_metrics(args, trace) -> None:
     config = ScaleConfig(
         tenants=trace.header.tenants,
         seed=trace.header.seed if args.replay_seed is None else args.replay_seed,
-        memory_mb=trace_memory_mb(trace.header) if args.memory_mb is None else args.memory_mb,
+        memory_mb=trace_memory_mb(trace.header),
         chunk=args.chunk,
         storage=trace_storage(trace.header),
     )
@@ -803,8 +804,6 @@ def main(argv=None) -> int:
                         help="scenario seed (with --scenario)")
     replay.add_argument("--replay-seed", type=int, default=None,
                         help="latency-RNG seed (default: the trace header's seed)")
-    replay.add_argument("--memory-mb", type=int, default=None,
-                        help="Lambda memory size (default: the trace header's)")
     replay.add_argument("--workers", type=int, default=1)
     replay.add_argument("--chunk", type=int, default=4096,
                         help="batched-engine chunk size (with --metrics)")

@@ -46,7 +46,7 @@ import json
 import re
 import zlib
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
 
@@ -123,12 +123,8 @@ class TraceHeader:
         return dict(self.meta)
 
 
-# An event's fields in :class:`TraceEvent` order: the row the formatter reads.
-Row = Tuple[int, int, str, str, int, str, Tuple[Tuple[str, object], ...]]
 # One distinct ``(app, route, actor, meta)`` of a trace: an event's non-number fields.
 Kind = Tuple[str, str, str, Tuple[Tuple[str, object], ...]]
-
-_event_row = attrgetter("at_micros", "tenant", "app", "route", "payload_bytes", "actor", "meta")
 
 
 class _Kinds:
@@ -183,14 +179,17 @@ class TraceColumns:
     def __len__(self) -> int:
         return len(self.at)
 
-    def rows(self) -> Iterator[Row]:
-        kinds = self.kinds
-        for at, tenant, size, kind in zip(self.at, self.tenant, self.size, self.kind):
-            app, route, actor, meta = kinds[kind]
-            yield at, tenant, app, route, size, actor, meta
-
     def events(self) -> List[TraceEvent]:
-        return [TraceEvent(*row) for row in self.rows()]
+        return list(_column_events(self.kinds, self.at, self.tenant, self.size, self.kind))
+
+
+def _column_events(
+    kinds: List[Kind], at: List[int], tenant: List[int], size: List[int], kind: List[int],
+) -> Iterator[TraceEvent]:
+    """The events a run of columns holds, in order."""
+    for at_micros, tenant_id, payload, kind_id in zip(at, tenant, size, kind):
+        app, route, actor, meta = kinds[kind_id]
+        yield TraceEvent(at_micros, tenant_id, app, route, payload, actor, meta)
 
 
 class Trace:
@@ -208,11 +207,11 @@ class Trace:
       first access to :attr:`events` builds the list from the columns;
       from then on that list is the truth and the column and digest
       caches are dropped, so editing it (``trace.events.reverse()``)
-      is always seen.
+      is always seen. Assigning a new :attr:`header` drops the digest too.
     """
 
     def __init__(self, header: TraceHeader, events: Optional[List[TraceEvent]] = None):
-        self.header = header
+        self._header = header
         self._events: Optional[List[TraceEvent]] = [] if events is None else events
         self._columns: Optional[TraceColumns] = None
         self._digest: Optional[str] = None
@@ -225,6 +224,14 @@ class Trace:
         trace = cls(header)
         trace._events, trace._columns, trace._digest = None, columns, digest
         return trace
+
+    @property
+    def header(self) -> TraceHeader:
+        return self._header
+
+    @header.setter
+    def header(self, header: TraceHeader) -> None:
+        self._header, self._digest = header, None
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -242,19 +249,16 @@ class Trace:
             return TraceColumns.from_events(self._events)
         return self._columns
 
-    def rows(self) -> Iterator[Row]:
-        """Each event's fields, without building events that do not exist yet."""
-        if self._events is not None:
-            return map(_event_row, self._events)
-        return self._columns.rows()
-
     def __len__(self) -> int:
         return len(self._events) if self._events is not None else len(self._columns)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.header == other.header and self.events == other.events
+        # Columns number kinds by first appearance, so two traces' columns
+        # are equal exactly when their events are; neither builds events.
+        return (self.header == other.header and len(self) == len(other)
+                and self.columns() == other.columns())
 
     __hash__ = None  # equality follows mutable events
 
@@ -325,16 +329,19 @@ _CHUNK_LINES = 4096
 _dumps_sorted = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
-def _event_object(row: Row) -> Dict[str, object]:
+def _event_object(event: TraceEvent) -> Dict[str, object]:
     """The event as the JSON object its line encodes (defaults omitted)."""
-    at, tenant, app, route, size, actor, meta = row
     obj: Dict[str, object] = {
-        "at": at, "tenant": tenant, "app": app, "route": route, "bytes": size,
+        "at": event.at_micros,
+        "tenant": event.tenant,
+        "app": event.app,
+        "route": event.route,
+        "bytes": event.payload_bytes,
     }
-    if actor:
-        obj["actor"] = actor
-    if meta:
-        obj["meta"] = dict(meta)
+    if event.actor:
+        obj["actor"] = event.actor
+    if event.meta:
+        obj["meta"] = dict(event.meta)
     return obj
 
 
@@ -346,21 +353,22 @@ class _JsonStrings(dict):
         return encoded
 
 
-def _event_lines(rows: Iterable[Row]) -> Iterator[str]:
+def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
     """The one canonical formatter: each event's line, in order.
 
-    A line is ``_dumps_sorted(_event_object(row))`` byte for byte. The
+    A line is ``_dumps_sorted(_event_object(event))`` byte for byte. The
     common event (``int`` numbers, ``str`` names) is assembled in key
     order with an f-string, encoding each distinct string once per call;
     ``meta`` and any field of another type (a ``bool``, a float) go
     through ``json.dumps`` itself.
     """
     strings = _JsonStrings()
-    for row in rows:
-        at, tenant, app, route, size, actor, meta = row
+    for event in events:
+        at, tenant, size = event.at_micros, event.tenant, event.payload_bytes
+        app, route, actor, meta = event.app, event.route, event.actor, event.meta
         if not (type(at) is int and type(tenant) is int and type(size) is int
                 and type(app) is str and type(route) is str and type(actor) is str):
-            yield _dumps_sorted(_event_object(row))
+            yield _dumps_sorted(_event_object(event))
             continue
         head = f'{{"actor":{strings[actor]},"app":' if actor else '{"app":'
         tail = f',"meta":{_dumps_sorted(dict(meta))},"route":' if meta else ',"route":'
@@ -368,9 +376,9 @@ def _event_lines(rows: Iterable[Row]) -> Iterator[str]:
                f'{tail}{strings[route]},"tenant":{tenant}}}')
 
 
-def _event_chunks(rows: Iterable[Row]) -> Iterator[bytes]:
+def _event_chunks(events: Iterable[TraceEvent]) -> Iterator[bytes]:
     """The event lines as ASCII chunks, each line preceded by a newline."""
-    lines = _event_lines(rows)
+    lines = _event_lines(events)
     while True:
         batch = list(itertools.islice(lines, _CHUNK_LINES))
         if not batch:
@@ -380,7 +388,7 @@ def _event_chunks(rows: Iterable[Row]) -> Iterator[bytes]:
 
 def event_line(event: TraceEvent) -> str:
     """The event's one canonical JSON line (defaults omitted)."""
-    return next(_event_lines((_event_row(event),)))
+    return next(_event_lines((event,)))
 
 
 def header_line(header: TraceHeader, events: int) -> str:
@@ -404,18 +412,16 @@ def trace_digest(trace: Trace) -> str:
     and every event field agree; this is the value the scenario
     library pins per seed and the replay engines carry into their
     determinism digests. It is the sha256 of the written file minus its
-    final newline, hashed in bounded chunks. A trace read from disk
-    keeps its digest: the reader's, or the first one computed here.
+    final newline, hashed in bounded chunks. A trace read from a
+    canonical file returns the digest its reader took of the raw lines.
     """
     if trace._digest is not None:
         return trace._digest
-    sha = hashlib.sha256(header_line(trace.header, len(trace)).encode("ascii"))
-    for chunk in _event_chunks(trace.rows()):
+    events = trace.events
+    sha = hashlib.sha256(header_line(trace.header, len(events)).encode("ascii"))
+    for chunk in _event_chunks(events):
         sha.update(chunk)
-    digest = sha.hexdigest()
-    if trace._events is None:
-        trace._digest = digest
-    return digest
+    return sha.hexdigest()
 
 
 # -- schema validation ---------------------------------------------------
@@ -617,14 +623,15 @@ def write_trace(path: PathLike, trace: Trace) -> int:
     :func:`sort_events` after composing transforms. A ``.gz`` suffix
     compresses deterministically.
     """
-    trace.validate()
+    events = trace.events
+    _validate(trace.header, events)
     path = Path(path)
     with _open_write(path) as out:
-        out.write(header_line(trace.header, len(trace)).encode("ascii"))
-        for chunk in _event_chunks(trace.rows()):
+        out.write(header_line(trace.header, len(events)).encode("ascii"))
+        for chunk in _event_chunks(events):
             out.write(chunk)
         out.write(b"\n")
-    return len(trace)
+    return len(events)
 
 
 class _Tenants(dict):
@@ -798,11 +805,8 @@ def iter_trace(path: PathLike) -> Iterator[Union[TraceHeader, TraceEvent]]:
     scan = _TraceScan(path)
     blocks = iter(scan)
     yield next(blocks)
-    kinds = scan.kinds.kinds
-    for at_col, tenant_col, size_col, kind_col in blocks:
-        for at, tenant, size, kind in zip(at_col, tenant_col, size_col, kind_col):
-            app, route, actor, meta = kinds[kind]
-            yield TraceEvent(at, tenant, app, route, size, actor, meta)
+    for columns in blocks:
+        yield from _column_events(scan.kinds.kinds, *columns)
 
 
 def read_trace(path: PathLike) -> Trace:

@@ -46,6 +46,7 @@ runs the sharded replayer and the chaos fleet.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -322,9 +323,10 @@ def map_shards(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
     ``fn`` must be a module-level function so the pool can pickle it.
     Results come back in job order whatever the worker count, which is
     what makes every merge downstream worker-count invariant. A job that
-    raises re-raises here; a worker that dies (``os._exit``, an OOM kill)
-    breaks the pool, and the run fails with a :class:`SimulationError`
-    naming the jobs that did not finish instead of waiting forever.
+    raises re-raises here at once, without waiting for the other jobs; a
+    worker that dies (``os._exit``, an OOM kill) breaks the pool, and the
+    run fails with a :class:`SimulationError` naming the jobs that did
+    not finish instead of waiting forever.
     """
     if workers <= 0:
         raise ConfigurationError(f"worker count must be positive, got {workers}")
@@ -337,20 +339,29 @@ def map_shards(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
     pool_size = min(workers, len(jobs))
     chunksize = max(1, len(jobs) // (pool_size * 4))
     starts = range(0, len(jobs), chunksize)
-    with ProcessPoolExecutor(pool_size, mp_context=_pool_context()) as pool:
-        futures = [pool.submit(_run_jobs, fn, jobs[lo:lo + chunksize]) for lo in starts]
-        try:
-            return [result for future in futures for result in future.result()]
-        except BrokenProcessPool as exc:
-            lost = [
-                index
-                for lo, future in zip(starts, futures)
-                if isinstance(future.exception(), BrokenProcessPool)
-                for index in range(lo, min(lo + chunksize, len(jobs)))
-            ]
-            raise SimulationError(
-                f"a shard worker died: jobs {lost} of {len(jobs)} did not finish"
-            ) from exc
+    pool = ProcessPoolExecutor(pool_size, mp_context=_pool_context())
+    futures: list = []
+    finished = False
+    try:
+        for lo in starts:
+            futures.append(pool.submit(_run_jobs, fn, jobs[lo:lo + chunksize]))
+        results = [result for future in futures for result in future.result()]
+        finished = True
+    except BrokenProcessPool as exc:
+        lost = [
+            index
+            for lo, future in itertools.zip_longest(starts, futures)
+            if future is None or isinstance(future.exception(), BrokenProcessPool)
+            for index in range(lo, min(lo + chunksize, len(jobs)))
+        ]
+        raise SimulationError(
+            f"a shard worker died: jobs {lost} of {len(jobs)} did not finish"
+        ) from exc
+    finally:
+        # On an error or an interrupt, drop the queued chunks and return
+        # at once instead of waiting for the running ones to finish.
+        pool.shutdown(wait=finished, cancel_futures=not finished)
+    return results
 
 
 def run_sharded(

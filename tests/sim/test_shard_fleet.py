@@ -18,6 +18,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,13 @@ def _square_or_raise(index: int) -> int:
     return index * index
 
 
+def _refuse_first_or_sleep(index: int) -> int:
+    if index == 0:
+        raise ValueError("job 0 refused")
+    time.sleep(1.0)
+    return index
+
+
 class TestWorkerPool:
     def test_results_in_job_order(self):
         jobs = [(index,) for index in range(10) if index != 3]
@@ -151,6 +159,13 @@ class TestWorkerPool:
     def test_a_job_error_re_raises(self):
         with pytest.raises(ValueError, match="job 3 refused"):
             map_shards(_square_or_raise, [(index,) for index in range(8)], 2)
+
+    def test_a_job_error_does_not_wait_for_the_other_jobs(self):
+        # The other 15 jobs sleep 1 s each: about 7.5 s on two workers.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="job 0 refused"):
+            map_shards(_refuse_first_or_sleep, [(index,) for index in range(16)], 2)
+        assert time.perf_counter() - start < 4.0
 
     def test_a_dead_worker_fails_the_run(self):
         # Run in a child process, so a pool that hangs on a dead worker

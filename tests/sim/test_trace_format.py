@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import gzip
 import hashlib
@@ -436,6 +437,27 @@ class TestBlockReaderOracle:
         assert trace.events == _small().events  # built from the columns ...
         assert trace._digest is None  # ... which are then dropped with the digest
         assert trace_digest(trace) == trace_digest(_small())
+
+    def test_comparing_a_read_trace_keeps_its_columns(self, tmp_path):
+        path = tmp_path / "t.jsonl.gz"
+        write_trace(path, _small())
+        trace = read_trace(path)
+        same = Trace(trace.header, _small().events)
+        assert trace == same and same == trace
+        assert trace == read_trace(path)
+        assert trace._events is None and trace._digest is not None
+        same.events[-1] = dataclasses.replace(same.events[-1], actor="someone-else")
+        assert trace != same
+        assert trace != _small()  # the header declares no event count
+
+    def test_a_new_header_drops_the_read_digest(self, tmp_path):
+        path = tmp_path / "t.jsonl.gz"
+        write_trace(path, _small())
+        trace = read_trace(path)
+        renamed = dataclasses.replace(trace.header, name="renamed")
+        trace.header = renamed
+        assert trace_digest(trace) == trace_digest(Trace(renamed, _small().events))
+        assert trace_digest(trace) != trace_digest(_small())
 
     @pytest.mark.parametrize("kind", sorted(READER_ERRORS))
     def test_error_cases(self, tmp_path, kind):
