@@ -32,6 +32,8 @@ lint:
 		|| { echo "lint: the AEAD takes its Poly1305 key from its one keystream pass, not from chacha20_block"; exit 1; }
 	@! grep -n 'trace\.events' src/repro/sim/replay/replayer.py src/repro/__main__.py \
 		|| { echo "lint: the replay engines and the CLI read trace columns, never trace.events"; exit 1; }
+	@! grep -rnE 'PRICES_2017|prices: PriceBook' src/repro/sim --include="*.py" \
+		|| { echo "lint: the fleet engines price with plan.prices"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).

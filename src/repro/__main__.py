@@ -352,6 +352,7 @@ def _cmd_trace(args) -> None:
 
 def _cmd_bench_obs(args) -> None:
     from repro.analysis.bench import write_bench_json
+    from repro.plan import DeploymentPlan
     from repro.sim.scale import ScaleConfig, run_obs_benchmark
 
     config = ScaleConfig(
@@ -359,8 +360,8 @@ def _cmd_bench_obs(args) -> None:
         daily_requests=args.daily_requests,
         days=args.days,
         seed=args.seed,
-        memory_mb=args.memory_mb,
         chunk=args.chunk,
+        plan=DeploymentPlan(memory_mb=args.memory_mb),
     )
     print(
         f"tracing overhead: {config.tenants} tenants x {config.daily_requests:g} req/day "
@@ -400,6 +401,7 @@ def _cmd_bench_obs(args) -> None:
 def _cmd_record(args) -> None:
     import hashlib
 
+    from repro.plan import DeploymentPlan
     from repro.sim.replay import TraceRecorder
     from repro.sim.scale import ScaleConfig, run_fleet
 
@@ -408,8 +410,8 @@ def _cmd_record(args) -> None:
         daily_requests=args.daily_requests,
         days=args.days,
         seed=args.seed,
-        memory_mb=args.memory_mb,
         chunk=args.chunk,
+        plan=DeploymentPlan(memory_mb=args.memory_mb),
     )
     recorder = TraceRecorder(name=args.name, seed=config.seed, tenants=config.tenants)
     health = None
@@ -445,9 +447,7 @@ def _cmd_record(args) -> None:
 
 
 def _cmd_replay(args) -> None:
-    from repro.sim.replay import (
-        ReplayConfig, read_trace, run_replay_chaos, run_replay_sharded, trace_memory_mb,
-    )
+    from repro.sim.replay import ReplayConfig, read_trace, run_replay_chaos, run_replay_sharded
     from repro.sim.scenarios import build_scenario
 
     if args.scenario:
@@ -480,7 +480,6 @@ def _cmd_replay(args) -> None:
         return
     config = ReplayConfig(
         seed=trace.header.seed if args.replay_seed is None else args.replay_seed,
-        memory_mb=trace_memory_mb(trace.header),
     )
     result = run_replay_sharded(trace, config, workers=args.workers)
     digest = result.determinism_digest()
@@ -504,21 +503,20 @@ def _replay_with_metrics(args, trace) -> None:
     The batched path re-draws the *recording* run's per-tenant latency
     streams, so with the recording seed and chunk the emitted
     exposition is byte-identical to ``record --metrics`` — the health
-    plane rides the record→replay fixpoint. The memory size and storage
-    backend come from the trace header.
+    plane rides the record→replay fixpoint. The plan comes from the
+    trace header.
     """
     import hashlib
 
     from repro.obs.metrics import MetricsPlane
-    from repro.sim.replay import run_replay_batched, trace_memory_mb, trace_storage
+    from repro.sim.replay import run_replay_batched, trace_plan
     from repro.sim.scale import ScaleConfig
 
     config = ScaleConfig(
         tenants=trace.header.tenants,
         seed=trace.header.seed if args.replay_seed is None else args.replay_seed,
-        memory_mb=trace_memory_mb(trace.header),
         chunk=args.chunk,
-        storage=trace_storage(trace.header),
+        plan=trace_plan(trace.header),
     )
     health = MetricsPlane()
     result = run_replay_batched(trace, config, health=health)

@@ -461,7 +461,6 @@ def run_advisor_benchmark(
     worker_counts: Sequence[int] = (1, 2),
     classes: Sequence[Tuple[WorkloadProfile, float]] = FLEET_CLASSES,
     baseline_plan: DeploymentPlan = UNIFORM_PLAN,
-    prices: PriceBook = PRICES_2017,
 ) -> Dict[str, object]:
     """Optimize, then re-simulate: the advisor's closed loop at scale.
 
@@ -474,7 +473,8 @@ def run_advisor_benchmark(
     that cancels between the arms), scaled to a 30-day month, and the
     difference is the headline: aggregate dollars/month the optimizer
     saves. Each arm's determinism digest must be byte-identical across
-    worker counts.
+    worker counts. Both arms price with ``baseline_plan``'s price book,
+    the one the optimizer recommends against.
     """
     from repro.sim.shard import FleetConfig, run_fleet_sharded
 
@@ -495,8 +495,8 @@ def run_advisor_benchmark(
         arms: Dict[str, Money] = {}
         arm_events: Dict[str, int] = {}
         for arm, arm_plan in (("baseline", baseline_plan), ("optimized", plan)):
-            config = FleetConfig.from_plan(
-                arm_plan,
+            config = FleetConfig(
+                plan=arm_plan,
                 tenants=class_tenants,
                 daily_requests=profile.daily_requests,
                 days=days,
@@ -507,7 +507,7 @@ def run_advisor_benchmark(
             arm_digests: List[Dict[str, object]] = []
             result = None
             for workers in worker_counts:
-                result = run_fleet_sharded(config, workers=workers, prices=prices)
+                result = run_fleet_sharded(config, workers=workers)
                 arm_digests.append(result.determinism_digest())
             arm_identical = all(d == arm_digests[0] for d in arm_digests)
             identical = identical and arm_identical
@@ -516,7 +516,7 @@ def run_advisor_benchmark(
                 "identical_across_worker_counts": arm_identical,
                 "digest": arm_digests[0],
             })
-            monthly = Invoice(result.meter, prices, apply_free_tier=False).total()
+            monthly = Invoice(result.meter, arm_plan.prices, apply_free_tier=False).total()
             arms[arm] = monthly * month_factor
             arm_events[arm] = result.events
         savings = arms["baseline"] - arms["optimized"]

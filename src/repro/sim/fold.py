@@ -39,8 +39,8 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.billing import BillingMeter, Invoice, UsageKind
-from repro.cloud.pricing import PRICES_2017, PriceBook
 from repro.errors import ConfigurationError
+from repro.plan import DeploymentPlan
 from repro.sim import vecmath
 from repro.sim.metrics import AvailabilityTracker, MetricSeries, sla_report
 from repro.sim.profile import PerfCounters
@@ -48,7 +48,9 @@ from repro.units import MICROS_PER_HOUR
 
 __all__ = [
     "HANDLER_COMPONENTS",
+    "HANDLER_MEMORY_MB",
     "handler_components",
+    "plan_memory_mb",
     "Fold",
     "ShardResult",
     "ShardedFleetResult",
@@ -60,6 +62,9 @@ __all__ = [
 # The per-request handler profile: invocation overhead plus the §6.2
 # chat prototype's dominant service calls (store ciphertext, notify).
 HANDLER_COMPONENTS: Tuple[str, ...] = ("lambda.handler_base", "s3.put", "sqs.send")
+# The chat handler's declared Lambda size (§6.2's 448 MB): what a plan
+# that leaves ``memory_mb`` unset bills.
+HANDLER_MEMORY_MB = 448
 
 _BILLING_GRANULARITY_MICROS = 100_000  # Lambda bills in 100 ms increments
 _USAGE_PER_COMPONENT: Dict[str, UsageKind] = {
@@ -83,6 +88,11 @@ def handler_components(storage: str = "s3") -> Tuple[str, ...]:
     if storage == "dynamo":
         return ("lambda.handler_base", "dynamo.put", "sqs.send")
     return HANDLER_COMPONENTS
+
+
+def plan_memory_mb(plan: DeploymentPlan) -> int:
+    """The Lambda size a fleet bills under ``plan``: its own, or the handler's 448 MB."""
+    return HANDLER_MEMORY_MB if plan.memory_mb is None else plan.memory_mb
 
 
 def health_plane(collect: bool):
@@ -321,7 +331,8 @@ class ShardedFleetResult:
     tracker: AvailabilityTracker
     meter: BillingMeter
     report: Dict[str, object]
-    prices: PriceBook = PRICES_2017
+    # The plan the run billed; the invoice prices with ``plan.prices``.
+    plan: DeploymentPlan
     # Merged fleet-wide health plane when shards collected health.
     health: Optional[object] = None
     # The FleetConfig or ReplayConfig that produced the run.
@@ -334,7 +345,7 @@ class ShardedFleetResult:
 
     @cached_property
     def invoice(self) -> Invoice:
-        return Invoice(self.meter, self.prices)
+        return Invoice(self.meter, self.plan.prices)
 
     @cached_property
     def invoice_total(self) -> str:
@@ -378,9 +389,7 @@ def merge_results(
     results: Sequence[ShardResult],
     tenants: int,
     logical_shards: int,
-    components: Tuple[str, ...],
-    memory_mb: int,
-    prices: PriceBook = PRICES_2017,
+    plan: DeploymentPlan,
 ) -> ShardedFleetResult:
     """Fold every logical shard's result into fleet totals, order-independently.
 
@@ -389,7 +398,8 @@ def merge_results(
     integers, latency samples concatenate in shard order, health planes
     merge integer-exactly, and the billable floats are computed once
     from the merged integers — so the result cannot depend on which
-    worker delivered which shard first.
+    worker delivered which shard first. ``plan`` picks the store charge,
+    the Lambda size and the price book.
     """
     ordered = sorted(results, key=lambda r: r.shard_id)
     shard_ids = [r.shard_id for r in ordered]
@@ -431,8 +441,8 @@ def merge_results(
     billed_units = sum(r.billed_units for r in ordered)
     payload_bytes = sum(r.payload_bytes for r in ordered)
     meter = BillingMeter()
-    _meter_requests(meter, _USAGE_PER_COMPONENT[components[1]], events)
-    _meter_rollup(meter, memory_mb, billed_units, payload_bytes)
+    _meter_requests(meter, _USAGE_PER_COMPONENT[handler_components(plan.storage)[1]], events)
+    _meter_rollup(meter, plan_memory_mb(plan), billed_units, payload_bytes)
     return ShardedFleetResult(
         events=events,
         billed_units=billed_units,
@@ -445,6 +455,6 @@ def merge_results(
         tracker=_all_delivered(events),
         meter=meter,
         report=fleet_sla_report(events, latency),
-        prices=prices,
+        plan=plan,
         health=health,
     )

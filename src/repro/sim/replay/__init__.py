@@ -22,11 +22,11 @@ from repro.sim.replay.format import (
     TraceFormatError,
     TraceHeader,
     iter_trace,
+    plan_meta,
     read_trace,
     sort_events,
     trace_digest,
-    trace_memory_mb,
-    trace_storage,
+    trace_plan,
     write_trace,
 )
 from repro.sim.replay.recorder import FLEET_APP, FLEET_ROUTE, TraceRecorder
@@ -53,9 +53,9 @@ __all__ = [
     "iter_trace",
     "read_trace",
     "sort_events",
+    "plan_meta",
     "trace_digest",
-    "trace_memory_mb",
-    "trace_storage",
+    "trace_plan",
     "write_trace",
     "FLEET_APP",
     "FLEET_ROUTE",

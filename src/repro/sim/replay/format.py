@@ -51,12 +51,14 @@ from pathlib import Path
 from typing import BinaryIO, Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.plan import DEFAULT_PLAN, DeploymentPlan
+from repro.sim.fold import HANDLER_MEMORY_MB, plan_memory_mb
 
 __all__ = [
     "TRACE_FORMAT",
     "TRACE_VERSION",
-    "DEFAULT_STORAGE",
     "DEFAULT_MEMORY_MB",
+    "PLAN_META_DEFAULTS",
     "TraceFormatError",
     "TraceEvent",
     "TraceHeader",
@@ -66,8 +68,8 @@ __all__ = [
     "event_line",
     "header_line",
     "trace_digest",
-    "trace_storage",
-    "trace_memory_mb",
+    "plan_meta",
+    "trace_plan",
     "write_trace",
     "read_trace",
     "iter_trace",
@@ -75,11 +77,17 @@ __all__ = [
 
 TRACE_FORMAT = "repro-trace"
 TRACE_VERSION = 1
-# The storage backend and Lambda memory size a header with no
-# ``storage`` / ``memory_mb`` meta was recorded at. Only other values
-# are written, so default traces keep their seed-era bytes.
-DEFAULT_STORAGE = "s3"
-DEFAULT_MEMORY_MB = 448
+# The Lambda memory size a header with no ``memory_mb`` meta was
+# recorded at.
+DEFAULT_MEMORY_MB = HANDLER_MEMORY_MB
+# Each plan field a header records, as a flat meta key, and the value a
+# header without the key was recorded at. Only other values are written,
+# so default traces keep their seed-era bytes.
+PLAN_META_DEFAULTS = {
+    "storage": DEFAULT_PLAN.storage,
+    "memory_mb": DEFAULT_MEMORY_MB,
+    "price_book": DEFAULT_PLAN.price_book,
+}
 
 
 class TraceFormatError(ConfigurationError):
@@ -281,26 +289,34 @@ class Trace:
         return self
 
 
-def _recorded(header: TraceHeader, key: str, default: object, valid, expected: str) -> object:
-    """The header's ``meta[key]`` (``default`` when absent), checked by ``valid``."""
-    value = header.meta_dict().get(key, default)
-    if not valid(value):
-        raise TraceFormatError(f"trace meta {key} must be {expected}, got {value!r}")
-    return value
+def plan_meta(plan: DeploymentPlan) -> Dict[str, object]:
+    """The header meta keys that record ``plan``: each billing field off its default.
+
+    The keys stay flat (``storage``, ``memory_mb``, ``price_book``) and
+    a default value is left out, so a default plan adds nothing and
+    every trace written before the price book was recorded reads back
+    through :func:`trace_plan` unchanged.
+    """
+    billed = {"storage": plan.storage, "memory_mb": plan_memory_mb(plan),
+              "price_book": plan.price_book}
+    return {key: value for key, value in billed.items() if value != PLAN_META_DEFAULTS[key]}
 
 
-def trace_storage(header: TraceHeader) -> str:
-    """The storage backend the trace's run billed: ``meta["storage"]`` or S3."""
-    from repro.runtime.store import STORAGE_BACKENDS
+def trace_plan(header: TraceHeader) -> DeploymentPlan:
+    """The plan the trace's run billed, from the header's flat meta keys.
 
-    return _recorded(header, "storage", DEFAULT_STORAGE, STORAGE_BACKENDS.__contains__,
-                     f"one of {STORAGE_BACKENDS}")
-
-
-def trace_memory_mb(header: TraceHeader) -> int:
-    """The Lambda memory size the trace's run billed: ``meta["memory_mb"]`` or 448."""
-    return _recorded(header, "memory_mb", DEFAULT_MEMORY_MB,
-                     lambda value: type(value) is int and value > 0, "a positive int")
+    A missing key is the default plan's value: S3, the handler's 448 MB
+    (``memory_mb`` unset), the 2017 price book. A value no plan accepts
+    raises :class:`TraceFormatError`.
+    """
+    meta = header.meta_dict()
+    memory = meta.get("memory_mb", DEFAULT_MEMORY_MB)
+    if type(memory) is not int or memory <= 0:
+        raise TraceFormatError(f"trace meta memory_mb must be a positive int, got {memory!r}")
+    try:
+        return DeploymentPlan(**{key: meta[key] for key in PLAN_META_DEFAULTS if key in meta})
+    except ConfigurationError as exc:
+        raise TraceFormatError(f"trace meta {exc}") from None
 
 
 def sort_events(events: Iterable[TraceEvent]) -> List[TraceEvent]:
@@ -457,8 +473,7 @@ def _parse_header(line: str) -> TraceHeader:
         events=obj["events"], meta=meta_pairs(meta),
     )
     try:
-        trace_storage(header)
-        trace_memory_mb(header)
+        trace_plan(header)
     except TraceFormatError as exc:
         _fail(1, str(exc))
     return header

@@ -15,14 +15,15 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional
 
+from repro.plan import DeploymentPlan
 from repro.sim.replay.format import (
-    DEFAULT_MEMORY_MB,
-    DEFAULT_STORAGE,
+    PLAN_META_DEFAULTS,
     PathLike,
     Trace,
     TraceEvent,
     TraceHeader,
     meta_pairs,
+    plan_meta,
     sort_events,
     write_trace,
 )
@@ -61,23 +62,18 @@ class TraceRecorder:
     def tenants(self) -> int:
         return self._header.tenants
 
-    def set_plan(
-        self, storage: str = DEFAULT_STORAGE, memory_mb: int = DEFAULT_MEMORY_MB,
-    ) -> None:
-        """Note the storage backend and Lambda memory size the run bills.
+    def set_plan(self, plan: DeploymentPlan) -> None:
+        """Note the plan the run bills, replacing any plan noted before.
 
-        The defaults (S3, 448 MB) are left implicit, so default traces
-        keep their exact bytes and digests; any other value lands in
-        ``meta["storage"]`` or ``meta["memory_mb"]`` for the replayers to
-        bill, or to refuse a config that disagrees.
+        Default fields (S3, 448 MB, the 2017 book) are left implicit, so
+        default traces keep their exact bytes and digests; any other
+        value lands in ``meta["storage"]``, ``meta["memory_mb"]`` or
+        ``meta["price_book"]`` for the replayers to bill, or to refuse a
+        config that disagrees.
         """
-        meta = self._header.meta_dict()
-        for key, value, default in (
-            ("storage", storage, DEFAULT_STORAGE), ("memory_mb", memory_mb, DEFAULT_MEMORY_MB),
-        ):
-            meta.pop(key, None)
-            if value != default:
-                meta[key] = value
+        meta = {key: value for key, value in self._header.meta_dict().items()
+                if key not in PLAN_META_DEFAULTS}
+        meta.update(plan_meta(plan))
         self._header = replace(self._header, meta=meta_pairs(meta))
 
     def record(

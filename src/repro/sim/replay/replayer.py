@@ -30,6 +30,11 @@ sources for :mod:`repro.sim.fold`, like the synthetic engines:
     stacks** (ChatClient → gateway → Lambda) under the chaos engine's
     fault schedule, asserting the resilience story holds for recorded
     traffic: 100% eventual delivery, per the paper's SLA claims.
+
+Every path bills the plan the trace header records
+(:func:`~repro.sim.replay.format.trace_plan`); the sharded and chaos
+paths have no plan knob, and the batched path refuses a config whose
+plan bills differently.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.billing import BillingMeter, Invoice
-from repro.cloud.pricing import PRICES_2017, PriceBook
 from repro.errors import ConfigurationError
+from repro.plan import DEFAULT_PLAN, DeploymentPlan
 from repro.sim import vecmath
 from repro.sim.fold import (
     Fold,
@@ -50,10 +55,11 @@ from repro.sim.fold import (
     handler_components,
     health_plane,
     merge_results,
+    plan_memory_mb,
 )
 from repro.sim.latency import LatencyModel
 from repro.sim.metrics import AvailabilityTracker, MetricSeries, sla_report
-from repro.sim.replay.format import Trace, trace_digest, trace_memory_mb, trace_storage
+from repro.sim.replay.format import Trace, trace_digest, trace_plan
 from repro.sim.rng import SeededRng
 from repro.sim.scale import ScaleConfig, tenant_sampler
 from repro.sim.shard import DEFAULT_LOGICAL_SHARDS, run_sharded, shard_of
@@ -74,13 +80,24 @@ __all__ = [
 # -- batched replay (the fixpoint path) ----------------------------------
 
 
-def _check_memory(trace: Trace, memory_mb: int) -> None:
-    """Refuse to bill a trace at a Lambda size other than the one it recorded."""
-    recorded = trace_memory_mb(trace.header)
-    if memory_mb != recorded:
+def _check_plan(trace: Trace, plan: DeploymentPlan) -> None:
+    """Refuse to bill a trace on a plan that bills differently from its header's."""
+    recorded = trace_plan(trace.header)
+    name = trace.header.name
+    if plan.storage != recorded.storage:
         raise ConfigurationError(
-            f"trace {trace.header.name!r} was recorded at {recorded} MB, "
-            f"but the replay config bills {memory_mb} MB"
+            f"trace {name!r} was recorded on {recorded.storage!r} storage, "
+            f"but the replay config bills {plan.storage!r}"
+        )
+    if plan_memory_mb(plan) != plan_memory_mb(recorded):
+        raise ConfigurationError(
+            f"trace {name!r} was recorded at {plan_memory_mb(recorded)} MB, "
+            f"but the replay config bills {plan_memory_mb(plan)} MB"
+        )
+    if plan.price_book != recorded.price_book:
+        raise ConfigurationError(
+            f"trace {name!r} was recorded with the {recorded.price_book!r} price book, "
+            f"but the replay config bills {plan.price_book!r}"
         )
 
 
@@ -110,16 +127,14 @@ class ReplayResult:
         }
 
 
-def run_replay_batched(
-    trace: Trace, config: ScaleConfig, prices: PriceBook = PRICES_2017,
-    health=None,
-) -> ReplayResult:
+def run_replay_batched(trace: Trace, config: ScaleConfig, health=None) -> ReplayResult:
     """Replay a trace through :func:`repro.sim.scale.run_fleet`'s exact billing.
 
     ``config`` supplies what the trace does not carry: the latency-RNG
-    seed and chunk size. Its storage backend and Lambda memory size must
-    be the ones the trace header records (S3 and 448 MB when the header
-    is silent), or the replay raises :class:`ConfigurationError`. With
+    seed and chunk size. Its plan must bill like the one the trace
+    header records (storage backend, Lambda size, price book; S3, 448 MB
+    and the 2017 book when the header is silent), or the replay raises
+    :class:`ConfigurationError`. With
     the config that *recorded* the trace, every RNG draw, meter call, and
     float conversion happens in the same order as the recorded run — the
     fixpoint. Per-tenant counts and payload bytes come from the trace's
@@ -135,13 +150,7 @@ def run_replay_batched(
     """
     if trace.header.tenants < 1:
         raise ConfigurationError("replay needs a trace with at least one tenant")
-    recorded = trace_storage(trace.header)
-    if config.storage != recorded:
-        raise ConfigurationError(
-            f"trace {trace.header.name!r} was recorded on {recorded!r} storage, "
-            f"but the replay config bills {config.storage!r}"
-        )
-    _check_memory(trace, config.memory_mb)
+    _check_plan(trace, config.plan)
     start = time.perf_counter()
     counts = [0] * trace.header.tenants
     payloads = [0] * trace.header.tenants
@@ -155,13 +164,13 @@ def run_replay_batched(
     for tenant in range(trace.header.tenants):
         fold = Fold(
             components, tenant_sampler(config.seed, tenant, components),
-            config.memory_mb, meter=meter, health=health,
+            plan_memory_mb(config.plan), meter=meter, health=health,
         )
         for done in range(0, counts[tenant], config.chunk):
             fold.chunk(min(config.chunk, counts[tenant] - done))
         fold.rollup(payloads[tenant])
         total_billed_ms += fold.billed_units * 100
-    invoice = Invoice(meter, prices)
+    invoice = Invoice(meter, config.plan.prices)
     wall = time.perf_counter() - start
     arrivals = len(trace)
     return ReplayResult(
@@ -182,10 +191,13 @@ def run_replay_batched(
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    """Everything the sharded replayer needs beyond the trace itself."""
+    """Everything the sharded replayer needs beyond the trace itself.
+
+    The plan is not here: sharded replay bills the one the trace header
+    records.
+    """
 
     seed: int = 2017
-    memory_mb: int = 448
     logical_shards: int = DEFAULT_LOGICAL_SHARDS
     chunk_events: int = 1 << 18
     latency_samples: int = 1 << 16
@@ -201,7 +213,6 @@ class ReplayConfig:
     def as_dict(self) -> Dict[str, object]:
         return {
             "seed": self.seed,
-            "memory_mb": self.memory_mb,
             "logical_shards": self.logical_shards,
             "chunk_events": self.chunk_events,
             "latency_samples": self.latency_samples,
@@ -243,15 +254,16 @@ def replay_shard(
     config: ReplayConfig,
     stride: int,
     collect_health: bool = False,
-    storage: str = "s3",
+    plan: DeploymentPlan = DEFAULT_PLAN,
 ) -> ShardResult:
     """Replay one shard's recorded arrivals on the vectorized kernels.
 
     Latencies draw from ``replay/shard-<id>/latency`` — one stream per
-    logical shard, components sampled in ``handler_components(storage)``
-    order per chunk, exactly like :func:`repro.sim.shard.run_shard` — so
-    the result is a pure function of ``(columns, shard_id, config,
-    stride, storage)``, with or without numpy.
+    logical shard, components sampled in the handler order of
+    ``plan.storage`` per chunk at the plan's Lambda size, exactly like
+    :func:`repro.sim.shard.run_shard` — so the result is a pure function
+    of ``(columns, shard_id, config, stride, plan)``, with or without
+    numpy.
     """
     start = time.perf_counter()
     at_col, tenant_col, payload_col = columns
@@ -265,7 +277,7 @@ def replay_shard(
         tenants = [local[tenant] for tenant in tenant_col]
     model = LatencyModel(rng=SeededRng(config.seed, f"replay/shard-{shard_id}/latency"))
     fold = Fold(
-        handler_components(storage), model.sample_block_vec, config.memory_mb,
+        handler_components(plan.storage), model.sample_block_vec, plan_memory_mb(plan),
         stride=stride, n_tenants=len(tenant_ids), health=health_plane(collect_health),
     )
     for lo in range(0, len(at_col), config.chunk_events):
@@ -275,10 +287,7 @@ def replay_shard(
 
 
 def merge_replay(
-    trace: Trace,
-    config: ReplayConfig,
-    results: Sequence[ShardResult],
-    prices: PriceBook = PRICES_2017,
+    trace: Trace, config: ReplayConfig, results: Sequence[ShardResult]
 ) -> ShardedFleetResult:
     """Fold shard replays into fleet totals, order-independently.
 
@@ -286,12 +295,11 @@ def merge_replay(
     (:func:`repro.sim.fold.merge_results`), checked against the trace:
     every event must have been replayed. The transfer bill comes from
     the trace's exact payload-byte sum, not a config-level request size,
-    the store charges come from the storage backend the trace header
-    records, and the digest also answers for the trace and its bytes.
+    the rest of the bill from the plan the trace header records, and the
+    digest also answers for the trace and its bytes.
     """
     merged = merge_results(
-        results, trace.header.tenants, config.logical_shards,
-        handler_components(trace_storage(trace.header)), config.memory_mb, prices,
+        results, trace.header.tenants, config.logical_shards, trace_plan(trace.header)
     )
     if merged.events != len(trace):
         raise ConfigurationError(
@@ -308,14 +316,12 @@ def run_replay_sharded(
     trace: Trace,
     config: Optional[ReplayConfig] = None,
     workers: int = 1,
-    prices: PriceBook = PRICES_2017,
     collect_health: bool = False,
 ) -> ShardedFleetResult:
     """Replay a whole trace on the sharded engine and merge.
 
-    The trace header's storage backend picks the billed components; its
-    memory size must be the config's, or the replay raises
-    :class:`ConfigurationError`. ``workers`` only controls scheduling —
+    The bill is the plan's the trace header records: its storage
+    backend, Lambda size and price book. ``workers`` only controls scheduling —
     whole logical shards per worker — so the merged result (and its
     ``determinism_digest``) is byte-identical on 1, 2, or N workers, with
     or without numpy.
@@ -324,18 +330,16 @@ def run_replay_sharded(
     :func:`repro.sim.shard.run_fleet_sharded`.
     """
     config = config or ReplayConfig()
-    _check_memory(trace, config.memory_mb)
     # The latency-sample stride: a pure function of (trace size, config).
     stride = max(1, len(trace) // config.latency_samples)
-    storage = trace_storage(trace.header)
+    plan = trace_plan(trace.header)
     columns = partition_trace(trace, config.logical_shards)
     jobs = [
-        (columns[shard_id], shard_id, config, stride, collect_health, storage)
+        (columns[shard_id], shard_id, config, stride, collect_health, plan)
         for shard_id in range(config.logical_shards)
     ]
     return run_sharded(
-        replay_shard, jobs, lambda results: merge_replay(trace, config, results, prices),
-        workers,
+        replay_shard, jobs, lambda results: merge_replay(trace, config, results), workers
     )
 
 
@@ -347,13 +351,11 @@ def run_replay_chaos(
     chaos: bool = True,
     error_rate: float = 0.01,
     brownout_rate: float = 0.5,
-    memory_mb: int = 448,
-    storage: str = "s3",
 ) -> Dict[str, object]:
     """Drive a trace's per-tenant schedule through real chat stacks.
 
     Each trace tenant gets a fresh :class:`CloudProvider` with the chat
-    app deployed; every recorded event becomes an alice→bob groupchat
+    app deployed under the plan the trace header records; every recorded event becomes an alice→bob groupchat
     send at the recorded virtual time, while the chaos engine (when
     ``chaos=True``) injects the standard fault schedule over the
     tenant's recorded horizon. Clients queue-and-drain through faults;
@@ -368,6 +370,7 @@ def run_replay_chaos(
     from repro.units import seconds
 
     # Each tenant's arrival times, in trace order: all a send schedule needs.
+    plan = trace_plan(trace.header)
     by_tenant: Dict[int, List[int]] = {}
     columns = trace.columns()
     for at, tenant in zip(columns.at, columns.tenant):
@@ -382,10 +385,8 @@ def run_replay_chaos(
     for tenant in sorted(by_tenant):
         arrivals = by_tenant[tenant]
         provider = CloudProvider(name=f"replay-{trace.header.name}-{tenant}",
-                                 seed=trace.header.seed)
-        app = Deployer(provider).deploy(
-            chat_manifest(memory_mb=memory_mb, storage=storage), owner="alice"
-        )
+                                 seed=trace.header.seed, plan=plan)
+        app = Deployer(provider).deploy(chat_manifest(plan=plan), owner="alice")
         service = ChatService(app)
         service.create_room("room", ["alice@diy", "bob@diy"])
         alice = ChatClient(service, "alice@diy")
@@ -401,8 +402,7 @@ def run_replay_chaos(
         if chaos:
             chaos_config = ChaosConfig(
                 tenants=1, messages=len(arrivals), seed=trace.header.seed,
-                error_rate=error_rate, brownout_rate=brownout_rate,
-                memory_mb=memory_mb, storage=storage,
+                error_rate=error_rate, brownout_rate=brownout_rate, plan=plan,
             )
             _schedule_chaos(provider, chaos_config, start, horizon)
 

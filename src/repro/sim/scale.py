@@ -27,12 +27,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.cloud.billing import BillingMeter, Invoice
-from repro.cloud.pricing import PRICES_2017, PriceBook
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.collector import TraceCollector
 from repro.obs.trace import Tracer
+from repro.plan import DEFAULT_PLAN, DeploymentPlan
 from repro.sim.clock import SimClock
-from repro.sim.fold import HANDLER_COMPONENTS, Fold, Sampler, handler_components
+from repro.sim.fold import (
+    HANDLER_COMPONENTS,
+    Fold,
+    Sampler,
+    handler_components,
+    plan_memory_mb,
+)
 from repro.sim.latency import LatencyModel
 from repro.sim.metrics import AvailabilityTracker, MetricSeries, sla_report
 from repro.sim.profile import PerfCounters
@@ -56,45 +62,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScaleConfig:
-    """One fleet scenario: ``tenants`` accounts over ``days`` virtual days."""
+    """One fleet scenario: ``tenants`` accounts over ``days`` virtual days.
+
+    ``plan`` sets the storage backend, the Lambda size (the handler's
+    448 MB when unset) and the price book. The invoice is the billed,
+    free-tier one whatever ``plan.accounting`` says.
+    """
 
     tenants: int = 8
     daily_requests: float = 1500.0
     days: float = 3.0
     seed: int = 2017
-    memory_mb: int = 448
     payload_bytes: int = 2048
     chunk: int = 4096
-    storage: str = "s3"
+    plan: DeploymentPlan = DEFAULT_PLAN
 
     def __post_init__(self):
-        from repro.runtime.store import STORAGE_BACKENDS
-
         if self.tenants <= 0:
             raise ConfigurationError("fleet needs at least one tenant")
         if self.days <= 0:
             raise ConfigurationError("fleet needs a positive duration")
-        if self.storage not in STORAGE_BACKENDS:
-            raise ConfigurationError(
-                f"storage must be one of {STORAGE_BACKENDS}, got {self.storage!r}"
-            )
-
-    @classmethod
-    def from_plan(cls, plan, **overrides) -> "ScaleConfig":
-        """A fleet config whose knobs come from a :class:`~repro.plan.DeploymentPlan`.
-
-        The plan sets storage and (when not ``None``) memory; keyword
-        ``overrides`` set everything else. The default plan reproduces
-        ``ScaleConfig()`` exactly.
-        """
-        fields: Dict[str, object] = {"storage": plan.storage}
-        if plan.memory_mb is not None:
-            fields["memory_mb"] = plan.memory_mb
-        fields.update(overrides)
-        return cls(**fields)
 
     def components(self) -> Tuple[str, ...]:
-        return handler_components(self.storage)
+        return handler_components(self.plan.storage)
 
     def expected_requests(self) -> float:
         return self.tenants * self.daily_requests * self.days
@@ -105,10 +95,10 @@ class ScaleConfig:
             "daily_requests": self.daily_requests,
             "days": self.days,
             "seed": self.seed,
-            "memory_mb": self.memory_mb,
+            "memory_mb": plan_memory_mb(self.plan),
             "payload_bytes": self.payload_bytes,
             "chunk": self.chunk,
-            "storage": self.storage,
+            "storage": self.plan.storage,
         }
 
 
@@ -152,7 +142,6 @@ def tenant_sampler(seed: int, tenant: int, components: Tuple[str, ...]) -> Sampl
 
 def run_fleet(
     config: ScaleConfig,
-    prices: PriceBook = PRICES_2017,
     tracer: Tracer = None,
     recorder=None,
     health=None,
@@ -169,9 +158,9 @@ def run_fleet(
     observation — no RNG draw, no extra meter call — so the recorded
     run's invoice is byte-identical to an unrecorded one, and replaying
     the trace with the same config reproduces it exactly
-    (``tests/sim/test_replay.py``). The header notes a non-S3 storage
-    backend and a memory size other than 448 MB, so the replayers bill
-    what the run billed or refuse a config that disagrees.
+    (``tests/sim/test_replay.py``). The header notes the config's plan
+    wherever it differs from the default, so the replayers bill what the
+    run billed or refuse a config that disagrees.
 
     ``health`` is a :class:`~repro.obs.metrics.MetricsPlane` that
     accumulates every request's run time into ``fleet.request_us``
@@ -183,10 +172,11 @@ def run_fleet(
     meter = BillingMeter()
     perf = PerfCounters()
     components = config.components()
+    memory_mb = plan_memory_mb(config.plan)
     per_tenant: List[int] = []
     total_billed_ms = 0
     if recorder is not None:
-        recorder.set_plan(config.storage, config.memory_mb)
+        recorder.set_plan(config.plan)
     start = time.perf_counter()
     with perf.phase("simulate"):
         for tenant in range(config.tenants):
@@ -197,7 +187,7 @@ def run_fleet(
             )
             fold = Fold(
                 components, tenant_sampler(config.seed, tenant, components),
-                config.memory_mb, meter=meter, health=health,
+                memory_mb, meter=meter, health=health,
             )
             for chunk in workload.arrival_batches(config.days, chunk=config.chunk):
                 if recorder is not None:
@@ -209,7 +199,7 @@ def run_fleet(
             per_tenant.append(fold.events)
             total_billed_ms += fold.billed_units * 100
     with perf.phase("invoice"):
-        invoice = Invoice(meter, prices)
+        invoice = Invoice(meter, config.plan.prices)
         total = str(invoice.total())
     wall = time.perf_counter() - start
     arrivals = sum(per_tenant)
@@ -241,6 +231,7 @@ class ChaosConfig:
     while the chaos engine injects a per-service ``error_rate``, one
     regional brown-out, a short hard regional outage, a gateway throttle
     storm, and an S3 latency spike. The run is byte-identical per seed.
+    Every tenant deploys the chat app under ``plan``.
     """
 
     tenants: int = 2
@@ -249,36 +240,15 @@ class ChaosConfig:
     seed: int = 2017
     error_rate: float = 0.01
     brownout_rate: float = 0.5
-    memory_mb: int = 448
-    storage: str = "s3"  # the DIY_STORAGE backend the chat state uses
+    plan: DeploymentPlan = DEFAULT_PLAN
 
     def __post_init__(self):
-        from repro.runtime.store import STORAGE_BACKENDS
-
         if self.tenants <= 0:
             raise ConfigurationError("chaos fleet needs at least one tenant")
         if self.messages <= 0:
             raise ConfigurationError("chaos fleet needs at least one message")
         if self.send_gap_micros <= 0:
             raise ConfigurationError("send gap must be positive")
-        if self.storage not in STORAGE_BACKENDS:
-            raise ConfigurationError(
-                f"storage must be one of {STORAGE_BACKENDS}, got {self.storage!r}"
-            )
-
-    @classmethod
-    def from_plan(cls, plan, **overrides) -> "ChaosConfig":
-        """A chaos scenario whose knobs come from a :class:`~repro.plan.DeploymentPlan`.
-
-        The plan sets storage and (when not ``None``) memory; keyword
-        ``overrides`` set everything else. The default plan reproduces
-        ``ChaosConfig()`` exactly.
-        """
-        fields: Dict[str, object] = {"storage": plan.storage}
-        if plan.memory_mb is not None:
-            fields["memory_mb"] = plan.memory_mb
-        fields.update(overrides)
-        return cls(**fields)
 
     def expected_messages(self) -> int:
         return self.tenants * self.messages
@@ -291,8 +261,8 @@ class ChaosConfig:
             "seed": self.seed,
             "error_rate": self.error_rate,
             "brownout_rate": self.brownout_rate,
-            "memory_mb": self.memory_mb,
-            "storage": self.storage,
+            "memory_mb": plan_memory_mb(self.plan),
+            "storage": self.plan.storage,
         }
 
 
@@ -328,11 +298,8 @@ def _chaos_tenant(
     from repro.cloud.provider import CloudProvider
     from repro.core.deployment import Deployer
 
-    provider = CloudProvider(name=f"chaos-{tenant}", seed=config.seed)
-    app = Deployer(provider).deploy(
-        chat_manifest(memory_mb=config.memory_mb, storage=config.storage),
-        owner="alice",
-    )
+    provider = CloudProvider(name=f"chaos-{tenant}", seed=config.seed, plan=config.plan)
+    app = Deployer(provider).deploy(chat_manifest(plan=config.plan), owner="alice")
     service = ChatService(app)
     service.create_room("room", ["alice@diy", "bob@diy"])
     alice = ChatClient(service, "alice@diy")
@@ -538,7 +505,6 @@ def run_storage_ablation(
     DynamoDB, the run-time ratio, and the storage price ratio the
     paper's footnote doesn't mention.
     """
-    from repro.cloud.pricing import PRICES_2017
     from repro.cloud.provider import CloudProvider
     from repro.runtime.store import STORAGE_BACKENDS
 
@@ -559,9 +525,8 @@ def run_storage_ablation(
             "runtime_ratio": round(medians["s3"] / medians["dynamo"], 3),
             "dynamo_is_faster": medians["dynamo"] < medians["s3"],
         }
-    price_ratio = float(
-        PRICES_2017.dynamo_storage_per_gb_month / PRICES_2017.s3_storage_per_gb_month
-    )
+    prices = DEFAULT_PLAN.prices
+    price_ratio = float(prices.dynamo_storage_per_gb_month / prices.s3_storage_per_gb_month)
     return {
         "bench": "storage_backend_ablation",
         "config": {"apps": list(apps), "requests": requests, "seed": seed},
@@ -574,7 +539,6 @@ def run_obs_benchmark(
     config: ScaleConfig,
     sample_rate: float = 1 / 64,
     capacity: int = 4096,
-    prices: PriceBook = PRICES_2017,
     repeats: int = 3,
 ) -> Dict[str, object]:
     """Tracing-off vs tracing-on throughput of :func:`run_fleet`.
@@ -600,7 +564,7 @@ def run_obs_benchmark(
     # fastest repeat.
     off = on = tracer = None
     for _ in range(repeats):
-        candidate_off = run_fleet(config, prices)
+        candidate_off = run_fleet(config)
         if off is None or candidate_off.wall_seconds < off.wall_seconds:
             off = candidate_off
         # A fresh tracer per repeat: the collector's stride counter and
@@ -610,7 +574,7 @@ def run_obs_benchmark(
             SeededRng(config.seed, "scale/obs"),
             TraceCollector(capacity=capacity, sample_rate=sample_rate),
         )
-        candidate_on = run_fleet(config, prices, tracer=candidate_tracer)
+        candidate_on = run_fleet(config, tracer=candidate_tracer)
         if on is None or candidate_on.wall_seconds < on.wall_seconds:
             on, tracer = candidate_on, candidate_tracer
     identical = (
@@ -637,5 +601,5 @@ def run_obs_benchmark(
             "arrivals": off.arrivals,
             "identical": identical,
         },
-        "critical_path": decomposition_report(tracer.collector.traces(), prices),
+        "critical_path": decomposition_report(tracer.collector.traces(), config.plan.prices),
     }

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.cloud.billing import UsageKind
-from repro.cloud.pricing import PRICES_2017, PriceBook
 from repro.errors import ConfigurationError, SimulationError
+from repro.plan import DEFAULT_PLAN, DeploymentPlan
 from repro.sim import vecmath
 from repro.sim.fold import (
     Fold,
@@ -63,6 +63,7 @@ from repro.sim.fold import (
     handler_components,
     health_plane,
     merge_results,
+    plan_memory_mb,
 )
 from repro.sim.latency import LatencyModel
 from repro.sim.profile import PerfCounters
@@ -136,29 +137,28 @@ class FleetConfig:
     Defaults model the paper's setting at headline scale: a million
     personal deployments making ~1 request/day each for one virtual
     year, each Lambda at the prototype's 448 MB.
+
+    ``plan`` sets the storage backend, the Lambda size (the handler's
+    448 MB when unset) and the price book. ``invoice_total`` is the
+    billed, free-tier invoice whatever ``plan.accounting`` says; a caller
+    that wants marginal prices applies the plan to ``result.meter``, as
+    :func:`repro.core.advisor.run_advisor_benchmark` does.
     """
 
     tenants: int = 1_000_000
     daily_requests: float = 1.0
     days: float = 365.0
     seed: int = 2017
-    memory_mb: int = 448
     payload_bytes: int = 2048
     logical_shards: int = DEFAULT_LOGICAL_SHARDS
     chunk_events: int = 1 << 18
     latency_samples: int = 1 << 16
-    storage: str = "s3"
+    plan: DeploymentPlan = DEFAULT_PLAN
     # GB of at-rest state per tenant: 0.0 (the default) meters no
     # storage-month usage at all, keeping pre-plan invoices byte-identical.
     storage_gb_per_tenant: float = 0.0
 
     def __post_init__(self):
-        from repro.runtime.store import STORAGE_BACKENDS
-
-        if self.storage not in STORAGE_BACKENDS:
-            raise ConfigurationError(
-                f"storage must be one of {STORAGE_BACKENDS}, got {self.storage!r}"
-            )
         if self.storage_gb_per_tenant < 0:
             raise ConfigurationError("per-tenant storage cannot be negative")
         if self.tenants <= 0:
@@ -174,22 +174,8 @@ class FleetConfig:
         if self.latency_samples <= 0:
             raise ConfigurationError("latency_samples must be positive")
 
-    @classmethod
-    def from_plan(cls, plan, **overrides) -> "FleetConfig":
-        """A sharded-fleet config from a :class:`~repro.plan.DeploymentPlan`.
-
-        The plan sets storage and (when not ``None``) memory; keyword
-        ``overrides`` set everything else. The default plan reproduces
-        ``FleetConfig()`` exactly.
-        """
-        fields: Dict[str, object] = {"storage": plan.storage}
-        if plan.memory_mb is not None:
-            fields["memory_mb"] = plan.memory_mb
-        fields.update(overrides)
-        return cls(**fields)
-
     def components(self) -> Tuple[str, ...]:
-        return handler_components(self.storage)
+        return handler_components(self.plan.storage)
 
     def expected_requests(self) -> float:
         return self.tenants * self.daily_requests * self.days
@@ -209,12 +195,12 @@ class FleetConfig:
             "daily_requests": self.daily_requests,
             "days": self.days,
             "seed": self.seed,
-            "memory_mb": self.memory_mb,
+            "memory_mb": plan_memory_mb(self.plan),
             "payload_bytes": self.payload_bytes,
             "logical_shards": self.logical_shards,
             "chunk_events": self.chunk_events,
             "latency_samples": self.latency_samples,
-            "storage": self.storage,
+            "storage": self.plan.storage,
             "storage_gb_per_tenant": self.storage_gb_per_tenant,
         }
 
@@ -251,7 +237,7 @@ def run_shard(
     n_t = len(tenant_ids)
     model = LatencyModel(rng=_shard_rng(config, shard_id, "latency"))
     fold = Fold(
-        config.components(), model.sample_block_vec, config.memory_mb,
+        config.components(), model.sample_block_vec, plan_memory_mb(config.plan),
         stride=config.sample_stride(), n_tenants=n_t, health=health_plane(collect_health),
     )
     # A shard with no tenants (or a zero rate) pools a zero-rate workload,
@@ -275,11 +261,7 @@ def run_shard(
     return fold.result(shard_id, tenant_ids, fold.events * config.payload_bytes, start)
 
 
-def merge_shards(
-    config: FleetConfig,
-    results: Sequence[ShardResult],
-    prices: PriceBook = PRICES_2017,
-) -> ShardedFleetResult:
+def merge_shards(config: FleetConfig, results: Sequence[ShardResult]) -> ShardedFleetResult:
     """Fold every shard's result into the fleet, order-independently.
 
     :func:`repro.sim.fold.merge_results` checks that every logical
@@ -287,17 +269,14 @@ def merge_shards(
     billable floats once; this adds the fleet's at-rest storage months
     when the config meters any. The invoice is priced on first use.
     """
-    merged = merge_results(
-        results, config.tenants, config.logical_shards, config.components(),
-        config.memory_mb, prices,
-    )
+    merged = merge_results(results, config.tenants, config.logical_shards, config.plan)
     if config.storage_gb_per_tenant > 0:
         gb_months = (
             config.storage_gb_per_tenant * config.tenants
             * config.days / DAYS_PER_MONTH
         )
         storage_kind = (
-            UsageKind.DYNAMO_STORAGE_GB_MONTH if config.storage == "dynamo"
+            UsageKind.DYNAMO_STORAGE_GB_MONTH if config.plan.storage == "dynamo"
             else UsageKind.S3_STORAGE_GB_MONTH
         )
         merged.meter.record(storage_kind, gb_months)
@@ -394,7 +373,6 @@ def run_sharded(
 def run_fleet_sharded(
     config: FleetConfig,
     workers: int = 1,
-    prices: PriceBook = PRICES_2017,
     collect_health: bool = False,
 ) -> ShardedFleetResult:
     """Run every logical shard — inline or on a worker pool — and merge.
@@ -412,6 +390,6 @@ def run_fleet_sharded(
         for shard_id in range(config.logical_shards)
     ]
     return run_sharded(
-        run_shard, jobs, lambda results: merge_shards(config, results, prices), workers
+        run_shard, jobs, lambda results: merge_shards(config, results), workers
     )
 

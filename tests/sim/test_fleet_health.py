@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.metrics import MetricsPlane
+from repro.plan import DeploymentPlan
 from repro.sim.replay import TraceRecorder, run_replay_batched, run_replay_sharded
 from repro.sim.scale import ScaleConfig, run_fleet
 from repro.sim.shard import FleetConfig, run_fleet_sharded
@@ -88,7 +89,7 @@ class TestReplayHealthFixpoint:
     @pytest.mark.parametrize("storage", ["s3", "dynamo"])
     def test_record_then_replay_reproduces_exposition_bytes(self, storage):
         config = ScaleConfig(tenants=3, daily_requests=300.0, days=1.0, seed=13,
-                             storage=storage)
+                             plan=DeploymentPlan(storage=storage))
         recorder = TraceRecorder(name="health", seed=config.seed,
                                  tenants=config.tenants)
         recorded_plane = MetricsPlane()

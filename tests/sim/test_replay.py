@@ -23,7 +23,9 @@ import pytest
 
 from repro import _optional
 from repro.cloud.billing import UsageKind
+from repro.cloud.pricing import PRICE_BOOKS, PRICES_2017
 from repro.errors import ConfigurationError
+from repro.plan import DEFAULT_PLAN, DeploymentPlan
 from repro.sim.replay import (
     ReplayConfig,
     Trace,
@@ -38,7 +40,7 @@ from repro.sim.replay import (
     run_replay_chaos,
     run_replay_sharded,
     sort_events,
-    trace_memory_mb,
+    trace_plan,
     write_trace,
 )
 from repro.sim.replay.format import TraceHeader, event_line
@@ -148,8 +150,8 @@ class TestFormat:
 
     def test_s3_traces_keep_a_bare_header(self):
         recorder = TraceRecorder(name="bare", seed=1, tenants=1)
-        recorder.set_plan(storage="dynamo", memory_mb=1024)
-        recorder.set_plan(storage="s3", memory_mb=448)
+        recorder.set_plan(DeploymentPlan(storage="dynamo", memory_mb=1024))
+        recorder.set_plan(DeploymentPlan(storage="s3", memory_mb=448))
         assert recorder.trace().header.meta == ()
 
     def test_digest_covers_every_field(self):
@@ -179,7 +181,7 @@ class TestRecordReplayFixpoint:
 
     @pytest.mark.parametrize("storage", ["s3", "dynamo"])
     def test_replay_reproduces_the_recorded_run(self, tmp_path, storage):
-        config = replace(FIXPOINT_CONFIG, storage=storage)
+        config = replace(FIXPOINT_CONFIG, plan=DeploymentPlan(storage=storage))
         recorder = TraceRecorder(name="fix", seed=config.seed, tenants=config.tenants)
         recorded = run_fleet(config, recorder=recorder)
         path = tmp_path / "fix.jsonl.gz"
@@ -199,7 +201,8 @@ class TestRecordReplayFixpoint:
     def test_replay_rejects_a_storage_the_trace_was_not_recorded_on(self):
         recorder = TraceRecorder(name="fix", seed=FIXPOINT_CONFIG.seed,
                                  tenants=FIXPOINT_CONFIG.tenants)
-        run_fleet(replace(FIXPOINT_CONFIG, storage="dynamo"), recorder=recorder)
+        run_fleet(replace(FIXPOINT_CONFIG, plan=DeploymentPlan(storage="dynamo")),
+                  recorder=recorder)
         with pytest.raises(ConfigurationError, match="recorded on 'dynamo'"):
             run_replay_batched(recorder.trace(), FIXPOINT_CONFIG)
 
@@ -223,7 +226,8 @@ class TestRecordReplayFixpoint:
 class TestRecordedMemory:
     """A trace records a non-default Lambda size, and replay bills only that size."""
 
-    CONFIG = ScaleConfig(memory_mb=1024, tenants=4, daily_requests=2000.0, days=1.0, seed=99)
+    CONFIG = ScaleConfig(plan=DeploymentPlan(memory_mb=1024), tenants=4,
+                         daily_requests=2000.0, days=1.0, seed=99)
 
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):
@@ -236,11 +240,11 @@ class TestRecordedMemory:
     def test_header_records_the_size(self, recorded):
         _, trace = recorded
         assert trace.header.meta == (("memory_mb", 1024),)
-        assert trace_memory_mb(trace.header) == 1024
+        assert trace_plan(trace.header) == DeploymentPlan(memory_mb=1024)
 
     def test_batched_replay_refuses_another_size(self, recorded):
         _, trace = recorded
-        default = replace(self.CONFIG, memory_mb=448)
+        default = replace(self.CONFIG, plan=DEFAULT_PLAN)
         with pytest.raises(ConfigurationError,
                            match="recorded at 1024 MB, but the replay config bills 448 MB"):
             run_replay_batched(trace, default)
@@ -252,16 +256,20 @@ class TestRecordedMemory:
         assert replayed.invoice_total == live.invoice_total
         # What replay billed before the header carried the size.
         silent = Trace(replace(trace.header, meta=()), trace.events)
-        assert run_replay_batched(silent, replace(self.CONFIG, memory_mb=448)) \
+        assert run_replay_batched(silent, replace(self.CONFIG, plan=DEFAULT_PLAN)) \
             .total_billed_ms != live.total_billed_ms
 
-    def test_sharded_replay_refuses_another_size(self, recorded):
+    def test_sharded_replay_bills_the_recorded_size(self, recorded):
         _, trace = recorded
-        with pytest.raises(ConfigurationError, match="recorded at 1024 MB"):
-            run_replay_sharded(trace, ReplayConfig(seed=99, logical_shards=8))
-        result = run_replay_sharded(trace, ReplayConfig(seed=99, memory_mb=1024,
-                                                        logical_shards=8))
+        result = run_replay_sharded(trace, ReplayConfig(seed=99, logical_shards=8))
         assert result.events == len(trace)
+        # 1024 MB is one GB: each billed 100 ms unit is 0.1 GB-second.
+        assert result.meter.total(UsageKind.LAMBDA_GB_SECONDS) == \
+            result.billed_units * 100 * (1024 / 1024) / 1000.0
+        silent = Trace(replace(trace.header, meta=()), trace.events)
+        at_448 = run_replay_sharded(silent, ReplayConfig(seed=99, logical_shards=8))
+        assert at_448.meter.total(UsageKind.LAMBDA_GB_SECONDS) == \
+            at_448.billed_units * 100 * (448 / 1024) / 1000.0
 
     @pytest.mark.parametrize("value", ['"big"', "0", "true", "1.5"])
     def test_reader_rejects_a_bad_size(self, tmp_path, value):
@@ -273,6 +281,80 @@ class TestRecordedMemory:
         with pytest.raises(TraceFormatError,
                            match="trace line 1: trace meta memory_mb must be a positive int"):
             read_trace(path)
+
+    def test_reader_rejects_a_size_lambda_does_not_offer(self, tmp_path):
+        path = tmp_path / "odd.jsonl"
+        path.write_text(
+            '{"format":"repro-trace","version":1,"name":"x","seed":0,'
+            '"tenants":1,"events":0,"meta":{"memory_mb":1000}}\n'
+        )
+        with pytest.raises(TraceFormatError,
+                           match="trace line 1: trace meta memory_mb must be a deployable size"):
+            read_trace(path)
+
+
+class TestRecordedPlan:
+    """The header's flat plan keys: older headers, the price book, and chaos replay."""
+
+    def test_an_older_header_reads_and_replays_at_its_values(self, tmp_path):
+        # Written by hand the way traces were before the price book was
+        # recorded: flat ``storage`` and ``memory_mb`` keys only.
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"format":"repro-trace","version":1,"name":"old","seed":3,"tenants":2,'
+            '"events":3,"meta":{"memory_mb":1024,"storage":"dynamo"}}\n'
+            '{"app":"fleet","at":0,"bytes":2048,"route":"/fleet/request","tenant":0}\n'
+            '{"app":"fleet","at":5,"bytes":2048,"route":"/fleet/request","tenant":1}\n'
+            '{"app":"fleet","at":9,"bytes":2048,"route":"/fleet/request","tenant":0}\n'
+        )
+        trace = read_trace(path)
+        assert trace_plan(trace.header) == DeploymentPlan(storage="dynamo", memory_mb=1024)
+        result = run_replay_sharded(trace, ReplayConfig(seed=3, logical_shards=4))
+        assert result.meter.total(UsageKind.DYNAMO_WRITES) == 3.0
+        assert result.meter.total(UsageKind.S3_PUT) == 0.0
+        assert result.meter.total(UsageKind.LAMBDA_GB_SECONDS) == \
+            result.billed_units * 100 * (1024 / 1024) / 1000.0
+        batched = run_replay_batched(trace, ScaleConfig(
+            tenants=2, seed=3, plan=DeploymentPlan(storage="dynamo", memory_mb=1024)))
+        assert batched.per_tenant_arrivals == (2, 1)
+
+    def test_header_records_a_non_default_price_book(self, monkeypatch):
+        monkeypatch.setitem(PRICE_BOOKS, "2018", PRICES_2017)
+        plan = DeploymentPlan(price_book="2018")
+        config = replace(FIXPOINT_CONFIG, plan=plan)
+        recorder = TraceRecorder(name="book", seed=config.seed, tenants=config.tenants)
+        recorded = run_fleet(config, recorder=recorder)
+        trace = recorder.trace()
+        assert trace.header.meta == (("price_book", "2018"),)
+        assert trace_plan(trace.header) == plan
+        assert run_replay_batched(trace, config).invoice_total == recorded.invoice_total
+        with pytest.raises(ConfigurationError,
+                           match="recorded with the '2018' price book, "
+                                 "but the replay config bills '2017'"):
+            run_replay_batched(trace, FIXPOINT_CONFIG)
+
+    def test_chaos_replay_deploys_the_recorded_plan(self, monkeypatch):
+        from repro.apps import chat
+
+        config = ScaleConfig(tenants=1, daily_requests=20, days=0.5,
+                             plan=DeploymentPlan(storage="dynamo", memory_mb=1024))
+        recorder = TraceRecorder(name="chaos-plan", seed=config.seed, tenants=1)
+        run_fleet(config, recorder=recorder)
+        deployed = []
+
+        def spy(*args, **kwargs):
+            manifest = real(*args, **kwargs)
+            deployed.append(manifest)
+            return manifest
+
+        real = chat.chat_manifest
+        monkeypatch.setattr(chat, "chat_manifest", spy)
+        record = run_replay_chaos(recorder.trace(), chaos=False)
+        assert record["fleet"]["eventual_delivery_rate"] == 1.0
+        assert len(deployed) == 1
+        (handler,) = [fn for fn in deployed[0].functions if fn.name_suffix == "handler"]
+        assert handler.memory_mb == 1024
+        assert ("DIY_STORAGE", "dynamo") in handler.environment
 
 
 class TestShardedReplay:
@@ -317,7 +399,7 @@ class TestShardedReplay:
     ])
     def test_bills_the_recorded_storage_backend(self, tmp_path, storage, write, absent):
         config = ScaleConfig(tenants=3, daily_requests=300.0, days=1.0, seed=5,
-                             storage=storage)
+                             plan=DeploymentPlan(storage=storage))
         recorder = TraceRecorder(name="store", seed=config.seed, tenants=config.tenants)
         recorded = run_fleet(config, recorder=recorder)
         path = tmp_path / "store.jsonl.gz"

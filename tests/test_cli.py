@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
+from repro.errors import ConfigurationError
 
 ROOT = Path(__file__).resolve().parent.parent
 MAKEFILE = (ROOT / "Makefile").read_text()
@@ -152,6 +153,13 @@ class TestSloCli:
         assert "Exposition sha256" in replayed
         with open(rec_metrics, "rb") as a, open(rep_metrics, "rb") as b:
             assert a.read() == b.read()
+
+    def test_record_refuses_a_size_lambda_does_not_offer(self, tmp_path):
+        trace = tmp_path / "t.jsonl.gz"
+        with pytest.raises(ConfigurationError,
+                           match=r"memory_mb must be a deployable size .*got 1000"):
+            main(["record", "--tenants", "1", "--memory-mb", "1000", "--out", str(trace)])
+        assert not trace.exists()
 
     def test_replay_metrics_refuses_chaos_mode(self, tmp_path):
         trace = str(tmp_path / "t.jsonl.gz")
