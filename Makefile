@@ -34,6 +34,8 @@ lint:
 		|| { echo "lint: the replay engines and the CLI read trace columns, never trace.events"; exit 1; }
 	@! grep -rnE 'PRICES_2017|prices: PriceBook' src/repro/sim --include="*.py" \
 		|| { echo "lint: the fleet engines price with plan.prices"; exit 1; }
+	@! grep -rnE 'call_with_retries\(|CircuitBreaker\(|AvailabilityTracker\(|ThrottledError\(|status == 429' src/repro/apps --include="*.py" \
+		|| { echo "lint: app clients retry and queue through repro.resilience"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).

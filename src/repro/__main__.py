@@ -67,22 +67,15 @@ def _cmd_table2(args) -> None:
 
 def _cmd_table3(args) -> None:
     from repro import CloudProvider
-    from repro.apps.chat import ChatClient, ChatService, chat_manifest
-    from repro.core.deployment import Deployer
+    from repro.apps.chat import chat_pair
+    from repro.plan import plan_from_env
 
-    provider = CloudProvider(seed=args.seed)
-    app = Deployer(provider).deploy(chat_manifest(memory_mb=448), owner="alice")
-    service = ChatService(app)
-    service.create_room("room", ["alice@diy", "bob@diy"])
-    alice = ChatClient(service, "alice@diy")
-    bob = ChatClient(service, "bob@diy")
-    for client in (alice, bob):
-        client.join("room")
-        client.connect()
+    provider = CloudProvider(seed=args.seed, plan=plan_from_env())
+    alice, bob = chat_pair(provider)
     for i in range(args.messages):
         alice.send("room", f"message {i}")
         bob.poll()
-    name = f"{app.instance_name}-handler"
+    name = f"{alice.service.app.instance_name}-handler"
     metrics = provider.lambda_.metrics
     print(format_table(
         ["statistic", "value"],
@@ -292,26 +285,18 @@ def _cmd_trace(args) -> None:
     from pathlib import Path
 
     from repro import CloudProvider
-    from repro.apps.chat import ChatClient, ChatService, chat_manifest
-    from repro.core.deployment import Deployer
+    from repro.apps.chat import chat_pair
     from repro.obs.export import (
         decomposition_report,
-        record_critical_path,
         to_chrome_trace,
         to_jsonl,
         validate_span_tree,
     )
+    from repro.plan import plan_from_env
 
-    provider = CloudProvider(seed=args.seed)
+    provider = CloudProvider(seed=args.seed, plan=plan_from_env())
     tracer = provider.enable_tracing(sample_rate=args.sample_rate)
-    app = Deployer(provider).deploy(chat_manifest(memory_mb=448), owner="alice")
-    service = ChatService(app)
-    service.create_room("room", ["alice@diy", "bob@diy"])
-    alice = ChatClient(service, "alice@diy")
-    bob = ChatClient(service, "bob@diy")
-    for client in (alice, bob):
-        client.join("room")
-        client.connect()
+    alice, bob = chat_pair(provider)
     for i in range(args.messages):
         alice.send("room", f"message {i}")
         bob.poll()
@@ -319,7 +304,6 @@ def _cmd_trace(args) -> None:
     traces = tracer.collector.traces()
     for root in traces:
         validate_span_tree(root)
-    record_critical_path(traces, registry=provider.metrics)
     report = decomposition_report(traces)
     rows = [
         (category, f"{cell['p50_ms']:.1f}", f"{cell['p95_ms']:.1f}",

@@ -12,6 +12,8 @@ Architecture, straight from the paper:
   significantly better latencies than a 128 MB function".
 """
 
+from typing import Tuple
+
 from repro.apps.chat.server import chat_manifest, CHAT_FOOTPRINT_MB
 from repro.apps.chat.client import ChatClient, ReceivedMessage
 from repro.apps.chat.service import ChatService
@@ -22,4 +24,29 @@ __all__ = [
     "ChatClient",
     "ReceivedMessage",
     "ChatService",
+    "chat_pair",
 ]
+
+
+def chat_pair(provider) -> Tuple[ChatClient, ChatClient]:
+    """Deploy chat under ``provider.plan`` with alice and bob connected in "room".
+
+    The owner (alice) deploys the app and creates the room; each
+    member's device is then built, joins and connects, alice first:
+    connecting draws from the provider's streams and advances its
+    clock, so the order is part of every seeded run's bytes.
+    """
+    from repro.core.deployment import Deployer
+
+    app = Deployer(provider).deploy(chat_manifest(plan=provider.plan), owner="alice")
+    service = ChatService(app)
+    members = ("alice@diy", "bob@diy")
+    service.create_room("room", list(members))
+    clients = []
+    for jid in members:
+        client = ChatClient(service, jid)
+        client.join("room")
+        client.connect()
+        clients.append(client)
+    alice, bob = clients
+    return alice, bob

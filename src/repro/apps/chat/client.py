@@ -19,13 +19,12 @@ from repro.apps.chat.service import ChatService
 from repro.cloud.iam import Principal
 from repro.core.client import SecureChannel, open_channel
 from repro.crypto.envelope import EnvelopeEncryptor
-from repro.errors import CircuitOpenError, CloudError, ProtocolError, ThrottledError
+from repro.errors import CloudError, ProtocolError
 from repro.net.http import HttpRequest
 from repro.net.longpoll import MAX_POLL_WAIT_SECONDS
 from repro.protocols.bosh import BoshBody, BoshSession
 from repro.protocols.xmpp import Jid, Stanza, iq_stanza, message_stanza, parse_stanza
-from repro.resilience import CircuitBreaker, RetryPolicy, call_with_retries, is_retryable
-from repro.sim.metrics import AvailabilityTracker
+from repro.resilience import Device, RetryPolicy, is_retryable, raise_if_throttled
 from repro.units import seconds, to_ms
 
 __all__ = ["ChatClient", "ReceivedMessage"]
@@ -47,8 +46,13 @@ class ReceivedMessage:
         return self.stanza.from_jid.bare if self.stanza.from_jid else ""
 
 
-class ChatClient:
-    """One member's device."""
+class ChatClient(Device):
+    """One member's device.
+
+    Transient cloud errors are retried with backoff, a breaker trips
+    during sustained outages, and sends are queued instead of crashing
+    (drain with :meth:`drain_outbox`); see :class:`~repro.resilience.Device`.
+    """
 
     def __init__(
         self,
@@ -58,20 +62,12 @@ class ChatClient:
     ):
         self.service = service
         self.jid = Jid.parse(jid)
-        self.provider = service.provider
+        super().__init__(service.provider, self.jid.bare, retry_policy)
         self._principal = Principal(f"client:{self.jid.bare}", None)
         self._channel: Optional[SecureChannel] = None
         self._bosh: Optional[BoshSession] = None
         self._stanza_ids = 0
         self.session_id: str = ""
-        # Resilience: retry transient cloud errors with deterministic
-        # jittered backoff, trip a breaker during sustained outages, and
-        # queue sends instead of crashing (drain with drain_outbox).
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.breaker = CircuitBreaker(self.provider.clock)
-        self.tracker = AvailabilityTracker()
-        self._retry_rng = self.provider.rng.child(f"resilience/{self.jid.bare}")
-        self.outbox: List[Tuple[str, str]] = []
         self._seen: Set[Tuple[str, str]] = set()
 
     # -- connection -------------------------------------------------------
@@ -104,27 +100,13 @@ class ChatClient:
             body.serialize(),
         )
         response = self._channel.request(request)
-        if response.status == 429:
-            # Surface throttling as its retryable cloud error so the
-            # retry executor can back off (honoring the server's hint).
-            hint = response.header("retry-after-ms")
-            raise ThrottledError(
-                "chat endpoint throttled",
-                retry_after_ms=int(hint) if hint is not None else None,
-            )
+        raise_if_throttled(response, "chat")
         if not response.ok:
             raise ProtocolError(f"chat endpoint returned {response.status}")
         return list(BoshBody.deserialize(response.body).stanzas)
 
     def _resilient_roundtrip(self, stanzas: List[Stanza]) -> List[Stanza]:
-        return call_with_retries(
-            lambda: self._roundtrip(stanzas),
-            clock=self.provider.clock,
-            policy=self.retry_policy,
-            rng=self._retry_rng,
-            breaker=self.breaker,
-            tracker=self.tracker,
-        )
+        return self.with_retries(lambda: self._roundtrip(stanzas))
 
     # -- sending ------------------------------------------------------------
 
@@ -145,36 +127,17 @@ class ChatClient:
             stanza.stanza_type, stanza.children,
             {"sent-at": str(self.provider.clock.now)},
         )
-        try:
-            replies = self._resilient_roundtrip([stamped])
-        except (CloudError, CircuitOpenError) as exc:
-            if isinstance(exc, CloudError) and not is_retryable(exc):
-                raise  # permanent (misconfiguration, missing peer): fail loudly
-            self.outbox.append((room, text))
-            self.tracker.record_queued()
+        replies = self.send_or_queue(
+            (room, text), lambda: self._resilient_roundtrip([stamped])
+        )
+        if replies is None:
             return None
         if not replies:
             raise ProtocolError("no ack for message")
         return replies[0]
 
-    def drain_outbox(self) -> int:
-        """Re-send queued messages; returns how many were delivered.
-
-        Messages that still cannot be sent stay queued (in order), so
-        draining is safe to call repeatedly while an outage resolves.
-        """
-        pending, self.outbox = self.outbox, []
-        drained = 0
-        for position, (room, text) in enumerate(pending):
-            if self.send(room, text) is None:
-                # send() re-queued it at the tail; everything after it
-                # is still pending too — restore order and stop.
-                self.outbox = self.outbox[:-1]
-                self.outbox.extend(pending[position:])
-                break
-            drained += 1
-            self.tracker.record_drained()
-        return drained
+    def _resend(self, item: Tuple[str, str]) -> bool:
+        return self.send(*item) is not None
 
     # -- receiving ------------------------------------------------------------
 
@@ -220,14 +183,11 @@ class ChatClient:
         """
         queue = self.service.inbox_queue(self.jid.local)
         try:
-            messages = call_with_retries(
+            messages = self.with_retries(
                 lambda: self.provider.sqs.receive_messages(
                     self._principal, queue, wait_micros=seconds(wait_seconds)
                 ),
-                clock=self.provider.clock,
-                policy=self.retry_policy,
-                rng=self._retry_rng,
-                tracker=self.tracker,
+                breaker=False,
             )
         except CloudError as exc:
             if not is_retryable(exc):

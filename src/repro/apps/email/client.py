@@ -16,11 +16,10 @@ from repro.cloud.iam import Principal
 from repro.core.client import SecureChannel, open_channel
 from repro.runtime.owner import owner_store
 from repro.crypto.pgp import PGPMessage, pgp_decrypt
-from repro.errors import CircuitOpenError, CloudError, ProtocolError, ThrottledError
+from repro.errors import ProtocolError
 from repro.net.http import HttpRequest, HttpResponse
 from repro.protocols.mime import EmailMessage, parse_email
-from repro.resilience import CircuitBreaker, RetryPolicy, call_with_retries, is_retryable
-from repro.sim.metrics import AvailabilityTracker
+from repro.resilience import Device, RetryPolicy, raise_if_throttled
 
 __all__ = ["MailboxEntry", "EmailClient"]
 
@@ -38,19 +37,14 @@ class MailboxEntry:
         return self.message.extra_headers.get("X-Spam-Status", "No")
 
 
-class EmailClient:
-    """The owner's device."""
+class EmailClient(Device):
+    """The owner's device; :attr:`outbox` holds messages not yet sent."""
 
     def __init__(self, service: EmailService_, retry_policy: Optional[RetryPolicy] = None):
         self.service = service
-        self.provider = service.provider
+        super().__init__(service.provider, service.app.owner, retry_policy)
         self._owner = Principal(f"owner:{service.app.owner}", None)
         self._channel: Optional[SecureChannel] = None
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.breaker = CircuitBreaker(self.provider.clock)
-        self.tracker = AvailabilityTracker()
-        self._retry_rng = self.provider.rng.child(f"resilience/{service.app.owner}")
-        self.outbox: List[EmailMessage] = []
 
     def _ensure_channel(self) -> SecureChannel:
         if self._channel is None:
@@ -64,22 +58,10 @@ class EmailClient:
 
         def attempt() -> HttpResponse:
             response = self._ensure_channel().request(request)
-            if response.status == 429:
-                hint = response.header("retry-after-ms")
-                raise ThrottledError(
-                    "email endpoint throttled",
-                    retry_after_ms=int(hint) if hint is not None else None,
-                )
+            raise_if_throttled(response, "email")
             return response
 
-        return call_with_retries(
-            attempt,
-            clock=self.provider.clock,
-            policy=self.retry_policy,
-            rng=self._retry_rng,
-            breaker=self.breaker,
-            tracker=self.tracker,
-        )
+        return self.with_retries(attempt)
 
     # -- reading ----------------------------------------------------------
 
@@ -96,21 +78,9 @@ class EmailClient:
         """
         store = owner_store(self.service.app)
         entries: List[MailboxEntry] = []
-        keys = call_with_retries(
-            lambda: store.list(f"{folder}/"),
-            clock=self.provider.clock,
-            policy=self.retry_policy,
-            rng=self._retry_rng,
-            tracker=self.tracker,
-        )
+        keys = self.with_retries(lambda: store.list(f"{folder}/"), breaker=False)
         for key in keys:
-            raw = call_with_retries(
-                lambda: store.get(key),
-                clock=self.provider.clock,
-                policy=self.retry_policy,
-                rng=self._retry_rng,
-                tracker=self.tracker,
-            )
+            raw = self.with_retries(lambda: store.get(key), breaker=False)
             self.provider.fabric.send_wan(
                 store.backend, f"device:{self.service.app.owner}", raw, upstream=False
             )
@@ -126,20 +96,14 @@ class EmailClient:
         is queued locally and ``None`` is returned; call
         :meth:`drain_outbox` once the outage clears.
         """
-        try:
-            response = self._resilient_request(
-                HttpRequest(
-                    "POST",
-                    self.service.send_route,
-                    {"content-type": "message/rfc822"},
-                    message.serialize(),
-                )
-            )
-        except (CloudError, CircuitOpenError) as exc:
-            if isinstance(exc, CloudError) and not is_retryable(exc):
-                raise  # permanent failure: surface it
-            self.outbox.append(message)
-            self.tracker.record_queued()
+        request = HttpRequest(
+            "POST",
+            self.service.send_route,
+            {"content-type": "message/rfc822"},
+            message.serialize(),
+        )
+        response = self.send_or_queue(message, lambda: self._resilient_request(request))
+        if response is None:
             return None
         if not response.ok:
             raise ProtocolError(f"send failed with HTTP {response.status}")
@@ -147,18 +111,8 @@ class EmailClient:
 
         return json.loads(response.body)["stored"]
 
-    def drain_outbox(self) -> int:
-        """Re-send queued messages; returns how many went out."""
-        pending, self.outbox = self.outbox, []
-        drained = 0
-        for position, message in enumerate(pending):
-            if self.send(message) is None:
-                self.outbox = self.outbox[:-1]
-                self.outbox.extend(pending[position:])
-                break
-            drained += 1
-            self.tracker.record_drained()
-        return drained
+    def _resend(self, item: EmailMessage) -> bool:
+        return self.send(item) is not None
 
     def search(self, query: str) -> List[dict]:
         """Server-side search over message metadata (see server module docs).

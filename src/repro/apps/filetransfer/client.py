@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.apps.filetransfer.server import CHUNK_BYTES
 from repro.core.app import DIYApp
 from repro.core.client import SecureChannel, open_channel
-from repro.errors import CircuitOpenError, CloudError, ConfigurationError, ProtocolError, ThrottledError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.net.http import HttpRequest
-from repro.resilience import CircuitBreaker, RetryPolicy, call_with_retries, is_retryable
-from repro.sim.metrics import AvailabilityTracker
+from repro.resilience import Device, RetryPolicy, raise_if_throttled
 
 __all__ = ["TransferTicket", "FileTransferClient"]
 
@@ -28,8 +27,12 @@ class TransferTicket:
     chunks: int
 
 
-class FileTransferClient:
-    """One party's view of the file-transfer app (sender or receiver)."""
+class FileTransferClient(Device):
+    """One party's view of the file-transfer app (sender or receiver).
+
+    Chunks that cannot be uploaded during an outage wait in
+    :attr:`outbox` as ``(ticket, chunk index, chunk bytes)``.
+    """
 
     def __init__(
         self,
@@ -42,18 +45,11 @@ class FileTransferClient:
             raise ConfigurationError(f"not a file-transfer app: {app.manifest.app_id}")
         if chunk_bytes <= 0:
             raise ConfigurationError("chunk size must be positive")
+        super().__init__(app.provider, user, retry_policy)
         self.app = app
         self.user = user
         self.chunk_bytes = chunk_bytes
-        self.provider = app.provider
         self._channel: Optional[SecureChannel] = None
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.breaker = CircuitBreaker(self.provider.clock)
-        self.tracker = AvailabilityTracker()
-        self._retry_rng = self.provider.rng.child(f"resilience/{user}")
-        # Chunks that could not be uploaded during an outage, queued as
-        # (ticket, chunk index, chunk bytes) for drain_pending().
-        self.pending_chunks: List[Tuple["TransferTicket", int, bytes]] = []
 
     @property
     def _route(self) -> str:
@@ -64,22 +60,10 @@ class FileTransferClient:
             if self._channel is None:
                 self._channel = open_channel(self.provider, f"device:{self.user}")
             response = self._channel.request(request)
-            if response.status == 429:
-                hint = response.header("retry-after-ms")
-                raise ThrottledError(
-                    "transfer endpoint throttled",
-                    retry_after_ms=int(hint) if hint is not None else None,
-                )
+            raise_if_throttled(response, "transfer")
             return response
 
-        return call_with_retries(
-            attempt,
-            clock=self.provider.clock,
-            policy=self.retry_policy,
-            rng=self._retry_rng,
-            breaker=self.breaker,
-            tracker=self.tracker,
-        )
+        return self.with_retries(attempt)
 
     # -- sender ------------------------------------------------------------
 
@@ -106,19 +90,13 @@ class FileTransferClient:
     def _put_chunk(self, ticket: TransferTicket, index: int, chunk: bytes) -> bool:
         """Upload one chunk; on an unreachable deployment queue it and
         return False instead of raising."""
-        try:
-            response = self._request(
-                HttpRequest(
-                    "PUT", f"{self._route}/chunk",
-                    {"x-diy-ticket": ticket.ticket, "x-diy-chunk": str(index)},
-                    chunk,
-                )
-            )
-        except (CloudError, CircuitOpenError) as exc:
-            if isinstance(exc, CloudError) and not is_retryable(exc):
-                raise  # permanent failure: surface it
-            self.pending_chunks.append((ticket, index, chunk))
-            self.tracker.record_queued()
+        request = HttpRequest(
+            "PUT", f"{self._route}/chunk",
+            {"x-diy-ticket": ticket.ticket, "x-diy-chunk": str(index)},
+            chunk,
+        )
+        response = self.send_or_queue((ticket, index, chunk), lambda: self._request(request))
+        if response is None:
             return False
         if not response.ok:
             raise ProtocolError(f"chunk {index} failed with HTTP {response.status}")
@@ -128,7 +106,7 @@ class FileTransferClient:
         """Upload every chunk; returns chunks sent.
 
         Chunks that cannot be uploaded during an outage are queued in
-        :attr:`pending_chunks` (re-send with :meth:`drain_pending`), so
+        :attr:`outbox` (re-send with :meth:`drain_outbox`), so
         a fault mid-transfer degrades to a partial upload, not a crash.
         """
         sent = 0
@@ -138,18 +116,8 @@ class FileTransferClient:
                 sent += 1
         return sent
 
-    def drain_pending(self) -> int:
-        """Retry queued chunk uploads; returns how many went through."""
-        pending, self.pending_chunks = self.pending_chunks, []
-        drained = 0
-        for position, (ticket, index, chunk) in enumerate(pending):
-            if not self._put_chunk(ticket, index, chunk):
-                self.pending_chunks = self.pending_chunks[:-1]
-                self.pending_chunks.extend(pending[position:])
-                break
-            drained += 1
-            self.tracker.record_drained()
-        return drained
+    def _resend(self, item) -> bool:
+        return self._put_chunk(*item)
 
     def send_file(self, filename: str, recipient: str, data: bytes) -> TransferTicket:
         """Offer + upload in one call."""

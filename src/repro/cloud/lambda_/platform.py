@@ -29,7 +29,6 @@ from repro.cloud.kms import KeyManagementService
 from repro.cloud.lambda_.container import Container, InvocationContext, ServiceClients
 from repro.cloud.lambda_.function import FunctionConfig
 from repro.cloud.lambda_.throttle import RateThrottle
-from repro.cloud.pricing import PriceBook
 from repro.cloud.s3 import ObjectStore
 from repro.cloud.ses import EmailService
 from repro.cloud.sqs import QueueService
@@ -82,7 +81,6 @@ class ServerlessPlatform:
         latency: LatencyModel,
         iam: Iam,
         meter: BillingMeter,
-        prices: Optional[PriceBook] = None,
         faults: Optional[FaultInjector] = None,
         metrics: Optional[MetricRegistry] = None,
         kms: Optional[KeyManagementService] = None,
@@ -107,11 +105,10 @@ class ServerlessPlatform:
             from repro.plan import DEFAULT_PLAN
 
             plan = DEFAULT_PLAN
-        # The platform bills against the plan's price book unless the
-        # account injected an explicit one (the provider does, so both
-        # stay on the same resolved book).
+        # The platform bills against the plan's price book, the same one
+        # the provider invoices with.
         self.plan = plan
-        self._prices = prices if prices is not None else plan.prices
+        self._prices = plan.prices
         self._faults = faults
         if metrics is None:
             # The provider owns the one MetricRegistry per account; a

@@ -19,7 +19,6 @@ from repro.cloud.gateway import ApiGateway
 from repro.cloud.iam import Iam
 from repro.cloud.kms import KeyManagementService
 from repro.cloud.lambda_.platform import ServerlessPlatform
-from repro.cloud.pricing import PRICES_2017, PriceBook
 from repro.cloud.s3 import ObjectStore
 from repro.cloud.ses import EmailService
 from repro.cloud.shield import Shield
@@ -53,14 +52,12 @@ class CloudProvider:
         name: str = "aws-sim",
         seed: int = 0,
         region: Region = US_WEST_2,
-        prices: Optional[PriceBook] = None,
         entropy: Optional[Entropy] = None,
         supports_container_suspend: bool = False,
         plan: Optional["DeploymentPlan"] = None,
     ):
         """``plan`` (a :class:`repro.plan.DeploymentPlan`) supplies the
-        account's price book and accounting mode; an explicit ``prices``
-        argument overrides the plan's book. With neither, the paper's
+        account's price book and accounting mode; with none, the paper's
         2017 book applies."""
         if plan is None:
             from repro.plan import DEFAULT_PLAN
@@ -69,8 +66,7 @@ class CloudProvider:
         self.name = name
         self.home_region = region
         self.plan = plan
-        self.prices = prices if prices is not None else plan.prices
-        prices = self.prices
+        self.prices = plan.prices
         self.rng = SeededRng(seed, f"provider/{name}")
         self.clock = SimClock()
         self.loop = EventLoop(self.clock)
@@ -87,13 +83,12 @@ class CloudProvider:
         self.dynamo = KeyValueStore(self.clock, self.latency, self.iam, self.meter)
         self.sqs = QueueService(self.clock, self.latency, self.iam, self.meter)
         self.ses = EmailService(self.clock, self.latency, self.iam, self.meter)
-        self.ec2 = Ec2Service(self.clock, self.latency, self.meter, prices, self.faults)
+        self.ec2 = Ec2Service(self.clock, self.latency, self.meter, self.prices, self.faults)
         self.lambda_ = ServerlessPlatform(
             self.clock,
             self.latency,
             self.iam,
             self.meter,
-            prices,
             faults=self.faults,
             metrics=self.metrics,
             kms=self.kms,

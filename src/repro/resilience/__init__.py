@@ -15,13 +15,16 @@ timeouts surface at the client. This package is the DIY answer:
 - :func:`call_with_retries` — the executor tying them together;
   backoff waits advance the *virtual* clock, so chaos runs stay fast
   and exactly reproducible.
+- :class:`Device` — the client shell built from them: one retry
+  policy, breaker, tracker, RNG stream and outbox per user device.
 
-The chat, email, and file-transfer clients build on these to degrade
-gracefully (queue-and-drain) instead of crashing on the first
+The chat, email, and file-transfer clients extend :class:`Device` to
+degrade gracefully (queue-and-drain) instead of crashing on the first
 :class:`~repro.errors.ThrottledError`.
 """
 
 from repro.resilience.breaker import BreakerState, CircuitBreaker
+from repro.resilience.device import Device, raise_if_throttled
 from repro.resilience.policy import DEFAULT_POLICY, Deadline, RetryPolicy
 from repro.resilience.retry import call_with_retries, is_retryable
 
@@ -30,7 +33,9 @@ __all__ = [
     "CircuitBreaker",
     "DEFAULT_POLICY",
     "Deadline",
+    "Device",
     "RetryPolicy",
     "call_with_retries",
     "is_retryable",
+    "raise_if_throttled",
 ]

@@ -58,11 +58,11 @@ from repro.sim.fold import (
     plan_memory_mb,
 )
 from repro.sim.latency import LatencyModel
-from repro.sim.metrics import AvailabilityTracker, MetricSeries, sla_report
 from repro.sim.replay.format import Trace, trace_digest, trace_plan
 from repro.sim.rng import SeededRng
-from repro.sim.scale import ScaleConfig, tenant_sampler
+from repro.sim.scale import ChaosTenant, ScaleConfig, chaos_rollup, tenant_sampler
 from repro.sim.shard import DEFAULT_LOGICAL_SHARDS, run_sharded, shard_of
+from repro.units import seconds
 
 __all__ = [
     "ReplayConfig",
@@ -362,115 +362,43 @@ def run_replay_chaos(
     the run then settles until the inbox is dry. The SLA rollup proves
     the paper's resilience claim on *recorded* traffic: 100% eventual
     delivery per seed (``tests/sim/test_replay.py``).
-    """
-    from repro.apps.chat import ChatClient, ChatService, chat_manifest
-    from repro.cloud.provider import CloudProvider
-    from repro.core.deployment import Deployer
-    from repro.sim.scale import _schedule_chaos, ChaosConfig
-    from repro.units import seconds
 
+    Setup, settling and the reports are the chaos fleet's
+    (:class:`~repro.sim.scale.ChaosTenant`); only the send loop differs:
+    the clock advances to each recorded time *before* its send.
+    """
     # Each tenant's arrival times, in trace order: all a send schedule needs.
     plan = trace_plan(trace.header)
     by_tenant: Dict[int, List[int]] = {}
     columns = trace.columns()
     for at, tenant in zip(columns.at, columns.tenant):
         by_tenant.setdefault(tenant, []).append(at)
-    fleet_tracker = AvailabilityTracker()
-    fleet_latency = MetricSeries("replay-chaos.e2e_ms", "ms")
-    per_tenant: List[Dict[str, object]] = []
-    delivered_total = 0
-    expected_total = 0
-    breaker_trips = 0
-    injected: Dict[str, int] = {}
+    tenant_runs = []
     for tenant in sorted(by_tenant):
         arrivals = by_tenant[tenant]
-        provider = CloudProvider(name=f"replay-{trace.header.name}-{tenant}",
-                                 seed=trace.header.seed, plan=plan)
-        app = Deployer(provider).deploy(chat_manifest(plan=plan), owner="alice")
-        service = ChatService(app)
-        service.create_room("room", ["alice@diy", "bob@diy"])
-        alice = ChatClient(service, "alice@diy")
-        alice.join("room")
-        alice.connect()
-        bob = ChatClient(service, "bob@diy")
-        bob.join("room")
-        bob.connect()
-
         base = arrivals[0]
-        horizon = max(arrivals[-1] - base, seconds(1))
-        start = provider.clock.now
-        if chaos:
-            chaos_config = ChaosConfig(
-                tenants=1, messages=len(arrivals), seed=trace.header.seed,
-                error_rate=error_rate, brownout_rate=brownout_rate, plan=plan,
-            )
-            _schedule_chaos(provider, chaos_config, start, horizon)
-
+        run = ChaosTenant(
+            f"replay-{trace.header.name}-{tenant}", trace.header.seed, plan,
+            max(arrivals[-1] - base, seconds(1)), chaos, error_rate, brownout_rate,
+        )
+        clock = run.provider.clock
         bodies = []
-        received_bodies = set()
         for i, at in enumerate(arrivals):
-            target = start + (at - base)
-            if target > provider.clock.now:
-                provider.clock.advance(target - provider.clock.now)
+            target = run.start + (at - base)
+            if target > clock.now:
+                clock.advance(target - clock.now)
             body = f"replay-{tenant}-{i}"
             bodies.append(body)
-            alice.send("room", body)
+            run.alice.send("room", body)
             if i % 3 == 2:
-                for message in bob.poll(wait_seconds=0):
-                    received_bodies.add(message.body)
-
-        # Settle: outrun every fault window, drain, poll until dry.
-        provider.clock.advance(horizon)
-        for _ in range(5):
-            if not alice.outbox:
-                break
-            alice.drain_outbox()
-            provider.clock.advance(seconds(5))
-        empty_polls = 0
-        while empty_polls < 2:
-            received = bob.poll(wait_seconds=0)
-            if received:
-                received_bodies.update(message.body for message in received)
-                empty_polls = 0
-            else:
-                empty_polls += 1
-            provider.clock.advance(seconds(1))
-
-        tracker = AvailabilityTracker()
-        tracker.merge(alice.tracker)
-        tracker.merge(bob.tracker)
-        latency = provider.metrics.get("chat.e2e_ms")
-        delivered = len(received_bodies.intersection(bodies))
-        report = sla_report(
-            tracker,
-            delivered=delivered,
-            expected=len(bodies),
-            latency_ms=latency,
-            breaker_trips=alice.breaker.trips + bob.breaker.trips,
-            injected=dict(provider.faults.injected),
-        )
-        report["tenant"] = tenant
-        per_tenant.append(report)
-        delivered_total += delivered
-        expected_total += len(bodies)
-        breaker_trips += int(report["breaker_trips"])
-        for target_name, count in report["injected_faults"].items():
-            injected[target_name] = injected.get(target_name, 0) + count
-        if latency is not None:
-            fleet_latency.extend(latency.samples)
-        fleet_tracker.merge(tracker)
+                run.poll()
+        tenant_runs.append(run.finish(tenant, bodies))
+    per_tenant, fleet = chaos_rollup(tenant_runs)
     return {
         "scenario": "replay_chaos",
         "trace": trace.header.name,
         "trace_sha256": trace_digest(trace),
         "chaos": chaos,
         "per_tenant": per_tenant,
-        "fleet": sla_report(
-            fleet_tracker,
-            delivered=delivered_total,
-            expected=expected_total,
-            latency_ms=fleet_latency,
-            breaker_trips=breaker_trips,
-            injected=injected,
-        ),
+        "fleet": fleet,
     }

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.cloud.billing import BillingMeter, Invoice
 from repro.errors import ConfigurationError, SimulationError
@@ -54,6 +54,8 @@ __all__ = [
     "run_obs_benchmark",
     "HANDLER_COMPONENTS",
     "ChaosConfig",
+    "ChaosTenant",
+    "chaos_rollup",
     "run_chaos_fleet",
     "ABLATION_APPS",
     "run_storage_ablation",
@@ -266,20 +268,22 @@ class ChaosConfig:
         }
 
 
-def _schedule_chaos(provider, config: ChaosConfig, start: int, horizon: int) -> None:
+def _schedule_chaos(
+    provider, start: int, horizon: int, error_rate: float, brownout_rate: float
+) -> None:
     """The scenario's fault schedule, all in virtual micros from ``start``."""
     faults = provider.faults
     region = provider.home_region.name
     # A low background error rate on every service boundary.
     for service in ("s3", "sqs", "kms", "lambda", "gateway"):
-        faults.schedule_error_rate(service, start, horizon, config.error_rate)
+        faults.schedule_error_rate(service, start, horizon, error_rate)
     # One short hard regional outage: failover has nowhere to go (single
     # region), so clients must ride it out with backoff.
     faults.schedule_outage(region, start + horizon // 4, ms(500))
     # One regional brown-out: requests fail at brownout_rate for a sixth
     # of the run.
     faults.schedule_brownout(
-        region, start + horizon // 3, horizon // 6, rate=config.brownout_rate
+        region, start + horizon // 3, horizon // 6, rate=brownout_rate
     )
     # An S3 latency spike and a gateway throttle storm later in the run.
     faults.schedule_latency_spike(
@@ -290,77 +294,137 @@ def _schedule_chaos(provider, config: ChaosConfig, start: int, horizon: int) -> 
     )
 
 
+class ChaosTenant:
+    """One tenant's alice→bob chat pair on its own provider, under chaos.
+
+    The harness both chaos engines share. Each engine keeps only its
+    own send loop (``alice.send`` plus :meth:`poll`); :meth:`finish`
+    then settles the run and builds the tenant's SLA report.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        seed: int,
+        plan: DeploymentPlan,
+        horizon: int,
+        chaos: bool,
+        error_rate: float,
+        brownout_rate: float,
+    ):
+        from repro.apps.chat import chat_pair
+        from repro.cloud.provider import CloudProvider
+
+        self.provider = CloudProvider(name=name, seed=seed, plan=plan)
+        self.alice, self.bob = chat_pair(self.provider)
+        self.horizon = horizon
+        self.start = self.provider.clock.now
+        if chaos:
+            _schedule_chaos(self.provider, self.start, horizon, error_rate, brownout_rate)
+        self.delivered: Set[str] = set()
+
+    def poll(self) -> bool:
+        """One zero-wait poll of bob's inbox; did it deliver anything?"""
+        received = self.bob.poll(wait_seconds=0)
+        self.delivered.update(message.body for message in received)
+        return bool(received)
+
+    def _settle(self) -> None:
+        """Move past every fault window, drain the outbox, poll until dry."""
+        clock = self.provider.clock
+        clock.advance(self.horizon)
+        for _ in range(5):
+            if not self.alice.outbox:
+                break
+            self.alice.drain_outbox()
+            clock.advance(seconds(5))
+        empty_polls = 0
+        while empty_polls < 2:
+            empty_polls = 0 if self.poll() else empty_polls + 1
+            clock.advance(seconds(1))
+
+    def finish(
+        self, tenant: int, bodies: List[str]
+    ) -> Tuple[Dict[str, object], AvailabilityTracker]:
+        """Settle, then return (SLA report, raw tracker) for ``bodies`` sent."""
+        self._settle()
+        provider = self.provider
+        tracker = AvailabilityTracker()
+        tracker.merge(self.alice.tracker)
+        tracker.merge(self.bob.tracker)
+        region = provider.home_region.name
+        latency = provider.metrics.get("chat.e2e_ms")
+        report = sla_report(
+            tracker,
+            delivered=len(self.delivered.intersection(bodies)),
+            expected=len(bodies),
+            latency_ms=latency,
+            breaker_trips=self.alice.breaker.trips + self.bob.breaker.trips,
+            injected=dict(provider.faults.injected),
+            downtime_micros={
+                region: provider.faults.downtime_in(region, self.start, provider.clock.now)
+            },
+        )
+        report["tenant"] = tenant
+        report["undelivered"] = sorted(set(bodies) - self.delivered)
+        report["_latency_samples"] = latency.samples if latency is not None else []
+        return report, tracker
+
+
+def chaos_rollup(
+    tenant_runs: List[Tuple[Dict[str, object], AvailabilityTracker]]
+) -> Tuple[List[Dict[str, object]], Dict[str, object]]:
+    """Per-tenant reports (in run order) and the fleet SLA report over them."""
+    fleet_tracker = AvailabilityTracker()
+    fleet_latency = MetricSeries("chaos.e2e_ms", "ms")
+    per_tenant: List[Dict[str, object]] = []
+    delivered = 0
+    expected = 0
+    breaker_trips = 0
+    injected: Dict[str, int] = {}
+    downtime: Dict[str, int] = {}
+    for report, tracker in tenant_runs:
+        fleet_latency.extend(report.pop("_latency_samples"))
+        per_tenant.append(report)
+        delivered += int(report["delivered"])
+        expected += int(report["expected"])
+        breaker_trips += int(report["breaker_trips"])
+        for target, count in report["injected_faults"].items():
+            injected[target] = injected.get(target, 0) + count
+        for target, micros in report["downtime_micros"].items():
+            downtime[target] = downtime.get(target, 0) + micros
+        fleet_tracker.merge(tracker)
+    return per_tenant, sla_report(
+        fleet_tracker,
+        delivered=delivered,
+        expected=expected,
+        latency_ms=fleet_latency,
+        breaker_trips=breaker_trips,
+        injected=injected,
+        downtime_micros=downtime,
+    )
+
+
 def _chaos_tenant(
     config: ChaosConfig, tenant: int, chaos: bool
 ) -> Tuple[Dict[str, object], AvailabilityTracker]:
-    """Run one tenant's chat workload; returns (SLA report, raw tracker)."""
-    from repro.apps.chat import ChatClient, ChatService, chat_manifest
-    from repro.cloud.provider import CloudProvider
-    from repro.core.deployment import Deployer
+    """Run one tenant's chat workload; returns (SLA report, raw tracker).
 
-    provider = CloudProvider(name=f"chaos-{tenant}", seed=config.seed, plan=config.plan)
-    app = Deployer(provider).deploy(chat_manifest(plan=config.plan), owner="alice")
-    service = ChatService(app)
-    service.create_room("room", ["alice@diy", "bob@diy"])
-    alice = ChatClient(service, "alice@diy")
-    alice.join("room")
-    alice.connect()
-    bob = ChatClient(service, "bob@diy")
-    bob.join("room")
-    bob.connect()
-
-    horizon = config.messages * config.send_gap_micros
-    start = provider.clock.now
-    if chaos:
-        _schedule_chaos(provider, config, start, horizon)
-
-    bodies = [f"msg-{tenant}-{i}" for i in range(config.messages)]
-    delivered = set()
-    for i, body in enumerate(bodies):
-        alice.send("room", body)
-        provider.clock.advance(config.send_gap_micros)
-        if i % 3 == 2:
-            for received in bob.poll(wait_seconds=0):
-                delivered.add(received.body)
-
-    # Settle: move past every fault window, then drain the outbox and
-    # poll until the inbox runs dry.
-    provider.clock.advance(horizon)
-    for _ in range(5):
-        if not alice.outbox:
-            break
-        alice.drain_outbox()
-        provider.clock.advance(seconds(5))
-    empty_polls = 0
-    while empty_polls < 2:
-        received = bob.poll(wait_seconds=0)
-        if received:
-            delivered.update(message.body for message in received)
-            empty_polls = 0
-        else:
-            empty_polls += 1
-        provider.clock.advance(seconds(1))
-
-    tracker = AvailabilityTracker()
-    tracker.merge(alice.tracker)
-    tracker.merge(bob.tracker)
-    region = provider.home_region.name
-    latency = provider.metrics.get("chat.e2e_ms")
-    report = sla_report(
-        tracker,
-        delivered=len(delivered.intersection(bodies)),
-        expected=config.messages,
-        latency_ms=latency,
-        breaker_trips=alice.breaker.trips + bob.breaker.trips,
-        injected=dict(provider.faults.injected),
-        downtime_micros={
-            region: provider.faults.downtime_in(region, start, provider.clock.now)
-        },
+    Each send is followed by a fixed ``send_gap_micros`` advance, and
+    every third send by a poll after that advance.
+    """
+    run = ChaosTenant(
+        f"chaos-{tenant}", config.seed, config.plan,
+        config.messages * config.send_gap_micros, chaos,
+        config.error_rate, config.brownout_rate,
     )
-    report["tenant"] = tenant
-    report["undelivered"] = sorted(set(bodies) - delivered)
-    report["_latency_samples"] = latency.samples if latency is not None else []
-    return report, tracker
+    bodies = [f"msg-{tenant}-{i}" for i in range(config.messages)]
+    for i, body in enumerate(bodies):
+        run.alice.send("room", body)
+        run.provider.clock.advance(config.send_gap_micros)
+        if i % 3 == 2:
+            run.poll()
+    return run.finish(tenant, bodies)
 
 
 def run_chaos_fleet(
@@ -386,37 +450,13 @@ def run_chaos_fleet(
     tenant_runs = map_shards(
         _chaos_tenant, [(config, tenant, chaos) for tenant in range(config.tenants)], workers
     )
-    fleet_tracker = AvailabilityTracker()
-    fleet_latency = MetricSeries("chaos.e2e_ms", "ms")
-    per_tenant: List[Dict[str, object]] = []
-    delivered = 0
-    breaker_trips = 0
-    injected: Dict[str, int] = {}
-    downtime: Dict[str, int] = {}
-    for report, tracker in tenant_runs:
-        fleet_latency.extend(report.pop("_latency_samples"))
-        per_tenant.append(report)
-        delivered += int(report["delivered"])
-        breaker_trips += int(report["breaker_trips"])
-        for target, count in report["injected_faults"].items():
-            injected[target] = injected.get(target, 0) + count
-        for target, micros in report["downtime_micros"].items():
-            downtime[target] = downtime.get(target, 0) + micros
-        fleet_tracker.merge(tracker)
+    per_tenant, fleet = chaos_rollup(tenant_runs)
     return {
         "scenario": "chaos_fleet",
         "chaos": chaos,
         "config": config.as_dict(),
         "per_tenant": per_tenant,
-        "fleet": sla_report(
-            fleet_tracker,
-            delivered=delivered,
-            expected=config.expected_messages(),
-            latency_ms=fleet_latency,
-            breaker_trips=breaker_trips,
-            injected=injected,
-            downtime_micros=downtime,
-        ),
+        "fleet": fleet,
     }
 
 

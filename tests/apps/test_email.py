@@ -7,6 +7,7 @@ from repro.cloud.iam import Principal
 from repro.core.threatmodel import PrivacyAuditor
 from repro.protocols.mime import Address, EmailMessage
 from repro.protocols.smtp import SmtpClient
+from repro.units import seconds
 
 
 def _incoming(subject="Lunch?", body="Meet at noon.", sender="bob@example.com"):
@@ -132,6 +133,37 @@ class TestOutbound:
             assert b"The plans themselves." not in raw
         sent = client.fetch_folder("sent")
         assert sent[0].message.subject == "Secret plans"
+
+
+class TestOutageQueue:
+    """Sends during a regional outage queue locally and drain afterwards."""
+
+    def test_sends_queue_through_outage_and_drain(self, provider, email_setup, client):
+        provider.faults.schedule_outage(
+            provider.home_region.name, provider.clock.now, seconds(20)
+        )
+        subjects = [f"queued {i}" for i in range(8)]
+        for subject in subjects:
+            message = EmailMessage(
+                Address("carol@carol.diy"), (Address("bob@example.com"),), subject, "b"
+            )
+            assert client.send(message) is None
+            provider.clock.advance(seconds(2))
+        assert [m.subject for m in client.outbox] == subjects
+
+        # Outrun the outage and the breaker's reset timeout, then drain.
+        provider.clock.advance(seconds(60))
+        assert client.drain_outbox() == 8
+        assert client.outbox == []
+        tracker = client.tracker
+        # The first send's 5 failures trip the breaker; the other 7 are
+        # refused without an attempt, and every drained send is one.
+        assert (tracker.attempts, tracker.failures, tracker.retries) == (13, 5, 5)
+        assert tracker.failure_kinds == {"RegionUnavailable": 5}
+        assert (tracker.queued, tracker.drained) == (8, 8)
+        assert client.breaker.trips == 1
+        sent = client.fetch_folder("sent")
+        assert sorted(entry.message.subject for entry in sent) == subjects
 
 
 class TestUserControls:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.filetransfer import CHUNK_BYTES, FileTransferClient, file_transfer_manifest
 from repro.core.threatmodel import PrivacyAuditor
-from repro.units import MIB
+from repro.units import MIB, ms, seconds
 
 
 @pytest.fixture
@@ -76,6 +76,31 @@ class TestTransfer:
             HttpRequest("POST", f"/{app.instance_name}/xfer/frobnicate", {})
         )
         assert response.status == 404
+
+
+class TestOutageQueue:
+    """Chunks that cannot go out during an outage queue and drain later."""
+
+    def test_partial_upload_drains_after_outage(self, provider, sender, receiver):
+        data = bytes(range(256)) * (8 * _TEST_CHUNK // 256)
+        ticket = sender.offer("big.bin", "eli", data)
+        assert ticket.chunks == 8
+        provider.faults.schedule_outage(
+            provider.home_region.name, provider.clock.now + ms(200), seconds(20)
+        )
+        assert sender.upload(ticket, data) == 2
+        assert [index for _t, index, _c in sender.outbox] == list(range(2, 8))
+
+        # Outrun the outage and the breaker's reset timeout, then drain.
+        provider.clock.advance(seconds(60))
+        assert sender.drain_outbox() == 6
+        assert sender.outbox == []
+        tracker = sender.tracker
+        assert (tracker.attempts, tracker.failures, tracker.retries) == (14, 5, 5)
+        assert tracker.failure_kinds == {"RegionUnavailable": 5}
+        assert (tracker.queued, tracker.drained) == (6, 6)
+        assert sender.breaker.trips == 1
+        assert receiver.download(ticket) == data
 
 
 class TestMemoryBuffering:

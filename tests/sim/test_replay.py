@@ -425,6 +425,22 @@ class TestChaosReplay:
         assert record["fleet"]["expected"] == len(self.TRACE.events)
         assert len(record["per_tenant"]) == 2
 
+    def test_chaos_replay_counters_pinned(self):
+        fleet = run_replay_chaos(self.TRACE, error_rate=0.02)["fleet"]
+        assert fleet["retries"] == 10
+        assert fleet["failures"] == 10
+        assert fleet["failure_kinds"] == {"RegionUnavailable": 8, "ThrottledError": 2}
+        assert fleet["injected_faults"] == {"gateway:throttle": 2, "s3:latency": 2}
+        assert fleet["latency_ms"]["p99"] == 24232.131
+
+    def test_chaos_replay_attributes_downtime(self):
+        record = run_replay_chaos(self.TRACE, error_rate=0.02)
+        # Each tenant's schedule holds one 500 ms regional outage.
+        assert record["fleet"]["downtime_micros"] == {"us-west-2": 1_000_000}
+        for report in record["per_tenant"]:
+            assert report["downtime_micros"] == {"us-west-2": 500_000}
+            assert report["undelivered"] == []
+
     def test_chaos_replay_is_deterministic(self):
         first = run_replay_chaos(self.TRACE, error_rate=0.02)
         again = run_replay_chaos(self.TRACE, error_rate=0.02)
