@@ -12,10 +12,13 @@ test:
 
 # Architecture lint: apps must go through the runtime kernel's
 # StateStore — no direct storage-client calls and no hand-rolled
-# "{instance}-<suffix>" resource names outside repro/runtime.
+# "{instance}-<suffix>" resource names outside repro/runtime — and
+# reach Lambda only through the Deployer.
 lint:
-	@! grep -rn "ctx\.services\.s3_get\|ctx\.services\.s3_put\|ctx\.services\.s3_list\|ctx\.services\.s3_delete\|ctx\.services\.dynamo_" src/repro/apps/ \
+	@! grep -rn "ctx\.services\.s3_get\|ctx\.services\.s3_put\|ctx\.services\.s3_list\|ctx\.services\.s3_delete\|ctx\.services\.dynamo_" src/repro/apps/ src/repro/core/ \
 		|| { echo "lint: apps must use kctx.store, not raw storage clients"; exit 1; }
+	@! grep -rn "FunctionConfig(" src/repro/core/ src/repro/apps/ --include="*.py" | grep -v "core/deployment\.py" \
+		|| { echo "lint: apps reach Lambda only through repro.core.deployment.Deployer"; exit 1; }
 	@! grep -rn 'f"{[^}]*}-state"\|f"{[^}]*}-mail"\|f"{[^}]*}-drop"\|f"{[^}]*}-home"\|f"{[^}]*}-calls"\|f"{[^}]*}-kv"' src/repro/apps/ \
 		|| { echo "lint: resource names belong to the kernel, not the apps"; exit 1; }
 	@! grep -rn "MetricRegistry()" src/repro/cloud/ --include="*.py" | grep -v "cloud/provider\.py" \

@@ -203,16 +203,17 @@ CHAT_SPEC = AppSpec(
 chat_handler = AppKernel(CHAT_SPEC).handler(CHAT_SPEC.functions[0])
 
 
-def chat_manifest(memory_mb: Optional[int] = None, storage: Optional[str] = None,
+def chat_manifest(memory_mb: Optional[int] = None,
                   plan: Optional["DeploymentPlan"] = None) -> AppManifest:
     """The chat app as published to the store.
 
     The declared 448 MB default matches the deployed prototype; pass
     ``memory_mb=128`` to reproduce the slow low-memory configuration of
-    the §6.2 ablation. ``storage="dynamo"`` keeps room state in the KV
-    store instead of S3 (the paper's low-latency-alternative footnote).
-    Precedence per knob: explicit argument > ``plan`` (a
-    :class:`repro.plan.DeploymentPlan`) > the ``DIY_STORAGE``
-    environment variable > the declared defaults.
+    the §6.2 ablation. The storage backend comes from ``plan`` (a
+    :class:`repro.plan.DeploymentPlan`), or from the ``DIY_STORAGE``
+    environment variable when there is no plan; a plan with
+    ``storage="dynamo"`` keeps room state in the KV store instead of S3
+    (the paper's low-latency-alternative footnote). Memory: the explicit
+    ``memory_mb`` wins, then the plan's, then the declared default.
     """
-    return AppKernel(CHAT_SPEC, storage=storage, plan=plan).manifest(memory_mb=memory_mb)
+    return AppKernel(CHAT_SPEC, plan).manifest(memory_mb=memory_mb)

@@ -159,11 +159,10 @@ outbound_handler = _KERNEL.handler(EMAIL_SPEC.functions[1])
 search_handler = _KERNEL.handler(EMAIL_SPEC.functions[2])
 
 
-def email_manifest(memory_mb: Optional[int] = None, storage: Optional[str] = None,
-                   plan: Optional["DeploymentPlan"] = None) -> AppManifest:
+def email_manifest(plan: Optional["DeploymentPlan"] = None) -> AppManifest:
     """The email app as published to the store (Table 2's 128 MB row).
 
-    ``storage`` picks the mailbox backend; ``plan`` supplies every knob
-    at once (explicit arguments win, then the plan, then ``DIY_STORAGE``).
+    ``plan`` supplies the mailbox backend and every other knob (with
+    none, ``DIY_STORAGE`` picks the backend).
     """
-    return AppKernel(EMAIL_SPEC, storage=storage, plan=plan).manifest(memory_mb=memory_mb)
+    return AppKernel(EMAIL_SPEC, plan).manifest()

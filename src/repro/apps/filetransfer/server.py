@@ -177,13 +177,11 @@ transfer_handler = _KERNEL.handler(XFER_SPEC.functions[0])
 janitor_handler = _KERNEL.handler(XFER_SPEC.functions[1])
 
 
-def file_transfer_manifest(memory_mb: Optional[int] = None, storage: Optional[str] = None,
-                           plan: Optional["DeploymentPlan"] = None) -> AppManifest:
+def file_transfer_manifest(plan: Optional["DeploymentPlan"] = None) -> AppManifest:
     """Table 2's file-transfer row: 1024 MB declared, ~100 requests/day.
 
-    The janitor stays at 128 MB regardless of the memory override;
-    ``storage`` picks the chunk-store backend and ``plan`` supplies
-    every knob at once (explicit arguments win, then the plan, then
-    ``DIY_STORAGE``).
+    The janitor stays at 128 MB regardless of the plan's memory size;
+    ``plan`` supplies the chunk-store backend and every other knob
+    (with none, ``DIY_STORAGE`` picks the backend).
     """
-    return AppKernel(XFER_SPEC, storage=storage, plan=plan).manifest(memory_mb=memory_mb)
+    return AppKernel(XFER_SPEC, plan).manifest()

@@ -178,7 +178,6 @@ IOT_SPEC = AppSpec(
 iot_handler = AppKernel(IOT_SPEC).handler(IOT_SPEC.functions[0])
 
 
-def iot_manifest(memory_mb: Optional[int] = None, storage: Optional[str] = None,
-                 plan: Optional["DeploymentPlan"] = None) -> AppManifest:
+def iot_manifest(plan: Optional["DeploymentPlan"] = None) -> AppManifest:
     """Table 2's IoT row: 128 MB declared, ~100 requests/day."""
-    return AppKernel(IOT_SPEC, storage=storage, plan=plan).manifest(memory_mb=memory_mb)
+    return AppKernel(IOT_SPEC, plan).manifest()

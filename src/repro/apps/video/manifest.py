@@ -67,13 +67,6 @@ VIDEO_SPEC = AppSpec(
 signaling_handler = AppKernel(VIDEO_SPEC).handler(VIDEO_SPEC.functions[0])
 
 
-def video_manifest(instance_type: str = "t2.medium",
-                   storage: Optional[str] = None,
-                   plan: Optional["DeploymentPlan"] = None) -> AppManifest:
+def video_manifest(plan: Optional["DeploymentPlan"] = None) -> AppManifest:
     """Table 2's video row, packaged for the store."""
-    import dataclasses
-
-    spec = VIDEO_SPEC if instance_type == VIDEO_SPEC.needs_vm else dataclasses.replace(
-        VIDEO_SPEC, needs_vm=instance_type
-    )
-    return AppKernel(spec, storage=storage, plan=plan).manifest()
+    return AppKernel(VIDEO_SPEC, plan).manifest()

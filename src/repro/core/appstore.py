@@ -16,7 +16,7 @@ report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cloud.provider import CloudProvider
 from repro.core.app import AppManifest, DIYApp
@@ -54,9 +54,8 @@ class InstalledApp:
 class AppStore:
     """Marketplace + installer + resource-accounting UI for one provider."""
 
-    def __init__(self, provider: CloudProvider, require_review: bool = True):
+    def __init__(self, provider: CloudProvider):
         self.provider = provider
-        self.require_review = require_review
         self._deployer = Deployer(provider)
         self._catalog: Dict[str, AppListing] = {}  # listing id → listing
         self._latest: Dict[str, str] = {}  # app id → latest version
@@ -108,17 +107,14 @@ class AppStore:
 
     # -- installing (the user side) -------------------------------------------
 
-    def install(self, app_id: str, user: str,
-                throttle_per_second: Optional[int] = None) -> InstalledApp:
+    def install(self, app_id: str, user: str) -> InstalledApp:
         """One-click install: deploy the latest reviewed version for ``user``."""
         listing = self.latest_listing(app_id)
-        if self.require_review and not listing.reviewed:
+        if not listing.reviewed:
             raise AppStoreError(f"{listing.listing_id} has not passed review")
         if (user, app_id) in self._installed:
             raise AppStoreError(f"{user} already has {app_id} installed")
-        app = self._deployer.deploy(
-            listing.manifest, owner=user, throttle_per_second=throttle_per_second
-        )
+        app = self._deployer.deploy(listing.manifest, owner=user)
         record = InstalledApp(app, listing, self.provider.clock.now)
         self._installed[(user, app_id)] = record
         return record
@@ -126,57 +122,23 @@ class AppStore:
     def update(self, app_id: str, user: str) -> InstalledApp:
         """Update to the latest reviewed version, preserving data.
 
-        The old functions are replaced; buckets, queues, and the user's
-        key stay — an update must never cost the user her data.
+        The :class:`Deployer` replaces the old functions the same way it
+        installs them; buckets, queues, and the user's key stay — an
+        update must never cost the user her data.
         """
         record = self._get_installed(user, app_id)
         listing = self.latest_listing(app_id)
         if listing.manifest.version == record.listing.manifest.version:
             return record
-        old_app = record.app
-        for spec in listing.manifest.functions:
-            name = f"{old_app.instance_name}-{spec.name_suffix}"
-            from repro.cloud.lambda_.function import FunctionConfig
-
-            self.provider.lambda_.deploy(
-                FunctionConfig(
-                    name=name,
-                    handler=spec.handler,
-                    memory_mb=spec.memory_mb,
-                    timeout_ms=spec.timeout_ms,
-                    role_name=old_app.role_name,
-                    regions=(self.provider.home_region,),
-                    environment={
-                        "DIY_INSTANCE": old_app.instance_name,
-                        "DIY_KEY_ID": old_app.key_id,
-                        "DIY_OWNER": user,
-                    },
-                )
-            )
-        new_app = DIYApp(
-            instance_name=old_app.instance_name,
-            manifest=listing.manifest,
-            provider=self.provider,
-            owner=user,
-            key_id=old_app.key_id,
-            role_name=old_app.role_name,
-            function_names=tuple(
-                f"{old_app.instance_name}-{s.name_suffix}" for s in listing.manifest.functions
-            ),
-            bucket_names=old_app.bucket_names,
-            queue_names=old_app.queue_names,
-            table_names=old_app.table_names,
-            routes=old_app.routes,
-            vm_instance_id=old_app.vm_instance_id,
-        )
+        new_app = self._deployer.update(record.app, listing.manifest)
         updated = InstalledApp(new_app, listing, self.provider.clock.now)
         self._installed[(user, app_id)] = updated
         return updated
 
-    def uninstall(self, app_id: str, user: str, delete_data: bool = True) -> None:
+    def uninstall(self, app_id: str, user: str) -> None:
         """Remove the app "and any corresponding data" (§8.1)."""
         record = self._get_installed(user, app_id)
-        self._deployer.teardown(record.app, delete_data=delete_data)
+        self._deployer.teardown(record.app)
         del self._installed[(user, app_id)]
 
     def _get_installed(self, user: str, app_id: str) -> InstalledApp:

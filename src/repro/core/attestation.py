@@ -37,13 +37,24 @@ def measure_function(handler: Callable) -> bytes:
     Any change to the deployed code changes the measurement, which is
     exactly the property remote attestation gives the user: the cloud
     cannot silently swap the audited function for a leaky one.
+
+    A handler that dispatches to other code (a kernel handler, a
+    framework endpoint) lists that code in its ``measured_parts``
+    attribute; the measurement then hashes the handler's source followed
+    by each part's measurement, so two apps sharing one dispatcher still
+    measure apart. Only the listed parts are followed, not the helpers
+    they call. A handler without the attribute measures as its source
+    alone.
     """
     try:
         source = inspect.getsource(handler)
     except (OSError, TypeError):
         # Builtins / dynamically-created callables: fall back to name+module.
         source = f"{getattr(handler, '__module__', '?')}.{getattr(handler, '__qualname__', repr(handler))}"
-    return hashlib.sha256(source.encode()).digest()
+    digest = hashlib.sha256(source.encode())
+    for part in getattr(handler, "measured_parts", ()):
+        digest.update(measure_function(part))
+    return digest.digest()
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ provider or region without ever decrypting it in transit).
 
 from __future__ import annotations
 
-from typing import Optional
+import dataclasses
+from typing import Dict, Optional, Tuple
 
 from repro.cloud.iam import Policy, Principal
 from repro.cloud.lambda_.function import FunctionConfig
@@ -36,7 +37,6 @@ class Deployer:
         owner: str,
         instance_name: Optional[str] = None,
         region: Optional[Region] = None,
-        throttle_per_second: Optional[int] = None,
     ) -> DIYApp:
         """Deploy one instance of ``manifest`` for ``owner``.
 
@@ -76,6 +76,41 @@ class Deployer:
         for table in table_names:
             provider.dynamo.create_table(table)
 
+        function_names, routes = self._deploy_functions(
+            manifest, instance, owner, key_id, role.name, region
+        )
+
+        vm_id = None
+        if manifest.needs_vm is not None:
+            vm = provider.ec2.launch(manifest.needs_vm, region)
+            provider.ec2.stop(vm.instance_id)  # relays start on demand
+            vm_id = vm.instance_id
+
+        return DIYApp(
+            instance_name=instance,
+            manifest=manifest,
+            provider=provider,
+            owner=owner,
+            key_id=key_id,
+            role_name=role.name,
+            function_names=function_names,
+            bucket_names=bucket_names,
+            queue_names=queue_names,
+            table_names=table_names,
+            routes=routes,
+            vm_instance_id=vm_id,
+        )
+
+    def _deploy_functions(
+        self, manifest: AppManifest, instance: str, owner: str,
+        key_id: str, role_name: str, region: Region,
+    ) -> Tuple[Tuple[str, ...], Dict[str, str]]:
+        """Install every function of ``manifest`` and route the HTTP ones.
+
+        Returns the function names and the gateway routes (prefix →
+        function). Deploying over an existing name replaces that function.
+        """
+        provider = self.provider
         function_names = []
         routes = {}
         for spec in manifest.functions:
@@ -92,39 +127,37 @@ class Deployer:
                     handler=spec.handler,
                     memory_mb=spec.memory_mb,
                     timeout_ms=spec.timeout_ms,
-                    role_name=role.name,
+                    role_name=role_name,
                     regions=(region,),
                     environment=environment,
                     footprint_mb=spec.footprint_mb,
                     use_enclave=spec.use_enclave,
-                ),
-                throttle_per_second=throttle_per_second,
+                )
             )
             function_names.append(name)
             if spec.route_prefix:
                 prefix = f"/{instance}{spec.route_prefix}"
                 provider.gateway.add_route(prefix, name)
                 routes[prefix] = name
+        return tuple(function_names), routes
 
-        vm_id = None
-        if manifest.needs_vm is not None:
-            vm = provider.ec2.launch(manifest.needs_vm, region)
-            provider.ec2.stop(vm.instance_id)  # relays start on demand
-            vm_id = vm.instance_id
+    # -- update --------------------------------------------------------------
 
-        return DIYApp(
-            instance_name=instance,
-            manifest=manifest,
-            provider=provider,
-            owner=owner,
-            key_id=key_id,
-            role_name=role.name,
-            function_names=tuple(function_names),
-            bucket_names=bucket_names,
-            queue_names=queue_names,
-            table_names=table_names,
-            routes=routes,
-            vm_instance_id=vm_id,
+    def update(self, app: DIYApp, manifest: AppManifest) -> DIYApp:
+        """Redeploy ``app``'s functions from a new version's ``manifest``.
+
+        The functions are replaced exactly as :meth:`deploy` installs
+        them, under the app's existing key and role; its buckets,
+        queues, tables and VM — and so the user's data — stay. Functions
+        or routes the new version drops are not removed, and resources
+        it adds are not created.
+        """
+        function_names, routes = self._deploy_functions(
+            manifest, app.instance_name, app.owner, app.key_id, app.role_name,
+            self.provider.home_region,
+        )
+        return dataclasses.replace(
+            app, manifest=manifest, function_names=function_names, routes=routes
         )
 
     # -- teardown ----------------------------------------------------------

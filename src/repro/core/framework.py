@@ -9,9 +9,11 @@ serverless platforms [Zappa]."
 :class:`DiyWebApp` is that idea, runnable: a developer writes routed
 views against a request/response API with sessions and an
 encrypted-by-default model store, and :meth:`DiyWebApp.manifest`
-compiles the whole app into a DIY manifest — one serverless handler,
-least-privilege grants, envelope encryption wired in. The developer
-never touches KMS, S3, or IAM::
+compiles the whole app into a :class:`~repro.runtime.kernel.AppSpec`
+that the runtime kernel builds like any other DIY app — one serverless
+handler behind the kernel's router and middleware, the plan's storage
+backend, least-privilege grants, envelope encryption wired in. The
+developer never touches KMS, S3, DynamoDB, or IAM::
 
     app = DiyWebApp("notes")
 
@@ -26,49 +28,43 @@ never touches KMS, S3, or IAM::
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.app import AppManifest, FunctionSpec, PermissionGrant
-from repro.crypto.envelope import EnvelopeEncryptor
-from repro.errors import ConfigurationError, HTTPProtocolError
+from repro.core.app import AppManifest
+from repro.errors import ConfigurationError
 from repro.net.http import HttpRequest, HttpResponse
+from repro.runtime.errors import json_response as JsonResponse
 
 __all__ = ["Request", "JsonResponse", "TextResponse", "ModelStore", "Session", "DiyWebApp"]
-
-_PARAM_RE = re.compile(r"<([a-z_][a-z0-9_]*)>")
 
 
 class ModelStore:
     """The framework's persistence API: every object is envelope-encrypted.
 
-    Keys are ``<kind>/<id>``; ids are allocated from the virtual clock
-    plus the request id, so they are unique and sortable.
+    Objects live in the app's kernel state store under ``<kind>/<id>``,
+    sealed with the kind as AAD; ids are allocated from the virtual
+    clock plus the request id, so they are unique and sortable.
     """
 
-    def __init__(self, ctx, encryptor: EnvelopeEncryptor, bucket: str):
-        self._ctx = ctx
-        self._encryptor = encryptor
-        self._bucket = bucket
+    def __init__(self, kctx):
+        self._kctx = kctx
 
     def put(self, kind: str, text: str, object_id: Optional[str] = None) -> str:
         if object_id is None:
-            object_id = f"{self._ctx.clock.now:020d}-{self._ctx.request_id}"
-        blob = self._encryptor.encrypt_bytes(text.encode(), aad=kind.encode())
-        self._ctx.services.s3_put(self._bucket, f"{kind}/{object_id}", blob)
+            object_id = f"{self._kctx.clock.now:020d}-{self._kctx.request_id}"
+        self._kctx.store.put_sealed(f"{kind}/{object_id}", text.encode(), aad=kind.encode())
         return object_id
 
     def get(self, kind: str, object_id: str) -> str:
-        blob = self._ctx.services.s3_get(self._bucket, f"{kind}/{object_id}")
-        return self._encryptor.decrypt_bytes(blob, aad=kind.encode()).decode()
+        return self._kctx.store.get_sealed(f"{kind}/{object_id}", aad=kind.encode()).decode()
 
     def list(self, kind: str) -> List[str]:
         prefix = f"{kind}/"
-        return [key[len(prefix):] for key in self._ctx.services.s3_list(self._bucket, prefix)]
+        return [key[len(prefix):] for key in self._kctx.store.list(prefix)]
 
     def delete(self, kind: str, object_id: str) -> None:
-        self._ctx.services.s3_delete(self._bucket, f"{kind}/{object_id}")
+        self._kctx.store.delete(f"{kind}/{object_id}")
 
 
 class Session:
@@ -114,12 +110,6 @@ class Request:
         return json.loads(self.http.body)
 
 
-def JsonResponse(payload, status: int = 200) -> HttpResponse:
-    """A JSON view response."""
-    return HttpResponse(status, {"content-type": "application/json"},
-                        json.dumps(payload).encode())
-
-
 def TextResponse(text: str, status: int = 200) -> HttpResponse:
     """A plain-text view response."""
     return HttpResponse(status, {"content-type": "text/plain"}, text.encode())
@@ -128,8 +118,34 @@ def TextResponse(text: str, status: int = 200) -> HttpResponse:
 View = Callable[[Request], HttpResponse]
 
 
+def _kernel_pattern(pattern: str) -> str:
+    """``/notes/<note_id>`` in the kernel router's ``/notes/{note_id}`` form."""
+    return "/".join(
+        "{" + part[1:-1] + "}" if part.startswith("<") and part.endswith(">") else part
+        for part in pattern.split("/")
+    )
+
+
+def _endpoint(view: View) -> Callable:
+    """The kernel endpoint that runs one view with its store and session."""
+
+    def endpoint(kctx, http: HttpRequest, **params: str) -> HttpResponse:
+        store = ModelStore(kctx)
+        session = Session(store, http.header("x-diy-session", "anonymous"))
+        response = view(Request(http, params, store, session))
+        session.save()
+        if not isinstance(response, HttpResponse):
+            raise ConfigurationError(
+                f"view for {http.path!r} returned {type(response).__name__}, not HttpResponse"
+            )
+        return response
+
+    endpoint.measured_parts = (view,)
+    return endpoint
+
+
 class DiyWebApp:
-    """Routes + views + storage, compiled to one DIY manifest."""
+    """Routes + views + storage, compiled by the runtime kernel."""
 
     def __init__(self, app_id: str, version: str = "1.0.0",
                  description: str = "", memory_mb: int = 256):
@@ -139,95 +155,41 @@ class DiyWebApp:
         self.version = version
         self.description = description or f"{app_id} (DIY web framework app)"
         self.memory_mb = memory_mb
-        self._routes: List[Tuple[str, re.Pattern, str, View]] = []
-
-    # -- routing --------------------------------------------------------
+        self._routes: List[Tuple[str, str, View]] = []
 
     def route(self, method: str, pattern: str) -> Callable[[View], View]:
         """Register a view for ``method pattern``; ``<name>`` captures a
         path segment into ``request.params``."""
         if not pattern.startswith("/"):
             raise ConfigurationError(f"route pattern must start with '/': {pattern!r}")
-        regex = re.compile(
-            "^" + _PARAM_RE.sub(r"(?P<\1>[^/]+)", re.escape(pattern).replace(r"\<", "<").replace(r"\>", ">")) + "$"
-        )
 
         def decorator(view: View) -> View:
-            self._routes.append((method.upper(), regex, pattern, view))
+            self._routes.append((method.upper(), pattern, view))
             return view
 
         return decorator
 
-    def _match(self, method: str, path: str) -> Tuple[View, Dict[str, str]]:
-        allowed = []
-        for route_method, regex, _pattern, view in self._routes:
-            match = regex.match(path)
-            if match:
-                if route_method == method:
-                    return view, match.groupdict()
-                allowed.append(route_method)
-        if allowed:
-            raise HTTPProtocolError(f"method {method} not allowed for {path}")
-        raise HTTPProtocolError(f"no route matches {path}")
-
-    # -- the compiled handler ----------------------------------------------
-
-    def _handler(self, event, ctx) -> HttpResponse:
-        if not isinstance(event, HttpRequest):
-            return TextResponse("expected an HTTP request", status=400)
-        instance = ctx.environment["DIY_INSTANCE"]
-        bucket = f"{instance}-data"
-        encryptor = EnvelopeEncryptor(
-            ctx.services.kms_key_provider(ctx.environment["DIY_KEY_ID"])
-        )
-        store = ModelStore(ctx, encryptor, bucket)
-        session_id = event.header("x-diy-session", "anonymous")
-        session = Session(store, session_id)
-
-        # Strip the instance routing prefix the gateway matched on.
-        prefix = f"/{instance}/app"
-        path = event.path[len(prefix):] or "/"
-        try:
-            view, params = self._match(event.method, path)
-        except HTTPProtocolError as exc:
-            return JsonResponse({"error": str(exc)}, status=404)
-        response = view(Request(event, params, store, session))
-        session.save()
-        if not isinstance(response, HttpResponse):
-            raise ConfigurationError(
-                f"view for {path!r} returned {type(response).__name__}, not HttpResponse"
-            )
-        return response
-
-    # -- compilation ---------------------------------------------------------
-
     def manifest(self) -> AppManifest:
         """Compile the app into a deployable DIY manifest."""
+        from repro.runtime.kernel import AppKernel, AppSpec, KernelFunction, RouteDecl, StoreDecl
+
         if not self._routes:
             raise ConfigurationError("web app has no routes")
-        return AppManifest(
+        routes = tuple(
+            RouteDecl(method, "/app" + _kernel_pattern(pattern), _endpoint(view))
+            for method, pattern, view in self._routes
+        )
+        return AppKernel(AppSpec(
             app_id=self.app_id,
             version=self.version,
             description=self.description,
-            functions=(
-                FunctionSpec(
-                    name_suffix="web",
-                    handler=self._handler,
-                    memory_mb=self.memory_mb,
-                    timeout_ms=30_000,
-                    route_prefix="/app",
-                    footprint_mb=14,  # framework + crypto deployment package
-                ),
-            ),
-            permissions=(
-                PermissionGrant(
-                    ("s3:GetObject", "s3:PutObject", "s3:DeleteObject", "s3:ListBucket"),
-                    "arn:diy:s3:::{app}-data*",
-                    "the framework's encrypted model store",
-                ),
-            ),
-            buckets=("data",),
-        )
+            functions=(KernelFunction(
+                "web", routes, memory_mb=self.memory_mb, route_prefix="/app",
+                footprint_mb=14,  # framework + crypto deployment package
+            ),),
+            store=StoreDecl("data", deletes=True,
+                            reason="the framework's encrypted model store"),
+        )).manifest()
 
     def routes(self) -> List[str]:
-        return [f"{method} {pattern}" for method, _regex, pattern, _view in self._routes]
+        return [f"{method} {pattern}" for method, pattern, _view in self._routes]

@@ -45,13 +45,7 @@ from repro.obs.trace import child_span
 from repro.plan import DeploymentPlan, plan_from_env
 from repro.runtime.errors import error_response, throttled_response
 from repro.runtime.router import Route, Router
-from repro.runtime.store import (
-    STORAGE_BACKENDS,
-    STORAGE_ENV,
-    CachedStore,
-    StateStore,
-    backend_store,
-)
+from repro.runtime.store import STORAGE_ENV, CachedStore, StateStore, backend_store
 from repro.runtime.trace import RequestTrace
 
 __all__ = ["RouteDecl", "StoreDecl", "KernelFunction", "AppSpec", "AppKernel", "KernelContext"]
@@ -73,9 +67,9 @@ class RouteDecl:
 class StoreDecl:
     """The app's state store: one bucket suffix, one table suffix.
 
-    Which one actually backs the deployment is the ``DIY_STORAGE``
-    env-var choice made at manifest time; the kernel emits the matching
-    resources and least-privilege grants.
+    Which one actually backs the deployment is the plan's ``storage``
+    choice; the kernel emits the matching resources and least-privilege
+    grants.
     """
 
     bucket: str
@@ -179,26 +173,14 @@ def _relative_path(path: str, instance: str) -> str:
 class AppKernel:
     """Builds manifests and middleware-wrapped handlers from one spec."""
 
-    def __init__(self, spec: AppSpec, storage: Optional[str] = None,
-                 plan: Optional[DeploymentPlan] = None):
-        """Precedence: explicit ``storage`` arg > ``plan`` > ``DIY_STORAGE`` env.
+    def __init__(self, spec: AppSpec, plan: Optional[DeploymentPlan] = None):
+        """The plan supplies every knob: backend, memory default, cache policy.
 
         With no ``plan``, :func:`repro.plan.plan_from_env` supplies one —
-        the documented bridge from the legacy env-var plane. The plan's
-        other knobs (memory default, cache policy) apply unchanged.
+        the documented bridge from the legacy ``DIY_STORAGE`` env var.
         """
-        if plan is None:
-            plan = plan_from_env()
-        resolved = storage or plan.storage
-        if resolved not in STORAGE_BACKENDS:
-            raise ValueError(
-                f"storage must be one of {STORAGE_BACKENDS}, got {resolved!r}"
-            )
-        if spec.store is None and storage is not None and storage != "s3":
-            raise ValueError(f"{spec.app_id} declares no store to put on {storage!r}")
         self.spec = spec
-        self.plan = plan if resolved == plan.storage else plan.replace(storage=resolved)
-        self.storage = resolved
+        self.plan = plan_from_env() if plan is None else plan
         self._routers: Dict[str, Router] = {
             fn.suffix: Router(
                 Route(decl.method.upper(), decl.pattern, decl.endpoint, decl.name)
@@ -275,6 +257,11 @@ class AppKernel:
 
         kernel_handler.__name__ = f"{self.spec.app_id.replace('-', '_')}_{fn.suffix}"
         kernel_handler.__qualname__ = kernel_handler.__name__
+        # The code this handler runs beyond its own source, for
+        # repro.core.attestation.measure_function.
+        kernel_handler.measured_parts = tuple(route.endpoint for route in router.routes) + (
+            (fn.event_endpoint,) if fn.event_endpoint is not None else ()
+        )
         return kernel_handler
 
     def _record_health(self, health, trace: RequestTrace, now: int) -> None:
@@ -305,7 +292,7 @@ class AppKernel:
         decl = self.spec.store
         if decl is None:
             return (), self.spec.buckets, self.spec.tables
-        if self.storage == "dynamo":
+        if self.plan.storage == "dynamo":
             actions = ["dynamodb:GetItem", "dynamodb:PutItem", "dynamodb:Query"]
             if decl.deletes:
                 actions.append("dynamodb:DeleteItem")
@@ -329,10 +316,9 @@ class AppKernel:
     def manifest(self, memory_mb: Optional[int] = None) -> AppManifest:
         """Assemble the deployable manifest for the chosen backend.
 
-        Memory precedence mirrors storage: the explicit ``memory_mb``
-        argument wins, then the plan's ``memory_mb``, then each
-        function's declared size (``memory_scaled=False`` functions
-        always keep their own).
+        Memory precedence: the explicit ``memory_mb`` argument wins,
+        then the plan's ``memory_mb``, then each function's declared
+        size (``memory_scaled=False`` functions always keep their own).
         """
         store_grants, buckets, tables = self._store_grant()
         override = memory_mb if memory_mb is not None else self.plan.memory_mb

@@ -469,7 +469,7 @@ def _ablate_chat(provider, storage: str, requests: int) -> str:
     from repro.core.deployment import Deployer
 
     app = Deployer(provider).deploy(
-        chat_manifest(storage=storage), owner="alice",
+        chat_manifest(plan=DeploymentPlan(storage=storage)), owner="alice",
         instance_name=f"chat-{storage}",
     )
     service = ChatService(app)
@@ -494,7 +494,7 @@ def _ablate_email(provider, storage: str, requests: int) -> str:
 
     keys = KeyPair.generate(provider.rng.child("ablation/email-keys").randbytes)
     app = Deployer(provider).deploy(
-        email_manifest(storage=storage), owner="carol",
+        email_manifest(plan=DeploymentPlan(storage=storage)), owner="carol",
         instance_name=f"email-{storage}",
     )
     client = EmailClient(EmailService_(app, keys, domain="carol.diy"))
@@ -512,7 +512,7 @@ def _ablate_filetransfer(provider, storage: str, requests: int) -> str:
     from repro.core.deployment import Deployer
 
     app = Deployer(provider).deploy(
-        file_transfer_manifest(storage=storage), owner="dana",
+        file_transfer_manifest(plan=DeploymentPlan(storage=storage)), owner="dana",
         instance_name=f"xfer-{storage}",
     )
     sender = FileTransferClient(app, "dana", chunk_bytes=2048)

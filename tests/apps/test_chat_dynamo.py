@@ -4,11 +4,12 @@ import pytest
 
 from repro.apps.chat import ChatClient, ChatService, chat_manifest
 from repro.core.threatmodel import PrivacyAuditor
+from repro.plan import DeploymentPlan
 
 
 @pytest.fixture
 def dynamo_service(provider, deployer):
-    app = deployer.deploy(chat_manifest(storage="dynamo"), owner="alice")
+    app = deployer.deploy(chat_manifest(plan=DeploymentPlan(storage="dynamo")), owner="alice")
     service = ChatService(app)
     service.create_room("room", ["alice@diy", "bob@diy"])
     return service
@@ -23,13 +24,9 @@ def _client(service, jid):
 
 class TestDynamoBackend:
     def test_manifest_declares_table_not_bucket(self):
-        manifest = chat_manifest(storage="dynamo")
+        manifest = chat_manifest(plan=DeploymentPlan(storage="dynamo"))
         assert manifest.tables == ("kv",)
         assert manifest.buckets == ()
-
-    def test_bad_storage_rejected(self):
-        with pytest.raises(ValueError):
-            chat_manifest(storage="floppy")
 
     def test_storage_property(self, dynamo_service):
         assert dynamo_service.storage == "dynamo"
@@ -78,7 +75,7 @@ class TestLatencyComparison:
         def median_run(storage: str) -> float:
             cloud = CloudProvider(seed=13)
             app = Deployer(cloud).deploy(
-                chat_manifest(storage=storage), owner="alice",
+                chat_manifest(plan=DeploymentPlan(storage=storage)), owner="alice",
                 instance_name=f"chat-{storage}",
             )
             service = ChatService(app)

@@ -125,3 +125,75 @@ class TestResourceAccounting:
     def test_total_monthly_cost_sums(self, store, listed_chat):
         store.install("diy-chat", user="alice")
         assert store.total_monthly_cost("alice") == ZERO  # no usage yet
+
+
+class TestUpdateKeepsThePlan:
+    def test_update_keeps_the_deployed_plan(self):
+        import dataclasses
+
+        from repro import CloudProvider
+        from repro.apps.chat import ChatClient, ChatService
+        from repro.plan import DeploymentPlan
+        from repro.runtime.store import STORAGE_ENV
+
+        provider = CloudProvider(name="aws-sim", seed=1234,
+                                 plan=DeploymentPlan(storage="dynamo"))
+        store = AppStore(provider)
+        v1 = chat_manifest(plan=provider.plan)
+        store.review(store.publish(v1, developer="chat-startup").listing_id)
+        record = store.install("diy-chat", user="alice")
+        service = ChatService(record.app)
+        service.create_room("room", ["alice@diy", "bob@diy"])
+
+        v2 = dataclasses.replace(v1, version="1.1.0")
+        store.review(store.publish(v2, developer="chat-startup").listing_id)
+        updated = store.update("diy-chat", user="alice")
+
+        config = provider.lambda_.get_function(updated.app.function_names[0])
+        assert config.environment[STORAGE_ENV] == "dynamo"
+        assert config.footprint_mb == 17
+        service = ChatService(updated.app)
+        alice = ChatClient(service, "alice@diy")
+        bob = ChatClient(service, "bob@diy")
+        for client in (alice, bob):
+            client.join("room")
+            client.connect()
+        alice.send("room", "after the update")
+        assert [m.body for m in bob.poll()] == ["after the update"]
+
+
+class TestCodeMeasurements:
+    """Each app's listing measures the code it actually runs."""
+
+    def test_kernel_apps_measure_differently(self):
+        from repro.apps.email import email_manifest
+        from repro.core.attestation import measure_function
+
+        chat = chat_manifest().functions[0].handler
+        inbound = email_manifest().functions[0].handler
+        assert measure_function(chat) != measure_function(inbound)
+
+    def test_two_builds_of_one_manifest_measure_the_same(self):
+        from repro.core.attestation import measure_function
+
+        first = chat_manifest().functions[0].handler
+        second = chat_manifest().functions[0].handler
+        assert first is not second
+        assert measure_function(first) == measure_function(second)
+
+    def test_framework_apps_differing_in_one_view_measure_differently(self):
+        from repro.core.attestation import measure_function
+        from repro.core.framework import DiyWebApp, TextResponse
+
+        plain, shouting = DiyWebApp("greeter"), DiyWebApp("greeter")
+
+        @plain.route("GET", "/hello")
+        def hello(request):
+            return TextResponse("hello")
+
+        @shouting.route("GET", "/hello")
+        def hello_loud(request):
+            return TextResponse("HELLO")
+
+        assert (measure_function(plain.manifest().functions[0].handler)
+                != measure_function(shouting.manifest().functions[0].handler))

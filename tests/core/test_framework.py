@@ -73,10 +73,11 @@ class TestRouting:
         response = channel.request(HttpRequest("GET", f"{base}/nope"))
         assert response.status == 404
 
-    def test_wrong_method_is_404_with_hint(self, deployed):
+    def test_wrong_method_is_405_with_allow(self, deployed):
         _app, channel, base = deployed
         response = channel.request(HttpRequest("PUT", f"{base}/notes", {}, b"x"))
-        assert response.status == 404
+        assert response.status == 405
+        assert response.headers["allow"] == "GET, POST"
         assert b"not allowed" in response.body
 
     def test_path_params_captured(self, deployed):
@@ -161,3 +162,42 @@ class TestCompilation:
         store.review(listing.listing_id)
         installed = store.install("notesapp", user="gina")
         assert installed.app.manifest.app_id == "notesapp"
+
+
+class TestKernelServices:
+    """A framework app runs on the same kernel pipeline as every app."""
+
+    def test_dynamo_manifest_declares_a_table(self, monkeypatch):
+        monkeypatch.setenv("DIY_STORAGE", "dynamo")
+        manifest = _notes_app().manifest()
+        assert manifest.tables == ("kv",)
+        assert manifest.buckets == ()
+
+    def test_crud_round_trip_on_dynamo(self, provider, deployer, monkeypatch):
+        monkeypatch.setenv("DIY_STORAGE", "dynamo")
+        app = deployer.deploy(_notes_app().manifest(), owner="gina")
+        channel = open_channel(provider, "gina-device")
+        base = f"/{app.instance_name}/app"
+        created = channel.request(HttpRequest("POST", f"{base}/notes", {}, b"dynamo milk"))
+        assert created.status == 201
+        note_id = json.loads(created.body)["id"]
+        shown = channel.request(HttpRequest("GET", f"{base}/notes/{note_id}"))
+        assert shown.body == b"dynamo milk"
+        index = channel.request(HttpRequest("GET", f"{base}/notes"))
+        assert json.loads(index.body)["notes"] == [note_id]
+        channel.request(HttpRequest("DELETE", f"{base}/notes/{note_id}"))
+        assert json.loads(channel.request(HttpRequest("GET", f"{base}/notes")).body)["notes"] == []
+
+        channel.request(HttpRequest("POST", f"{base}/notes", {}, b"dynamo milk"))
+        scanned = list(provider.dynamo.raw_scan(f"{app.instance_name}-kv"))
+        assert scanned
+        for _key, raw in scanned:
+            assert b"dynamo milk" not in raw
+
+    def test_requests_reach_the_health_plane(self, provider, deployed):
+        _app, channel, base = deployed
+        plane = provider.enable_metrics()
+        channel.request(HttpRequest("POST", f"{base}/notes", {}, b"counted"))
+        counter = plane.counter("runtime.requests", app="notesapp",
+                                route="app.notes", status="201")
+        assert counter.value == 1

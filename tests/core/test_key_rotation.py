@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.chat import ChatClient, ChatService, chat_manifest
 from repro.errors import KeyNotFound
+from repro.plan import DeploymentPlan
 
 
 @pytest.fixture
@@ -77,7 +78,7 @@ class TestRotation:
 
 class TestDynamoRotation:
     def test_rotation_covers_table_state(self, provider, deployer):
-        app = deployer.deploy(chat_manifest(storage="dynamo"), owner="alice")
+        app = deployer.deploy(chat_manifest(plan=DeploymentPlan(storage="dynamo")), owner="alice")
         service = ChatService(app)
         service.create_room("r", ["alice@diy", "bob@diy"])
         alice = ChatClient(service, "alice@diy")

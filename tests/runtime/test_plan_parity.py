@@ -4,8 +4,9 @@ PR 9 made :class:`repro.plan.DeploymentPlan` the config plane and demoted
 ``DIY_STORAGE`` to one documented plan constructor. These tests pin the
 contract: for every app, deploying with ``plan=DeploymentPlan(...)``
 produces the same manifest and the same observable behavior as exporting
-``DIY_STORAGE`` did, and the knob precedence (explicit argument > plan >
-environment > declared default) holds everywhere.
+``DIY_STORAGE`` did. The storage backend comes only from the plan, or
+from the environment when there is no plan; memory comes from chat's
+explicit ``memory_mb``, then the plan, then the declared default.
 """
 
 import pytest
@@ -48,11 +49,6 @@ class TestManifestParity:
     def test_default_plan_equals_unset_env(self, manifest_fn, monkeypatch):
         monkeypatch.delenv(STORAGE_ENV, raising=False)
         assert _normalize(manifest_fn(plan=DEFAULT_PLAN)) == _normalize(manifest_fn())
-
-    def test_explicit_storage_beats_the_plan(self, manifest_fn):
-        manifest = manifest_fn(storage="s3", plan=DeploymentPlan(storage="dynamo"))
-        for fn in manifest.functions:
-            assert dict(fn.environment)[STORAGE_ENV] == "s3"
 
     def test_plan_beats_the_environment(self, manifest_fn, monkeypatch):
         monkeypatch.setenv(STORAGE_ENV, "s3")

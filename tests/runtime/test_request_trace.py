@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.obs.metrics import MetricsPlane, bind_ambient
+from repro.plan import DEFAULT_PLAN
 from repro.runtime.kernel import AppKernel, AppSpec, KernelFunction
 from repro.runtime.trace import RequestTrace
 from repro.sim.clock import SimClock
@@ -57,7 +58,7 @@ class TestSpans:
 
         spec = AppSpec("probe", "1.0", "status probe",
                        (KernelFunction("handler", event_endpoint=crash),))
-        handler = AppKernel(spec, storage="s3").handler(spec.functions[0])
+        handler = AppKernel(spec, DEFAULT_PLAN).handler(spec.functions[0])
         ctx = SimpleNamespace(
             clock=SimClock(), environment={"DIY_KEY_ID": "key"},
             services=SimpleNamespace(kms_key_provider=lambda key_id: None),

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.plan import DeploymentPlan
 from repro.runtime.store import STORAGE_BACKENDS
 
 BACKENDS = pytest.mark.parametrize("storage", STORAGE_BACKENDS)
@@ -19,7 +20,7 @@ class TestChat:
     def test_send_and_poll(self, provider, deployer, storage):
         from repro.apps.chat import ChatClient, ChatService, chat_manifest
 
-        app = deployer.deploy(chat_manifest(storage=storage), owner="alice",
+        app = deployer.deploy(chat_manifest(plan=DeploymentPlan(storage=storage)), owner="alice",
                               instance_name=f"chat-{storage}")
         service = ChatService(app)
         service.create_room("r", ["alice@diy", "bob@diy"])
@@ -40,7 +41,7 @@ class TestEmail:
         from repro.protocols.mime import Address, EmailMessage
 
         keys = KeyPair.generate(provider.rng.child("carol-keys").randbytes)
-        app = deployer.deploy(email_manifest(storage=storage), owner="carol",
+        app = deployer.deploy(email_manifest(plan=DeploymentPlan(storage=storage)), owner="carol",
                               instance_name=f"email-{storage}")
         client = EmailClient(EmailService_(app, keys, domain="carol.diy"))
         client.send(EmailMessage(
@@ -58,7 +59,7 @@ class TestFileTransfer:
     def test_round_trip_and_cleanup(self, provider, deployer, storage):
         from repro.apps.filetransfer import FileTransferClient, file_transfer_manifest
 
-        app = deployer.deploy(file_transfer_manifest(storage=storage), owner="dana",
+        app = deployer.deploy(file_transfer_manifest(plan=DeploymentPlan(storage=storage)), owner="dana",
                               instance_name=f"xfer-{storage}")
         sender = FileTransferClient(app, "dana", chunk_bytes=1024)
         receiver = FileTransferClient(app, "eli", chunk_bytes=1024)
@@ -73,7 +74,7 @@ class TestIot:
     def test_commands_and_dashboard(self, provider, deployer, storage):
         from repro.apps.iot import IotClient, SimulatedDevice, iot_manifest
 
-        app = deployer.deploy(iot_manifest(storage=storage), owner="fred",
+        app = deployer.deploy(iot_manifest(plan=DeploymentPlan(storage=storage)), owner="fred",
                               instance_name=f"iot-{storage}")
         client = IotClient(app)
         lamp = SimulatedDevice(app, "lamp", state={"power": False})
@@ -90,7 +91,7 @@ class TestVideoSignaling:
         from repro.core.client import open_channel
         from repro.net.http import HttpRequest
 
-        app = deployer.deploy(video_manifest(storage=storage), owner="ann",
+        app = deployer.deploy(video_manifest(plan=DeploymentPlan(storage=storage)), owner="ann",
                               instance_name=f"video-{storage}")
         channel = open_channel(provider, "ann-device")
         base = f"/{app.instance_name}/signal"
@@ -112,17 +113,3 @@ class TestEnvVarSelection:
         monkeypatch.setenv(STORAGE_ENV, "dynamo")
         manifest = chat_manifest()
         assert dict(manifest.functions[0].environment)[STORAGE_ENV] == "dynamo"
-
-    def test_explicit_argument_wins_over_the_environment(self, monkeypatch):
-        from repro.apps.chat import chat_manifest
-        from repro.runtime.store import STORAGE_ENV
-
-        monkeypatch.setenv(STORAGE_ENV, "dynamo")
-        manifest = chat_manifest(storage="s3")
-        assert dict(manifest.functions[0].environment)[STORAGE_ENV] == "s3"
-
-    def test_unknown_backend_rejected(self):
-        from repro.apps.chat import chat_manifest
-
-        with pytest.raises(ValueError):
-            chat_manifest(storage="floppy")
