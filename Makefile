@@ -39,6 +39,8 @@ lint:
 		|| { echo "lint: the fleet engines price with plan.prices"; exit 1; }
 	@! grep -rnE 'call_with_retries\(|CircuitBreaker\(|AvailabilityTracker\(|ThrottledError\(|status == 429' src/repro/apps --include="*.py" \
 		|| { echo "lint: app clients retry and queue through repro.resilience"; exit 1; }
+	@! grep -rnE 'create_queue\(|create_bucket\(|create_table\(|queue_exists\(' src/repro/core src/repro/apps --include="*.py" | grep -v "core/deployment\.py\|core/app\.py" \
+		|| { echo "lint: apps make resources only through the Deployer and DIYApp.queue"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).

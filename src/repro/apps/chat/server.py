@@ -196,6 +196,7 @@ CHAT_SPEC = AppSpec(
                         "arn:diy:sqs:::{app}-inbox-*",
                         "fan out encrypted messages to member inboxes"),
     ),
+    queues=("inbox-*",),
 )
 
 # The deployable entry point, for callers that address the handler

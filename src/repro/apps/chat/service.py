@@ -40,10 +40,6 @@ class ChatService:
         return app_storage(self.app)
 
     @property
-    def state_bucket(self) -> str:
-        return f"{self.app.instance_name}-{self.app.manifest.store.bucket}"
-
-    @property
     def state_table(self) -> str:
         return f"{self.app.instance_name}-{self.app.manifest.store.table}"
 
@@ -72,9 +68,7 @@ class ChatService:
             )
         self._store().put(roster_key(room), blob)
         for member in members:
-            queue = self.inbox_queue(member.split("@", 1)[0])
-            if not self.provider.sqs.queue_exists(queue):
-                self.provider.sqs.create_queue(queue)
+            self.register_member(member.split("@", 1)[0])
 
     def room_roster(self, room: str) -> List[str]:
         """Read back a roster (owner-side decryption)."""
@@ -85,10 +79,7 @@ class ChatService:
     def register_member(self, member_local: str) -> str:
         """Provision an inbox queue for a local user (needed before the
         deployment can receive federated direct messages for them)."""
-        queue = self.inbox_queue(member_local)
-        if not self.provider.sqs.queue_exists(queue):
-            self.provider.sqs.create_queue(queue)
-        return queue
+        return self.app.queue(f"inbox-{member_local}")
 
     def add_member(self, room: str, member: str) -> None:
         """Add a member to an existing room (and give them an inbox)."""

@@ -56,10 +56,6 @@ class EmailService_:
         return f"{self.app.instance_name}-{self.app.manifest.store.bucket}"
 
     @property
-    def mail_table(self) -> str:
-        return f"{self.app.instance_name}-{self.app.manifest.store.table}"
-
-    @property
     def send_route(self) -> str:
         return f"/{self.app.instance_name}/send"
 

@@ -33,13 +33,7 @@ class SimulatedDevice:
 
     def __post_init__(self):
         self._principal = Principal(f"device:{self.device_id}", None)
-        queue = self.command_queue
-        if not self.app.provider.sqs.queue_exists(queue):
-            self.app.provider.sqs.create_queue(queue)
-
-    @property
-    def command_queue(self) -> str:
-        return f"{self.app.instance_name}-device-{self.device_id}"
+        self.command_queue = self.app.queue(f"device-{self.device_id}")
 
     def _encryptor(self) -> EnvelopeEncryptor:
         provider = self.app.provider.kms.key_provider(self._principal, self.app.key_id)

@@ -172,7 +172,7 @@ IOT_SPEC = AppSpec(
                         "arn:diy:sqs:::{app}-alerts",
                         "notify the owner's alert feed"),
     ),
-    queues=("alerts",),
+    queues=("alerts", "device-*"),
 )
 
 iot_handler = AppKernel(IOT_SPEC).handler(IOT_SPEC.functions[0])

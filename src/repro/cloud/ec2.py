@@ -40,10 +40,6 @@ class Instance:
     ebs_gb: float = 0.0
     _last_meter: int = 0
 
-    def uptime_micros(self, now: int) -> int:
-        end = self.stopped_at if self.stopped_at is not None else now
-        return end - self.launched_at
-
 
 class Ec2Service:
     """Simulated EC2: launch/stop/terminate with per-second metering."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cloud.billing import BillingMeter, UsageKind
 from repro.cloud.iam import Iam, Principal
@@ -83,6 +83,10 @@ class QueueService:
 
     def queue_exists(self, name: str) -> bool:
         return name in self._queues
+
+    def list_queues(self, prefix: str) -> List[str]:
+        """Names of the queues starting with ``prefix`` (ListQueues' QueueNamePrefix)."""
+        return sorted(name for name in self._queues if name.startswith(prefix))
 
     def queue(self, name: str) -> Queue:
         try:
@@ -184,7 +188,10 @@ class QueueService:
     def approximate_depth(self, queue_name: str) -> int:
         return len(self.queue(queue_name).messages)
 
+    def scan(self, queue_name: str) -> List[Tuple[str, bytes]]:
+        """Every queued (message id, body), oldest first, unmetered."""
+        return [(m.message_id, m.body) for m in self.queue(queue_name).messages]
+
     def raw_scan(self, queue_name: str) -> Iterator[bytes]:
         """The internal attacker's view of queued bodies."""
-        for message in self.queue(queue_name).messages:
-            yield message.body
+        return (body for _message_id, body in self.scan(queue_name))

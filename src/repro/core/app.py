@@ -10,17 +10,21 @@ user-exercisable control over deletion, export, and migration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from fnmatch import fnmatchcase
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
+from repro import tcb
 from repro.cloud.billing import Invoice
+from repro.cloud.iam import Policy, Principal
 from repro.cloud.lambda_.function import Handler
 from repro.cloud.provider import CloudProvider
-from repro.errors import ConfigurationError, DeploymentError
+from repro.crypto.envelope import EncryptedBlob
+from repro.errors import ConfigurationError, CryptoError, DeploymentError
 from repro.net.address import Region
 from repro.units import Money
 
-__all__ = ["PermissionGrant", "FunctionSpec", "AppManifest", "DIYApp"]
+__all__ = ["PermissionGrant", "FunctionSpec", "AppManifest", "StoredItem", "DIYApp"]
 
 
 @dataclass(frozen=True)
@@ -65,20 +69,25 @@ class AppManifest:
     functions: Tuple[FunctionSpec, ...]
     permissions: Tuple[PermissionGrant, ...]
     buckets: Tuple[str, ...] = ()  # suffixes; instance bucket = "<app>-<suffix>"
-    queues: Tuple[str, ...] = ()
+    queues: Tuple[str, ...] = ()  # "<prefix>-*" declares a family made at run time
     tables: Tuple[str, ...] = ()
     needs_vm: Optional[str] = None  # instance type, for relay-style apps
     store: Optional[object] = None  # runtime StoreDecl, for kernel-built apps
-
-    def declared_routes(self) -> Tuple[str, ...]:
-        """Every route spec across the app's functions (the store UI row)."""
-        return tuple(route for spec in self.functions for route in spec.routes)
 
     def __post_init__(self):
         if not self.app_id or not self.version:
             raise ConfigurationError("manifest needs an app_id and version")
         if not self.functions and self.needs_vm is None:
             raise ConfigurationError("manifest deploys nothing")
+
+
+class StoredItem(NamedTuple):
+    """One thing an app holds, at a typed location."""
+
+    kind: str  # "bucket" (an object), "table" (an item) or "queue" (a message)
+    resource: str  # the bucket, table or queue name
+    key: Tuple[str, ...]  # (object key,), (partition, sort) or (message id,)
+    read: Callable[[], bytes]  # the stored bytes; an S3 GET for objects
 
 
 @dataclass
@@ -93,10 +102,21 @@ class DIYApp:
     role_name: str
     function_names: Tuple[str, ...]
     bucket_names: Tuple[str, ...]
-    queue_names: Tuple[str, ...]
     table_names: Tuple[str, ...]
     routes: Dict[str, str] = field(default_factory=dict)  # route prefix → function
     vm_instance_id: Optional[str] = None
+
+    @property
+    def queue_names(self) -> Tuple[str, ...]:
+        """The fixed queues and every live member of a declared family."""
+        names: List[str] = []
+        for suffix in self.manifest.queues:
+            name = f"{self.instance_name}-{suffix}"
+            if suffix.endswith("-*"):
+                names += self.provider.sqs.list_queues(name[:-1])
+            else:
+                names.append(name)
+        return tuple(names)
 
     # -- use ----------------------------------------------------------------
 
@@ -108,71 +128,65 @@ class DIYApp:
         with self.provider.meter.attributed(self.instance_name):
             return self.provider.lambda_.invoke(name, event)
 
+    def queue(self, suffix: str) -> str:
+        """``{instance}-{suffix}`` for a declared queue or family member, made on first use."""
+        if not any(fnmatchcase(suffix, declared) for declared in self.manifest.queues):
+            raise ConfigurationError(f"{self.manifest.app_id} declares no queue {suffix!r}")
+        name = f"{self.instance_name}-{suffix}"
+        if not self.provider.sqs.queue_exists(name):
+            self.provider.sqs.create_queue(name)
+        return name
+
     # -- the §3.3 user controls ------------------------------------------------
 
+    def stored_items(self) -> Iterator[StoredItem]:
+        """Every bucket object, table item and queued message (oldest first); each
+        resource is listed before its first item, so a walker may rewrite it."""
+        root, s3 = self._root(), self.provider.s3
+        for bucket in self.bucket_names:
+            for key in s3.list_objects(root, bucket):
+                yield StoredItem("bucket", bucket, (key,),
+                                 lambda b=bucket, k=key: s3.get_object(root, b, k).data)
+        for table in self.table_names:
+            for item_key, value in list(self.provider.dynamo.raw_scan(table)):
+                yield StoredItem("table", table, item_key, lambda v=value: v)
+        for queue in self.queue_names:
+            for message_id, body in self.provider.sqs.scan(queue):
+                yield StoredItem("queue", queue, (message_id,), lambda v=body: v)
+
     def delete_all_data(self) -> int:
-        """Delete every stored object and revoke the key; returns objects deleted.
+        """Delete everything stored and revoke the key; returns how many items were deleted.
 
         Unlike a centralized service, nothing else ever held a readable
         copy: once the key is gone, even surviving ciphertext is noise.
         """
         deleted = 0
-        root = self._root()
-        for bucket in self.bucket_names:
-            for key in list(self.provider.s3.list_objects(root, bucket)):
-                self.provider.s3.delete_object(root, bucket, key)
-                deleted += 1
-        for table in self.table_names:
-            for (partition, sort), _value in list(self.provider.dynamo.raw_scan(table)):
-                self.provider.dynamo.delete_item(root, table, partition, sort)
-                deleted += 1
+        for item in self.stored_items():
+            self._delete(item)
+            deleted += 1
         self.provider.kms.schedule_key_deletion(self.key_id)
         return deleted
 
     def rotate_key(self) -> str:
         """Rotate the master key: §3.3's control over keys, exercised.
 
-        A fresh CMK is created, every stored object's *data key* is
-        unwrapped (an owner-device operation) and re-wrapped under the
-        new master, and the old master is revoked. Payload ciphertext
-        never changes and plaintext never leaves the owner's zone — the
-        same mechanics as migration, pointed at the same provider.
-        Returns the new key id.
+        A fresh CMK is created, the data key of every stored item is
+        re-wrapped under it (queued messages are re-sent in order; clear
+        objects stay as they are), and the old master is revoked. Payload
+        ciphertext never changes and plaintext never leaves the owner's
+        zone — the same mechanics as migration, pointed at the same
+        provider. Returns the new key id.
         """
-        import dataclasses
-
-        from repro import tcb
-        from repro.cloud.iam import Policy
-        from repro.crypto.envelope import EncryptedBlob
-        from repro.errors import CryptoError
-
-        root = self._root()
         new_key_id = self.provider.kms.create_key(
             f"{self.instance_name}-master-r{self.provider.clock.now}"
         )
-
-        def _rewrap(raw: bytes):
-            try:
-                blob = EncryptedBlob.deserialize(raw)
-            except CryptoError:
-                return None  # config objects (e.g. public keys) are not envelopes
-            if blob.data_key.master_key_id != self.key_id:
-                return None
-            with tcb.zone(tcb.Zone.CLIENT, f"owner:{self.owner}"):
-                data_key = self.provider.kms.decrypt_data_key(root, blob.data_key)
-            rewrapped = self.provider.kms.encrypt_data_key(root, new_key_id, data_key)
-            return EncryptedBlob(rewrapped, blob.nonce, blob.ciphertext).serialize()
-
-        for bucket in self.bucket_names:
-            for key in self.provider.s3.list_objects(root, bucket):
-                moved = _rewrap(self.provider.s3.get_object(root, bucket, key).data)
-                if moved is not None:
-                    self.provider.s3.put_object(root, bucket, key, moved)
-        for table in self.table_names:
-            for (partition, sort), value in list(self.provider.dynamo.raw_scan(table)):
-                moved = _rewrap(value)
-                if moved is not None:
-                    self.provider.dynamo.put_item(root, table, partition, sort, moved)
+        for item in self.stored_items():
+            raw = item.read()
+            moved = self._rewrap(raw, self.provider.kms, new_key_id)
+            if moved is not raw:
+                self._write(item, moved)
+                if item.kind == "queue":
+                    self._delete(item)
 
         # Re-point the role's KMS grant and the functions' environment.
         role = self.provider.iam.get_role(self.role_name)
@@ -185,35 +199,38 @@ class DIYApp:
             config = self.provider.lambda_.get_function(name)
             environment = dict(config.environment)
             environment["DIY_KEY_ID"] = new_key_id
-            self.provider.lambda_.deploy(dataclasses.replace(config, environment=environment))
-        old_key = self.key_id
-        self.provider.kms.schedule_key_deletion(old_key)
+            self.provider.lambda_.deploy(replace(config, environment=environment))
+        self.provider.kms.schedule_key_deletion(self.key_id)
         self.key_id = new_key_id
         return new_key_id
 
+    def _rewrap(self, raw: bytes, kms, key_id: str) -> bytes:
+        """``raw`` with its data key unwrapped here in the owner's zone and
+        re-wrapped under ``key_id`` at ``kms``; anything that is not an
+        envelope under this app's key comes back as the same object."""
+        try:
+            blob = EncryptedBlob.deserialize(raw)
+        except CryptoError:
+            return raw  # config objects (e.g. public keys) are not envelopes
+        if blob.data_key.master_key_id != self.key_id:
+            return raw
+        root = self._root()
+        with tcb.zone(tcb.Zone.CLIENT, f"owner:{self.owner}"):
+            data_key = self.provider.kms.decrypt_data_key(root, blob.data_key)
+            rewrapped = kms.encrypt_data_key(root, key_id, data_key)
+        return EncryptedBlob(rewrapped, blob.nonce, blob.ciphertext).serialize()
+
     def export_data(self) -> Dict[str, bytes]:
-        """Export every stored (encrypted) object — no lock-in (§3.3).
+        """Export everything stored, by ``<resource>/<key>`` — no lock-in (§3.3).
 
         Returns ciphertext blobs; the owner decrypts them client-side
         with her key material.
         """
-        root = self._root()
-        export: Dict[str, bytes] = {}
-        for bucket in self.bucket_names:
-            for key in self.provider.s3.list_objects(root, bucket):
-                export[f"{bucket}/{key}"] = self.provider.s3.get_object(root, bucket, key).data
-        for table in self.table_names:
-            for (partition, sort), value in self.provider.dynamo.raw_scan(table):
-                export[f"{table}/{partition}/{sort}"] = value
-        return export
+        return {"/".join((item.resource,) + item.key): item.read()
+                for item in self.stored_items()}
 
     def stored_object_count(self) -> int:
-        root = self._root()
-        objects = sum(len(self.provider.s3.list_objects(root, b)) for b in self.bucket_names)
-        items = sum(
-            1 for table in self.table_names for _ in self.provider.dynamo.raw_scan(table)
-        )
-        return objects + items
+        return sum(1 for _ in self.stored_items())
 
     def regions_holding_data(self) -> List[Region]:
         """Where the user's data physically lives (§3.3 placement control)."""
@@ -235,10 +252,23 @@ class DIYApp:
 
     # -- internals ---------------------------------------------------------
 
-    def _root(self):
-        from repro.cloud.iam import Principal
-
+    def _root(self) -> Principal:
         return Principal(f"owner:{self.owner}", None)
+
+    def _write(self, item: StoredItem, data: bytes) -> None:
+        """Put ``data`` at ``item``'s location here; a message joins the back of its queue."""
+        provider = self.provider
+        if item.kind == "queue":
+            provider.sqs.send_message(self._root(), item.resource, data)
+        else:
+            put = provider.s3.put_object if item.kind == "bucket" else provider.dynamo.put_item
+            put(self._root(), item.resource, *item.key, data)
+
+    def _delete(self, item: StoredItem) -> None:
+        provider = self.provider
+        delete = {"bucket": provider.s3.delete_object, "table": provider.dynamo.delete_item,
+                  "queue": provider.sqs.delete_message}[item.kind]
+        delete(self._root(), item.resource, *item.key)
 
     def __repr__(self) -> str:
         return (

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Tuple
 
-from repro.cloud.iam import Policy, Principal
+from repro.cloud.iam import Policy
 from repro.cloud.lambda_.function import FunctionConfig
 from repro.cloud.provider import CloudProvider
 from repro.core.app import AppManifest, DIYApp
@@ -69,9 +69,9 @@ class Deployer:
         bucket_names = tuple(f"{instance}-{suffix}" for suffix in manifest.buckets)
         for bucket in bucket_names:
             provider.s3.create_bucket(bucket, region)
-        queue_names = tuple(f"{instance}-{suffix}" for suffix in manifest.queues)
-        for queue in queue_names:
-            provider.sqs.create_queue(queue)
+        for suffix in manifest.queues:
+            if not suffix.endswith("-*"):  # family members are made at run time
+                provider.sqs.create_queue(f"{instance}-{suffix}")
         table_names = tuple(f"{instance}-{suffix}" for suffix in manifest.tables)
         for table in table_names:
             provider.dynamo.create_table(table)
@@ -95,7 +95,6 @@ class Deployer:
             role_name=role.name,
             function_names=function_names,
             bucket_names=bucket_names,
-            queue_names=queue_names,
             table_names=table_names,
             routes=routes,
             vm_instance_id=vm_id,
@@ -163,7 +162,7 @@ class Deployer:
     # -- teardown ----------------------------------------------------------
 
     def teardown(self, app: DIYApp, delete_data: bool = True) -> None:
-        """Remove the app; with ``delete_data``, §3.3's full deletion."""
+        """Remove the app, run-time queues included; with ``delete_data``, §3.3's full deletion."""
         if app.provider is not self.provider:
             raise DeploymentError("app belongs to a different provider")
         provider = self.provider
@@ -189,37 +188,25 @@ class Deployer:
                 target_region: Optional[Region] = None) -> DIYApp:
         """Move the app to another provider (§3.3's freedom to leave).
 
-        Payload plaintext is never exposed to either provider: each
-        object's *data key* is unwrapped by the owner (a client-zone
-        operation against the old KMS) and re-wrapped by the target
-        KMS; the payload ciphertext is copied byte-for-byte. The old
-        deployment is then torn down without deleting — the data moved.
+        Payload plaintext is never exposed to either provider: the owner
+        unwraps each data key (a client-zone operation against the old
+        KMS) and the target KMS re-wraps it; payload ciphertext and
+        clear-text objects are copied byte-for-byte. Queued messages are
+        re-wrapped too and keep their order; every queue, run-time ones
+        included, is made on the target first. The old deployment is
+        then torn down without deleting — the data moved.
         """
-        from repro import tcb
-        from repro.crypto.envelope import EncryptedBlob
-
-        owner_principal = Principal(f"owner:{app.owner}", None)
-        exported = app.export_data()
-
-        target_deployer = Deployer(target)
-        new_app = target_deployer.deploy(
+        new_app = Deployer(target).deploy(
             app.manifest, app.owner, instance_name=app.instance_name, region=target_region
         )
-        for path, raw in exported.items():
-            resource, key = path.split("/", 1)
-            blob = EncryptedBlob.deserialize(raw)
-            with tcb.zone(tcb.Zone.CLIENT, f"owner:{app.owner}"):
-                data_key = app.provider.kms.decrypt_data_key(owner_principal, blob.data_key)
-            rewrapped = target.kms.encrypt_data_key(owner_principal, new_app.key_id, data_key)
-            moved = EncryptedBlob(rewrapped, blob.nonce, blob.ciphertext).serialize()
+        for queue in app.queue_names:
+            new_app.queue(queue[len(app.instance_name) + 1:])
+        for item in app.stored_items():
+            moved = app._rewrap(item.read(), target.kms, new_app.key_id)
             app.provider.fabric.send_cross_region(
                 f"s3.{app.provider.name}", f"s3.{target.name}", moved,
                 app.provider.home_region, target.home_region,
             )
-            if resource in new_app.table_names:
-                partition, sort = key.split("/", 1)
-                target.dynamo.put_item(owner_principal, resource, partition, sort, moved)
-            else:
-                target.s3.put_object(owner_principal, resource, key, moved)
+            new_app._write(item, moved)
         self.teardown(app, delete_data=False)
         return new_app

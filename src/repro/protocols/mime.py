@@ -97,10 +97,6 @@ class EmailMessage:
             ).hexdigest()[:16]
             self.message_id = f"<{digest}@diy>"
 
-    @property
-    def recipient_domains(self) -> List[str]:
-        return sorted({r.domain for r in self.recipients})
-
     # -- serialization ------------------------------------------------------
 
     def serialize(self) -> bytes:

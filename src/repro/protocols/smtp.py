@@ -36,10 +36,6 @@ class SmtpReply:
     code: int
     text: str
 
-    @property
-    def is_error(self) -> bool:
-        return self.code >= 400
-
     def serialize(self) -> bytes:
         return f"{self.code} {self.text}\r\n".encode()
 

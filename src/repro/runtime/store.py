@@ -123,6 +123,20 @@ class StateStore:
     def get_json(self, key: str, aad: bytes) -> object:
         return json.loads(self.get_sealed(key, aad=aad))
 
+    # -- warm-path accessors (CachedStore caches; plain stores read through) --
+
+    def cached_get(self, key: str) -> bytes:
+        return self.get(key)
+
+    def cached_get_json(self, key: str, aad: bytes) -> object:
+        return self.get_json(key, aad=aad)
+
+    def remember_json(self, key: str, value: object) -> None:
+        """Seed the cache; a store without one keeps nothing."""
+
+    def invalidate(self, key: str) -> None:
+        """Drop a cached copy; a store without a cache holds none."""
+
 
 class S3Store(StateStore):
     """State as objects in one bucket (the deployed prototype's layout).

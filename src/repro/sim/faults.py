@@ -107,9 +107,6 @@ class FaultSpec:
         self.retry_after_ms = retry_after_ms
         self.retryable = retryable
 
-    def active_at(self, now: int) -> bool:
-        return self.start <= now < self.end
-
     def duration(self) -> int:
         return self.end - self.start
 

@@ -350,6 +350,3 @@ class LatencyModel:
         if memory_mb is not None and component in _MEMORY_SCALED:
             mean *= _memory_factor(memory_mb)
         return mean
-
-    def known_components(self) -> frozenset:
-        return frozenset(_DEFAULT_MEDIANS) | frozenset(self.overrides)

@@ -80,10 +80,6 @@ class DiurnalWorkload:
             )
         self.generated_total = 0  # perf counter: arrivals produced over this workload's life
 
-    def _hourly_rate(self, hour: int) -> float:
-        """Requests per hour during ``hour`` (0-23)."""
-        return self._rates[hour % 24]
-
     def arrivals(self, days: float = 1.0, start_micros: int = 0) -> Iterator[Arrival]:
         """Generate arrivals over ``days`` virtual days.
 
@@ -251,6 +247,3 @@ class DiurnalWorkload:
 
     def arrival_list(self, days: float = 1.0, start_micros: int = 0) -> List[Arrival]:
         return list(self.arrivals(days, start_micros))
-
-    def expected_count(self, days: float = 1.0) -> float:
-        return self.daily_requests * days

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.apps.chat import chat_manifest
 from repro.core.app import AppManifest, FunctionSpec, PermissionGrant
 from repro.errors import ConfigurationError, DeploymentError
+from repro.plan import DeploymentPlan
+from repro.runtime.store import STORAGE_BACKENDS
 
 
 class TestManifestValidation:
@@ -49,6 +52,12 @@ class TestInstance:
         app = deployer.deploy(manifest, owner="alice")
         assert app.vm_instance_id is not None
         assert not provider.ec2.get(app.vm_instance_id).running
+
+    @pytest.mark.parametrize("storage", STORAGE_BACKENDS)
+    def test_undeclared_queue_rejected(self, deployer, storage):
+        app = deployer.deploy(chat_manifest(plan=DeploymentPlan(storage=storage)), owner="alice")
+        with pytest.raises(ConfigurationError):
+            app.queue("nope")
 
     def test_repr(self, chat_app):
         assert "diy-chat" in repr(chat_app)

@@ -3,12 +3,29 @@
 import pytest
 
 from repro import CloudProvider, tcb
-from repro.apps.chat import chat_manifest
+from repro.apps.chat import ChatClient, ChatService, chat_manifest
+from repro.apps.email import EmailClient, EmailService_, email_manifest
+from repro.apps.iot import IotClient, SimulatedDevice, iot_manifest
 from repro.cloud.iam import Principal
 from repro.core.deployment import Deployer
 from repro.crypto.envelope import EnvelopeEncryptor
+from repro.crypto.keys import KeyPair
 from repro.errors import AccessDenied, ConfigurationError, NoSuchFunction
 from repro.net.address import EU_WEST_1
+from repro.plan import DeploymentPlan
+from repro.protocols.mime import Address, EmailMessage
+from repro.runtime.store import STORAGE_BACKENDS
+
+
+def _leftover_queues(provider, app):
+    """Every queue still named ``{instance}-*`` on ``provider``."""
+    return provider.sqs.list_queues(f"{app.instance_name}-")
+
+
+def _mail(subject: str) -> bytes:
+    return EmailMessage(
+        Address("bob@example.com"), (Address("carol@carol.diy"),), subject, "body"
+    ).serialize()
 
 
 class TestDeploy:
@@ -57,6 +74,29 @@ class TestTeardown:
             provider.lambda_.invoke(chat_app.function_names[0], {})
         assert not provider.kms.key_exists(chat_app.key_id)
 
+    @pytest.mark.parametrize("storage", STORAGE_BACKENDS)
+    def test_teardown_removes_chat_inboxes(self, provider, deployer, storage):
+        app = deployer.deploy(chat_manifest(plan=DeploymentPlan(storage=storage)), owner="alice")
+        service = ChatService(app)
+        service.create_room("room", ["alice@diy", "bob@diy"])
+        alice = ChatClient(service, "alice@diy")
+        alice.join("room")
+        alice.connect()
+        alice.send("room", "never polled")
+        deployer.teardown(app)
+        for member in ("alice", "bob"):
+            assert not provider.sqs.queue_exists(service.inbox_queue(member))
+        assert _leftover_queues(provider, app) == []
+
+    @pytest.mark.parametrize("storage", STORAGE_BACKENDS)
+    def test_teardown_removes_device_queues(self, provider, deployer, storage):
+        app = deployer.deploy(iot_manifest(plan=DeploymentPlan(storage=storage)), owner="fred")
+        lamp = SimulatedDevice(app, "lamp")
+        IotClient(app).send_command("lamp", "toggle")
+        deployer.teardown(app)
+        assert not provider.sqs.queue_exists(lamp.command_queue)
+        assert _leftover_queues(provider, app) == []
+
     def test_teardown_wrong_provider_rejected(self, chat_app):
         from repro.errors import DeploymentError
 
@@ -103,6 +143,53 @@ class TestMigration:
         )
         with tcb.zone(tcb.Zone.CONTAINER, "fn"):
             assert new_encryptor.decrypt_bytes(moved, aad=b"") == b"room history"
+
+    @pytest.mark.parametrize("storage", STORAGE_BACKENDS)
+    def test_migrate_moves_inboxes_and_queued_messages(self, provider, deployer, storage):
+        app = deployer.deploy(chat_manifest(plan=DeploymentPlan(storage=storage)), owner="alice")
+        service = ChatService(app)
+        service.create_room("room", ["alice@diy", "bob@diy"])
+        alice = ChatClient(service, "alice@diy")
+        bob = ChatClient(service, "bob@diy")
+        for client in (alice, bob):
+            client.join("room")
+            client.connect()
+        alice.send("room", "delivered before the move")
+        assert [m.body for m in bob.poll()] == ["delivered before the move"]
+        alice.send("room", "queued across the move")
+
+        target = CloudProvider(name="other-cloud", seed=99, region=EU_WEST_1)
+        migrated = deployer.migrate(app, target)
+
+        new_service = ChatService(migrated)
+        new_alice = ChatClient(new_service, "alice@diy")
+        new_bob = ChatClient(new_service, "bob@diy")
+        for client in (new_alice, new_bob):
+            client.join("room")
+            client.connect()
+        new_alice.send("room", "sent after the move")
+        received = []
+        for _ in range(4):
+            received += [m.body for m in new_bob.poll()]
+        assert received == ["queued across the move", "sent after the move"]
+        assert _leftover_queues(provider, app) == []
+
+    @pytest.mark.parametrize("storage", STORAGE_BACKENDS)
+    def test_migrate_email_keeps_the_clear_public_key(self, provider, deployer, storage):
+        app = deployer.deploy(email_manifest(plan=DeploymentPlan(storage=storage)), owner="carol")
+        keys = KeyPair.generate(provider.rng.child("carol-keys").randbytes)
+        EmailService_(app, keys, domain="carol.diy")
+        provider.ses.deliver_inbound("carol.diy", _mail("before the move"))
+
+        target = CloudProvider(name="other-cloud", seed=99, region=EU_WEST_1)
+        migrated = deployer.migrate(app, target)
+        assert provider.lambda_.function_names() == []
+        assert not any(provider.s3.bucket_exists(b) for b in app.bucket_names)
+
+        service = EmailService_(migrated, keys, domain="carol.diy")
+        target.ses.deliver_inbound("carol.diy", _mail("after the move"))
+        subjects = [e.message.subject for e in EmailClient(service).fetch_folder("inbox")]
+        assert sorted(subjects) == ["after the move", "before the move"]
 
     def test_migration_never_ships_plaintext(self, provider, deployer, chat_app, root):
         encryptor = EnvelopeEncryptor(provider.kms.key_provider(root, chat_app.key_id))

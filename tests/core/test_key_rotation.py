@@ -5,6 +5,7 @@ import pytest
 from repro.apps.chat import ChatClient, ChatService, chat_manifest
 from repro.errors import KeyNotFound
 from repro.plan import DeploymentPlan
+from repro.runtime.store import STORAGE_BACKENDS
 
 
 @pytest.fixture
@@ -87,3 +88,19 @@ class TestDynamoRotation:
         alice.send("r", "table message")
         app.rotate_key()
         assert [s.body for s in alice.fetch_history("r")] == ["table message"]
+
+
+class TestQueuedMessageRotation:
+    @pytest.mark.parametrize("storage", STORAGE_BACKENDS)
+    def test_queued_message_survives_rotation(self, provider, deployer, storage):
+        app = deployer.deploy(chat_manifest(plan=DeploymentPlan(storage=storage)), owner="alice")
+        service = ChatService(app)
+        service.create_room("r", ["alice@diy", "bob@diy"])
+        alice = ChatClient(service, "alice@diy")
+        bob = ChatClient(service, "bob@diy")
+        for client in (alice, bob):
+            client.join("r")
+            client.connect()
+        alice.send("r", "queued before rotation")
+        app.rotate_key()
+        assert [m.body for m in bob.poll()] == ["queued before rotation"]
