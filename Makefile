@@ -25,8 +25,8 @@ lint:
 		|| { echo "lint: cloud services must use the provider's injected MetricRegistry"; exit 1; }
 	@! grep -rn 'json\.loads(line\|"repro-trace"' src/repro --include="*.py" | grep -v "sim/replay/format\.py" \
 		|| { echo "lint: trace files are parsed only by repro.sim.replay.format"; exit 1; }
-	@! grep -rn 'environ\[.DIY_STORAGE.\]\|environ\.get(.DIY_STORAGE.\|getenv(.DIY_STORAGE.\|environ\[STORAGE_ENV\]\|environ\.get(STORAGE_ENV\|getenv(STORAGE_ENV' src/repro --include="*.py" | grep -v "repro/plan\.py" \
-		|| { echo "lint: DIY_STORAGE is read only by repro.plan.plan_from_env"; exit 1; }
+	@! grep -rnE 'os\.environ|getenv\(' src/repro --include="*.py" \
+		|| { echo "lint: src/repro reads no process environment; the DeploymentPlan is the only config input"; exit 1; }
 	@! grep -rn '# TYPE ' src/repro --include="*.py" | grep -v "obs/metrics\.py" \
 		|| { echo "lint: only repro.obs.metrics emits Prometheus exposition"; exit 1; }
 	@! grep -rnE '_BILLING_GRANULARITY_MICROS|// granularity|UsageKind\.(S3_PUT|DYNAMO_WRITES|LAMBDA_GB_SECONDS|TRANSFER_OUT_GB)' src/repro/sim --include="*.py" | grep -v "sim/fold\.py" \

@@ -76,12 +76,14 @@ def test_memory_latency_ablation(benchmark):
     # Extension: what the paper's hand-tuned 448 MB misses. The advisor
     # sweeps every size and finds 640 MB dominates — crossing under the
     # 100 ms billing increment makes it faster AND cheaper.
-    from repro.core.advisor import RequestProfile, recommend_memory
+    from repro.core.advisor import WorkloadProfile, recommend_plan
+    from repro.plan import DeploymentPlan
 
-    plan = recommend_memory(
-        RequestProfile((("kms.generate_data_key", 1), ("s3.put", 1), ("sqs.send", 1))),
-        daily_requests=2000, target_run_ms=150,
+    recommendation = recommend_plan(
+        WorkloadProfile("chat", daily_requests=2000, target_run_ms=150),
+        base_plan=DeploymentPlan(accounting="marginal"), backends=("s3",),
     )
     print()
-    print(plan.render())
-    assert plan.recommended.memory_mb == 640
+    print(recommendation.render())
+    assert recommendation.recommended.plan.memory_mb == 640
+    assert recommendation.knee_memory_mb == 448

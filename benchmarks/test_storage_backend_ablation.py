@@ -1,8 +1,8 @@
 """X11 — the storage-backend ablation (the paper's footnote 1).
 
 "Amazon DynamoDB is a low-latency alternative to S3." With every app on
-the runtime kernel's ``StateStore``, the backend is a one-argument (or
-one ``DIY_STORAGE`` env var) choice, so the ablation now covers chat,
+the runtime kernel's ``StateStore``, the backend is one plan field
+(``DeploymentPlan(storage="dynamo")``), so the ablation covers chat,
 email, and file transfer: each app runs its workload with state on S3
 and again on DynamoDB, and the bench reports the warm-path median run
 time per backend plus the price the footnote doesn't mention: DynamoDB

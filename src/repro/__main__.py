@@ -68,9 +68,8 @@ def _cmd_table2(args) -> None:
 def _cmd_table3(args) -> None:
     from repro import CloudProvider
     from repro.apps.chat import chat_pair
-    from repro.plan import plan_from_env
 
-    provider = CloudProvider(seed=args.seed, plan=plan_from_env())
+    provider = CloudProvider(seed=args.seed)
     alice, bob = chat_pair(provider)
     for i in range(args.messages):
         alice.send("room", f"message {i}")
@@ -102,28 +101,9 @@ def _cmd_tcb(_args) -> None:
 
 
 def _cmd_advise(args) -> None:
-    from repro.core.advisor import (
-        RequestProfile, WorkloadProfile, recommend_memory, recommend_plan,
-    )
+    from repro.core.advisor import WorkloadProfile, recommend_plan
     from repro.plan import DeploymentPlan
 
-    if args.calls is not None:
-        # Legacy one-knob mode: an explicit per-request call list sweeps
-        # memory only (the original advisor).
-        calls = []
-        for spec in args.calls.split(","):
-            if ":" in spec:
-                component, count = spec.rsplit(":", 1)
-                calls.append((component, int(count)))
-            else:
-                calls.append((spec, 1))
-        profile = RequestProfile(tuple(calls))
-        plan = recommend_memory(
-            profile, daily_requests=args.daily_requests, target_run_ms=args.target_ms,
-            include_free_tier=args.free_tier,
-        )
-        print(plan.render())
-        return
     profile = WorkloadProfile(
         name=args.name,
         daily_requests=args.daily_requests,
@@ -292,9 +272,8 @@ def _cmd_trace(args) -> None:
         to_jsonl,
         validate_span_tree,
     )
-    from repro.plan import plan_from_env
 
-    provider = CloudProvider(seed=args.seed, plan=plan_from_env())
+    provider = CloudProvider(seed=args.seed)
     tracer = provider.enable_tracing(sample_rate=args.sample_rate)
     alice, bob = chat_pair(provider)
     for i in range(args.messages):
@@ -663,12 +642,6 @@ def main(argv=None) -> int:
         "advise",
         help="deployment-plan advisor: joint memory/backend/polling sweep",
     )
-    advise.add_argument(
-        "--calls",
-        default=None,
-        help="legacy memory-only mode: comma-separated service calls per "
-             "request, e.g. 's3.get:2,sqs.send'",
-    )
     advise.add_argument("--name", default="workload",
                         help="workload profile name shown in the table")
     advise.add_argument("--daily-requests", type=int, default=2000)
@@ -686,8 +659,6 @@ def main(argv=None) -> int:
     advise.add_argument("--accounting", choices=("billed", "marginal"),
                         default="marginal",
                         help="billed = free tiers applied; marginal = fleet-operator lens")
-    advise.add_argument("--free-tier", action="store_true",
-                        help="legacy mode: net out the Lambda free tier")
     advise.set_defaults(fn=_cmd_advise)
     bench_advisor = sub.add_parser(
         "bench-advisor",

@@ -1,6 +1,6 @@
 """Reporting helpers: render paper-style tables and comparisons."""
 
-from repro.analysis.tables import format_table, format_money_table
+from repro.analysis.tables import format_table
 from repro.analysis.report import PaperComparison, ComparisonRow
 
-__all__ = ["format_table", "format_money_table", "PaperComparison", "ComparisonRow"]
+__all__ = ["format_table", "PaperComparison", "ComparisonRow"]

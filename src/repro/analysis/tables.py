@@ -6,7 +6,7 @@ from typing import List, Sequence
 
 from repro.units import Money
 
-__all__ = ["format_table", "format_money_table"]
+__all__ = ["format_table"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
@@ -33,9 +33,3 @@ def _render(value: object) -> str:
     if isinstance(value, float):
         return f"{value:,.2f}"
     return str(value)
-
-
-def format_money_table(title: str, rows: Sequence[Sequence[object]],
-                       headers: Sequence[str]) -> str:
-    """Alias kept for readability at bench call sites."""
-    return format_table(headers, rows, title)

@@ -15,8 +15,9 @@ steady-state send path is exactly the three calls above — which is what
 puts the median run time near Table 3's 134 ms on a 448 MB function.
 
 The app is built on :mod:`repro.runtime`: the spec below declares the
-route, the state store (S3 by default; DynamoDB via ``DIY_STORAGE``,
-the paper's low-latency footnote), and the permission grants.
+route, the state store (S3 by default; DynamoDB with a plan's
+``storage="dynamo"``, the paper's low-latency footnote), and the
+permission grants.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.protocols.bosh import BoshBody
 from repro.protocols.xmpp import Jid, Stanza, iq_stanza
 from repro.runtime.kernel import AppKernel, AppSpec, KernelContext, KernelFunction, RouteDecl, StoreDecl
 
-__all__ = ["chat_manifest", "chat_handler", "CHAT_FOOTPRINT_MB", "roster_key", "history_prefix"]
+__all__ = ["chat_manifest", "CHAT_FOOTPRINT_MB", "roster_key", "history_prefix"]
 
 # The prototype's deployment package (XMPP + crypto + SDK) resident
 # size; with the 34 MB base runtime this peaks at Table 3's ~51 MB.
@@ -199,10 +200,6 @@ CHAT_SPEC = AppSpec(
     queues=("inbox-*",),
 )
 
-# The deployable entry point, for callers that address the handler
-# directly (tests, triggers); deployments get it via the manifest.
-chat_handler = AppKernel(CHAT_SPEC).handler(CHAT_SPEC.functions[0])
-
 
 def chat_manifest(memory_mb: Optional[int] = None,
                   plan: Optional["DeploymentPlan"] = None) -> AppManifest:
@@ -211,8 +208,7 @@ def chat_manifest(memory_mb: Optional[int] = None,
     The declared 448 MB default matches the deployed prototype; pass
     ``memory_mb=128`` to reproduce the slow low-memory configuration of
     the §6.2 ablation. The storage backend comes from ``plan`` (a
-    :class:`repro.plan.DeploymentPlan`), or from the ``DIY_STORAGE``
-    environment variable when there is no plan; a plan with
+    :class:`repro.plan.DeploymentPlan`; S3 with none); a plan with
     ``storage="dynamo"`` keeps room state in the KV store instead of S3
     (the paper's low-latency-alternative footnote). Memory: the explicit
     ``memory_mb`` wins, then the plan's, then the declared default.

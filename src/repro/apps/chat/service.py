@@ -5,7 +5,7 @@ is encrypted client-side and written to the app's state store, and
 each member gets an SQS inbox queue. The Lambda handler then only ever
 *reads* the roster. The store itself comes from
 :func:`repro.runtime.owner_store`, so the service transparently follows
-whichever ``DIY_STORAGE`` backend the deployment chose.
+whichever backend the deployment plan chose.
 """
 
 from __future__ import annotations

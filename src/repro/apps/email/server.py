@@ -18,8 +18,8 @@ and only the function, inside its container — can decrypt to answer
 search queries. Two encryption tiers, one per trust decision.
 
 All three functions are assembled by :class:`repro.runtime.AppKernel`
-from one spec; the mailbox lives in whichever ``DIY_STORAGE`` backend
-the deployment chose.
+from one spec; the mailbox lives in whichever backend the deployment
+plan chose.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ from repro.runtime.kernel import AppKernel, AppSpec, KernelContext, KernelFuncti
 
 __all__ = [
     "email_manifest",
-    "inbound_handler",
-    "outbound_handler",
-    "search_handler",
     "EMAIL_FOOTPRINT_MB",
     "PUBKEY_KEY",
     "INDEX_PREFIX",
@@ -153,16 +150,11 @@ EMAIL_SPEC = AppSpec(
     ),
 )
 
-_KERNEL = AppKernel(EMAIL_SPEC)
-inbound_handler = _KERNEL.handler(EMAIL_SPEC.functions[0])
-outbound_handler = _KERNEL.handler(EMAIL_SPEC.functions[1])
-search_handler = _KERNEL.handler(EMAIL_SPEC.functions[2])
-
 
 def email_manifest(plan: Optional["DeploymentPlan"] = None) -> AppManifest:
     """The email app as published to the store (Table 2's 128 MB row).
 
     ``plan`` supplies the mailbox backend and every other knob (with
-    none, ``DIY_STORAGE`` picks the backend).
+    none, the default plan applies).
     """
     return AppKernel(EMAIL_SPEC, plan).manifest()

@@ -6,8 +6,7 @@ Endpoints (all tunneled over the app's HTTPS route, declared on the
 - ``POST /offer``  — create a transfer ticket {filename, recipient, chunks}.
 - ``PUT  /chunk``  — upload one encrypted chunk (the function buffers it,
   which is why this row of Table 2 allocates 1024 MB).
-- ``GET  /download/{ticket}/{index}`` — download one chunk (path-addressed).
-- ``GET  /fetch``  — the same download, header-addressed (legacy clients).
+- ``GET  /download/{ticket}/{index}`` — download one chunk.
 - ``POST /done``   — recipient acknowledges; the ticket's chunks are deleted.
 
 A scheduled janitor sweeps tickets the receiver never acknowledged, so
@@ -27,8 +26,6 @@ from repro.units import MIB
 
 __all__ = [
     "file_transfer_manifest",
-    "transfer_handler",
-    "janitor_handler",
     "CHUNK_BYTES",
     "XFER_FOOTPRINT_MB",
     "TICKET_TTL_MICROS",
@@ -74,25 +71,14 @@ def _chunk(kctx: KernelContext, request: HttpRequest) -> HttpResponse:
     return _store_chunk(kctx, ticket, int(index), request.body)
 
 
-def _read_chunk(kctx: KernelContext, ticket: str, index: int) -> HttpResponse:
-    blob = kctx.store.get(_chunk_key(ticket, index))
-    plaintext = kctx.encryptor.decrypt_bytes(blob, aad=f"{ticket}/{index}".encode())
-    kctx.release_bytes(len(blob) + len(plaintext))
-    return HttpResponse(200, {"content-type": "application/octet-stream"}, plaintext)
-
-
 def _download(kctx: KernelContext, request: HttpRequest,
               ticket: str, index: str) -> HttpResponse:
-    """The path-addressed download: ``GET /xfer/download/{ticket}/{index}``."""
-    return _read_chunk(kctx, ticket, int(index))
-
-
-def _fetch(kctx: KernelContext, request: HttpRequest) -> HttpResponse:
-    ticket = request.header("x-diy-ticket")
-    index = request.header("x-diy-chunk")
-    if ticket is None or index is None:
-        return json_response({"error": "missing ticket/chunk headers"}, 400)
-    return _read_chunk(kctx, ticket, int(index))
+    """``GET /xfer/download/{ticket}/{index}``: one decrypted chunk."""
+    chunk = int(index)
+    blob = kctx.store.get(_chunk_key(ticket, chunk))
+    plaintext = kctx.encryptor.decrypt_bytes(blob, aad=f"{ticket}/{chunk}".encode())
+    kctx.release_bytes(len(blob) + len(plaintext))
+    return HttpResponse(200, {"content-type": "application/octet-stream"}, plaintext)
 
 
 def _done(kctx: KernelContext, request: HttpRequest) -> HttpResponse:
@@ -151,7 +137,6 @@ XFER_SPEC = AppSpec(
                 RouteDecl("PUT", "/xfer/chunk", _chunk, name="chunk"),
                 RouteDecl("GET", "/xfer/download/{ticket}/{index}", _download,
                           name="download"),
-                RouteDecl("GET", "/xfer/fetch", _fetch, name="fetch"),
                 RouteDecl("POST", "/xfer/done", _done, name="done"),
             ),
             memory_mb=1024,
@@ -172,16 +157,12 @@ XFER_SPEC = AppSpec(
                     reason="temporary encrypted chunk storage"),
 )
 
-_KERNEL = AppKernel(XFER_SPEC)
-transfer_handler = _KERNEL.handler(XFER_SPEC.functions[0])
-janitor_handler = _KERNEL.handler(XFER_SPEC.functions[1])
-
 
 def file_transfer_manifest(plan: Optional["DeploymentPlan"] = None) -> AppManifest:
     """Table 2's file-transfer row: 1024 MB declared, ~100 requests/day.
 
     The janitor stays at 128 MB regardless of the plan's memory size;
     ``plan`` supplies the chunk-store backend and every other knob
-    (with none, ``DIY_STORAGE`` picks the backend).
+    (with none, the default plan applies).
     """
     return AppKernel(XFER_SPEC, plan).manifest()

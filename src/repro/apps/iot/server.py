@@ -23,7 +23,7 @@ from repro.net.http import HttpRequest, HttpResponse
 from repro.runtime.errors import json_response
 from repro.runtime.kernel import AppKernel, AppSpec, KernelContext, KernelFunction, RouteDecl, StoreDecl
 
-__all__ = ["iot_manifest", "iot_handler", "IOT_FOOTPRINT_MB"]
+__all__ = ["iot_manifest", "IOT_FOOTPRINT_MB"]
 
 IOT_FOOTPRINT_MB = 6
 
@@ -174,8 +174,6 @@ IOT_SPEC = AppSpec(
     ),
     queues=("alerts", "device-*"),
 )
-
-iot_handler = AppKernel(IOT_SPEC).handler(IOT_SPEC.functions[0])
 
 
 def iot_manifest(plan: Optional["DeploymentPlan"] = None) -> AppManifest:

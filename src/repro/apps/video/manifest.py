@@ -18,7 +18,7 @@ from repro.core.app import AppManifest
 from repro.net.http import HttpRequest, HttpResponse
 from repro.runtime.kernel import AppKernel, AppSpec, KernelContext, KernelFunction, RouteDecl, StoreDecl
 
-__all__ = ["video_manifest", "signaling_handler"]
+__all__ = ["video_manifest"]
 
 _CALL_AAD = b"call"
 
@@ -63,8 +63,6 @@ VIDEO_SPEC = AppSpec(
                     reason="encrypted call records"),
     needs_vm="t2.medium",
 )
-
-signaling_handler = AppKernel(VIDEO_SPEC).handler(VIDEO_SPEC.functions[0])
 
 
 def video_manifest(plan: Optional["DeploymentPlan"] = None) -> AppManifest:

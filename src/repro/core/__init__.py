@@ -33,7 +33,7 @@ from repro.core.threatmodel import (
 )
 from repro.core.attestation import Enclave, Quote, AttestationVerifier, measure_function
 from repro.core.appstore import AppStore, AppListing, InstalledApp
-from repro.core.advisor import RequestProfile, MemoryPlan, recommend_memory
+from repro.core.advisor import RequestProfile
 from repro.core.client import SecureChannel, open_channel
 from repro.core.framework import DiyWebApp, JsonResponse, TextResponse
 
@@ -60,8 +60,6 @@ __all__ = [
     "AppListing",
     "InstalledApp",
     "RequestProfile",
-    "MemoryPlan",
-    "recommend_memory",
     "SecureChannel",
     "open_channel",
     "DiyWebApp",

@@ -3,35 +3,29 @@
 §6.2 found the memory tradeoff empirically: "allocating 448 MB gave
 significantly better latencies than a 128 MB function" even though only
 51 MB was used — memory buys CPU/network share, and GB-second billing
-charges for it. This module turns that into a tool, in two layers:
-
-* :func:`recommend_memory` — the original one-knob sweep: describe what
-  a handler does per request (which service calls), and the advisor
-  sweeps every deployable memory size, predicts the run time from the
-  latency model, prices the month from the §4 billing rules, and
-  recommends the cheapest size that meets a latency budget.
-
-* :func:`recommend_plan` — the full config plane: sweep the joint
-  (memory × storage backend × polling budget) space of
-  :class:`repro.plan.DeploymentPlan` knobs for a
-  :class:`WorkloadProfile`, predict each knob's effect with the
-  :func:`repro.obs.export.price_usage` marginal-cost join, and emit the
-  recommended plan. This is where the §6.2 storage tradeoff becomes a
-  decision: DynamoDB state is faster per request and cheaper per
-  operation, but 10.9x the at-rest price per GB-month, so
-  latency-critical/low-state workloads go Dynamo while storage-heavy
-  ones stay on S3.
+charges for it. This module turns that into a tool:
+:func:`recommend_plan` sweeps the joint (memory × storage backend ×
+polling budget) space of :class:`repro.plan.DeploymentPlan` knobs for a
+:class:`WorkloadProfile`, predicts each option's run time from the
+latency model, prices the month with the
+:func:`repro.obs.export.price_usage` marginal-cost join (or the real
+invoice, free tiers applied), and recommends the cheapest plan that
+meets the latency budget. This is where the §6.2 storage tradeoff
+becomes a decision: DynamoDB state is faster per request and cheaper
+per operation, but 10.9x the at-rest price per GB-month, so
+latency-critical/low-state workloads go Dynamo while storage-heavy ones
+stay on S3.
 
 :func:`run_advisor_benchmark` closes the loop at fleet scale: optimize
 a plan per tenant class, re-simulate the whole fleet on the sharded
 engine under the recommended plans, and report the aggregate dollars
 saved against a one-size-fits-all deployment.
 
-    profile = RequestProfile(
-        service_calls=(("kms.generate_data_key", 1), ("s3.put", 1), ("sqs.send", 1)),
-    )
-    plan = recommend_memory(profile, daily_requests=2000, target_run_ms=150)
-    plan.recommended.memory_mb   # -> 448, the paper's choice
+    profile = WorkloadProfile("chat", daily_requests=2000, target_run_ms=150)
+    pick = recommend_plan(profile, backends=("s3",),
+                          base_plan=DeploymentPlan(accounting="marginal"))
+    pick.recommended.plan.memory_mb   # -> 640
+    pick.knee_memory_mb               # -> 448, the paper's choice
 """
 
 from __future__ import annotations
@@ -41,7 +35,6 @@ from decimal import Decimal
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.billing import BillingMeter, Invoice, UsageKind
-from repro.cloud.pricing import PRICES_2017, PriceBook
 from repro.errors import ConfigurationError
 from repro.net.longpoll import LongPoller
 from repro.plan import DEFAULT_PLAN, MEMORY_SIZES, DeploymentPlan
@@ -51,9 +44,6 @@ from repro.units import DAYS_PER_MONTH, ZERO, Money
 
 __all__ = [
     "RequestProfile",
-    "MemoryOption",
-    "MemoryPlan",
-    "recommend_memory",
     "WorkloadProfile",
     "PlanOption",
     "PlanRecommendation",
@@ -61,8 +51,6 @@ __all__ = [
     "FLEET_CLASSES",
     "run_advisor_benchmark",
 ]
-
-_MEMORY_SIZES = MEMORY_SIZES  # back-compat alias; the plan module owns the list
 
 
 @dataclass(frozen=True)
@@ -80,112 +68,11 @@ class RequestProfile:
                 raise ConfigurationError(f"negative call count for {component}")
 
 
-@dataclass(frozen=True)
-class MemoryOption:
-    """One memory size's predicted behaviour and monthly compute cost."""
-
-    memory_mb: int
-    predicted_run_ms: float
-    billed_ms: int
-    monthly_cost: Money
-
-    def meets(self, target_run_ms: Optional[float]) -> bool:
-        return target_run_ms is None or self.predicted_run_ms <= target_run_ms
-
-
-@dataclass
-class MemoryPlan:
-    """The advisor's output: the full sweep plus the pick."""
-
-    options: List[MemoryOption]
-    recommended: Optional[MemoryOption]
-    target_run_ms: Optional[float]
-
-    def render(self) -> str:
-        from repro.analysis.tables import format_table
-
-        rows = [
-            (
-                option.memory_mb,
-                round(option.predicted_run_ms, 1),
-                option.billed_ms,
-                option.monthly_cost,
-                "<- recommended" if option is self.recommended else "",
-            )
-            for option in self.options
-        ]
-        target = f" (target {self.target_run_ms:.0f} ms)" if self.target_run_ms else ""
-        return format_table(
-            ["memory MB", "predicted run ms", "billed ms", "monthly compute", ""],
-            rows, title=f"Memory sizing{target}",
-        )
-
-
 def _predict_run_ms(profile: RequestProfile, memory_mb: int, latency: LatencyModel) -> float:
     total = profile.base_ms
     for component, count in profile.service_calls:
         total += count * latency.mean_micros(component, memory_mb) / 1000
     return total
-
-
-def _lambda_monthly_cost(
-    prices: PriceBook,
-    monthly_requests: float,
-    gb_seconds: float,
-    include_free_tier: bool,
-) -> Money:
-    """Monthly Lambda compute: marginal, or net of the §4 free tier."""
-    if include_free_tier:
-        monthly_requests = max(0.0, monthly_requests - prices.lambda_free_requests)
-        gb_seconds = max(0.0, gb_seconds - prices.lambda_free_gb_seconds)
-    return (
-        prices.lambda_per_gb_second * Decimal(repr(gb_seconds))
-        + prices.lambda_per_million_requests * Decimal(repr(monthly_requests)) / 1_000_000
-    )
-
-
-def recommend_memory(
-    profile: RequestProfile,
-    daily_requests: int,
-    target_run_ms: Optional[float] = None,
-    prices: PriceBook = PRICES_2017,
-    latency: Optional[LatencyModel] = None,
-    include_free_tier: bool = False,
-) -> MemoryPlan:
-    """Sweep every deployable memory size; recommend the cheapest that
-    meets the latency budget (or the fastest, if none can).
-
-    ``include_free_tier=False`` (the default) compares *marginal* costs
-    — the right lens for a fleet operator whose free tier is already
-    spent. ``include_free_tier=True`` nets out the §4 free tier first,
-    which a single personal deployment actually pays: below the
-    free-tier crossover every eligible size costs $0.00 and the
-    tie-break picks the smallest one.
-
-    Ties are deterministic: equal cost resolves to the smallest memory.
-    """
-    if daily_requests < 0:
-        raise ConfigurationError("daily requests cannot be negative")
-    latency = latency if latency is not None else LatencyModel(rng=SeededRng(0, "advisor"))
-
-    options: List[MemoryOption] = []
-    for memory_mb in MEMORY_SIZES:
-        run_ms = _predict_run_ms(profile, memory_mb, latency)
-        billed_ms = prices.round_up_billing(run_ms)
-        monthly_requests = daily_requests * DAYS_PER_MONTH
-        gb_seconds = monthly_requests * prices.lambda_gb_seconds(memory_mb, billed_ms)
-        cost = _lambda_monthly_cost(prices, monthly_requests, gb_seconds, include_free_tier)
-        options.append(MemoryOption(memory_mb, run_ms, billed_ms, cost))
-
-    eligible = [option for option in options if option.meets(target_run_ms)]
-    if eligible:
-        recommended = min(eligible, key=lambda o: (o.monthly_cost.amount, o.memory_mb))
-    else:
-        recommended = min(options, key=lambda o: o.predicted_run_ms)
-    return MemoryPlan(options, recommended, target_run_ms)
-
-
-# -- the full config plane ------------------------------------------------
 
 
 @dataclass(frozen=True)

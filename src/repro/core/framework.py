@@ -22,7 +22,7 @@ developer never touches KMS, S3, DynamoDB, or IAM::
         note_id = request.store.put("note", request.text)
         return JsonResponse({"id": note_id})
 
-    manifest = app.manifest()          # publish / deploy like any DIY app
+    manifest = app.manifest(plan)      # publish / deploy like any DIY app
 """
 
 from __future__ import annotations
@@ -169,8 +169,13 @@ class DiyWebApp:
 
         return decorator
 
-    def manifest(self) -> AppManifest:
-        """Compile the app into a deployable DIY manifest."""
+    def manifest(self, plan: Optional["DeploymentPlan"] = None) -> AppManifest:
+        """Compile the app into a deployable DIY manifest.
+
+        ``plan`` supplies the backend, the cache flag and a Lambda size
+        that overrides the app's declared ``memory_mb``, as for every
+        kernel app; with none, the default plan applies.
+        """
         from repro.runtime.kernel import AppKernel, AppSpec, KernelFunction, RouteDecl, StoreDecl
 
         if not self._routes:
@@ -189,7 +194,7 @@ class DiyWebApp:
             ),),
             store=StoreDecl("data", deletes=True,
                             reason="the framework's encrypted model store"),
-        )).manifest()
+        ), plan).manifest()
 
     def routes(self) -> List[str]:
         return [f"{method} {pattern}" for method, pattern, _view in self._routes]

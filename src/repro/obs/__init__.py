@@ -37,7 +37,6 @@ from repro.obs.export import (
     categorize,
     decomposition_report,
     price_usage,
-    record_critical_path,
     span_cost,
     to_chrome_trace,
     to_jsonl,
@@ -74,7 +73,6 @@ __all__ = [
     "validate_span_tree",
     "to_jsonl",
     "to_chrome_trace",
-    "record_critical_path",
     "decomposition_report",
     "MetricsPlane",
     "Counter",

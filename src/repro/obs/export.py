@@ -8,9 +8,8 @@ Three consumers, three formats:
 - :func:`to_jsonl` — one JSON object per span, deterministic key order,
   byte-identical across runs of the same seed (the determinism tests'
   contract);
-- :func:`decomposition_report` / :func:`record_critical_path` — the
-  aggregated critical-path breakdown (cold start vs KMS vs storage vs
-  queue wait percentiles) surfaced through :mod:`repro.sim.metrics`.
+- :func:`decomposition_report` — the aggregated critical-path breakdown
+  (cold start vs KMS vs storage vs queue wait percentiles).
 
 **Cost join.** Spans carry the raw ``(UsageKind, quantity)`` pairs the
 billing meter recorded; this module prices them with the same
@@ -24,13 +23,13 @@ from __future__ import annotations
 
 import json
 from decimal import Decimal
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.cloud.billing import UsageKind
 from repro.cloud.pricing import PRICES_2017, PriceBook
 from repro.errors import SimulationError
 from repro.obs.trace import Span
-from repro.sim.metrics import MetricRegistry
+from repro.sim.metrics import MetricSeries
 from repro.units import Money, ZERO
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "validate_span_tree",
     "to_jsonl",
     "to_chrome_trace",
-    "record_critical_path",
     "decomposition_report",
 ]
 
@@ -251,60 +249,44 @@ def categorize(name: str) -> str:
     return "other"
 
 
-def record_critical_path(
-    traces: Iterable[Span],
-    registry: Optional[MetricRegistry] = None,
-    prefix: str = "obs.critical_path",
-) -> MetricRegistry:
-    """Aggregate per-trace self time by category into metric series.
-
-    Per retained trace, each category's series gets one sample: the
-    milliseconds of *self* time its spans contributed (so categories sum
-    exactly to the root's end-to-end duration). ``<prefix>.total.ms``
-    carries the root durations, and ``<prefix>.queue_wait.ms`` the
-    per-message delivery waits the SQS receive spans observed.
-    """
-    registry = registry if registry is not None else MetricRegistry()
-    for root in traces:
-        by_category: Dict[str, int] = {}
-        for span in root.walk():
-            category = categorize(span.name)
-            by_category[category] = by_category.get(category, 0) + span.self_micros
-            wait = span.attrs.get("queue_wait_ms")
-            if wait:
-                registry.series(f"{prefix}.queue_wait.ms", "ms").extend(wait)
-        for category, micros in sorted(by_category.items()):
-            registry.record(f"{prefix}.{category}.ms", micros / 1000.0, "ms")
-        registry.record(f"{prefix}.total.ms", root.duration_micros / 1000.0, "ms")
-    return registry
-
-
 def decomposition_report(
     traces: List[Span],
     prices: PriceBook = PRICES_2017,
-    prefix: str = "obs.critical_path",
 ) -> Dict[str, object]:
     """The latency-decomposition summary ``python -m repro trace`` prints.
 
-    Per category: p50/p95/p99 of per-trace self time plus its share of
-    total end-to-end time; alongside the traced requests' exact cost.
+    Per retained trace, each category gets one sample: the milliseconds
+    of *self* time its spans contributed, so categories sum exactly to
+    the root's end-to-end duration. Per category: p50/p95/p99 of those
+    samples plus their share of total end-to-end time; alongside, the
+    root durations, the per-message delivery waits the SQS receive
+    spans observed, and the traced requests' exact cost.
     """
-    registry = record_critical_path(traces, prefix=prefix)
-    total_series = registry.get(f"{prefix}.total.ms")
-    total_ms = total_series.sum() if total_series is not None else 0.0
-    categories: Dict[str, Dict[str, float]] = {}
-    for series in registry:
-        name = series.name[len(prefix) + 1:-len(".ms")]
-        if name in ("total", "queue_wait"):
-            continue
-        categories[name] = {
+    by_category: Dict[str, MetricSeries] = {}
+    total_series = MetricSeries("total")
+    queue_wait = MetricSeries("queue_wait")
+    for root in traces:
+        self_micros: Dict[str, int] = {}
+        for span in root.walk():
+            category = categorize(span.name)
+            self_micros[category] = self_micros.get(category, 0) + span.self_micros
+            wait = span.attrs.get("queue_wait_ms")
+            if wait:
+                queue_wait.extend(wait)
+        for category, micros in self_micros.items():
+            by_category.setdefault(category, MetricSeries(category)).record(micros / 1000.0)
+        total_series.record(root.duration_micros / 1000.0)
+    total_ms = total_series.sum()
+    categories = {
+        name: {
             "p50_ms": round(series.p50(), 3),
             "p95_ms": round(series.p95(), 3),
             "p99_ms": round(series.p99(), 3),
             "total_ms": round(series.sum(), 3),
             "share_pct": round(100.0 * series.sum() / total_ms, 2) if total_ms else 0.0,
         }
-    queue_wait = registry.get(f"{prefix}.queue_wait.ms")
+        for name, series in sorted(by_category.items())
+    }
     costs = [trace_cost(root, prices) for root in traces]
     total_cost = ZERO
     for cost in costs:
@@ -316,13 +298,13 @@ def decomposition_report(
             "p50": round(total_series.p50(), 3),
             "p95": round(total_series.p95(), 3),
             "p99": round(total_series.p99(), 3),
-        } if total_series is not None and len(total_series) else None,
-        "categories": dict(sorted(categories.items())),
+        } if len(total_series) else None,
+        "categories": categories,
         "queue_wait_ms": {
             "p50": round(queue_wait.p50(), 3),
             "p95": round(queue_wait.p95(), 3),
             "p99": round(queue_wait.p99(), 3),
-        } if queue_wait is not None and len(queue_wait) else None,
+        } if len(queue_wait) else None,
         "cost": {
             "total_usd": str(total_cost.amount),
             "median_trace_micro_usd": round(

@@ -22,18 +22,16 @@ book implied. A :class:`DeploymentPlan` is the one config plane:
 Plans are frozen and JSON-round-trippable byte for byte
 (:meth:`DeploymentPlan.to_json` / :meth:`DeploymentPlan.from_json`), so
 a plan can be stored next to a deployment, diffed, and replayed. The
-``DIY_STORAGE`` environment variable is demoted to *one documented way
-of constructing a plan*: :func:`plan_from_env` is the only place in the
-tree that reads it (``make lint`` enforces this), and everything
-downstream — the runtime kernel, the cloud layer, both fleet engines,
-the advisor — consumes the typed plan.
+plan is the only config input: nothing in the package reads the process
+environment (``make lint`` enforces this), and everything downstream —
+the runtime kernel, the cloud layer, the fleet engines, the advisor —
+consumes the typed plan.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
@@ -47,7 +45,6 @@ __all__ = [
     "MEMORY_SIZES",
     "DeploymentPlan",
     "DEFAULT_PLAN",
-    "plan_from_env",
 ]
 
 ACCOUNTING_MODES = ("billed", "marginal")
@@ -150,11 +147,11 @@ class DeploymentPlan:
         return "dynamo.get" if self.storage == "dynamo" else "s3.get"
 
     def environment(self) -> Tuple[Tuple[str, str], ...]:
-        """The env-var encoding a deployed function carries.
+        """The function environment a deployed function carries.
 
-        The bridge back to the legacy plane: a manifest bakes this into
-        the function environment so the running handler (which only
-        sees its deployment environment) resolves the same backend.
+        A manifest bakes this into each function's configuration so the
+        running handler, which sees only its deployment environment,
+        resolves the same backend.
         """
         return ((STORAGE_ENV, self.storage),)
 
@@ -190,23 +187,3 @@ class DeploymentPlan:
 
 
 DEFAULT_PLAN = DeploymentPlan()
-
-
-def plan_from_env(
-    environ: Optional[Mapping[str, str]] = None, **overrides
-) -> DeploymentPlan:
-    """Construct a plan from the legacy ``DIY_STORAGE`` environment variable.
-
-    This is the *only* function in the tree that reads ``DIY_STORAGE``
-    from the process environment (``make lint`` bans reads elsewhere).
-    An unset or empty variable means the default S3 backend; an unknown
-    backend is rejected, not silently defaulted. Keyword ``overrides``
-    set the remaining plan fields.
-    """
-    env = os.environ if environ is None else environ
-    storage = env.get(STORAGE_ENV) or "s3"
-    if storage not in STORAGE_BACKENDS:
-        raise ConfigurationError(
-            f"{STORAGE_ENV} must be one of {STORAGE_BACKENDS}, got {storage!r}"
-        )
-    return DeploymentPlan(storage=storage, **overrides)

@@ -20,8 +20,8 @@ state backend, resource needs, permission grants — and the
   3. **throttle_hints** maps :class:`~repro.errors.ThrottledError` to
      the 429-with-``retry-after-ms`` contract;
   4. **envelope** binds the request's :class:`KernelContext` — the
-     :class:`~repro.runtime.store.StateStore` for the deployed
-     ``DIY_STORAGE`` backend (wrapped in a warm-container
+     :class:`~repro.runtime.store.StateStore` for the plan's storage
+     backend (wrapped in a warm-container
      :class:`~repro.runtime.store.CachedStore`) and the app's
      AAD-binding :class:`~repro.crypto.envelope.EnvelopeEncryptor` —
      then dispatches through the :class:`~repro.runtime.router.Router`.
@@ -42,7 +42,7 @@ from repro.errors import MethodNotAllowed, ProtocolError, RouteNotFound, Throttl
 from repro.net.http import HttpRequest
 from repro.obs.metrics import ambient_plane
 from repro.obs.trace import child_span
-from repro.plan import DeploymentPlan, plan_from_env
+from repro.plan import DEFAULT_PLAN, DeploymentPlan
 from repro.runtime.errors import error_response, throttled_response
 from repro.runtime.router import Route, Router
 from repro.runtime.store import STORAGE_ENV, CachedStore, StateStore, backend_store
@@ -174,13 +174,11 @@ class AppKernel:
     """Builds manifests and middleware-wrapped handlers from one spec."""
 
     def __init__(self, spec: AppSpec, plan: Optional[DeploymentPlan] = None):
-        """The plan supplies every knob: backend, memory default, cache policy.
-
-        With no ``plan``, :func:`repro.plan.plan_from_env` supplies one —
-        the documented bridge from the legacy ``DIY_STORAGE`` env var.
+        """The plan supplies every knob: backend, memory default, cache
+        policy. With no ``plan``, :data:`repro.plan.DEFAULT_PLAN` applies.
         """
         self.spec = spec
-        self.plan = plan_from_env() if plan is None else plan
+        self.plan = DEFAULT_PLAN if plan is None else plan
         self._routers: Dict[str, Router] = {
             fn.suffix: Router(
                 Route(decl.method.upper(), decl.pattern, decl.endpoint, decl.name)

@@ -2,8 +2,8 @@
 
 Services and clients (room creation, pubkey publishing, mailbox reads)
 run on the owner's device, not inside a function — but they must read
-and write the *same* state the functions do, whichever ``DIY_STORAGE``
-backend the deployment chose. :func:`owner_store` builds the matching
+and write the *same* state the functions do, whichever backend the
+deployment plan chose. :func:`owner_store` builds the matching
 :class:`~repro.runtime.store.StateStore` over the provider APIs, bound
 to the owner principal.
 """
@@ -18,17 +18,10 @@ from repro.runtime.store import STORAGE_ENV, DynamoStore, OwnerOps, S3Store, Sta
 
 __all__ = ["owner_store", "app_storage"]
 
-# The env var the seed-era chat app used before DIY_STORAGE unified the
-# knob; still honored so pre-kernel deployments keep working.
-_LEGACY_STORAGE_ENV = "DIY_CHAT_STORAGE"
-
-
 def app_storage(app) -> str:
     """Which backend the deployed functions were configured with."""
     config = app.provider.lambda_.get_function(app.function_names[0])
-    return config.environment.get(
-        STORAGE_ENV, config.environment.get(_LEGACY_STORAGE_ENV, "s3")
-    )
+    return config.environment.get(STORAGE_ENV, "s3")
 
 
 def owner_store(app, encryptor=None) -> StateStore:

@@ -6,8 +6,8 @@ DynamoDB. A :class:`StateStore` gives the five apps one API:
 
 - :class:`S3Store` keeps state as objects (the deployed prototype);
 - :class:`DynamoStore` keeps it as KV items — the paper's "DynamoDB is
-  a low-latency alternative to S3" footnote, now a deploy-time env-var
-  choice (``DIY_STORAGE``) for *every* app;
+  a low-latency alternative to S3" footnote, now a deployment-plan
+  choice (``storage="dynamo"``) for *every* app;
 - :class:`CachedStore` wraps either with a warm-container read cache
   (backed by ``ctx.container_state``, so a cold start empties it).
 
@@ -42,6 +42,8 @@ __all__ = [
     "backend_store",
 ]
 
+# The function-environment key that tells a deployed handler its backend
+# (baked in from the plan by ``DeploymentPlan.environment``).
 STORAGE_ENV = "DIY_STORAGE"
 STORAGE_BACKENDS = ("s3", "dynamo")
 

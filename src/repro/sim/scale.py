@@ -536,7 +536,7 @@ def run_storage_ablation(
     requests: int = 40,
     seed: int = 2017,
 ) -> Dict[str, object]:
-    """Run each app's workload on both ``DIY_STORAGE`` backends.
+    """Run each app's workload on both state backends.
 
     One fresh provider per (app, backend) cell, same seed, so each pair
     differs only in where the state store's calls land. Returns the

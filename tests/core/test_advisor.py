@@ -1,30 +1,54 @@
-"""The memory-sizing advisor."""
+"""The deployment-plan advisor: joint memory x backend x polling sweeps."""
 
 import pytest
 
-from repro.core.advisor import MemoryPlan, RequestProfile, recommend_memory
-from repro.errors import ConfigurationError
-
-CHAT_PROFILE = RequestProfile(
-    service_calls=(("kms.generate_data_key", 1), ("s3.put", 1), ("sqs.send", 1)),
+from repro.core.advisor import (
+    FLEET_CLASSES,
+    UNIFORM_PLAN,
+    PlanRecommendation,
+    RequestProfile,
+    WorkloadProfile,
+    recommend_plan,
+    run_advisor_benchmark,
 )
+from repro.errors import ConfigurationError
+from repro.plan import DeploymentPlan
+from repro.units import usd
+
+MARGINAL = DeploymentPlan(accounting="marginal")
+BILLED = DeploymentPlan(accounting="billed")
+
+# The deployed prototype's per-message calls (one KMS data key, one
+# state put, one SQS send) at 2,000 requests a day, on the S3 backend.
+PAPER_CHAT = WorkloadProfile("chat", daily_requests=2000.0, target_run_ms=150.0)
+
+CHAT_WORKLOAD = WorkloadProfile(
+    "chat", daily_requests=1000.0, storage_gb=2.0, target_run_ms=150.0
+)
+
+
+def _s3_sweep(profile, base_plan=MARGINAL):
+    return recommend_plan(profile, base_plan=base_plan, backends=("s3",))
+
+
+def _at(recommendation, memory_mb):
+    return next(o for o in recommendation.options if o.plan.memory_mb == memory_mb)
 
 
 class TestPrediction:
     def test_more_memory_is_never_slower(self):
-        plan = recommend_memory(CHAT_PROFILE, daily_requests=2000)
-        runs = [option.predicted_run_ms for option in plan.options]
+        runs = [option.predicted_run_ms for option in _s3_sweep(PAPER_CHAT).options]
         assert runs == sorted(runs, reverse=True)
 
     def test_prediction_matches_the_measured_prototype(self):
         """At 448 MB the model predicts close to Table 3's ~134 ms."""
-        plan = recommend_memory(CHAT_PROFILE, daily_requests=2000)
-        at_448 = next(o for o in plan.options if o.memory_mb == 448)
-        assert 110 < at_448.predicted_run_ms < 160
+        assert 110 < _at(_s3_sweep(PAPER_CHAT), 448).predicted_run_ms < 160
 
     def test_empty_profile_is_base_only(self):
-        plan = recommend_memory(RequestProfile((), base_ms=5.0), daily_requests=10)
-        assert all(o.predicted_run_ms == pytest.approx(5.0) for o in plan.options)
+        idle = WorkloadProfile("idle", daily_requests=10.0, base_ms=5.0,
+                               kms_calls=0.0, storage_puts=0.0, sqs_sends=0.0)
+        rec = recommend_plan(idle, base_plan=MARGINAL)
+        assert all(o.predicted_run_ms == pytest.approx(5.0) for o in rec.options)
 
 
 class TestRecommendation:
@@ -34,51 +58,54 @@ class TestRecommendation:
         100 ms crosses a whole billing increment (200 ms -> 100 ms
         billed outweighs the larger GB-s rate). The 448 MB choice meets
         the budget but is dominated."""
-        plan = recommend_memory(CHAT_PROFILE, daily_requests=2000, target_run_ms=150)
-        assert plan.recommended is not None
-        at_448 = next(o for o in plan.options if o.memory_mb == 448)
-        pick = plan.recommended
+        rec = _s3_sweep(PAPER_CHAT)
+        at_448 = _at(rec, 448)
+        pick = rec.recommended
         assert at_448.meets(150)  # the paper's choice is valid...
-        assert pick.memory_mb == 640  # ...but not optimal
+        assert pick.plan.memory_mb == 640  # ...but not optimal
+        assert rec.knee_memory_mb == 448
         assert pick.predicted_run_ms < at_448.predicted_run_ms
         assert pick.monthly_cost < at_448.monthly_cost
         assert pick.billed_ms == 100 and at_448.billed_ms == 200
 
     def test_loose_budget_picks_something_cheap(self):
-        plan = recommend_memory(CHAT_PROFILE, daily_requests=2000, target_run_ms=1000)
-        strict = recommend_memory(CHAT_PROFILE, daily_requests=2000, target_run_ms=150)
+        loose = WorkloadProfile("chat", daily_requests=2000.0, target_run_ms=1000.0)
+        plan = recommend_plan(loose, base_plan=MARGINAL)
+        strict = recommend_plan(PAPER_CHAT, base_plan=MARGINAL)
         assert plan.recommended.monthly_cost <= strict.recommended.monthly_cost
-        assert plan.recommended.memory_mb < strict.recommended.memory_mb
+        assert plan.recommended.plan.memory_mb < strict.recommended.plan.memory_mb
 
     def test_impossible_budget_returns_fastest(self):
-        plan = recommend_memory(CHAT_PROFILE, daily_requests=2000, target_run_ms=1)
-        assert plan.recommended.memory_mb == 1536
+        hopeless = WorkloadProfile("chat", daily_requests=2000.0, target_run_ms=1.0)
+        rec = recommend_plan(hopeless, base_plan=MARGINAL)
+        assert rec.recommended.plan.memory_mb == 1536
+        assert rec.recommended.predicted_run_ms == min(o.predicted_run_ms for o in rec.options)
 
     def test_no_budget_picks_cheapest_overall(self):
-        plan = recommend_memory(CHAT_PROFILE, daily_requests=2000)
-        costs = [o.monthly_cost for o in plan.options]
-        assert plan.recommended.monthly_cost == min(costs)
+        rec = recommend_plan(WorkloadProfile("chat", daily_requests=2000.0),
+                             base_plan=MARGINAL)
+        assert rec.recommended.monthly_cost == min(o.monthly_cost for o in rec.options)
 
     def test_recommendation_meets_its_own_target(self):
         for target in (120, 200, 400, 800):
-            plan = recommend_memory(CHAT_PROFILE, daily_requests=500, target_run_ms=target)
-            assert plan.recommended.predicted_run_ms <= max(
-                target, min(o.predicted_run_ms for o in plan.options)
+            profile = WorkloadProfile("chat", daily_requests=500.0, target_run_ms=target)
+            rec = recommend_plan(profile, base_plan=MARGINAL)
+            assert rec.recommended.predicted_run_ms <= max(
+                target, min(o.predicted_run_ms for o in rec.options)
             )
 
 
 class TestRendering:
     def test_render_marks_the_pick(self):
-        plan = recommend_memory(CHAT_PROFILE, daily_requests=2000, target_run_ms=150)
-        text = plan.render()
+        text = _s3_sweep(PAPER_CHAT).render()
         assert "recommended" in text
-        assert "Memory sizing (target 150 ms)" in text
+        assert "Deployment plan for 'chat' (target 150 ms)" in text
 
 
 class TestValidation:
     def test_negative_requests_rejected(self):
         with pytest.raises(ConfigurationError):
-            recommend_memory(CHAT_PROFILE, daily_requests=-1)
+            WorkloadProfile("chat", daily_requests=-1.0)
 
     def test_negative_call_count_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -88,55 +115,34 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             RequestProfile((), base_ms=-1)
 
-# ---------------------------------------------------------------------------
-# The plan optimizer (PR 9): joint memory x backend x polling sweeps.
-# ---------------------------------------------------------------------------
-
-from repro.core.advisor import (  # noqa: E402
-    FLEET_CLASSES,
-    UNIFORM_PLAN,
-    PlanRecommendation,
-    WorkloadProfile,
-    recommend_plan,
-    run_advisor_benchmark,
-)
-from repro.plan import DeploymentPlan  # noqa: E402
-from repro.units import usd  # noqa: E402
-
-CHAT_WORKLOAD = WorkloadProfile(
-    "chat", daily_requests=1000.0, storage_gb=2.0, target_run_ms=150.0
-)
-
 
 class TestFreeTier:
     def test_free_tier_blindness_is_fixed(self):
-        """recommend_memory historically priced as if free tiers never
-        existed; with include_free_tier a small deployment is $0.00."""
-        covered = recommend_memory(
-            CHAT_PROFILE, daily_requests=1000, include_free_tier=True
-        )
-        blind = recommend_memory(CHAT_PROFILE, daily_requests=1000)
+        """Billed accounting nets out the free tiers: a small deployment
+        with no stored state is $0.00, which marginal pricing misses."""
+        small = WorkloadProfile("chat", daily_requests=100.0)
+        covered = recommend_plan(small, base_plan=BILLED)
+        blind = recommend_plan(small, base_plan=MARGINAL)
         assert str(covered.recommended.monthly_cost) == "$0.00"
         assert blind.recommended.monthly_cost > covered.recommended.monthly_cost
 
     def test_free_tier_never_raises_a_cost(self):
         for daily in (100, 5_000, 200_000):
-            covered = recommend_memory(
-                CHAT_PROFILE, daily_requests=daily, include_free_tier=True
-            )
-            blind = recommend_memory(CHAT_PROFILE, daily_requests=daily)
+            profile = WorkloadProfile("chat", daily_requests=daily)
+            covered = recommend_plan(profile, base_plan=BILLED)
+            blind = recommend_plan(profile, base_plan=MARGINAL)
             for with_ft, without in zip(covered.options, blind.options):
-                assert with_ft.memory_mb == without.memory_mb
+                assert with_ft.plan.replace(accounting="marginal") == without.plan
                 assert with_ft.monthly_cost <= without.monthly_cost
 
     def test_heavy_volume_exhausts_the_free_tier(self):
         """Past the crossover the free tier is a constant rebate: the
         two modes agree on the pick even though the totals differ."""
-        covered = recommend_memory(
-            CHAT_PROFILE, daily_requests=200_000, include_free_tier=True
-        )
-        blind = recommend_memory(CHAT_PROFILE, daily_requests=200_000)
-        assert covered.recommended.memory_mb == blind.recommended.memory_mb
+        heavy = WorkloadProfile("chat", daily_requests=200_000.0)
+        covered = recommend_plan(heavy, base_plan=BILLED)
+        blind = recommend_plan(heavy, base_plan=MARGINAL)
+        assert covered.recommended.plan.memory_mb == blind.recommended.plan.memory_mb
+        assert covered.recommended.plan.storage == blind.recommended.plan.storage
         assert covered.recommended.monthly_cost > usd("0")
 
     def test_accounting_mode_changes_the_plan_pick(self):
@@ -144,12 +150,8 @@ class TestFreeTier:
         deployment's Lambda line, so the optimizer keeps the slower,
         smaller knee size; marginal accounting pays per GB-second and
         buys the 640 MB billing-cliff pick instead."""
-        billed = recommend_plan(
-            CHAT_WORKLOAD, base_plan=DeploymentPlan(accounting="billed")
-        )
-        marginal = recommend_plan(
-            CHAT_WORKLOAD, base_plan=DeploymentPlan(accounting="marginal")
-        )
+        billed = recommend_plan(CHAT_WORKLOAD, base_plan=BILLED)
+        marginal = recommend_plan(CHAT_WORKLOAD, base_plan=MARGINAL)
         assert billed.recommended.plan.memory_mb == 448
         assert marginal.recommended.plan.memory_mb == 640
         assert billed.recommended.monthly_cost < marginal.recommended.monthly_cost
@@ -264,8 +266,6 @@ class TestPollingSweep:
 
 class TestWorkloadProfileValidation:
     def test_negative_rates_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WorkloadProfile("bad", daily_requests=-1.0)
         with pytest.raises(ConfigurationError):
             WorkloadProfile("bad", daily_requests=1.0, storage_puts=-1.0)
         with pytest.raises(ConfigurationError):

@@ -9,6 +9,8 @@ from repro.core.deployment import Deployer
 from repro.core.framework import DiyWebApp, JsonResponse, TextResponse
 from repro.errors import ConfigurationError
 from repro.net.http import HttpRequest
+from repro.plan import DeploymentPlan
+from repro.runtime.store import STORAGE_ENV
 
 
 def _notes_app() -> DiyWebApp:
@@ -167,15 +169,32 @@ class TestCompilation:
 class TestKernelServices:
     """A framework app runs on the same kernel pipeline as every app."""
 
-    def test_dynamo_manifest_declares_a_table(self, monkeypatch):
-        monkeypatch.setenv("DIY_STORAGE", "dynamo")
-        manifest = _notes_app().manifest()
+    def test_dynamo_manifest_declares_a_table(self):
+        manifest = _notes_app().manifest(DeploymentPlan(storage="dynamo"))
         assert manifest.tables == ("kv",)
         assert manifest.buckets == ()
 
-    def test_crud_round_trip_on_dynamo(self, provider, deployer, monkeypatch):
-        monkeypatch.setenv("DIY_STORAGE", "dynamo")
-        app = deployer.deploy(_notes_app().manifest(), owner="gina")
+    def test_every_plan_field_reaches_a_framework_app(self, provider, deployer, monkeypatch):
+        """The plan alone sizes the function, picks DynamoDB, and the
+        uncached app still serves its routes."""
+        monkeypatch.delenv(STORAGE_ENV, raising=False)
+        plan = DeploymentPlan(storage="dynamo", memory_mb=1024, cached=False)
+        app = deployer.deploy(_notes_app().manifest(plan), owner="gina")
+        (name,) = app.function_names
+        assert provider.lambda_.get_function(name).memory_mb == 1024
+        assert (app.table_names, app.bucket_names) == ((f"{app.instance_name}-kv",), ())
+        channel = open_channel(provider, "gina-device")
+        base = f"/{app.instance_name}/app/notes"
+        created = channel.request(HttpRequest("POST", base, {}, b"planned milk"))
+        note_id = json.loads(created.body)["id"]
+        assert channel.request(HttpRequest("GET", f"{base}/{note_id}")).body == b"planned milk"
+        assert list(provider.dynamo.raw_scan(f"{app.instance_name}-kv"))
+        channel.request(HttpRequest("DELETE", f"{base}/{note_id}"))
+        assert json.loads(channel.request(HttpRequest("GET", base)).body)["notes"] == []
+
+    def test_crud_round_trip_on_dynamo(self, provider, deployer):
+        manifest = _notes_app().manifest(DeploymentPlan(storage="dynamo"))
+        app = deployer.deploy(manifest, owner="gina")
         channel = open_channel(provider, "gina-device")
         base = f"/{app.instance_name}/app"
         created = channel.request(HttpRequest("POST", f"{base}/notes", {}, b"dynamo milk"))

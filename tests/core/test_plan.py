@@ -1,4 +1,4 @@
-"""The DeploymentPlan config plane: validation, JSON stability, env bridge."""
+"""The DeploymentPlan config plane: validation, JSON stability, function environment."""
 
 import json
 
@@ -12,7 +12,6 @@ from repro.plan import (
     DEFAULT_PLAN,
     MEMORY_SIZES,
     DeploymentPlan,
-    plan_from_env,
 )
 from repro.runtime.store import STORAGE_BACKENDS
 
@@ -179,27 +178,6 @@ class TestJsonProperties:
 
 
 class TestEnvBridge:
-    def test_unset_env_means_s3(self):
-        assert plan_from_env(environ={}) == DEFAULT_PLAN
-
-    def test_empty_env_means_s3(self):
-        assert plan_from_env(environ={"DIY_STORAGE": ""}).storage == "s3"
-
-    def test_env_selects_dynamo(self):
-        assert plan_from_env(environ={"DIY_STORAGE": "dynamo"}).storage == "dynamo"
-
-    def test_unknown_env_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            plan_from_env(environ={"DIY_STORAGE": "floppy"})
-
-    def test_overrides_set_other_knobs(self):
-        plan = plan_from_env(environ={"DIY_STORAGE": "dynamo"}, memory_mb=256)
-        assert (plan.storage, plan.memory_mb) == ("dynamo", 256)
-
-    def test_process_env_is_read_by_default(self, monkeypatch):
-        monkeypatch.setenv("DIY_STORAGE", "dynamo")
-        assert plan_from_env().storage == "dynamo"
-
     def test_environment_encodes_the_backend(self):
         assert DEFAULT_PLAN.environment() == (("DIY_STORAGE", "s3"),)
         assert DeploymentPlan(storage="dynamo").environment() == (

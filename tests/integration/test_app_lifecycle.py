@@ -1,7 +1,8 @@
 """Every app through its whole life, across the plan space (DESIGN §5).
 
 Each example deploys one app at a drawn :class:`DeploymentPlan` and runs
-deploy → use → ``rotate_key`` → use → ``migrate`` → use → ``teardown``.
+deploy → use → ``rotate_key`` → use → store ``update`` → use →
+``migrate`` → use → ``teardown``.
 Every use serves real requests and leaves something behind for the next
 step to read back: a queued chat message, a queued IoT command, an
 offered file, a delivered mail, a call record, a stored note. So rotation and migration
@@ -9,7 +10,10 @@ must carry objects, items and queued messages alike. After each step:
 
 * the internal attacker finds no plaintext in the app's buckets, queues
   (run-time ones included) and tables, nor on either provider's wire;
-* every function carries the plan's storage backend;
+* every function carries the plan's storage backend, and its Lambda
+  size follows ``AppKernel.manifest``'s rule: the plan's ``memory_mb``
+  when it is set and the function is ``memory_scaled``, otherwise the
+  declared size;
 
 and after teardown nothing named ``{instance}-*`` is left: no bucket,
 table, queue, function or gateway route, and no relay VM.
@@ -26,10 +30,15 @@ from hypothesis import given, settings
 
 from repro import CloudProvider
 from repro.apps.chat import ChatClient, ChatService, chat_manifest
+from repro.apps.chat.server import CHAT_SPEC
 from repro.apps.email import EmailClient, EmailService_, email_manifest
+from repro.apps.email.server import EMAIL_SPEC
 from repro.apps.filetransfer import FileTransferClient, file_transfer_manifest
+from repro.apps.filetransfer.server import XFER_SPEC
 from repro.apps.iot import IotClient, SimulatedDevice, iot_manifest
+from repro.apps.iot.server import IOT_SPEC
 from repro.apps.video import video_manifest
+from repro.apps.video.manifest import VIDEO_SPEC
 from repro.core.client import open_channel
 from repro.core.deployment import Deployer
 from repro.core.framework import DiyWebApp, JsonResponse, TextResponse
@@ -45,15 +54,22 @@ from repro.runtime.store import STORAGE_BACKENDS, STORAGE_ENV
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "sim"))
 from test_plan_field import plans  # noqa: E402
 
-STEPS = 3  # uses: after deploy, after rotate_key, after migrate
+STEPS = 4  # uses: after deploy, after rotate_key, after update, after migrate
 
 
 def _secret(app_id: str, step: int) -> str:
     return f"{app_id} secret number {step}"
 
 
+def _declared(spec):
+    """Each function's declared Lambda size, and whether the plan's size overrides it."""
+    return {fn.suffix: (fn.memory_mb, fn.memory_scaled) for fn in spec.functions}
+
+
 class Chat:
     """Alice and bob share a room; bob's reply waits in alice's inbox."""
+
+    declared = _declared(CHAT_SPEC)
 
     def manifest(self, plan):
         return chat_manifest(plan=plan)
@@ -80,6 +96,8 @@ class Chat:
 class Email:
     """Mail delivered at each step stays readable at every later one."""
 
+    declared = _declared(EMAIL_SPEC)
+
     def manifest(self, plan):
         return email_manifest(plan)
 
@@ -101,6 +119,8 @@ class Email:
 class Iot:
     """A command sent at each step waits in the lamp's queue for the next."""
 
+    declared = _declared(IOT_SPEC)
+
     def manifest(self, plan):
         return iot_manifest(plan)
 
@@ -119,6 +139,8 @@ class Iot:
 class FileTransfer:
     """A file offered at each step is downloaded at the next."""
 
+    declared = _declared(XFER_SPEC)
+
     def manifest(self, plan):
         return file_transfer_manifest(plan)
 
@@ -135,6 +157,8 @@ class FileTransfer:
 
 class Video:
     """Signaling records stay readable; the relay VM moves with the app."""
+
+    declared = _declared(VIDEO_SPEC)
 
     def manifest(self, plan):
         return video_manifest(plan)
@@ -172,10 +196,10 @@ def _notes_app() -> DiyWebApp:
 class Notes:
     """A framework app: every note written so far reads back."""
 
+    declared = {"web": (_notes_app().memory_mb, True)}  # one memory-scaled function
+
     def manifest(self, plan):
-        with pytest.MonkeyPatch.context() as env:
-            env.setenv(STORAGE_ENV, plan.storage)
-            return _notes_app().manifest()
+        return _notes_app().manifest(plan)
 
     def attach(self, app):
         self.channel = open_channel(app.provider, "gina-device")
@@ -195,16 +219,20 @@ class Notes:
 APPS = (Chat, Email, Iot, FileTransfer, Video, Notes)
 
 
-def _check(app, plan, auditors):
-    """No plaintext at rest where the app lives, nor on any wire; the plan's backend."""
+def _check(app, plan, auditors, declared):
+    """No plaintext at rest where the app lives, nor on any wire; the plan's backend and size."""
     for provider, auditor in auditors.items():
         if provider is app.provider:
             assert auditor.findings(app.bucket_names, app.queue_names, app.table_names) == []
         else:
             assert auditor.findings() == []
     for name in app.function_names:
-        environment = app.provider.lambda_.get_function(name).environment
-        assert environment[STORAGE_ENV] == plan.storage
+        config = app.provider.lambda_.get_function(name)
+        assert config.environment[STORAGE_ENV] == plan.storage
+        size, scaled = declared[name[len(app.instance_name) + 1:]]
+        assert config.memory_mb == (
+            plan.memory_mb if plan.memory_mb is not None and scaled else size
+        )
 
 
 def _assert_nothing_left(app):
@@ -235,24 +263,31 @@ def test_lifecycle_keeps_data_private_and_leaves_nothing(driver, plan):
         auditor.protect(*(_secret(app_id, step).encode() for step in range(STEPS)
                           for app_id in ("chat", "email", "iot", "xfer", "video", "notes")))
     app_driver = driver()
+    declared = app_driver.declared
     app = Deployer(source).deploy(app_driver.manifest(plan), owner="alice")
     app_driver.attach(app)
-    _check(app, plan, auditors)
+    _check(app, plan, auditors, declared)
 
     app_driver.use(0)
-    _check(app, plan, auditors)
+    _check(app, plan, auditors, declared)
 
     app.rotate_key()
-    _check(app, plan, auditors)
+    _check(app, plan, auditors, declared)
     app_driver.use(1)
-    _check(app, plan, auditors)
+    _check(app, plan, auditors, declared)
+
+    app = Deployer(source).update(app, app_driver.manifest(plan))
+    app_driver.attach(app)
+    _check(app, plan, auditors, declared)
+    app_driver.use(2)
+    _check(app, plan, auditors, declared)
 
     migrated = Deployer(source).migrate(app, target)
     _assert_nothing_left(app)
     app_driver.attach(migrated)
-    _check(migrated, plan, auditors)
-    app_driver.use(2)
-    _check(migrated, plan, auditors)
+    _check(migrated, plan, auditors, declared)
+    app_driver.use(3)
+    _check(migrated, plan, auditors, declared)
 
     Deployer(target).teardown(migrated)
     _assert_nothing_left(migrated)

@@ -1,12 +1,10 @@
-"""Plan-driven config must behave exactly like the legacy env-var plane.
+"""The plan is the only config input to every app's manifest.
 
-PR 9 made :class:`repro.plan.DeploymentPlan` the config plane and demoted
-``DIY_STORAGE`` to one documented plan constructor. These tests pin the
-contract: for every app, deploying with ``plan=DeploymentPlan(...)``
-produces the same manifest and the same observable behavior as exporting
-``DIY_STORAGE`` did. The storage backend comes only from the plan, or
-from the environment when there is no plan; memory comes from chat's
-explicit ``memory_mb``, then the plan, then the declared default.
+For every app, the storage backend comes only from
+``plan=DeploymentPlan(...)``: with no plan the default plan applies,
+and a ``DIY_STORAGE`` variable in the process environment changes
+nothing. Memory comes from chat's explicit ``memory_mb``, then the plan,
+then the declared default.
 """
 
 import pytest
@@ -38,17 +36,13 @@ def _normalize(manifest):
 
 @ALL_MANIFESTS
 class TestManifestParity:
-    def test_plan_equals_env_for_every_backend(self, manifest_fn, monkeypatch):
-        for storage in STORAGE_BACKENDS:
-            monkeypatch.setenv(STORAGE_ENV, storage)
-            via_env = manifest_fn()
-            monkeypatch.delenv(STORAGE_ENV)
-            via_plan = manifest_fn(plan=DeploymentPlan(storage=storage))
-            assert _normalize(via_plan) == _normalize(via_env)
-
     def test_default_plan_equals_unset_env(self, manifest_fn, monkeypatch):
         monkeypatch.delenv(STORAGE_ENV, raising=False)
-        assert _normalize(manifest_fn(plan=DEFAULT_PLAN)) == _normalize(manifest_fn())
+        default = _normalize(manifest_fn(plan=DEFAULT_PLAN))
+        assert _normalize(manifest_fn()) == default
+        for value in STORAGE_BACKENDS + ("floppy",):
+            monkeypatch.setenv(STORAGE_ENV, value)
+            assert _normalize(manifest_fn()) == default
 
     def test_plan_beats_the_environment(self, manifest_fn, monkeypatch):
         monkeypatch.setenv(STORAGE_ENV, "s3")
@@ -80,31 +74,3 @@ class TestMemoryFromPlan:
             fn.memory_mb for fn in bare.functions
         ]
 
-
-class TestBehavioralParity:
-    """The same chat conversation, plan-configured vs env-configured."""
-
-    def _converse(self, provider, deployer, manifest, instance_name):
-        from repro.apps.chat import ChatClient, ChatService
-
-        app = deployer.deploy(manifest, owner="alice", instance_name=instance_name)
-        service = ChatService(app)
-        service.create_room("r", ["alice@diy", "bob@diy"])
-        alice = ChatClient(service, "alice@diy")
-        bob = ChatClient(service, "bob@diy")
-        for client in (alice, bob):
-            client.join("r")
-            client.connect()
-        alice.send("r", "hello")
-        return [m.body for m in bob.poll()]
-
-    @pytest.mark.parametrize("storage", STORAGE_BACKENDS)
-    def test_chat_behaves_identically(self, provider, deployer, storage, monkeypatch):
-        monkeypatch.setenv(STORAGE_ENV, storage)
-        via_env = self._converse(provider, deployer, chat_manifest(),
-                                 f"chat-env-{storage}")
-        monkeypatch.delenv(STORAGE_ENV)
-        via_plan = self._converse(provider, deployer,
-                                  chat_manifest(plan=DeploymentPlan(storage=storage)),
-                                  f"chat-plan-{storage}")
-        assert via_env == via_plan == ["hello"]

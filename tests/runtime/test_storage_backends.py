@@ -1,7 +1,6 @@
-"""Every app's core behavior on both ``DIY_STORAGE`` backends.
+"""Every app's core behavior on both storage backends.
 
-The kernel makes the state backend a one-argument (or one env var)
-choice; these tests run each app's happy path with state on S3 and
+The kernel makes the state backend one plan field; these tests run each app's happy path with state on S3 and
 again on DynamoDB and expect identical observable behavior.
 """
 
@@ -104,12 +103,3 @@ class TestVideoSignaling:
         fetched = channel.request(HttpRequest("GET", f"{base}/{call_id}"))
         assert json.loads(fetched.body)["participants"] == ["ann", "ben"]
 
-
-class TestEnvVarSelection:
-    def test_manifest_reads_diy_storage_from_the_environment(self, monkeypatch):
-        from repro.apps.chat import chat_manifest
-        from repro.runtime.store import STORAGE_ENV
-
-        monkeypatch.setenv(STORAGE_ENV, "dynamo")
-        manifest = chat_manifest()
-        assert dict(manifest.functions[0].environment)[STORAGE_ENV] == "dynamo"

@@ -50,10 +50,6 @@ class TestCli:
         assert "recommended" in out
         assert "640" in out  # the billing-cliff sweet spot
 
-    def test_advise_custom_calls(self, capsys):
-        assert main(["advise", "--calls", "s3.get:2,dynamo.put", "--daily-requests", "100"]) == 0
-        assert "Memory sizing" in capsys.readouterr().out
-
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
