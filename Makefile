@@ -13,7 +13,8 @@ test:
 # Architecture lint: apps must go through the runtime kernel's
 # StateStore — no direct storage-client calls and no hand-rolled
 # "{instance}-<suffix>" resource names outside repro/runtime — and
-# reach Lambda only through the Deployer.
+# reach Lambda only through the Deployer; every price is read through
+# repro.cloud.billing's rate table.
 lint:
 	@! grep -rn "ctx\.services\.s3_get\|ctx\.services\.s3_put\|ctx\.services\.s3_list\|ctx\.services\.s3_delete\|ctx\.services\.dynamo_" src/repro/apps/ src/repro/core/ \
 		|| { echo "lint: apps must use kctx.store, not raw storage clients"; exit 1; }
@@ -35,12 +36,14 @@ lint:
 		|| { echo "lint: the AEAD takes its Poly1305 key from its one keystream pass, not from chacha20_block"; exit 1; }
 	@! grep -n 'trace\.events' src/repro/sim/replay/replayer.py src/repro/__main__.py \
 		|| { echo "lint: the replay engines and the CLI read trace columns, never trace.events"; exit 1; }
-	@! grep -rnE 'PRICES_2017|prices: PriceBook' src/repro/sim --include="*.py" \
-		|| { echo "lint: the fleet engines price with plan.prices"; exit 1; }
+	@! grep -rnE 'PRICES_2017|prices: PriceBook' src/repro/sim src/repro/obs --include="*.py" | grep -E '^src/repro/sim/|PRICES_2017' \
+		|| { echo "lint: the fleet engines price with plan.prices, and the trace exporters with the book they are given"; exit 1; }
 	@! grep -rnE 'call_with_retries\(|CircuitBreaker\(|AvailabilityTracker\(|ThrottledError\(|status == 429' src/repro/apps --include="*.py" \
 		|| { echo "lint: app clients retry and queue through repro.resilience"; exit 1; }
 	@! grep -rnE 'create_queue\(|create_bucket\(|create_table\(|queue_exists\(' src/repro/core src/repro/apps --include="*.py" | grep -v "core/deployment\.py\|core/app\.py" \
 		|| { echo "lint: apps make resources only through the Deployer and DIYApp.queue"; exit 1; }
+	@! grep -rnE '\.(lambda_per|lambda_free|s3_storage_per|s3_put_per|s3_get_per|transfer_out_per|transfer_free|sqs_per|sqs_free|ses_per|ses_free|kms_per|kms_free|dynamo_per|dynamo_storage_per|ebs_per|health_check_per|elb_per)[a-z_]*|\.hourly\b' src/repro --include="*.py" | grep -v "cloud/billing\.py\|cloud/pricing\.py" \
+		|| { echo "lint: PriceBook rates and allowances are read only by repro.cloud.billing's rate table"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).

@@ -15,7 +15,8 @@ from repro import CloudProvider
 from repro.analysis import PaperComparison
 from repro.apps.chat import ChatClient, ChatService, chat_manifest
 from repro.cloud.billing import UsageKind
-from repro.core.costmodel import CostModel, PAPER_WORKLOADS
+from repro.cloud.pricing import PRICES_2017
+from repro.core.costmodel import PAPER_WORKLOADS
 from repro.core.deployment import Deployer
 from repro.sim.workload import DiurnalWorkload
 from repro.units import ZERO
@@ -52,12 +53,11 @@ def _run_day():
 
 def test_metered_day_matches_model(benchmark):
     provider, sent = benchmark.pedantic(_run_day, rounds=1, iterations=1)
-    model = CostModel()
     workload = PAPER_WORKLOADS["group_chat"]
 
     metered_requests = provider.meter.total(UsageKind.LAMBDA_REQUESTS)
     metered_gbs = provider.meter.total(UsageKind.LAMBDA_GB_SECONDS)
-    modeled_gbs_per_day = workload.monthly_gb_seconds(model.prices) / 30
+    modeled_gbs_per_day = workload.monthly_gb_seconds(PRICES_2017) / 30
 
     comparison = PaperComparison("X10: one diurnal day, metered vs modeled")
     comparison.add("chat requests sent", float(DAILY_REQUESTS), float(sent),
@@ -71,8 +71,8 @@ def test_metered_day_matches_model(benchmark):
 
     # The free tier absorbs a whole month at 30x this usage — the $0.00
     # compute cell of Table 2, validated against metered usage.
-    assert metered_requests * 30 < model.prices.lambda_free_requests
-    assert metered_gbs * 30 < model.prices.lambda_free_gb_seconds
+    assert metered_requests * 30 < PRICES_2017.lambda_free_requests
+    assert metered_gbs * 30 < PRICES_2017.lambda_free_gb_seconds
     invoice = provider.invoice()
     assert invoice.service_total("lambda") == ZERO
     # Request count within Poisson noise; GB-seconds within 2x (the

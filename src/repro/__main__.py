@@ -283,7 +283,7 @@ def _cmd_trace(args) -> None:
     traces = tracer.collector.traces()
     for root in traces:
         validate_span_tree(root)
-    report = decomposition_report(traces)
+    report = decomposition_report(traces, provider.prices)
     rows = [
         (category, f"{cell['p50_ms']:.1f}", f"{cell['p95_ms']:.1f}",
          f"{cell['p99_ms']:.1f}", f"{cell['total_ms']:.1f}", f"{cell['share_pct']:.1f}%")
@@ -305,11 +305,11 @@ def _cmd_trace(args) -> None:
           f"{stats['dropped']} dropped by the ring buffer")
 
     chrome_out = Path(args.out)
-    chrome_out.write_text(json.dumps(to_chrome_trace(traces)) + "\n")
+    chrome_out.write_text(json.dumps(to_chrome_trace(traces, provider.prices)) + "\n")
     print(f"wrote {chrome_out} (open in Perfetto: https://ui.perfetto.dev)")
     if args.jsonl:
         jsonl_out = Path(args.jsonl)
-        jsonl_out.write_text(to_jsonl(traces))
+        jsonl_out.write_text(to_jsonl(traces, provider.prices))
         print(f"wrote {jsonl_out}")
 
 

@@ -8,13 +8,15 @@ EXPERIMENTS.md):
 - Table 2's "$0.84/month": per-call compute ($0.01 ≈ 15 min of
   t2.medium) plus monthly storage (1 GB) and ~10 GB/month of transfer
   with the first GB free.
+
+Both price through :class:`~repro.cloud.billing.Invoice` at the 2017
+price book.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
-
-from repro.cloud.pricing import PRICES_2017, PriceBook
+from repro.cloud.billing import BillingMeter, Invoice, UsageKind
+from repro.cloud.pricing import PRICES_2017
 from repro.core.costmodel import CostEstimate, CostModel, VIDEO_WORKLOAD
 from repro.units import Money
 
@@ -29,19 +31,15 @@ def hd_call_transfer_gb(call_minutes: float, mbps: float = HD_CALL_MBPS) -> floa
     return mbps * 1e6 / 8 * call_minutes * 60 / 1e9
 
 
-def hd_call_cost(
-    call_minutes: float = 60.0,
-    prices: PriceBook = PRICES_2017,
-    instance_type: str = "t2.medium",
-) -> Money:
+def hd_call_cost(call_minutes: float = 60.0) -> Money:
     """One call's cost: per-second instance billing + outbound transfer."""
-    hourly = prices.instance(instance_type).hourly
-    compute = hourly * Decimal(repr(call_minutes / 60.0))
-    outbound_gb = hd_call_transfer_gb(call_minutes) / 2  # half the relayed bytes leave the cloud
-    transfer = prices.transfer_out_per_gb * Decimal(repr(outbound_gb))
-    return compute + transfer
+    meter = BillingMeter()
+    meter.record(UsageKind.EC2_INSTANCE_SECONDS, call_minutes * 60, VIDEO_WORKLOAD.instance_type)
+    # Half the relayed bytes leave the cloud.
+    meter.record(UsageKind.TRANSFER_OUT_GB, hd_call_transfer_gb(call_minutes) / 2)
+    return Invoice(meter, PRICES_2017, apply_free_tier=False).total()
 
 
-def monthly_video_cost(prices: PriceBook = PRICES_2017) -> CostEstimate:
+def monthly_video_cost() -> CostEstimate:
     """Table 2's video row: one 15-minute call per day."""
-    return CostModel(prices).estimate_vm(VIDEO_WORKLOAD)
+    return CostModel().estimate_vm(VIDEO_WORKLOAD)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cloud.ec2 import Ec2Service, Instance
-from repro.cloud.pricing import EC2_HOURS_PER_MONTH, PriceBook, PRICES_2017
+from repro.cloud.pricing import EC2_HOURS_PER_MONTH
 from repro.core.costmodel import CostEstimate, CostModel, VmWorkload
 from repro.errors import RegionUnavailable
 from repro.net.address import Region, US_WEST_2
@@ -42,12 +42,12 @@ def table1_workload() -> VmWorkload:
     )
 
 
-def table1_estimate(prices: PriceBook = PRICES_2017) -> CostEstimate:
+def table1_estimate() -> CostEstimate:
     """The Table 1 cost breakdown."""
-    return CostModel(prices).estimate_vm(table1_workload(), accounting="full")
+    return CostModel().estimate_vm(table1_workload(), accounting="full")
 
 
-def ha_configurations(prices: PriceBook = PRICES_2017) -> Dict[str, CostEstimate]:
+def ha_configurations() -> Dict[str, CostEstimate]:
     """What "highly available" costs on VMs, in increasing seriousness.
 
     The paper: "Replicating the instance to another geographic region
@@ -55,7 +55,7 @@ def ha_configurations(prices: PriceBook = PRICES_2017) -> Dict[str, CostEstimate
     checks and a load balancer. The abstract's 50× compares DIY email
     ($0.26) against such a configuration.
     """
-    model = CostModel(prices)
+    model = CostModel()
     base = table1_workload()
 
     def _with(name: str, **overrides) -> CostEstimate:

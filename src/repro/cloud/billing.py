@@ -1,29 +1,32 @@
-"""Metering and invoicing with free-tier accounting.
+"""Metering, the rate table, and invoicing with free-tier accounting.
 
-Every simulated service reports usage to a :class:`BillingMeter`; an
-:class:`Invoice` prices one month of accumulated usage against a
-:class:`~repro.cloud.pricing.PriceBook`, applying the free tiers the
-paper's cost analysis leans on (Lambda's 1M requests + 400K GB-seconds,
-SQS's 1M requests, the first GB of transfer out). Tables 1 and 2 are
-regenerated by pointing workload models at a meter and printing the
-invoice.
+Every simulated service reports usage to a :class:`BillingMeter`.
+:data:`RATES` is the one pricing rule: for each :class:`UsageKind` it
+names the invoice line (service, description, unit), the
+:class:`~repro.cloud.pricing.PriceBook` field holding the unit price,
+the number of units that price is quoted per, and the field holding the
+monthly free allowance. :func:`price_usage` applies it at the marginal
+(pre-free-tier) price; an :class:`Invoice` applies it to one month of
+accumulated usage, with the free tiers the paper's cost analysis leans
+on (Lambda's 1M requests + 400K GB-seconds, SQS's 1M requests, the
+first GB of transfer out). The span cost join, Tables 1 and 2, the
+advisor and the video-call arithmetic all price through these two.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
-import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.cloud.pricing import EC2_HOURS_PER_MONTH, PriceBook
+from repro.cloud.pricing import PriceBook
 from repro.errors import BillingError
 from repro.units import Money, ZERO
 
-__all__ = ["UsageKind", "BillingMeter", "LineItem", "Invoice"]
+__all__ = ["UsageKind", "Rate", "RATES", "price_usage", "BillingMeter", "LineItem", "Invoice"]
 
 
 class UsageKind(enum.Enum):
@@ -46,6 +49,55 @@ class UsageKind(enum.Enum):
     EBS_GB_MONTH = "ebs.storage_gb_month"
     HEALTH_CHECKS = "route53.health_checks"
     ELB_HOURS = "elb.hours"
+
+
+@dataclass(frozen=True)
+class Rate:
+    """How one usage dimension is billed.
+
+    ``price`` names the :class:`~repro.cloud.pricing.PriceBook` field
+    holding the unit price, quoted per ``divisor`` units; ``allowance``
+    names the field holding the monthly free allowance, if any.
+    """
+
+    kind: UsageKind
+    service: str
+    description: str
+    unit: str
+    price: str
+    divisor: int = 1
+    allowance: Optional[str] = None
+
+
+# The pricing rule, in invoice line order. EC2's hourly rate lives on
+# the instance type the usage detail names, one line per type.
+RATES: Tuple[Rate, ...] = (
+    Rate(UsageKind.LAMBDA_REQUESTS, "lambda", "requests", "requests",
+         "lambda_per_million_requests", 1_000_000, "lambda_free_requests"),
+    Rate(UsageKind.LAMBDA_GB_SECONDS, "lambda", "duration", "GB-seconds",
+         "lambda_per_gb_second", 1, "lambda_free_gb_seconds"),
+    Rate(UsageKind.S3_STORAGE_GB_MONTH, "s3", "storage", "GB-month", "s3_storage_per_gb_month"),
+    Rate(UsageKind.S3_PUT, "s3", "PUT requests", "requests", "s3_put_per_thousand", 1_000),
+    Rate(UsageKind.S3_GET, "s3", "GET requests", "requests", "s3_get_per_ten_thousand", 10_000),
+    Rate(UsageKind.TRANSFER_OUT_GB, "transfer", "data transfer out", "GB",
+         "transfer_out_per_gb", 1, "transfer_free_gb"),
+    Rate(UsageKind.SQS_REQUESTS, "sqs", "requests", "requests",
+         "sqs_per_million_requests", 1_000_000, "sqs_free_requests"),
+    Rate(UsageKind.SES_MESSAGES, "ses", "messages", "messages",
+         "ses_per_thousand_messages", 1_000, "ses_free_messages"),
+    Rate(UsageKind.KMS_KEY_MONTHS, "kms", "customer master keys", "key-months", "kms_per_key_month"),
+    Rate(UsageKind.KMS_REQUESTS, "kms", "API requests", "requests",
+         "kms_per_ten_thousand_requests", 10_000, "kms_free_requests"),
+    Rate(UsageKind.DYNAMO_READS, "dynamo", "reads", "requests", "dynamo_per_million_reads", 1_000_000),
+    Rate(UsageKind.DYNAMO_WRITES, "dynamo", "writes", "requests", "dynamo_per_million_writes", 1_000_000),
+    Rate(UsageKind.DYNAMO_STORAGE_GB_MONTH, "dynamo", "storage", "GB-month",
+         "dynamo_storage_per_gb_month"),
+    Rate(UsageKind.EC2_INSTANCE_SECONDS, "ec2", "{detail} runtime", "seconds", "hourly", 3600),
+    Rate(UsageKind.EBS_GB_MONTH, "ebs", "volume storage", "GB-month", "ebs_per_gb_month"),
+    Rate(UsageKind.HEALTH_CHECKS, "route53", "health checks", "checks", "health_check_per_month"),
+    Rate(UsageKind.ELB_HOURS, "elb", "load balancer", "hours", "elb_per_hour"),
+)
+_RATE_OF: Dict[UsageKind, Rate] = {rate.kind: rate for rate in RATES}
 
 
 @dataclass(frozen=True)
@@ -162,50 +214,6 @@ class BillingMeter:
     def details(self, kind: UsageKind) -> Dict[Optional[str], float]:
         return {detail: qty for (k, detail), qty in self._usage.items() if k is kind}
 
-    def merge(self, other: "BillingMeter") -> None:
-        """Fold another meter's usage into this one (e.g. per-app meters).
-
-        Pairwise merging is commutative and associative whenever the
-        accumulated quantities are exactly representable (the integer
-        counts that dominate metering). For fractional quantities whose
-        float additions could depend on grouping, use
-        :meth:`merge_many`, which sums every input with
-        :func:`math.fsum` in one exactly-rounded pass.
-        """
-        for (kind, detail), quantity in other._usage.items():
-            self.record(kind, quantity, detail)
-
-    @staticmethod
-    def merge_many(meters: List["BillingMeter"]) -> "BillingMeter":
-        """Merge meters into a fresh one, independent of order and grouping.
-
-        Each usage key's total is an exactly-rounded :func:`math.fsum`
-        over every contributing meter, so any *permutation* of
-        ``meters`` yields a bitwise-identical result, and — when the
-        per-meter quantities are exactly representable, as the fleet
-        engine's integer-valued shard meters are — so does any
-        *partitioning* into nested merges
-        (``tests/sim/test_merge_properties.py``). Sub-meter tags merge
-        recursively under the same guarantee; perf counters add.
-        """
-        merged = BillingMeter()
-        quantities: Dict[Tuple[UsageKind, Optional[str]], List[float]] = {}
-        tag_groups: Dict[str, List["BillingMeter"]] = {}
-        for meter in meters:
-            merged.record_calls += meter.record_calls
-            merged.hits += meter.hits
-            for key, quantity in meter._usage.items():
-                quantities.setdefault(key, []).append(quantity)
-            for tag, sub in meter._by_tag.items():
-                tag_groups.setdefault(tag, []).append(sub)
-        for key, values in sorted(
-            quantities.items(), key=lambda item: (item[0][0].value, str(item[0][1]))
-        ):
-            merged._usage[key] = math.fsum(values)
-        for tag, subs in sorted(tag_groups.items()):
-            merged._by_tag[tag] = BillingMeter.merge_many(subs)
-        return merged
-
     def snapshot(self) -> Dict[str, float]:
         return {
             kind.value if detail is None else f"{kind.value}[{detail}]": qty
@@ -220,6 +228,24 @@ def _dec(value: float) -> Decimal:
     return Decimal(repr(value))
 
 
+def price_usage(kind: UsageKind, quantity: float, prices: PriceBook,
+                detail: Optional[str] = None) -> Money:
+    """The marginal price of ``quantity`` units of ``kind``, no free tier.
+
+    A span's cost answers "what did *this* request consume?", not "what
+    did the month's bill happen to absorb?", so no allowance applies
+    here; :class:`Invoice` applies it per month. EC2 usage takes its
+    instance type from ``detail``.
+    """
+    rate = _RATE_OF[kind]
+    book = prices
+    if kind is UsageKind.EC2_INSTANCE_SECONDS:
+        if detail is None:
+            raise BillingError("EC2 usage requires an instance-type detail")
+        book = prices.instance(detail)
+    return getattr(book, rate.price) * _dec(quantity) / rate.divisor
+
+
 class Invoice:
     """One month of usage priced against a price book."""
 
@@ -228,111 +254,19 @@ class Invoice:
         self.prices = prices
         self.apply_free_tier = apply_free_tier
         self.lines: List[LineItem] = []
-        self._build()
-
-    # -- construction ---------------------------------------------------
-
-    def _free(self, quantity: float, allowance: float) -> float:
-        if not self.apply_free_tier:
-            return quantity
-        return max(0.0, quantity - allowance)
-
-    def _add(self, service: str, description: str, quantity: float, unit: str, amount: Money) -> None:
-        if quantity == 0 and amount == ZERO:
-            return
-        self.lines.append(LineItem(service, description, quantity, unit, amount))
-
-    def _build(self) -> None:
-        meter, prices = self.meter, self.prices
-        self._build_lambda(meter, prices)
-        self._build_s3(meter, prices)
-        self._build_transfer(meter, prices)
-        self._build_sqs_ses(meter, prices)
-        self._build_kms(meter, prices)
-        self._build_dynamo(meter, prices)
-        self._build_ec2(meter, prices)
-
-    def _build_lambda(self, meter: BillingMeter, prices: PriceBook) -> None:
-        requests = meter.total(UsageKind.LAMBDA_REQUESTS)
-        billable_req = self._free(requests, prices.lambda_free_requests)
-        self._add(
-            "lambda", "requests", requests, "requests",
-            (prices.lambda_per_million_requests * _dec(billable_req) / 1_000_000),
-        )
-        gb_seconds = meter.total(UsageKind.LAMBDA_GB_SECONDS)
-        billable_gbs = self._free(gb_seconds, prices.lambda_free_gb_seconds)
-        self._add(
-            "lambda", "duration", gb_seconds, "GB-seconds",
-            prices.lambda_per_gb_second * _dec(billable_gbs),
-        )
-
-    def _build_s3(self, meter: BillingMeter, prices: PriceBook) -> None:
-        storage = meter.total(UsageKind.S3_STORAGE_GB_MONTH)
-        self._add(
-            "s3", "storage", storage, "GB-month",
-            prices.s3_storage_per_gb_month * _dec(storage),
-        )
-        puts = meter.total(UsageKind.S3_PUT)
-        self._add("s3", "PUT requests", puts, "requests",
-                  prices.s3_put_per_thousand * _dec(puts) / 1_000)
-        gets = meter.total(UsageKind.S3_GET)
-        self._add("s3", "GET requests", gets, "requests",
-                  prices.s3_get_per_ten_thousand * _dec(gets) / 10_000)
-
-    def _build_transfer(self, meter: BillingMeter, prices: PriceBook) -> None:
-        transfer = meter.total(UsageKind.TRANSFER_OUT_GB)
-        billable = self._free(transfer, prices.transfer_free_gb)
-        self._add("transfer", "data transfer out", transfer, "GB",
-                  prices.transfer_out_per_gb * _dec(billable))
-
-    def _build_sqs_ses(self, meter: BillingMeter, prices: PriceBook) -> None:
-        sqs = meter.total(UsageKind.SQS_REQUESTS)
-        billable_sqs = self._free(sqs, prices.sqs_free_requests)
-        self._add("sqs", "requests", sqs, "requests",
-                  prices.sqs_per_million_requests * _dec(billable_sqs) / 1_000_000)
-        ses = meter.total(UsageKind.SES_MESSAGES)
-        billable_ses = self._free(ses, prices.ses_free_messages)
-        self._add("ses", "messages", ses, "messages",
-                  prices.ses_per_thousand_messages * _dec(billable_ses) / 1_000)
-
-    def _build_kms(self, meter: BillingMeter, prices: PriceBook) -> None:
-        key_months = meter.total(UsageKind.KMS_KEY_MONTHS)
-        self._add("kms", "customer master keys", key_months, "key-months",
-                  prices.kms_per_key_month * _dec(key_months))
-        kms_requests = meter.total(UsageKind.KMS_REQUESTS)
-        billable = self._free(kms_requests, prices.kms_free_requests)
-        self._add("kms", "API requests", kms_requests, "requests",
-                  prices.kms_per_ten_thousand_requests * _dec(billable) / 10_000)
-
-    def _build_dynamo(self, meter: BillingMeter, prices: PriceBook) -> None:
-        reads = meter.total(UsageKind.DYNAMO_READS)
-        self._add("dynamo", "reads", reads, "requests",
-                  prices.dynamo_per_million_reads * _dec(reads) / 1_000_000)
-        writes = meter.total(UsageKind.DYNAMO_WRITES)
-        self._add("dynamo", "writes", writes, "requests",
-                  prices.dynamo_per_million_writes * _dec(writes) / 1_000_000)
-        storage = meter.total(UsageKind.DYNAMO_STORAGE_GB_MONTH)
-        self._add("dynamo", "storage", storage, "GB-month",
-                  prices.dynamo_storage_per_gb_month * _dec(storage))
-
-    def _build_ec2(self, meter: BillingMeter, prices: PriceBook) -> None:
-        for instance_type, seconds in sorted(
-            meter.details(UsageKind.EC2_INSTANCE_SECONDS).items(), key=lambda kv: str(kv[0])
-        ):
-            if instance_type is None:
-                raise BillingError("EC2 usage requires an instance-type detail")
-            hourly = prices.instance(instance_type).hourly
-            self._add("ec2", f"{instance_type} runtime", seconds, "seconds",
-                      hourly * _dec(seconds) / 3600)
-        ebs = meter.total(UsageKind.EBS_GB_MONTH)
-        self._add("ebs", "volume storage", ebs, "GB-month",
-                  prices.ebs_per_gb_month * _dec(ebs))
-        checks = meter.total(UsageKind.HEALTH_CHECKS)
-        self._add("route53", "health checks", checks, "checks",
-                  prices.health_check_per_month * _dec(checks))
-        elb_hours = meter.total(UsageKind.ELB_HOURS)
-        self._add("elb", "load balancer", elb_hours, "hours",
-                  prices.elb_per_hour * _dec(elb_hours))
+        for rate in RATES:
+            if rate.kind is UsageKind.EC2_INSTANCE_SECONDS:
+                usage = sorted(meter.details(rate.kind).items(), key=lambda kv: str(kv[0]))
+            else:
+                usage = [(None, meter.total(rate.kind))]
+            for detail, quantity in usage:
+                billable = quantity
+                if apply_free_tier and rate.allowance is not None:
+                    billable = max(0.0, quantity - getattr(prices, rate.allowance))
+                amount = price_usage(rate.kind, billable, prices, detail)
+                if quantity:
+                    self.lines.append(LineItem(rate.service, rate.description.format(detail=detail),
+                                               quantity, rate.unit, amount))
 
     # -- queries ----------------------------------------------------------
 
@@ -375,10 +309,3 @@ class Invoice:
         body = "\n".join(str(line) for line in self.lines) or "(no usage)"
         return f"{header}\n{body}\nTOTAL: {self.total()}"
 
-
-def monthly_instance_cost(prices: PriceBook, instance_type: str) -> Money:
-    """Convenience: 24/7 monthly cost of one instance, calculator-style."""
-    return prices.instance(instance_type).hourly * EC2_HOURS_PER_MONTH
-
-
-__all__.append("monthly_instance_cost")

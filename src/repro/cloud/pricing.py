@@ -6,7 +6,10 @@ requests and 400,000 free GB-seconds each month. Execution time is
 measured in increments of 100ms." The remaining services use the public
 late-2017 us-west-2 rates from the AWS Simple Monthly Calculator the
 paper cites [3]. All prices are exact :class:`~repro.units.Money`
-values; derived per-unit math happens in :mod:`repro.cloud.billing`.
+values. Only :mod:`repro.cloud.billing` reads them: its rate table
+names, for each usage kind, the field holding the price and the one
+holding the free allowance, so a price or a free tier is changed here
+and nowhere else (``make lint`` checks).
 """
 
 from __future__ import annotations

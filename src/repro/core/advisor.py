@@ -7,10 +7,10 @@ charges for it. This module turns that into a tool:
 :func:`recommend_plan` sweeps the joint (memory × storage backend ×
 polling budget) space of :class:`repro.plan.DeploymentPlan` knobs for a
 :class:`WorkloadProfile`, predicts each option's run time from the
-latency model, prices the month with the
-:func:`repro.obs.export.price_usage` marginal-cost join (or the real
-invoice, free tiers applied), and recommends the cheapest plan that
-meets the latency budget. This is where the §6.2 storage tradeoff
+latency model, meters the month and prices it with
+:class:`repro.cloud.billing.Invoice` (free tiers applied only under
+``billed`` accounting), and recommends the cheapest plan that meets
+the latency budget. This is where the §6.2 storage tradeoff
 becomes a decision: DynamoDB state is faster per request and cheaper
 per operation, but 10.9x the at-rest price per GB-month, so
 latency-critical/low-state workloads go Dynamo while storage-heavy ones
@@ -131,15 +131,20 @@ class WorkloadProfile:
         return RequestProfile(tuple(calls), base_ms=self.base_ms)
 
 
-def _monthly_usage(
+def _plan_monthly_cost(
     profile: WorkloadProfile, plan: DeploymentPlan, billed_ms: int, memory_mb: int
-) -> List[Tuple[UsageKind, float]]:
-    """The month of metered usage one tenant of this class generates."""
+) -> Money:
+    """Meter one tenant-month of this class under ``plan`` and invoice it.
+
+    ``billed`` accounting applies the free tiers, as the real bill does;
+    ``marginal`` accounting prices every unit, at-rest storage included.
+    """
     prices = plan.prices
     monthly = profile.daily_requests * DAYS_PER_MONTH
     dynamo = plan.storage == "dynamo"
     polls = profile.polling_clients * LongPoller.polls_per_month(plan.poll_wait_seconds)
-    usage: List[Tuple[UsageKind, float]] = [
+    meter = BillingMeter()
+    for kind, quantity in (
         (UsageKind.LAMBDA_REQUESTS, monthly),
         (UsageKind.LAMBDA_GB_SECONDS,
          monthly * prices.lambda_gb_seconds(memory_mb, billed_ms)),
@@ -151,41 +156,9 @@ def _monthly_usage(
         (UsageKind.KMS_REQUESTS, monthly * profile.kms_calls),
         (UsageKind.DYNAMO_STORAGE_GB_MONTH if dynamo else UsageKind.S3_STORAGE_GB_MONTH,
          profile.storage_gb),
-    ]
-    return [(kind, quantity) for kind, quantity in usage if quantity]
-
-
-def _plan_monthly_cost(
-    profile: WorkloadProfile, plan: DeploymentPlan, billed_ms: int, memory_mb: int
-) -> Money:
-    """Price one tenant-month under ``plan``, per its accounting mode.
-
-    ``marginal`` accounting joins each usage dimension through
-    :func:`repro.obs.export.price_usage` — the same per-unit formulas
-    the invoice uses, free tier excluded — plus the two storage-month
-    rates that are time-integrated rather than request-attributed.
-    ``billed`` accounting runs the actual production billing path: meter
-    the month, price it with :class:`~repro.cloud.billing.Invoice`,
-    free tiers applied.
-    """
-    prices = plan.prices
-    usage = _monthly_usage(profile, plan, billed_ms, memory_mb)
-    if plan.include_free_tier:
-        meter = BillingMeter()
-        for kind, quantity in usage:
-            meter.record(kind, quantity)
-        return Invoice(meter, prices, apply_free_tier=True).total()
-    from repro.obs.export import price_usage
-
-    total = ZERO
-    for kind, quantity in usage:
-        if kind is UsageKind.S3_STORAGE_GB_MONTH:
-            total = total + prices.s3_storage_per_gb_month * Decimal(repr(quantity))
-        elif kind is UsageKind.DYNAMO_STORAGE_GB_MONTH:
-            total = total + prices.dynamo_storage_per_gb_month * Decimal(repr(quantity))
-        else:
-            total = total + price_usage(kind, quantity, prices)
-    return total
+    ):
+        meter.record(kind, quantity)
+    return Invoice(meter, prices, apply_free_tier=plan.include_free_tier).total()
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,21 @@
 """The paper's cost analysis (§5, §6.1): Tables 1 and 2 as code.
 
-Two accounting modes:
+Each estimate meters one month of the workload's usage in a
+:class:`~repro.cloud.billing.BillingMeter`, one attribution tag per
+bucket of the paper's tables (compute, storage, transfer, ancillary),
+and prices each bucket with :class:`~repro.cloud.billing.Invoice`
+against the 2017 price book, free tiers applied. Two accounting modes
+choose which usage is metered:
 
 - ``paper`` — reproduces exactly the arithmetic the paper's tables use:
-  Lambda compute priced against the §4 model with the free tier, plus
-  storage at the per-GB-month rate, plus billable transfer (first GB
-  free). Per-request storage/queue/KMS charges are *not* counted, just
-  as the paper did not count them.
-- ``full`` — adds every ancillary charge (S3 requests, SQS requests,
-  SES messages, KMS key rental and requests), which is what a real
-  bill would show. The ablation bench compares the two and shows where
-  the paper's estimates are optimistic (notably the $1/month KMS key).
+  Lambda compute (requests and GB-seconds), storage-months, and
+  transfer. Per-request storage/queue/KMS charges are *not* metered,
+  just as the paper did not count them.
+- ``full`` — also meters every ancillary charge (S3 requests, SQS
+  requests, SES messages, KMS key rental and requests), which is what a
+  real bill would show. The ablation bench compares the two and shows
+  where the paper's estimates are optimistic (notably the $1/month KMS
+  key).
 
 Workload parameters for Table 2's five rows ship as
 :data:`PAPER_WORKLOADS`; the transfer volumes the paper leaves implicit
@@ -20,9 +25,9 @@ are documented per row and in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from decimal import Decimal
-from typing import Dict
+from typing import Dict, Iterable
 
+from repro.cloud.billing import BillingMeter, Invoice, UsageKind
 from repro.cloud.pricing import EC2_HOURS_PER_MONTH, PRICES_2017, PriceBook
 from repro.errors import ConfigurationError
 from repro.units import DAYS_PER_MONTH, Money, ZERO
@@ -35,10 +40,6 @@ __all__ = [
     "PAPER_WORKLOADS",
     "VIDEO_WORKLOAD",
 ]
-
-
-def _dec(value: float) -> Decimal:
-    return Decimal(repr(value))
 
 
 @dataclass(frozen=True)
@@ -128,47 +129,30 @@ class CostEstimate:
         )
 
 
-class CostModel:
-    """Prices workloads against a :class:`PriceBook`."""
+_BUCKETS = ("compute", "storage", "transfer", "ancillary")
 
-    def __init__(self, prices: PriceBook = PRICES_2017):
-        self.prices = prices
+
+def _estimate(name: str, **buckets: Iterable[tuple]) -> CostEstimate:
+    """Meter each bucket's ``(kind, quantity[, detail])`` usage under its
+    own tag, and price each tag's month with the invoice."""
+    meter = BillingMeter()
+    for bucket, usage in buckets.items():
+        with meter.attributed(bucket):
+            for entry in usage:
+                meter.record(*entry)
+    return CostEstimate(name, *(
+        Invoice(meter.tagged(bucket), PRICES_2017).total() for bucket in _BUCKETS
+    ))
+
+
+class CostModel:
+    """Prices workloads against the 2017 :class:`PriceBook`."""
 
     # -- serverless ------------------------------------------------------
 
-    def lambda_compute_cost(self, workload: ServerlessWorkload, free_tier: bool = True) -> Money:
+    def lambda_compute_cost(self, workload: ServerlessWorkload) -> Money:
         """Monthly Lambda charge: requests + GB-seconds, free tier applied."""
-        prices = self.prices
-        requests = workload.monthly_requests
-        gb_seconds = workload.monthly_gb_seconds(prices)
-        if free_tier:
-            requests = max(0, requests - prices.lambda_free_requests)
-            gb_seconds = max(0.0, gb_seconds - prices.lambda_free_gb_seconds)
-        request_cost = prices.lambda_per_million_requests * requests / 1_000_000
-        duration_cost = prices.lambda_per_gb_second * _dec(gb_seconds)
-        return request_cost + duration_cost
-
-    def storage_cost(self, storage_gb: float) -> Money:
-        return self.prices.s3_storage_per_gb_month * _dec(storage_gb)
-
-    def transfer_cost(self, transfer_gb: float, free_tier: bool = True) -> Money:
-        billable = transfer_gb
-        if free_tier:
-            billable = max(0.0, transfer_gb - self.prices.transfer_free_gb)
-        return self.prices.transfer_out_per_gb * _dec(billable)
-
-    def _ancillary_cost(self, workload: ServerlessWorkload) -> Money:
-        prices = self.prices
-        total = prices.s3_put_per_thousand * workload.s3_puts_per_month / 1_000
-        total = total + prices.s3_get_per_ten_thousand * workload.s3_gets_per_month / 10_000
-        sqs = max(0, workload.sqs_requests_per_month - prices.sqs_free_requests)
-        total = total + prices.sqs_per_million_requests * sqs / 1_000_000
-        ses = max(0, workload.ses_messages_per_month - prices.ses_free_messages)
-        total = total + prices.ses_per_thousand_messages * ses / 1_000
-        kms = max(0, workload.kms_requests_per_month - prices.kms_free_requests)
-        total = total + prices.kms_per_ten_thousand_requests * kms / 10_000
-        total = total + prices.kms_per_key_month * workload.kms_keys
-        return total
+        return self.estimate_serverless(workload).compute
 
     def estimate_serverless(
         self, workload: ServerlessWorkload, accounting: str = "paper"
@@ -180,39 +164,48 @@ class CostModel:
         """
         if accounting not in ("paper", "full"):
             raise ConfigurationError(f"unknown accounting mode {accounting!r}")
-        estimate = CostEstimate(
-            name=workload.name,
-            compute=self.lambda_compute_cost(workload),
-            storage=self.storage_cost(workload.storage_gb),
-            transfer=self.transfer_cost(workload.transfer_gb_per_month),
-        )
+        ancillary = ()
         if accounting == "full":
-            estimate = CostEstimate(
-                estimate.name,
-                estimate.compute,
-                estimate.storage,
-                estimate.transfer,
-                self._ancillary_cost(workload),
+            ancillary = (
+                (UsageKind.S3_PUT, workload.s3_puts_per_month),
+                (UsageKind.S3_GET, workload.s3_gets_per_month),
+                (UsageKind.SQS_REQUESTS, workload.sqs_requests_per_month),
+                (UsageKind.SES_MESSAGES, workload.ses_messages_per_month),
+                (UsageKind.KMS_REQUESTS, workload.kms_requests_per_month),
+                (UsageKind.KMS_KEY_MONTHS, workload.kms_keys),
             )
-        return estimate
+        return _estimate(
+            workload.name,
+            compute=(
+                (UsageKind.LAMBDA_REQUESTS, workload.monthly_requests),
+                (UsageKind.LAMBDA_GB_SECONDS, workload.monthly_gb_seconds(PRICES_2017)),
+            ),
+            storage=((UsageKind.S3_STORAGE_GB_MONTH, workload.storage_gb),),
+            transfer=((UsageKind.TRANSFER_OUT_GB, workload.transfer_gb_per_month),),
+            ancillary=ancillary,
+        )
 
     # -- VMs ---------------------------------------------------------------
 
     def estimate_vm(self, workload: VmWorkload, accounting: str = "paper") -> CostEstimate:
         """Price an EC2-hosted service for a month (Table 1 / video row)."""
-        prices = self.prices
-        instance = prices.instance(workload.instance_type)
-        compute = instance.hourly * _dec(workload.hours_per_month) * workload.replicas
-        storage = self.storage_cost(workload.storage_gb)
+        storage = [(UsageKind.S3_STORAGE_GB_MONTH, workload.storage_gb)]
         if accounting == "full":
-            storage = storage + prices.s3_put_per_thousand * workload.s3_puts_per_month / 1_000
-            storage = storage + prices.s3_get_per_ten_thousand * workload.s3_gets_per_month / 10_000
-        transfer = self.transfer_cost(workload.transfer_gb_per_month)
-        ancillary = ZERO
-        ancillary = ancillary + prices.health_check_per_month * workload.health_checks
-        if workload.use_elb:
-            ancillary = ancillary + prices.elb_per_hour * EC2_HOURS_PER_MONTH
-        return CostEstimate(workload.name, compute, storage, transfer, ancillary)
+            storage += [
+                (UsageKind.S3_PUT, workload.s3_puts_per_month),
+                (UsageKind.S3_GET, workload.s3_gets_per_month),
+            ]
+        seconds = workload.hours_per_month * 3600 * workload.replicas
+        return _estimate(
+            workload.name,
+            compute=((UsageKind.EC2_INSTANCE_SECONDS, seconds, workload.instance_type),),
+            storage=storage,
+            transfer=((UsageKind.TRANSFER_OUT_GB, workload.transfer_gb_per_month),),
+            ancillary=(
+                (UsageKind.HEALTH_CHECKS, workload.health_checks),
+                (UsageKind.ELB_HOURS, EC2_HOURS_PER_MONTH if workload.use_elb else 0),
+            ),
+        )
 
     # -- sweeps ---------------------------------------------------------------
 

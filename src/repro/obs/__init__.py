@@ -36,7 +36,6 @@ from repro.obs.slo import (
 from repro.obs.export import (
     categorize,
     decomposition_report,
-    price_usage,
     span_cost,
     to_chrome_trace,
     to_jsonl,
@@ -67,7 +66,6 @@ __all__ = [
     "add_usage",
     "set_attr",
     "categorize",
-    "price_usage",
     "span_cost",
     "trace_cost",
     "validate_span_tree",

@@ -12,21 +12,20 @@ Three consumers, three formats:
   (cold start vs KMS vs storage vs queue wait percentiles).
 
 **Cost join.** Spans carry the raw ``(UsageKind, quantity)`` pairs the
-billing meter recorded; this module prices them with the same
-Decimal-via-repr discipline as :mod:`repro.cloud.billing`, using the
-*marginal* (pre-free-tier) unit prices — the $0.0000021 a single chat
+billing meter recorded; this module prices them with
+:func:`repro.cloud.billing.price_usage`, the invoice's own rate table
+at the *marginal* (pre-free-tier) price — the $0.0000021 a single chat
 message actually consumed, independent of how much allowance the rest
-of the month used up.
+of the month used up. Every exporter takes the price book explicitly.
 """
 
 from __future__ import annotations
 
 import json
-from decimal import Decimal
 from typing import Dict, Iterable, List, Tuple
 
-from repro.cloud.billing import UsageKind
-from repro.cloud.pricing import PRICES_2017, PriceBook
+from repro.cloud.billing import price_usage
+from repro.cloud.pricing import PriceBook
 from repro.errors import SimulationError
 from repro.obs.trace import Span
 from repro.sim.metrics import MetricSeries
@@ -34,7 +33,6 @@ from repro.units import Money, ZERO
 
 __all__ = [
     "categorize",
-    "price_usage",
     "span_cost",
     "trace_cost",
     "validate_span_tree",
@@ -44,49 +42,10 @@ __all__ = [
 ]
 
 
-def _dec(value: float) -> Decimal:
-    """Float quantity → Decimal via repr, exactly as billing prices lines."""
-    return Decimal(repr(value))
-
-
 # -- cost join -----------------------------------------------------------
 
 
-def price_usage(kind: UsageKind, quantity: float,
-                prices: PriceBook = PRICES_2017) -> Money:
-    """The marginal price of ``quantity`` units of one usage dimension.
-
-    Uses the same per-unit formulas as the invoice, with no free tier:
-    a span's cost answers "what did *this* request consume?", not "what
-    did the month's bill happen to absorb?". Dimensions with no
-    per-request price (storage-months, key-months) price to zero here —
-    they are time-integrated, not request-attributed.
-    """
-    q = _dec(quantity)
-    if kind is UsageKind.LAMBDA_REQUESTS:
-        return prices.lambda_per_million_requests * q / 1_000_000
-    if kind is UsageKind.LAMBDA_GB_SECONDS:
-        return prices.lambda_per_gb_second * q
-    if kind is UsageKind.S3_PUT:
-        return prices.s3_put_per_thousand * q / 1_000
-    if kind is UsageKind.S3_GET:
-        return prices.s3_get_per_ten_thousand * q / 10_000
-    if kind is UsageKind.TRANSFER_OUT_GB:
-        return prices.transfer_out_per_gb * q
-    if kind is UsageKind.SQS_REQUESTS:
-        return prices.sqs_per_million_requests * q / 1_000_000
-    if kind is UsageKind.SES_MESSAGES:
-        return prices.ses_per_thousand_messages * q / 1_000
-    if kind is UsageKind.KMS_REQUESTS:
-        return prices.kms_per_ten_thousand_requests * q / 10_000
-    if kind is UsageKind.DYNAMO_READS:
-        return prices.dynamo_per_million_reads * q / 1_000_000
-    if kind is UsageKind.DYNAMO_WRITES:
-        return prices.dynamo_per_million_writes * q / 1_000_000
-    return ZERO
-
-
-def span_cost(span: Span, prices: PriceBook = PRICES_2017) -> Money:
+def span_cost(span: Span, prices: PriceBook) -> Money:
     """This span's own billed cost (excluding children)."""
     total = ZERO
     for kind, quantity in span.usage:
@@ -94,7 +53,7 @@ def span_cost(span: Span, prices: PriceBook = PRICES_2017) -> Money:
     return total
 
 
-def trace_cost(root: Span, prices: PriceBook = PRICES_2017) -> Money:
+def trace_cost(root: Span, prices: PriceBook) -> Money:
     """The whole tree's billed cost."""
     total = ZERO
     for span in root.walk():
@@ -162,7 +121,7 @@ def _span_record(span: Span, prices: PriceBook) -> Dict[str, object]:
     }
 
 
-def to_jsonl(traces: Iterable[Span], prices: PriceBook = PRICES_2017) -> str:
+def to_jsonl(traces: Iterable[Span], prices: PriceBook) -> str:
     """One JSON object per span: traces in order, each tree depth-first.
 
     Keys are sorted and separators fixed, so equal trees serialize to
@@ -177,8 +136,7 @@ def to_jsonl(traces: Iterable[Span], prices: PriceBook = PRICES_2017) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def to_chrome_trace(traces: Iterable[Span],
-                    prices: PriceBook = PRICES_2017) -> Dict[str, object]:
+def to_chrome_trace(traces: Iterable[Span], prices: PriceBook) -> Dict[str, object]:
     """Chrome ``trace_event`` JSON, one thread lane per trace.
 
     Timestamps are already microseconds — the unit ``trace_event``
@@ -249,10 +207,7 @@ def categorize(name: str) -> str:
     return "other"
 
 
-def decomposition_report(
-    traces: List[Span],
-    prices: PriceBook = PRICES_2017,
-) -> Dict[str, object]:
+def decomposition_report(traces: List[Span], prices: PriceBook) -> Dict[str, object]:
     """The latency-decomposition summary ``python -m repro trace`` prints.
 
     Per retained trace, each category gets one sample: the milliseconds

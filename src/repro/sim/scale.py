@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from repro.cloud.billing import BillingMeter, Invoice
+from repro.cloud.billing import BillingMeter, Invoice, UsageKind, price_usage
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.collector import TraceCollector
 from repro.obs.trace import Tracer
@@ -566,7 +566,8 @@ def run_storage_ablation(
             "dynamo_is_faster": medians["dynamo"] < medians["s3"],
         }
     prices = DEFAULT_PLAN.prices
-    price_ratio = float(prices.dynamo_storage_per_gb_month / prices.s3_storage_per_gb_month)
+    price_ratio = float(price_usage(UsageKind.DYNAMO_STORAGE_GB_MONTH, 1.0, prices)
+                        / price_usage(UsageKind.S3_STORAGE_GB_MONTH, 1.0, prices))
     return {
         "bench": "storage_backend_ablation",
         "config": {"apps": list(apps), "requests": requests, "seed": seed},

@@ -1,10 +1,12 @@
 """Metering, free tiers, invoices, and per-app attribution."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cloud.billing import BillingMeter, Invoice, UsageKind, monthly_instance_cost
-from repro.cloud.pricing import PRICES_2017
+from repro.cloud.billing import RATES, BillingMeter, Invoice, UsageKind, price_usage
+from repro.cloud.pricing import EC2_HOURS_PER_MONTH, PRICES_2017, PriceBook
 from repro.errors import BillingError
 from repro.units import ZERO, usd
 
@@ -33,13 +35,6 @@ class TestMeter:
     def test_negative_usage_rejected(self, meter):
         with pytest.raises(BillingError):
             meter.record(UsageKind.S3_PUT, -1)
-
-    def test_merge(self, meter):
-        other = BillingMeter()
-        other.record(UsageKind.SQS_REQUESTS, 7)
-        meter.record(UsageKind.SQS_REQUESTS, 3)
-        meter.merge(other)
-        assert meter.total(UsageKind.SQS_REQUESTS) == 10
 
     def test_snapshot_keys(self, meter):
         meter.record(UsageKind.S3_PUT, 2)
@@ -135,7 +130,9 @@ class TestInvoice:
         assert "TOTAL" in _invoice(meter).render()
 
     def test_monthly_instance_helper(self):
-        assert monthly_instance_cost(PRICES_2017, "t2.nano").rounded(2) == usd("4.32")
+        seconds = EC2_HOURS_PER_MONTH * 3600
+        cost = price_usage(UsageKind.EC2_INSTANCE_SECONDS, seconds, PRICES_2017, "t2.nano")
+        assert cost.rounded(2) == usd("4.32")
 
 
 @given(requests=st.integers(0, 10_000_000))
@@ -151,3 +148,53 @@ def test_property_transfer_never_negative(gb):
     meter = BillingMeter()
     meter.record(UsageKind.TRANSFER_OUT_GB, gb)
     assert _invoice(meter).total() >= ZERO
+
+
+_PRICE = st.decimals(min_value=0, max_value=10, places=6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _what_if_books(draw):
+    """A price book with every rate, allowance and instance price redrawn."""
+    fields = {rate.price: usd(draw(_PRICE)) for rate in RATES
+              if rate.kind is not UsageKind.EC2_INSTANCE_SECONDS}
+    fields.update({rate.allowance: draw(st.integers(0, 2_000_000))
+                   for rate in RATES if rate.allowance is not None})
+    fields["ec2_instances"] = {
+        name: replace(instance, hourly=usd(draw(_PRICE)))
+        for name, instance in PRICES_2017.ec2_instances.items()
+    }
+    return PriceBook(**fields)
+
+
+@given(
+    usage=st.fixed_dictionaries({
+        kind: st.floats(0, 1e7, allow_nan=False, allow_infinity=False) for kind in UsageKind
+    }),
+    instance=st.sampled_from(sorted(PRICES_2017.ec2_instances)),
+    what_if=_what_if_books(),
+)
+def test_property_invoice_lines_follow_the_rate_table(usage, instance, what_if):
+    """The invoice and the marginal join price every kind by one rule."""
+    meter = BillingMeter()
+    for kind, quantity in usage.items():
+        meter.record(kind, quantity, instance if kind is UsageKind.EC2_INSTANCE_SECONDS else None)
+    rate_of_line = {(rate.service, rate.description.format(detail=instance)): rate
+                    for rate in RATES}
+    for book in (PRICES_2017, what_if):
+        marginal = Invoice(meter, book, apply_free_tier=False)
+        expected = ZERO
+        for rate in RATES:
+            expected = expected + price_usage(rate.kind, usage[rate.kind], book, instance)
+        assert marginal.total() == expected
+        free = Invoice(meter, book, apply_free_tier=True)
+        for invoice in (marginal, free):
+            for line in invoice.lines:
+                rate = rate_of_line[(line.service, line.description)]
+                billable = line.quantity
+                if invoice.apply_free_tier and rate.allowance is not None:
+                    billable = max(0.0, billable - getattr(book, rate.allowance))
+                assert line.amount == price_usage(rate.kind, billable, book, instance)
+        assert free.total() <= marginal.total()
+        with pytest.raises(BillingError):
+            price_usage(UsageKind.EC2_INSTANCE_SECONDS, usage[UsageKind.EC2_INSTANCE_SECONDS], book)

@@ -4,14 +4,13 @@ import json
 
 import pytest
 
-from repro.cloud.billing import UsageKind
+from repro.cloud.billing import UsageKind, price_usage
 from repro.cloud.pricing import PRICES_2017
 from repro.errors import SimulationError
 from repro.obs.collector import TraceCollector
 from repro.obs.export import (
     categorize,
     decomposition_report,
-    price_usage,
     span_cost,
     to_chrome_trace,
     to_jsonl,
@@ -52,22 +51,18 @@ def traced_chat_run(seed=2017, messages=8):
 class TestPriceJoin:
     def test_marginal_prices_match_the_invoice_formulas(self):
         prices = PRICES_2017
-        assert str(price_usage(UsageKind.LAMBDA_REQUESTS, 1_000_000).amount) == str(
+        assert str(price_usage(UsageKind.LAMBDA_REQUESTS, 1_000_000, prices).amount) == str(
             prices.lambda_per_million_requests.amount
         )
-        assert str(price_usage(UsageKind.S3_PUT, 1_000).amount) == str(
+        assert str(price_usage(UsageKind.S3_PUT, 1_000, prices).amount) == str(
             prices.s3_put_per_thousand.amount
         )
-        assert str(price_usage(UsageKind.KMS_REQUESTS, 10_000).amount) == str(
+        assert str(price_usage(UsageKind.KMS_REQUESTS, 10_000, prices).amount) == str(
             prices.kms_per_ten_thousand_requests.amount
         )
-        assert str(price_usage(UsageKind.SQS_REQUESTS, 2_000_000).amount) == str(
+        assert str(price_usage(UsageKind.SQS_REQUESTS, 2_000_000, prices).amount) == str(
             (prices.sqs_per_million_requests * 2).amount
         )
-
-    def test_time_integrated_dimensions_price_to_zero(self):
-        assert price_usage(UsageKind.S3_STORAGE_GB_MONTH, 5.0).amount == 0
-        assert price_usage(UsageKind.KMS_KEY_MONTHS, 1.0).amount == 0
 
     def test_span_and_trace_cost_aggregate_usage(self):
         tracer = make_tracer()
@@ -75,12 +70,12 @@ class TestPriceJoin:
             with tracer.span("kms", usage=(UsageKind.KMS_REQUESTS, 1.0)):
                 pass
         (root,) = tracer.collector.traces()
-        expected = price_usage(UsageKind.LAMBDA_REQUESTS, 1.0) + price_usage(
-            UsageKind.KMS_REQUESTS, 1.0
+        expected = price_usage(UsageKind.LAMBDA_REQUESTS, 1.0, PRICES_2017) + price_usage(
+            UsageKind.KMS_REQUESTS, 1.0, PRICES_2017
         )
-        assert str(trace_cost(root).amount) == str(expected.amount)
-        assert str(span_cost(root).amount) == str(
-            price_usage(UsageKind.LAMBDA_REQUESTS, 1.0).amount
+        assert str(trace_cost(root, PRICES_2017).amount) == str(expected.amount)
+        assert str(span_cost(root, PRICES_2017).amount) == str(
+            price_usage(UsageKind.LAMBDA_REQUESTS, 1.0, PRICES_2017).amount
         )
 
 
@@ -126,7 +121,7 @@ class TestChatAcceptance:
         # exporter prices every span.
         for root in traces:
             assert any(span.usage for span in root.walk())
-            assert float(trace_cost(root).amount) > 0.0
+            assert float(trace_cost(root, PRICES_2017).amount) > 0.0
 
     def test_cold_and_warm_starts_are_distinct_spans(self):
         _, traces = traced_chat_run()
@@ -139,13 +134,13 @@ class TestChatAcceptance:
     def test_jsonl_is_byte_identical_across_runs(self):
         _, first = traced_chat_run(seed=5, messages=4)
         _, second = traced_chat_run(seed=5, messages=4)
-        assert to_jsonl(first) == to_jsonl(second)
+        assert to_jsonl(first, PRICES_2017) == to_jsonl(second, PRICES_2017)
         _, other = traced_chat_run(seed=6, messages=4)
-        assert to_jsonl(first) != to_jsonl(other)
+        assert to_jsonl(first, PRICES_2017) != to_jsonl(other, PRICES_2017)
 
     def test_jsonl_records_are_well_formed(self):
         _, traces = traced_chat_run(messages=3)
-        lines = to_jsonl(traces).splitlines()
+        lines = to_jsonl(traces, PRICES_2017).splitlines()
         assert len(lines) == sum(1 for root in traces for _ in root.walk())
         for line in lines:
             record = json.loads(line)
@@ -155,7 +150,7 @@ class TestChatAcceptance:
 
     def test_chrome_trace_events_cover_every_span(self):
         _, traces = traced_chat_run(messages=3)
-        doc = to_chrome_trace(traces)
+        doc = to_chrome_trace(traces, PRICES_2017)
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(complete) == sum(1 for root in traces for _ in root.walk())
         lanes = {e["tid"] for e in complete}
@@ -177,7 +172,7 @@ class TestBreakdown:
 
     def test_category_self_times_sum_to_total(self):
         _, traces = traced_chat_run(messages=4)
-        report = decomposition_report(traces)
+        report = decomposition_report(traces, PRICES_2017)
         total = sum(cell["total_ms"] for cell in report["categories"].values())
         expected = sum(root.duration_micros for root in traces) / 1000.0
         assert total == pytest.approx(expected, abs=0.01)
@@ -185,14 +180,14 @@ class TestBreakdown:
 
     def test_report_includes_cost_block(self):
         _, traces = traced_chat_run(messages=3)
-        report = decomposition_report(traces)
+        report = decomposition_report(traces, PRICES_2017)
         assert float(report["cost"]["total_usd"]) > 0
         assert report["cost"]["median_trace_micro_usd"] > 0
         assert report["traces"] == len(traces)
         assert report["queue_wait_ms"] is not None
 
     def test_empty_traces_produce_empty_report(self):
-        report = decomposition_report([])
+        report = decomposition_report([], PRICES_2017)
         assert report["traces"] == 0
         assert report["total_ms"] is None
         assert report["categories"] == {}

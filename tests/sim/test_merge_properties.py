@@ -3,17 +3,16 @@
 The sharded fleet engine's correctness reduces to one algebraic fact:
 every merge it performs is commutative and associative *in the bytes*,
 not just mathematically. These tests drive each mergeable type —
-:class:`MetricSeries`, :class:`BillingMeter`, :class:`AvailabilityTracker`,
-:class:`PerfCounters` — through random permutations and partitions and
-require bitwise-equal outcomes.
+:class:`MetricSeries`, :class:`AvailabilityTracker`, :class:`PerfCounters` —
+through random permutations and partitions and require bitwise-equal
+outcomes. Billing needs no merge: the fleet engines meter the merged
+integer totals (``repro.sim.fold.merge_results``).
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.cloud.billing import BillingMeter, Invoice, UsageKind
-from repro.cloud.pricing import PRICES_2017
 from repro.sim.metrics import AvailabilityTracker, MetricSeries
 from repro.sim.profile import PerfCounters
 from repro.sim.rng import SeededRng
@@ -62,54 +61,6 @@ class TestMetricSeriesMerge:
         assert a.merge(b) is a
         assert a.count() == 3
         assert a.sum() == 6.0
-
-
-class TestBillingMeterMergeMany:
-    def _meters(self, quantities):
-        meters = []
-        for i, quantity in enumerate(quantities):
-            meter = BillingMeter()
-            meter.record(UsageKind.LAMBDA_REQUESTS, float(quantity))
-            meter.record(UsageKind.LAMBDA_GB_SECONDS, quantity * 0.4375 / 10.0)
-            meter.record(UsageKind.S3_PUT, float(quantity))
-            with meter.attributed(f"app-{i % 3}"):
-                meter.record(UsageKind.SQS_REQUESTS, float(quantity))
-            meters.append(meter)
-        return meters
-
-    def test_permutations_bill_identically(self):
-        quantities = [3, 1000, 7, 250_000, 42, 999]
-        reference = None
-        for seed in range(6):
-            meters = self._meters(quantities)
-            random.Random(seed).shuffle(meters)
-            merged = BillingMeter.merge_many(meters)
-            total = str(Invoice(merged, PRICES_2017).total())
-            snapshot = (
-                total,
-                merged.total(UsageKind.LAMBDA_REQUESTS),
-                merged.total(UsageKind.LAMBDA_GB_SECONDS),
-                merged.tagged("app-0").total(UsageKind.SQS_REQUESTS),
-            )
-            if reference is None:
-                reference = snapshot
-            assert snapshot == reference
-
-    def test_integer_quantities_partition_independent(self):
-        # The fleet engine's shard meters carry exactly-representable
-        # quantities, for which even nested merges cannot drift.
-        quantities = [17, 4096, 3, 250_000, 64]
-        meters = self._meters(quantities)
-        flat = BillingMeter.merge_many(meters)
-        nested = BillingMeter.merge_many(
-            [BillingMeter.merge_many(meters[:2]), BillingMeter.merge_many(meters[2:])]
-        )
-        for kind in (UsageKind.LAMBDA_REQUESTS, UsageKind.S3_PUT,
-                     UsageKind.SQS_REQUESTS):
-            assert nested.total_all_details(kind) == flat.total_all_details(kind)
-        assert str(Invoice(nested, PRICES_2017).total()) == str(
-            Invoice(flat, PRICES_2017).total()
-        )
 
 
 class TestAvailabilityTrackerMerge:
