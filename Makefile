@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test lint bench bench-check bench-storage chaos obs trace bench-obs tables advise bench-advisor advisor slo bench-slo slo-tests
+.PHONY: test lint bench bench-check bench-storage chaos bench-chaos obs trace bench-obs tables advise bench-advisor advisor slo bench-slo slo-tests
 
 # Tier-1: the full test suite (the slow opt-in markers are deselected
 # by default via pyproject addopts).
@@ -14,7 +14,8 @@ test:
 # StateStore — no direct storage-client calls and no hand-rolled
 # "{instance}-<suffix>" resource names outside repro/runtime — and
 # reach Lambda only through the Deployer; every price is read through
-# repro.cloud.billing's rate table.
+# repro.cloud.billing's rate table; each BENCH_*.json record has one
+# writer, an entry of the CLI's command table.
 lint:
 	@! grep -rn "ctx\.services\.s3_get\|ctx\.services\.s3_put\|ctx\.services\.s3_list\|ctx\.services\.s3_delete\|ctx\.services\.dynamo_" src/repro/apps/ src/repro/core/ \
 		|| { echo "lint: apps must use kctx.store, not raw storage clients"; exit 1; }
@@ -44,6 +45,8 @@ lint:
 		|| { echo "lint: apps make resources only through the Deployer and DIYApp.queue"; exit 1; }
 	@! grep -rnE '\.(lambda_per|lambda_free|s3_storage_per|s3_put_per|s3_get_per|transfer_out_per|transfer_free|sqs_per|sqs_free|ses_per|ses_free|kms_per|kms_free|dynamo_per|dynamo_storage_per|ebs_per|health_check_per|elb_per)[a-z_]*|\.hourly\b' src/repro --include="*.py" | grep -v "cloud/billing\.py\|cloud/pricing\.py" \
 		|| { echo "lint: PriceBook rates and allowances are read only by repro.cloud.billing's rate table"; exit 1; }
+	@! grep -rn 'write_bench_json(' src/repro benchmarks --include="*.py" | grep -v "src/repro/__main__\.py\|src/repro/analysis/bench\.py" \
+		|| { echo "lint: each BENCH_*.json has one writer, a python -m repro" "command"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).
@@ -66,6 +69,11 @@ bench-storage:
 chaos:
 	$(PY) -m pytest benchmarks/test_chaos_resilience.py -m chaos -s
 
+# The chaos fleet at the recorded config (4 tenants x 60 messages, with
+# the chaos-off control run); writes BENCH_chaos.json.
+bench-chaos:
+	$(PY) -m repro chaos --tenants 4 --messages 60 --out BENCH_chaos.json
+
 # Observability acceptance tests (opt-in; the default test run
 # deselects `-m obs`).
 obs:
@@ -75,7 +83,7 @@ obs:
 trace:
 	$(PY) -m repro trace
 
-# Tracing-overhead benchmark on the per-tenant engine; writes BENCH_obs.json.
+# Tracing-overhead benchmark on the batched engine; writes BENCH_obs.json.
 bench-obs:
 	$(PY) -m repro bench-obs
 

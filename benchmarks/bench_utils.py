@@ -1,16 +1,14 @@
 """Reporting helpers shared by the benches.
 
-``write_bench_json`` / ``bench_env`` are re-exports of
-:mod:`repro.analysis.bench` — the CLI writes the same BENCH_*.json
-schema without importing this directory.
+The benches only assert; every ``BENCH_*.json`` record is written by
+its ``python -m repro`` command.
 """
 
 from __future__ import annotations
 
 from repro.analysis import PaperComparison
-from repro.analysis.bench import bench_env, write_bench_json
 
-__all__ = ["attach_and_print", "bench_env", "write_bench_json"]
+__all__ = ["attach_and_print"]
 
 
 def attach_and_print(benchmark, comparison: PaperComparison) -> None:

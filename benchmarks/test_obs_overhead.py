@@ -4,7 +4,9 @@ The full run (``-m obs``) pushes ~100k requests through the batched
 fleet engine twice — tracing off, then tracing on at a 1/64 head-sample
 rate — asserts the bills and arrival counts are byte-identical, and
 requires the traced run to stay within 10% of the untraced throughput.
-The JSON record lands in ``BENCH_obs.json`` at the repo root.
+This file only asserts: ``python -m repro bench-obs`` (``make bench-obs``)
+writes the tracked ``BENCH_obs.json`` record from the same
+:func:`~repro.sim.scale.run_obs_benchmark`.
 
 Run it with::
 
@@ -16,22 +18,16 @@ collected, so `pytest benchmarks` stays fast by default.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
-from bench_utils import write_bench_json
 
 from repro.sim.scale import ScaleConfig, run_obs_benchmark
-
-BENCH_RECORD = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 FULL_CONFIG = ScaleConfig(tenants=12, daily_requests=1200.0, days=7.0, seed=2017)
 QUICK_CONFIG = ScaleConfig(tenants=6, daily_requests=1000.0, days=3.0, seed=2017)
 
 
 def _check(record: dict) -> None:
-    assert record["determinism"]["identical"], "tracing changed the bill"
+    assert record["digests"]["identical"], "tracing changed the bill"
     assert record["spans"]["sampled"] > 0, "head sampling retained nothing"
     critical = record["critical_path"]
     assert critical["traces"] == record["spans"]["retained"]
@@ -54,18 +50,6 @@ def test_tracing_overhead_full():
     assert record["within_budget"], (
         f"tracing overhead {record['overhead_pct']:.2f}% exceeds the 10% budget"
     )
-    payload = dict(record)
-    write_bench_json(
-        BENCH_RECORD,
-        headline=(f"tracing overhead {payload['overhead_pct']:.2f}% on the "
-                  f"batched engine (budget <10%)"),
-        runs=[dict(mode=mode, **payload.pop(mode))
-              for mode in ("tracing_off", "tracing_on")],
-        digests=payload.pop("determinism"),
-        **payload,
-    )
-    print()
-    print(json.dumps(json.loads(BENCH_RECORD.read_text()), indent=2))
 
 
 def test_tracing_overhead_quick():

@@ -162,6 +162,8 @@ class BillingMeter:
     def record(self, kind: UsageKind, quantity: float, detail: Optional[str] = None) -> None:
         if quantity < 0:
             raise BillingError(f"negative usage {quantity} for {kind.value}")
+        if detail is not None and kind is not UsageKind.EC2_INSTANCE_SECONDS:
+            raise BillingError(f"{kind.value} usage takes no detail, got {detail!r}")
         self.record_calls += 1
         self.hits += 1
         key = (kind, detail)
@@ -193,6 +195,8 @@ class BillingMeter:
             raise BillingError(f"negative usage {quantity} for {kind.value}")
         if count < 0:
             raise BillingError(f"negative event count {count} for {kind.value}")
+        if detail is not None and kind is not UsageKind.EC2_INSTANCE_SECONDS:
+            raise BillingError(f"{kind.value} usage takes no detail, got {detail!r}")
         self.record_calls += 1
         self.hits += count
         key = (kind, detail)

@@ -145,6 +145,11 @@ def _estimate(name: str, **buckets: Iterable[tuple]) -> CostEstimate:
     ))
 
 
+def _check_accounting(accounting: str) -> None:
+    if accounting not in ("paper", "full"):
+        raise ConfigurationError(f"unknown accounting mode {accounting!r}")
+
+
 class CostModel:
     """Prices workloads against the 2017 :class:`PriceBook`."""
 
@@ -162,8 +167,7 @@ class CostModel:
         ``accounting="paper"`` reproduces Table 2's arithmetic;
         ``"full"`` adds ancillary request and key charges.
         """
-        if accounting not in ("paper", "full"):
-            raise ConfigurationError(f"unknown accounting mode {accounting!r}")
+        _check_accounting(accounting)
         ancillary = ()
         if accounting == "full":
             ancillary = (
@@ -189,6 +193,7 @@ class CostModel:
 
     def estimate_vm(self, workload: VmWorkload, accounting: str = "paper") -> CostEstimate:
         """Price an EC2-hosted service for a month (Table 1 / video row)."""
+        _check_accounting(accounting)
         storage = [(UsageKind.S3_STORAGE_GB_MONTH, workload.storage_gb)]
         if accounting == "full":
             storage += [

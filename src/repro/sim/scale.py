@@ -539,11 +539,11 @@ def run_storage_ablation(
     """Run each app's workload on both state backends.
 
     One fresh provider per (app, backend) cell, same seed, so each pair
-    differs only in where the state store's calls land. Returns the
-    JSON-ready record the ``bench-storage`` CLI writes to
-    ``BENCH_storage.json``: per-app median handler run times on S3 vs
-    DynamoDB, the run-time ratio, and the storage price ratio the
-    paper's footnote doesn't mention.
+    differs only in where the state store's calls land. Returns
+    per-app median handler run times on S3 vs DynamoDB, the run-time
+    ratio, and the storage price ratio the paper's footnote doesn't
+    mention; ``python -m repro bench-storage`` adds the ``runs`` and
+    ``digests`` blocks and writes the record as ``BENCH_storage.json``.
     """
     from repro.cloud.provider import CloudProvider
     from repro.runtime.store import STORAGE_BACKENDS
@@ -582,13 +582,15 @@ def run_obs_benchmark(
     capacity: int = 4096,
     repeats: int = 3,
 ) -> Dict[str, object]:
-    """Tracing-off vs tracing-on throughput of :func:`run_fleet`.
+    """Tracing-off vs tracing-on throughput of :func:`run_fleet`, the
+    batched per-tenant engine.
 
     The acceptance budget is <10% overhead at the default 1/64 head
     sample rate. The run also proves tracing changed *nothing* billable
     (identical invoice total and arrival counts) and summarizes the
-    retained traces' critical path — the JSON-ready record the CLI
-    writes to ``BENCH_obs.json``.
+    retained traces' critical path. The record is in the shared
+    ``BENCH_*.json`` schema, one ``runs`` entry per mode, and
+    ``python -m repro bench-obs`` writes it unchanged to ``BENCH_obs.json``.
 
     Each mode runs ``repeats`` times and keeps its fastest wall time
     (best-of-N), so the overhead figure reflects the instrumentation,
@@ -628,19 +630,21 @@ def run_obs_benchmark(
     on_eps = on.events_per_second
     overhead_pct = 100.0 * (off_eps - on_eps) / off_eps if off_eps else 0.0
     return {
-        "bench": "obs_overhead",
-        "config": config.as_dict(),
-        "sample_rate": sample_rate,
-        "capacity": capacity,
-        "tracing_off": off.as_dict(),
-        "tracing_on": on.as_dict(),
-        "overhead_pct": round(overhead_pct, 3),
-        "within_budget": overhead_pct < 10.0,
-        "spans": tracer.collector.stats(),
-        "determinism": {
+        "headline": (f"tracing overhead {round(overhead_pct, 3):.2f}% on the batched "
+                     f"engine (budget <10%)"),
+        "runs": [dict(mode="tracing_off", **off.as_dict()),
+                 dict(mode="tracing_on", **on.as_dict())],
+        "digests": {
             "invoice_total": off.invoice_total,
             "arrivals": off.arrivals,
             "identical": identical,
         },
+        "bench": "obs_overhead",
+        "config": config.as_dict(),
+        "sample_rate": sample_rate,
+        "capacity": capacity,
+        "overhead_pct": round(overhead_pct, 3),
+        "within_budget": overhead_pct < 10.0,
+        "spans": tracer.collector.stats(),
         "critical_path": decomposition_report(tracer.collector.traces(), config.plan.prices),
     }

@@ -36,6 +36,17 @@ class TestMeter:
         with pytest.raises(BillingError):
             meter.record(UsageKind.S3_PUT, -1)
 
+    @pytest.mark.parametrize("record", [
+        lambda meter: meter.record(UsageKind.S3_PUT, 5000, "bucket-a"),
+        lambda meter: meter.record_batch(UsageKind.S3_PUT, 5000.0, 5000, "bucket-a"),
+    ], ids=["record", "record_batch"])
+    def test_detail_on_a_non_ec2_kind_rejected(self, meter, record):
+        # The invoice prices only EC2 usage per detail; anything else
+        # recorded under a detail would show in the snapshot but bill $0.
+        with pytest.raises(BillingError, match="takes no detail"):
+            record(meter)
+        assert meter.snapshot() == {}
+
     def test_snapshot_keys(self, meter):
         meter.record(UsageKind.S3_PUT, 2)
         meter.record(UsageKind.EC2_INSTANCE_SECONDS, 60, "t2.nano")

@@ -102,6 +102,10 @@ class TestFullAccounting:
         with pytest.raises(ConfigurationError):
             model.estimate_serverless(PAPER_WORKLOADS["email"], accounting="wish")
 
+    def test_unknown_accounting_rejected_for_vms_too(self, model):
+        with pytest.raises(ConfigurationError, match="unknown accounting mode 'wish'"):
+            model.estimate_vm(VIDEO_WORKLOAD, accounting="wish")
+
 
 class TestValidation:
     def test_negative_requests_rejected(self):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import COMMANDS, main
 from repro.errors import ConfigurationError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -189,3 +189,44 @@ class TestMakefileTargets:
         }
         assert used, "no -m markers found in the Makefile"
         assert used <= declared
+
+
+class TestCommandTable:
+    """Every table entry is a working command, and each tracked
+    ``BENCH_*.json`` record has exactly one writer in the table."""
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_command_answers_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: python -m repro {command} ")
+
+    def test_tracked_records_are_the_records_the_table_writes(self):
+        records = [command["bench"] for command in COMMANDS.values() if "bench" in command]
+        assert len(records) == len(set(records)), "a BENCH record has two writers"
+        assert set(records) == {path.name for path in ROOT.glob("BENCH_*.json")}
+
+    @pytest.mark.parametrize("name", [name for name, command in COMMANDS.items()
+                                      if "bench" in command])
+    def test_each_record_is_written_by_default_or_by_its_make_target(self, name):
+        command = COMMANDS[name]
+        out = dict(command["args"])["--out"]["default"]
+        if out is None:
+            assert re.search(rf"-m repro {name} .*--out {re.escape(command['bench'])}$",
+                             MAKEFILE, re.M)
+        else:
+            assert out == command["bench"]
+
+    def test_chaos_record_carries_its_control_run(self, capsys, tmp_path):
+        import json
+
+        out_path = tmp_path / "BENCH_chaos.json"
+        assert main(["chaos", "--tenants", "1", "--messages", "6",
+                     "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {out_path}\n")
+        record = json.loads(out_path.read_text())
+        assert list(record)[:4] == ["headline", "env", "runs", "digests"]
+        assert record["chaos"] is True
+        assert record["control"]["retries"] == 0
+        assert record["control"]["eventual_delivery_rate"] == 1.0
