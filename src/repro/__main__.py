@@ -341,12 +341,13 @@ def _render_bench_obs(record) -> str:
         f"req/day x {config['days']:g} days (~{requests:,.0f} requests), "
         f"sample rate {record['sample_rate']:g} ...",
         format_table(
-            ["mode", "requests", "events/sec", "wall time", "invoice"],
+            ["mode", "requests", "events/sec", "best wall", "median wall", "invoice"],
             [(run["mode"].replace("_", " "), f"{run['arrivals']:,}",
               f"{run['events_per_second']:,.0f}", f"{run['wall_seconds']:.3f} s",
-              run["invoice_total"])
+              f"{run['median_wall_seconds']:.3f} s", run["invoice_total"])
              for run in record["runs"]],
-            title=f"Tracing overhead on the batched engine (seed {config['seed']})",
+            title=(f"Tracing overhead on the batched engine (seed {config['seed']}, "
+                   f"best of {record['repeats']} per mode)"),
         ),
         f"overhead: {record['overhead_pct']:.2f}% "
         f"(budget <10%: {'OK' if record['within_budget'] else 'EXCEEDED'}); "

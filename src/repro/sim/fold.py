@@ -105,6 +105,11 @@ def health_plane(collect: bool):
     return MetricsPlane()
 
 
+def _int_list(values) -> List[int]:
+    """An accumulator (``ndarray`` or list) as a list of Python ints."""
+    return values.tolist() if hasattr(values, "tolist") else list(values)
+
+
 def _meter_requests(meter: BillingMeter, store_kind: UsageKind, n: int) -> None:
     """The per-request charges: one invocation, one store write, one send."""
     meter.record_batch(UsageKind.LAMBDA_REQUESTS, float(n), n)
@@ -259,9 +264,9 @@ class Fold:
             billed_units=self.billed_units,
             payload_bytes=payload_bytes,
             tenant_ids=tenant_ids,
-            tenant_counts=[int(c) for c in self.tenant_counts],
+            tenant_counts=_int_list(self.tenant_counts),
             latency_ms=self.latency_ms,
-            hod_hist=[int(h) for h in self.hod],
+            hod_hist=_int_list(self.hod),
             samples_drawn=self.events * len(self.components),
             run_seconds=time.perf_counter() - started,
             health=self.health,

@@ -110,6 +110,29 @@ def shard_of(tenant_id: int, shards: int = DEFAULT_LOGICAL_SHARDS) -> int:
     return x % shards
 
 
+# (tenants, shards) -> the shard id of every tenant in range(tenants),
+# in the narrowest unsigned dtype that holds shards - 1 (one byte per
+# tenant at the default 64 shards). Filled on first use in each process;
+# it holds the last fleet's map only, so its memory stays one map's.
+_shard_maps: Dict[Tuple[int, int], object] = {}
+
+
+def _shard_map(np, tenants: int, shards: int):
+    """``shard_of(t, shards)`` for every ``t`` in ``range(tenants)`` (cached)."""
+    key = (tenants, shards)
+    owners = _shard_maps.get(key)
+    if owners is None:
+        ids = np.arange(tenants, dtype=np.uint64)
+        x = (ids + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(_MASK64)
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        x = x ^ (x >> np.uint64(31))
+        owners = (x % np.uint64(shards)).astype(np.min_scalar_type(shards - 1))
+        _shard_maps.clear()
+        _shard_maps[key] = owners
+    return owners
+
+
 def shard_tenants(
     tenants: int, shard_id: int, shards: int = DEFAULT_LOGICAL_SHARDS
 ):
@@ -118,16 +141,20 @@ def shard_tenants(
     Returns an int64 ``ndarray`` under numpy, a list under the
     fallback; the ids are identical either way (splitmix64 is exact
     integer math in both).
+
+    Under numpy the shard map — the owning shard of every id in
+    ``range(tenants)`` — is hashed once per ``(tenants, shards)`` in each
+    process and kept in a module-level cache, like
+    :func:`repro.sim.vecmath.lognormal_table`'s tables (the cache keeps
+    only the last fleet's map). A worker that runs many shards of one
+    fleet then only selects its ids from it.
     """
+    if shards <= 0:
+        raise ConfigurationError(f"shard count must be positive, got {shards}")
     np = vecmath.numpy_or_none()
     if np is None:
         return [t for t in range(tenants) if shard_of(t, shards) == shard_id]
-    ids = np.arange(tenants, dtype=np.uint64)
-    x = (ids + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(_MASK64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> np.uint64(31))
-    return np.nonzero(x % np.uint64(shards) == np.uint64(shard_id))[0].astype(np.int64)
+    return np.flatnonzero(_shard_map(np, tenants, shards) == shard_id)
 
 
 @dataclass(frozen=True)

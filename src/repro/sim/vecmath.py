@@ -78,7 +78,7 @@ def uniform_block(pyrandom, n: int):
     state.set_state(("MT19937", np.asarray(internal[:-1], dtype=np.uint32), internal[-1]))
     out = state.random_sample(n)
     _, key, pos = state.get_state()[:3]
-    pyrandom.setstate((version, tuple(int(word) for word in key) + (int(pos),), gauss_next))
+    pyrandom.setstate((version, tuple(key.tolist()) + (int(pos),), gauss_next))
     return out
 
 
@@ -232,11 +232,17 @@ class QuantileTable:
         np = numpy_or_none()
         if np is not None and not isinstance(uniforms, list):
             table = self._np_values(np)
-            pos = np.asarray(uniforms, dtype=np.float64) * self.size
-            idx = pos.astype(np.int64)
-            frac = pos - idx
-            lo = table[idx]
-            return lo + frac * (table[idx + 1] - lo)
+            frac = np.asarray(uniforms, dtype=np.float64) * self.size
+            idx = frac.astype(np.int64)
+            frac -= idx
+            lo = table.take(idx)
+            # lo + frac * (hi - lo), in place and in the scalar path's
+            # IEEE order (+ and * commute exactly).
+            out = table[1:].take(idx)
+            out -= lo
+            out *= frac
+            out += lo
+            return out
         values = self.values
         size = self.size
         out = []

@@ -12,9 +12,13 @@ produces the *identical* arrival stream through either:
 
 * :meth:`DiurnalWorkload.arrivals` — the original per-event iterator,
   yielding one :class:`Arrival` dataclass per request; and
-* :meth:`DiurnalWorkload.arrival_batches` — the fleet-scale fast path,
-  yielding chunks of plain integer timestamps with no per-event object
+* :meth:`DiurnalWorkload.arrival_batches` — the batched per-hour path,
+  yielding lists of integer timestamps with no per-event object
   allocation and all loop state held in locals.
+
+:meth:`DiurnalWorkload.arrival_batches_vec`, the sharded fleet's path,
+draws its own canonical stream by thinning and yields int64 ``ndarray``
+chunks under numpy (lists of ints under the pure-Python fallback).
 
 The per-hour rates are normalized once in ``__post_init__`` (the seed
 implementation re-summed the 24-entry profile on every draw).
@@ -23,7 +27,7 @@ implementation re-summed the 24-entry profile on every draw).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import SeededRng
@@ -161,7 +165,7 @@ class DiurnalWorkload:
 
     def arrival_batches_vec(
         self, days: float = 1.0, start_micros: int = 0, chunk: int = 4096
-    ) -> Iterator[List[int]]:
+    ) -> Iterator[Sequence[int]]:
         """Vectorized arrivals via inhomogeneous-Poisson thinning.
 
         The fleet engine's generation path: candidate arrivals are drawn
@@ -171,6 +175,11 @@ class DiurnalWorkload:
         classic thinning construction, O(peak/mean) draws per accepted
         arrival with no per-hour stepping, which is what makes a
         year-long horizon affordable.
+
+        Every chunk holds exactly ``chunk`` timestamps but the last,
+        which is shorter. Under numpy a chunk is an int64 ``ndarray``
+        that goes straight into the fold's array kernels; under the
+        pure-Python fallback it is a list of ints.
 
         This path defines its **own canonical stream**: deterministic
         per seed, bitwise identical with or without numpy
@@ -197,24 +206,25 @@ class DiurnalWorkload:
         start_hours = start_micros / MICROS_PER_HOUR
         np = vecmath.numpy_or_none()
         now_hours = 0.0
-        pending: List[int] = []
+        pending = np.empty(0, dtype=np.int64) if np is not None else []
         while True:
             remaining = horizon_hours - now_hours
             expected = peak * remaining
             block = int(expected + 8.0 * (expected + 1.0) ** 0.5 + 16.0)
             gaps = vecmath.exponential_gaps(self.rng.uniform_block(block))
-            if np is not None and not isinstance(gaps, list):
+            if np is not None:
                 cumulative = np.cumsum(gaps / peak)
                 times = cumulative + now_hours
                 cut = int(np.searchsorted(times, horizon_hours, side="left"))
                 kept = times[:cut]
-                accept = np.asarray(self.rng.uniform_block(cut))
+                accept = self.rng.uniform_block(cut)
                 hours_of_day = (kept + start_hours).astype(np.int64) % 24
                 mask = accept < np.asarray(thresholds)[hours_of_day]
                 accepted = kept[mask]
                 micros = (np.rint(accepted * MICROS_PER_HOUR).astype(np.int64)
                           + start_micros)
-                pending.extend(micros[micros < end_micros].tolist())
+                fresh = micros[micros < end_micros]
+                pending = np.concatenate((pending, fresh)) if len(pending) else fresh
                 last_time = float(times[-1]) if block else now_hours
             else:
                 kept = []
@@ -234,15 +244,18 @@ class DiurnalWorkload:
                         if at < end_micros:
                             pending.append(at)
                 last_time = csum + now_hours if block else now_hours
-            while len(pending) >= chunk:
-                batch, pending = pending[:chunk], pending[chunk:]
-                self.generated_total += len(batch)
-                yield batch
+            # Slice the full chunks off by offset: one pass over pending,
+            # whatever the chunk size.
+            full = len(pending) - len(pending) % chunk
+            for lo in range(0, full, chunk):
+                self.generated_total += chunk
+                yield pending[lo:lo + chunk]
+            pending = pending[full:]
             if cut < block:
                 break
             now_hours = last_time
         self.generated_total += len(pending)
-        if pending:
+        if len(pending):
             yield pending
 
     def arrival_list(self, days: float = 1.0, start_micros: int = 0) -> List[Arrival]:
