@@ -35,8 +35,8 @@ lint:
 		|| { echo "lint: the Lambda billing rule lives only in repro.sim.fold"; exit 1; }
 	@! grep -rn 'chacha20_block(' src/repro --include="*.py" | grep -v "crypto/chacha20\.py\|crypto/__init__\.py" \
 		|| { echo "lint: the AEAD takes its Poly1305 key from its one keystream pass, not from chacha20_block"; exit 1; }
-	@! grep -n 'trace\.events' src/repro/sim/replay/replayer.py src/repro/__main__.py \
-		|| { echo "lint: the replay engines and the CLI read trace columns, never trace.events"; exit 1; }
+	@! grep -rn 'trace\.events' src/repro/sim/replay/replayer.py src/repro/__main__.py src/repro/sim/scenarios/ src/repro/sim/replay/recorder.py \
+		|| { echo "lint: the replay engines, the CLI, the scenario library and the recorder read trace columns, never trace.events"; exit 1; }
 	@! grep -rnE 'PRICES_2017|prices: PriceBook' src/repro/sim src/repro/obs --include="*.py" | grep -E '^src/repro/sim/|PRICES_2017' \
 		|| { echo "lint: the fleet engines price with plan.prices, and the trace exporters with the book they are given"; exit 1; }
 	@! grep -rnE 'call_with_retries\(|CircuitBreaker\(|AvailabilityTracker\(|ThrottledError\(|status == 429' src/repro/apps --include="*.py" \

@@ -25,7 +25,6 @@ __all__ = [
     "NoSuchTable",
     "NoSuchItem",
     "ThrottledError",
-    "QuotaExceeded",
     "PayloadTooLarge",
     "FunctionError",
     "FunctionTimeout",
@@ -147,10 +146,6 @@ class ThrottledError(CloudError):
     ):
         super().__init__(message, retryable)
         self.retry_after_ms = retry_after_ms
-
-
-class QuotaExceeded(CloudError):
-    """A hard account quota (e.g. concurrent executions) was exceeded."""
 
 
 class PayloadTooLarge(CloudError):

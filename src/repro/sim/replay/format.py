@@ -24,21 +24,27 @@ This module is the **only** place that parses trace JSONL (the
 free. A corrupt file fails loudly: a truncated or non-gzip ``.gz`` and
 a non-ASCII byte raise :class:`TraceFormatError` naming the path.
 
-Cost model: one reader serves :func:`read_trace` and :func:`iter_trace`.
-It takes the decompressed body in blocks of about 1 MiB of whole lines
-and decodes a block of canonical lines with one regular expression,
-straight into integer columns; any other block is decoded line by line
-around :mod:`json`, which also names a refused line's error. A trace
-read from disk is columnar (:class:`TraceColumns`): its
+Cost model: traces move as columns (:class:`TraceColumns`), not as a
+:class:`TraceEvent` per line. The writer and the digest format columns:
+each distinct kind becomes one ``%`` template, and a chunk of 4,096
+lines is filled by one ``%`` over its integers, so formatting costs a
+few C-level passes per chunk; gzip at level 9 is then most of a write.
+Validation takes C-level passes over the columns (sorted, min, max) and
+walks events one by one only to word a failure. One reader serves
+:func:`read_trace` and :func:`iter_trace`. It takes the decompressed
+body in blocks of about 1 MiB of whole lines and decodes a block of
+canonical lines with one regular expression, straight into integer
+columns; any other block is decoded line by line around :mod:`json`,
+which also names a refused line's error. A trace read from disk, built
+by the recorder or made by a transform is columnar: its
 :class:`TraceEvent` objects are built only when ``trace.events`` is
-asked for, and when every line was canonical its digest is the sha256
-of the raw lines, taken during the read.
+asked for, and when every line read was canonical its digest is the
+sha256 of the raw lines, taken during the read.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import gzip
 import hashlib
 import itertools
@@ -62,6 +68,7 @@ __all__ = [
     "TraceFormatError",
     "TraceEvent",
     "TraceHeader",
+    "KindTable",
     "TraceColumns",
     "Trace",
     "sort_events",
@@ -135,12 +142,23 @@ class TraceHeader:
 Kind = Tuple[str, str, str, Tuple[Tuple[str, object], ...]]
 
 
-class _Kinds:
+def _own_kind(app: object, route: object, actor: object, meta: object) -> bool:
+    """Whether each event with these fields gets a kind of its own.
+
+    It does when it carries ``meta``, whose values need not be hashable,
+    or a name that is not a ``str``: ``1`` and ``True`` hash and compare
+    equal but encode differently, so such names are never merged.
+    """
+    return bool(meta) or not (type(app) is str and type(route) is str and type(actor) is str)
+
+
+class KindTable:
     """A trace's distinct kinds, numbered in order of first appearance.
 
-    Events without ``meta`` share the kind of their ``(app, route,
-    actor)``; an event with ``meta`` gets a kind of its own, since meta
-    values need not be hashable.
+    Events with ``str`` names and no ``meta`` share the kind of their
+    ``(app, route, actor)``; any other event gets a kind of its own
+    (:func:`_own_kind`). Every producer numbers kinds this way, so two
+    traces' columns are equal exactly when their events are.
     """
 
     def __init__(self):
@@ -148,8 +166,8 @@ class _Kinds:
         self._ids: Dict[Tuple[str, str, str], int] = {}
 
     def add(self, app: str, route: str, actor: str, meta: Tuple[Tuple[str, object], ...]) -> int:
-        if meta:
-            self.kinds.append((app, route, actor, meta))
+        if _own_kind(app, route, actor, meta):
+            self.kinds.append((app, route, actor, meta or ()))
             return len(self.kinds) - 1
         kind = self._ids.get((app, route, actor))
         if kind is None:
@@ -165,7 +183,7 @@ class TraceColumns:
     ``at``, ``tenant`` and ``size`` hold each event's arrival micros,
     tenant id and payload bytes; ``kind`` indexes ``kinds``, the
     trace's distinct ``(app, route, actor, meta)`` tuples (see
-    :class:`_Kinds` for which events share one).
+    :class:`KindTable` for which events share one).
     """
 
     at: List[int]
@@ -176,12 +194,44 @@ class TraceColumns:
 
     @classmethod
     def from_events(cls, events: List[TraceEvent]) -> "TraceColumns":
-        kinds = _Kinds()
+        kinds = KindTable()
         add = kinds.add
         return cls(
             [e.at_micros for e in events], [e.tenant for e in events],
             [e.payload_bytes for e in events],
             [add(e.app, e.route, e.actor, e.meta) for e in events], kinds.kinds,
+        )
+
+    @classmethod
+    def canonical(
+        cls, at: List[int], tenant: List[int], size: List[int], kind: List[int], kinds: List[Kind],
+    ) -> "TraceColumns":
+        """Columns whose ``kind`` indexes ``kinds``, renumbered as :meth:`from_events` numbers them.
+
+        Kinds are merged by value and numbered by first appearance in
+        ``kind``, and a kind of its own (one with ``meta``, say) gets a
+        fresh number at each appearance, so a transform may copy,
+        concatenate or reorder kind ids freely and still build the
+        columns of the events it means.
+        """
+        table = KindTable()
+        distinct = dict.fromkeys(kind)
+        if any(_own_kind(*kinds[k]) for k in distinct):
+            kind = [table.add(*kinds[k]) for k in kind]
+        else:
+            ids = {k: table.add(*kinds[k]) for k in distinct}
+            kind = list(map(ids.__getitem__, kind))
+        return cls(at, tenant, size, kind, table.kinds)
+
+    def time_sorted(self) -> "TraceColumns":
+        """The columns in canonical order: a stable sort by ``at``."""
+        order = sorted(range(len(self.at)), key=self.at.__getitem__)
+
+        def take(column: List[int]) -> List[int]:
+            return list(map(column.__getitem__, order))
+
+        return TraceColumns.canonical(
+            take(self.at), take(self.tenant), take(self.size), take(self.kind), self.kinds,
         )
 
     def __len__(self) -> int:
@@ -206,16 +256,19 @@ class Trace:
     A trace holds its events one of two ways, and exactly one is the
     source of truth:
 
-    * built from an events list (the recorder, the scenario library,
-      the transforms), the list is the truth; :meth:`columns` derives
-      columns from it afresh on every call, since whoever holds the
-      list may change it;
-    * read from disk (:func:`read_trace`), the columns are the truth,
-      plus the digest when the reader proved every line canonical. The
-      first access to :attr:`events` builds the list from the columns;
-      from then on that list is the truth and the column and digest
-      caches are dropped, so editing it (``trace.events.reverse()``)
-      is always seen. Assigning a new :attr:`header` drops the digest too.
+    * built from an events list (the scenario library's generators),
+      the list is the truth; :meth:`columns` derives columns from it
+      afresh on every call, since whoever holds the list may change it;
+    * built from columns (the recorder, the transforms,
+      :func:`read_trace`), the columns are the truth, plus the digest
+      when the reader proved every line canonical. The first access to
+      :attr:`events` builds the list from the columns; from then on that
+      list is the truth and the column and digest caches are dropped,
+      so editing it (``trace.events.reverse()``) is always seen.
+      Assigning a new :attr:`header` drops the digest too.
+
+    :meth:`validate` checks every trace but one the reader proved valid
+    as it read it, under the header it read.
     """
 
     def __init__(self, header: TraceHeader, events: Optional[List[TraceEvent]] = None):
@@ -223,6 +276,7 @@ class Trace:
         self._events: Optional[List[TraceEvent]] = [] if events is None else events
         self._columns: Optional[TraceColumns] = None
         self._digest: Optional[str] = None
+        self._proven = False
 
     @classmethod
     def from_columns(
@@ -239,18 +293,19 @@ class Trace:
 
     @header.setter
     def header(self, header: TraceHeader) -> None:
-        self._header, self._digest = header, None
+        self._header, self._digest, self._proven = header, None, False
 
     @property
     def events(self) -> List[TraceEvent]:
         if self._events is None:
             self._events = self._columns.events()
             self._columns = self._digest = None
+            self._proven = False
         return self._events
 
     @events.setter
     def events(self, events: List[TraceEvent]) -> None:
-        self._events, self._columns, self._digest = events, None, None
+        self._events, self._columns, self._digest, self._proven = events, None, None, False
 
     def columns(self) -> TraceColumns:
         if self._events is not None:
@@ -284,8 +339,8 @@ class Trace:
         return self._events[-1].at_micros - self._events[0].at_micros
 
     def validate(self) -> "Trace":
-        if self._events is not None:  # a read trace was validated as it was read
-            _validate(self.header, self._events)
+        if not self._proven:
+            _validate(self.header, self.columns())
         return self
 
 
@@ -342,69 +397,74 @@ def meta_pairs(meta: Optional[Dict[str, object]]) -> Tuple[Tuple[str, object], .
 # write to a few hundred KiB whatever the trace's length.
 _CHUNK_LINES = 4096
 
-_dumps_sorted = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+# ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, with its encoder built once.
+_dumps_sorted = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _event_object(event: TraceEvent) -> Dict[str, object]:
-    """The event as the JSON object its line encodes (defaults omitted)."""
-    obj: Dict[str, object] = {
-        "at": event.at_micros,
-        "tenant": event.tenant,
-        "app": event.app,
-        "route": event.route,
-        "bytes": event.payload_bytes,
-    }
-    if event.actor:
-        obj["actor"] = event.actor
-    if event.meta:
-        obj["meta"] = dict(event.meta)
+def _line_object(kind: Kind, at: int, tenant: int, size: int) -> Dict[str, object]:
+    """An event as the JSON object its line encodes (defaults omitted)."""
+    app, route, actor, meta = kind
+    obj: Dict[str, object] = {"at": at, "tenant": tenant, "app": app, "route": route, "bytes": size}
+    if actor:
+        obj["actor"] = actor
+    if meta:
+        obj["meta"] = dict(meta)
     return obj
 
 
-class _JsonStrings(dict):
-    """Each distinct string's JSON encoding, computed on first use."""
+class _TemplateStrings(dict):
+    """Each distinct string's JSON encoding with ``%`` escaped, computed on first use."""
 
     def __missing__(self, text: str) -> str:
-        self[text] = encoded = json.dumps(text)
+        self[text] = encoded = json.dumps(text).replace("%", "%%")
         return encoded
 
 
-def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
-    """The one canonical formatter: each event's line, in order.
+def _line_template(kind: Kind, strings: _TemplateStrings) -> str:
+    """The kind's line as a ``%`` template: ``%d`` for at, bytes and tenant, in key order."""
+    app, route, actor, meta = kind
 
-    A line is ``_dumps_sorted(_event_object(event))`` byte for byte. The
-    common event (``int`` numbers, ``str`` names) is assembled in key
-    order with an f-string, encoding each distinct string once per call;
-    ``meta`` and any field of another type (a ``bool``, a float) go
-    through ``json.dumps`` itself.
+    def encoded(value: object) -> str:
+        if type(value) is str:
+            return strings[value]
+        return _dumps_sorted(value).replace("%", "%%")
+
+    head = f'{{"actor":{encoded(actor)},"app":' if actor else '{"app":'
+    tail = f',"meta":{encoded(dict(meta))},"route":' if meta else ',"route":'
+    return f'\n{head}{encoded(app)},"at":%d,"bytes":%d{tail}{encoded(route)},"tenant":%d}}'
+
+
+def _column_chunks(columns: TraceColumns) -> Iterator[str]:
+    """The one canonical formatter: the event lines in chunks, each line preceded by a newline.
+
+    A line is ``_dumps_sorted(_line_object(...))`` byte for byte. Each
+    kind becomes one ``%`` template, and a chunk of ``int`` numbers is
+    filled by one ``%`` over its interleaved at, bytes and tenant
+    values. In a chunk holding any number of another type (a ``bool``,
+    a float), the lines with one go through ``json.dumps`` itself.
     """
-    strings = _JsonStrings()
-    for event in events:
-        at, tenant, size = event.at_micros, event.tenant, event.payload_bytes
-        app, route, actor, meta = event.app, event.route, event.actor, event.meta
-        if not (type(at) is int and type(tenant) is int and type(size) is int
-                and type(app) is str and type(route) is str and type(actor) is str):
-            yield _dumps_sorted(_event_object(event))
+    strings = _TemplateStrings()
+    templates = [_line_template(kind, strings) for kind in columns.kinds]
+    for lo in range(0, len(columns), _CHUNK_LINES):
+        hi = lo + _CHUNK_LINES
+        at, size, tenant = columns.at[lo:hi], columns.size[lo:hi], columns.tenant[lo:hi]
+        kind = columns.kind[lo:hi]
+        if set(map(type, at)) | set(map(type, size)) | set(map(type, tenant)) == {int}:
+            values = [0] * (3 * len(at))
+            values[0::3], values[1::3], values[2::3] = at, size, tenant
+            yield "".join(map(templates.__getitem__, kind)) % tuple(values)
             continue
-        head = f'{{"actor":{strings[actor]},"app":' if actor else '{"app":'
-        tail = f',"meta":{_dumps_sorted(dict(meta))},"route":' if meta else ',"route":'
-        yield (f'{head}{strings[app]},"at":{at},"bytes":{size}'
-               f'{tail}{strings[route]},"tenant":{tenant}}}')
-
-
-def _event_chunks(events: Iterable[TraceEvent]) -> Iterator[bytes]:
-    """The event lines as ASCII chunks, each line preceded by a newline."""
-    lines = _event_lines(events)
-    while True:
-        batch = list(itertools.islice(lines, _CHUNK_LINES))
-        if not batch:
-            return
-        yield ("\n" + "\n".join(batch)).encode("ascii")
+        yield "".join(
+            templates[k] % (a, s, t)
+            if type(a) is int and type(s) is int and type(t) is int
+            else "\n" + _dumps_sorted(_line_object(columns.kinds[k], a, t, s))
+            for a, s, t, k in zip(at, size, tenant, kind)
+        )
 
 
 def event_line(event: TraceEvent) -> str:
     """The event's one canonical JSON line (defaults omitted)."""
-    return next(_event_lines((event,)))
+    return next(_column_chunks(TraceColumns.from_events([event])))[1:]
 
 
 def header_line(header: TraceHeader, events: int) -> str:
@@ -433,10 +493,10 @@ def trace_digest(trace: Trace) -> str:
     """
     if trace._digest is not None:
         return trace._digest
-    events = trace.events
-    sha = hashlib.sha256(header_line(trace.header, len(events)).encode("ascii"))
-    for chunk in _event_chunks(events):
-        sha.update(chunk)
+    columns = trace.columns()
+    sha = hashlib.sha256(header_line(trace.header, len(columns)).encode("ascii"))
+    for chunk in _column_chunks(columns):
+        sha.update(chunk.encode("ascii"))
     return sha.hexdigest()
 
 
@@ -511,26 +571,36 @@ def _event_error(line: str, tenants: int, prev_at: int) -> str:
     raise AssertionError(f"the reader refused a valid event line: {line[:80]!r}")
 
 
-def _validate(header: TraceHeader, events: List[TraceEvent]) -> None:
+def _validate(header: TraceHeader, columns: TraceColumns) -> None:
+    """Check a trace's columns: C-level passes, then one slow pass to word a failure."""
     if header.tenants <= 0:
         raise TraceFormatError("trace header declares no tenants")
-    if header.events and header.events != len(events):
+    if header.events and header.events != len(columns):
         raise TraceFormatError(
-            f"header declares {header.events} events, trace holds {len(events)}"
+            f"header declares {header.events} events, trace holds {len(columns)}"
         )
-    prev = 0
-    for index, event in enumerate(events):
-        if event.at_micros < prev:
-            raise TraceFormatError(
-                f"event {index} at {event.at_micros} precedes its predecessor at {prev}"
-            )
-        prev = event.at_micros
-        if not 0 <= event.tenant < header.tenants:
-            raise TraceFormatError(
-                f"event {index} names tenant {event.tenant} outside [0, {header.tenants})"
-            )
-        if event.payload_bytes < 0 or event.at_micros < 0:
-            raise TraceFormatError(f"event {index} carries a negative quantity")
+    at, tenant, size, kind = columns.at, columns.tenant, columns.size, columns.kind
+    if not len(at) == len(tenant) == len(size) == len(kind):
+        raise TraceFormatError("trace columns differ in length")
+    if not at:
+        return
+    if not (at[0] >= 0 and at == sorted(at) and 0 <= min(tenant)
+            and max(tenant) < header.tenants and min(size) >= 0):
+        prev = 0
+        for index, (at_micros, tenant_id, payload) in enumerate(zip(at, tenant, size)):
+            if at_micros < prev:
+                raise TraceFormatError(
+                    f"event {index} at {at_micros} precedes its predecessor at {prev}"
+                )
+            prev = at_micros
+            if not 0 <= tenant_id < header.tenants:
+                raise TraceFormatError(
+                    f"event {index} names tenant {tenant_id} outside [0, {header.tenants})"
+                )
+            if payload < 0 or at_micros < 0:
+                raise TraceFormatError(f"event {index} carries a negative quantity")
+    if not (0 <= min(kind) and max(kind) < len(columns.kinds)):
+        raise TraceFormatError(f"trace kind ids must index its {len(columns.kinds)} kinds")
 
 
 # -- disk I/O ------------------------------------------------------------
@@ -638,15 +708,15 @@ def write_trace(path: PathLike, trace: Trace) -> int:
     :func:`sort_events` after composing transforms. A ``.gz`` suffix
     compresses deterministically.
     """
-    events = trace.events
-    _validate(trace.header, events)
+    columns = trace.columns()
+    _validate(trace.header, columns)
     path = Path(path)
     with _open_write(path) as out:
-        out.write(header_line(trace.header, len(events)).encode("ascii"))
-        for chunk in _event_chunks(events):
-            out.write(chunk)
+        out.write(header_line(trace.header, len(columns)).encode("ascii"))
+        for chunk in _column_chunks(columns):
+            out.write(chunk.encode("ascii"))
         out.write(b"\n")
-    return len(events)
+    return len(columns)
 
 
 class _Tenants(dict):
@@ -660,7 +730,7 @@ class _Tenants(dict):
 class _RawKinds(dict):
     """Kind ids keyed by a canonical line's raw ``actor``/``app`` prefix and route."""
 
-    def __init__(self, kinds: _Kinds):
+    def __init__(self, kinds: KindTable):
         super().__init__()
         self._kinds = kinds
 
@@ -693,7 +763,7 @@ class _TraceScan:
 
     def __init__(self, path: PathLike):
         self.path = Path(path)
-        self.kinds = _Kinds()
+        self.kinds = KindTable()
         self.digest: Optional[str] = None
         self._raw_kinds = _RawKinds(self.kinds)
         self._tenants = _Tenants()
@@ -835,4 +905,6 @@ def read_trace(path: PathLike) -> Trace:
         columns.tenant += tenant
         columns.size += size
         columns.kind += kind
-    return Trace.from_columns(header, columns, scan.digest)
+    trace = Trace.from_columns(header, columns, scan.digest)
+    trace._proven = True  # the scan checked every line against this header
+    return trace

@@ -13,18 +13,18 @@ record→replay fixpoint test meaningful.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.plan import DeploymentPlan
 from repro.sim.replay.format import (
     PLAN_META_DEFAULTS,
+    KindTable,
     PathLike,
     Trace,
-    TraceEvent,
+    TraceColumns,
     TraceHeader,
     meta_pairs,
     plan_meta,
-    sort_events,
     write_trace,
 )
 
@@ -35,12 +35,13 @@ FLEET_ROUTE = "/fleet/request"
 
 
 class TraceRecorder:
-    """Accumulates trace events from a live run, then emits a Trace.
+    """Accumulates trace columns from a live run, then emits a Trace.
 
-    ``tenants`` declares the dense tenant space; events are appended in
-    whatever order the run produces them (the fleet engine finishes
-    tenant 0 before starting tenant 1) and :meth:`trace` restores the
-    canonical time order with a stable sort.
+    ``tenants`` declares the dense tenant space; events are appended to
+    the columns in whatever order the run produces them (the fleet
+    engine finishes tenant 0 before starting tenant 1) and :meth:`trace`
+    restores the canonical time order with one stable sort. No
+    :class:`~repro.sim.replay.format.TraceEvent` is built.
     """
 
     def __init__(
@@ -53,10 +54,11 @@ class TraceRecorder:
         self._header = TraceHeader(
             name=name, seed=seed, tenants=tenants, meta=meta_pairs(meta)
         )
-        self._events: List[TraceEvent] = []
+        self._kinds = KindTable()
+        self._columns = TraceColumns([], [], [], [], self._kinds.kinds)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._columns)
 
     @property
     def tenants(self) -> int:
@@ -87,17 +89,11 @@ class TraceRecorder:
         meta: Optional[Dict[str, object]] = None,
     ) -> None:
         """Record one operation at a virtual timestamp."""
-        self._events.append(
-            TraceEvent(
-                at_micros=at_micros,
-                tenant=tenant,
-                app=app,
-                route=route,
-                payload_bytes=payload_bytes,
-                actor=actor,
-                meta=meta_pairs(meta),
-            )
-        )
+        columns = self._columns
+        columns.at.append(at_micros)
+        columns.tenant.append(tenant)
+        columns.size.append(payload_bytes)
+        columns.kind.append(self._kinds.add(app, route, actor, meta_pairs(meta)))
 
     def record_request(
         self, at_micros: int, client_name: str, path: str, payload_bytes: int
@@ -129,21 +125,17 @@ class TraceRecorder:
         bills — so replaying these events re-derives the same usage
         quantities.
         """
-        append = self._events.append
-        for at in timestamps:
-            append(
-                TraceEvent(
-                    at_micros=int(at),
-                    tenant=tenant,
-                    app=FLEET_APP,
-                    route=FLEET_ROUTE,
-                    payload_bytes=payload_bytes,
-                )
-            )
+        columns = self._columns
+        start = len(columns)
+        columns.at.extend(map(int, timestamps))
+        count = len(columns) - start
+        columns.tenant.extend([tenant] * count)
+        columns.size.extend([payload_bytes] * count)
+        columns.kind.extend([self._kinds.add(FLEET_APP, FLEET_ROUTE, "", ())] * count)
 
     def trace(self) -> Trace:
         """The recorded run as a canonical, validated trace."""
-        return Trace(header=self._header, events=sort_events(self._events)).validate()
+        return Trace.from_columns(self._header, self._columns.time_sorted()).validate()
 
     def write(self, path: PathLike) -> int:
         """Write the canonical trace file; returns the event count."""

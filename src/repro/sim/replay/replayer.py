@@ -58,7 +58,7 @@ from repro.sim.fold import (
     plan_memory_mb,
 )
 from repro.sim.latency import LatencyModel
-from repro.sim.replay.format import Trace, trace_digest, trace_plan
+from repro.sim.replay.format import Trace, TraceFormatError, trace_digest, trace_plan
 from repro.sim.rng import SeededRng
 from repro.sim.scale import ChaosTenant, ScaleConfig, chaos_rollup, tenant_sampler
 from repro.sim.shard import DEFAULT_LOGICAL_SHARDS, run_sharded, shard_of
@@ -219,6 +219,9 @@ class ReplayConfig:
         }
 
 
+# The first arrival time the shard kernels' int64 columns cannot hold.
+_INT64_LIMIT = 1 << 63
+
 # A shard's slice of a trace, as parallel integer columns (picklable,
 # vectorizable): arrival micros, tenant ids, payload bytes.
 ShardColumns = Tuple[List[int], List[int], List[int]]
@@ -232,12 +235,22 @@ def partition_trace(trace: Trace, shards: int = DEFAULT_LOGICAL_SHARDS) -> List[
     trace order within the shard. Worker count never enters the
     partitioning, which is what makes sharded replay byte-identical on
     any pool size. The trace's columns feed it; no event is built.
+
+    The shard kernels hold arrival times as int64 under numpy, so a
+    trace whose last timestamp reaches ``2**63`` raises
+    :class:`TraceFormatError` here, with or without numpy.
     """
     if shards <= 0:
         raise ConfigurationError(f"shard count must be positive, got {shards}")
+    columns = trace.columns()
+    # Timestamps are non-decreasing, so the last one is the largest.
+    if len(columns) and columns.at[-1] >= _INT64_LIMIT:
+        raise TraceFormatError(
+            f"trace {trace.header.name!r}: timestamp {columns.at[-1]} is not below "
+            f"2**63 micros, the sharded replay's int64 limit"
+        )
     parts: List[ShardColumns] = [([], [], []) for _ in range(shards)]
     shard_cache: Dict[int, ShardColumns] = {}
-    columns = trace.columns()
     for at, tenant, size in zip(columns.at, columns.tenant, columns.size):
         part = shard_cache.get(tenant)
         if part is None:

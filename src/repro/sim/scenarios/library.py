@@ -280,7 +280,7 @@ def scenario_catalog(
             "name": name,
             "seed": seed,
             "tenants": trace.header.tenants,
-            "events": len(trace.events),
+            "events": len(trace),
             "duration_hours": round(trace.duration_micros() / MICROS_PER_HOUR, 2),
             "trace_sha256": trace.digest(),
         }

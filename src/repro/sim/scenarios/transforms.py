@@ -3,6 +3,12 @@
 Every transform is a pure function ``Trace -> Trace`` producing a new
 validated, canonically-ordered trace — so transformed traces digest
 deterministically and replay under the same contract as recorded ones.
+A transform maps its input's columns to output columns and never builds
+a :class:`~repro.sim.replay.format.TraceEvent`; the kinds of its output
+are numbered as :meth:`TraceColumns.from_events
+<repro.sim.replay.format.TraceColumns.from_events>` would number the
+same events, so a transformed trace compares equal to its event-built
+twin.
 Compose freely::
 
     big = tenant_multiply(time_scale(flash_crowd(), 0.5), 100)
@@ -14,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.sim.replay.format import Trace, TraceEvent, TraceHeader, sort_events
+from repro.sim.replay.format import Kind, Trace, TraceColumns, TraceHeader
 from repro.units import seconds
 
 __all__ = ["time_scale", "tenant_multiply", "splice"]
@@ -36,18 +42,13 @@ def time_scale(trace: Trace, factor: float, name: Optional[str] = None) -> Trace
     """
     if factor <= 0:
         raise ConfigurationError(f"time_scale factor must be positive, got {factor}")
-    if not trace.events:
-        return Trace(header=_renamed(trace.header, name, f"{trace.header.name}@x{factor:g}"))
-    origin = trace.events[0].at_micros
-    events = [
-        TraceEvent(
-            origin + round((e.at_micros - origin) * factor), e.tenant, e.app, e.route,
-            e.payload_bytes, e.actor, e.meta,
-        )
-        for e in trace.events
-    ]
+    columns = trace.columns()
+    origin = columns.at[0] if len(columns) else 0
+    at = [origin + round((a - origin) * factor) for a in columns.at]
     header = _renamed(trace.header, name, f"{trace.header.name}@x{factor:g}")
-    return Trace(header=header, events=events).validate()
+    return Trace.from_columns(header, TraceColumns.canonical(
+        at, columns.tenant[:], columns.size[:], columns.kind, columns.kinds,
+    )).validate()
 
 
 def tenant_multiply(trace: Trace, copies: int, name: Optional[str] = None) -> Trace:
@@ -62,20 +63,25 @@ def tenant_multiply(trace: Trace, copies: int, name: Optional[str] = None) -> Tr
     if copies <= 0:
         raise ConfigurationError(f"tenant_multiply needs a positive copy count, got {copies}")
     base = trace.header.tenants
-    events = [
-        TraceEvent(
-            e.at_micros, e.tenant + k * base, e.app, e.route, e.payload_bytes, e.actor, e.meta,
-        )
-        for e in trace.events
-        for k in range(copies)
-    ]
+    columns = trace.columns()
+    total = len(columns) * copies
+    at, tenant, size, kind = [0] * total, [0] * total, [0] * total, [0] * total
+    # Copy k of event i lands at index i * copies + k.
+    for k in range(copies):
+        at[k::copies] = columns.at
+        size[k::copies] = columns.size
+        kind[k::copies] = columns.kind
+        offset = k * base
+        tenant[k::copies] = [t + offset for t in columns.tenant]
     header = TraceHeader(
         name=name or f"{trace.header.name}*{copies}",
         seed=trace.header.seed,
         tenants=base * copies,
         meta=trace.header.meta,
     )
-    return Trace(header=header, events=events).validate()
+    return Trace.from_columns(
+        header, TraceColumns.canonical(at, tenant, size, kind, columns.kinds),
+    ).validate()
 
 
 def splice(
@@ -95,23 +101,26 @@ def splice(
     if gap_micros < 0:
         raise ConfigurationError(f"splice gap cannot be negative, got {gap_micros}")
     tenants = max(t.header.tenants for t in traces)
-    events: List[TraceEvent] = []
-    cursor = None
+    at: List[int] = []
+    tenant: List[int] = []
+    size: List[int] = []
+    kind: List[int] = []
+    kinds: List[Kind] = []
     for trace in traces:
-        if not trace.events:
+        columns = trace.columns()
+        if not len(columns):
             continue
-        first = trace.events[0].at_micros
-        offset = 0 if cursor is None else (cursor + gap_micros) - first
-        events.extend(
-            TraceEvent(
-                e.at_micros + offset, e.tenant, e.app, e.route, e.payload_bytes, e.actor, e.meta,
-            )
-            for e in trace.events
-        )
-        cursor = events[-1].at_micros if events else cursor
+        offset = (at[-1] + gap_micros) - columns.at[0] if at else 0
+        at += [a + offset for a in columns.at]
+        tenant += columns.tenant
+        size += columns.size
+        kind += [k + len(kinds) for k in columns.kind]
+        kinds += columns.kinds
     header = TraceHeader(
         name=name or "+".join(t.header.name for t in traces),
         seed=traces[0].header.seed,
         tenants=tenants,
     )
-    return Trace(header=header, events=sort_events(events)).validate()
+    return Trace.from_columns(
+        header, TraceColumns(at, tenant, size, kind, kinds).time_sorted(),
+    ).validate()

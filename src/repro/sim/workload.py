@@ -26,6 +26,7 @@ implementation re-summed the 24-entry profile on every draw).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
@@ -213,7 +214,15 @@ class DiurnalWorkload:
             block = int(expected + 8.0 * (expected + 1.0) ** 0.5 + 16.0)
             gaps = vecmath.exponential_gaps(self.rng.uniform_block(block))
             if np is not None:
-                cumulative = np.cumsum(gaps / peak)
+                # A candidate at or past the horizon is cut whatever its
+                # time, so clamping each gap to twice the horizon's reach
+                # moves no kept arrival and no cut, and keeps gap / peak and
+                # its running sum finite at a peak rate near the smallest
+                # double (the floor keeps a subnormal reach from rounding).
+                # ``gaps`` is this block's own array: both steps run in place.
+                reach = max(2.0 * peak * horizon_hours, sys.float_info.min)
+                np.minimum(gaps, reach, out=gaps)
+                cumulative = np.cumsum(np.divide(gaps, peak, out=gaps))
                 times = cumulative + now_hours
                 cut = int(np.searchsorted(times, horizon_hours, side="left"))
                 kept = times[:cut]

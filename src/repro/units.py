@@ -40,10 +40,6 @@ __all__ = [
     "KIB",
     "MIB",
     "GIB",
-    "kib",
-    "mib",
-    "gib",
-    "kb",
     "mb",
     "gb",
     "to_gb",
@@ -237,28 +233,12 @@ MIB = 2**20
 GIB = 2**30
 
 
-def kb(value: float) -> int:
-    return round(value * KB)
-
-
 def mb(value: float) -> int:
     return round(value * MB)
 
 
 def gb(value: float) -> int:
     return round(value * GB)
-
-
-def kib(value: float) -> int:
-    return round(value * KIB)
-
-
-def mib(value: float) -> int:
-    return round(value * MIB)
-
-
-def gib(value: float) -> int:
-    return round(value * GIB)
 
 
 def to_gb(nbytes: int) -> float:

@@ -11,6 +11,7 @@ map partitions every fleet size exactly as :func:`shard_of` does.
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +61,16 @@ def test_arrival_stream_ignores_chunk_size_and_numpy(rate, days, start_micros, c
             streams.append(stream)
     assert all(stream == streams[0] for stream in streams)
     assert streams[0] == sorted(streams[0])
+
+
+@pytest.mark.parametrize("rate", [1e-307, 1e-306, 5e-324])
+@pytest.mark.parametrize("force_fallback", [False, True])
+def test_a_rate_near_the_smallest_double_draws_nothing_and_warns_nothing(rate, force_fallback):
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr(_optional, "_FORCE_FALLBACK", force_fallback)
+        batches, total = _arrivals(rate, 2.5, 0, 64)
+    assert batches == [] and total == 0
 
 
 def _edges(table):

@@ -20,6 +20,7 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import _optional
 from repro.cloud.billing import UsageKind
@@ -43,7 +44,9 @@ from repro.sim.replay import (
     trace_plan,
     write_trace,
 )
-from repro.sim.replay.format import TraceHeader, event_line
+from repro.sim.replay import FLEET_APP, FLEET_ROUTE, TraceColumns, trace_digest
+from repro.sim.replay import replayer
+from repro.sim.replay.format import TraceHeader, event_line, meta_pairs
 from repro.sim.scale import ScaleConfig, run_fleet
 from repro.sim.scenarios import build_scenario
 from repro.sim.shard import shard_of
@@ -165,6 +168,79 @@ class TestFormat:
 
 
 FIXPOINT_CONFIG = ScaleConfig(tenants=4, daily_requests=300.0, days=1.0, seed=99)
+
+
+class TestColumnValidation:
+    def test_a_column_trace_is_validated(self):
+        columns = TraceColumns([5, 1], [0, 0], [1, 1], [0, 0], [("a", "/r", "", ())])
+        with pytest.raises(TraceFormatError, match="^event 1 at 1 precedes its predecessor at 5$"):
+            Trace.from_columns(TraceHeader("c", 0, 1), columns).validate()
+
+    @pytest.mark.parametrize("columns,message", [
+        (TraceColumns([1, 2], [0], [1, 1], [0, 0], [("a", "/r", "", ())]),
+         "trace columns differ in length"),
+        (TraceColumns([1, 2], [0, 0], [1, 1], [0, 1], [("a", "/r", "", ())]),
+         "trace kind ids must index its 1 kinds"),
+        (TraceColumns([1, 2], [0, 0], [1, 1], [0, -1], [("a", "/r", "", ())]),
+         "trace kind ids must index its 1 kinds"),
+    ])
+    def test_malformed_columns_are_refused(self, columns, message):
+        with pytest.raises(TraceFormatError, match=f"^{message}$"):
+            Trace.from_columns(TraceHeader("c", 0, 1), columns).validate()
+
+    def test_a_new_header_drops_the_readers_proof(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, _small_trace(tenants=3))
+        trace = read_trace(path)
+        trace.validate()
+        trace.header = replace(trace.header, tenants=2)
+        with pytest.raises(TraceFormatError, match="names tenant 2 outside"):
+            trace.validate()
+
+
+@st.composite
+def _recordings(draw):
+    """Calls on both recorder seams, with tied timestamps and repeated kinds."""
+    calls = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            meta = draw(st.one_of(st.none(), st.dictionaries(
+                st.sampled_from("kz"), st.integers(0, 3), max_size=2)))
+            calls.append(("record", draw(st.integers(0, 30)), draw(st.integers(0, 3)),
+                          draw(st.sampled_from([FLEET_APP, "chat"])),
+                          draw(st.sampled_from([FLEET_ROUTE, "/chat/send"])),
+                          draw(st.integers(0, 5000)), draw(st.sampled_from(["", "dev"])), meta))
+        else:
+            calls.append(("chunk", draw(st.integers(0, 3)),
+                          draw(st.lists(st.integers(0, 30), max_size=6)),
+                          draw(st.sampled_from([2048, 77]))))
+    return calls
+
+
+class TestRecorderOracle:
+    """The columnar recorder against events then :func:`sort_events`."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_recordings())
+    def test_trace_matches_the_sorted_events(self, calls):
+        recorder = TraceRecorder("rec", 3, tenants=4)
+        events = []
+        for call in calls:
+            if call[0] == "record":
+                _, at, tenant, app, route, size, actor, meta = call
+                recorder.record(at, tenant, app, route, size, actor, meta)
+                events.append(TraceEvent(at, tenant, app, route, size, actor, meta_pairs(meta)))
+            else:
+                _, tenant, timestamps, size = call
+                recorder.record_fleet_chunk(tenant, timestamps, size)
+                events += [TraceEvent(at, tenant, FLEET_APP, FLEET_ROUTE, size) for at in timestamps]
+        reference = Trace(TraceHeader("rec", 3, 4), sort_events(events)).validate()
+        trace = recorder.trace()
+        assert len(recorder) == len(events)
+        assert trace == reference
+        assert trace.columns() == reference.columns()
+        assert trace.events == reference.events
+        assert trace_digest(recorder.trace()) == trace_digest(reference)
 
 
 class TestRecordReplayFixpoint:
@@ -357,6 +433,10 @@ class TestRecordedPlan:
         assert ("DIY_STORAGE", "dynamo") in handler.environment
 
 
+def _no_shard_may_run(*args, **kwargs):
+    raise AssertionError("a shard ran")
+
+
 class TestShardedReplay:
     def test_partition_preserves_events_and_uses_shard_of(self):
         trace = build_scenario("backup-day", seed=5)
@@ -379,6 +459,26 @@ class TestShardedReplay:
     def test_byte_identical_without_numpy(self, monkeypatch):
         trace = build_scenario("mailing-list-storm", seed=3)
         config = ReplayConfig(seed=3, logical_shards=8)
+        with_numpy = run_replay_sharded(trace, config).determinism_digest()
+        monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
+        assert run_replay_sharded(trace, config).determinism_digest() == with_numpy
+
+    @pytest.mark.parametrize("force_fallback", [False, True])
+    def test_a_timestamp_past_int64_fails_before_any_shard(self, tmp_path, monkeypatch,
+                                                           force_fallback):
+        path = tmp_path / "late.jsonl"
+        write_trace(path, Trace(TraceHeader("late", 1, 2), [TraceEvent(0, 0), TraceEvent(2**63, 1)]))
+        trace = read_trace(path)
+        monkeypatch.setattr(_optional, "_FORCE_FALLBACK", force_fallback)
+        monkeypatch.setattr(replayer, "replay_shard", _no_shard_may_run)
+        with pytest.raises(TraceFormatError, match=(
+            r"^trace 'late': timestamp 9223372036854775808 is not below 2\*\*63 micros"
+        )):
+            run_replay_sharded(trace, ReplayConfig(seed=1, logical_shards=4))
+
+    def test_the_last_int64_timestamp_replays_alike_without_numpy(self, monkeypatch):
+        trace = Trace(TraceHeader("edge", 1, 2), [TraceEvent(0, 0), TraceEvent(2**63 - 1, 1)])
+        config = ReplayConfig(seed=1, logical_shards=4)
         with_numpy = run_replay_sharded(trace, config).determinism_digest()
         monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
         assert run_replay_sharded(trace, config).determinism_digest() == with_numpy

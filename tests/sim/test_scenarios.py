@@ -8,10 +8,23 @@ serialization shows up here as a digest break and must be deliberate
 
 from __future__ import annotations
 
+import functools
+from typing import Optional, Sequence
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.sim.replay import ReplayConfig, run_replay_sharded
+from repro.sim.replay import (
+    ReplayConfig,
+    Trace,
+    TraceEvent,
+    TraceHeader,
+    run_replay_sharded,
+    sort_events,
+    trace_digest,
+    write_trace,
+)
 from repro.sim.scenarios import (
     SCENARIOS,
     build_scenario,
@@ -158,3 +171,103 @@ class TestScenarioShapes:
         trace = build_scenario("backup-day", seed=2017)
         hours = {e.at_micros // MICROS_PER_HOUR for e in trace.events}
         assert hours <= {1, 2, 3}
+
+
+# -- the columnar transforms against their per-event definitions ----------
+
+
+def _reference_time_scale(trace: Trace, factor: float) -> Trace:
+    header = TraceHeader(f"{trace.header.name}@x{factor:g}", trace.header.seed,
+                         trace.header.tenants, meta=trace.header.meta)
+    if not trace.events:
+        return Trace(header)
+    origin = trace.events[0].at_micros
+    events = [
+        TraceEvent(
+            origin + round((e.at_micros - origin) * factor), e.tenant, e.app, e.route,
+            e.payload_bytes, e.actor, e.meta,
+        )
+        for e in trace.events
+    ]
+    return Trace(header, events).validate()
+
+
+def _reference_tenant_multiply(trace: Trace, copies: int) -> Trace:
+    base = trace.header.tenants
+    events = [
+        TraceEvent(
+            e.at_micros, e.tenant + k * base, e.app, e.route, e.payload_bytes, e.actor, e.meta,
+        )
+        for e in trace.events
+        for k in range(copies)
+    ]
+    header = TraceHeader(f"{trace.header.name}*{copies}", trace.header.seed, base * copies,
+                         meta=trace.header.meta)
+    return Trace(header, events).validate()
+
+
+def _reference_splice(traces: Sequence[Trace], gap_micros: int) -> Trace:
+    events = []
+    cursor = None
+    for trace in traces:
+        if not trace.events:
+            continue
+        first = trace.events[0].at_micros
+        offset = 0 if cursor is None else (cursor + gap_micros) - first
+        events.extend(
+            TraceEvent(
+                e.at_micros + offset, e.tenant, e.app, e.route, e.payload_bytes, e.actor, e.meta,
+            )
+            for e in trace.events
+        )
+        cursor = events[-1].at_micros if events else cursor
+    header = TraceHeader("+".join(t.header.name for t in traces), traces[0].header.seed,
+                         max(t.header.tenants for t in traces))
+    return Trace(header, sort_events(events)).validate()
+
+
+@functools.lru_cache(maxsize=None)
+def _scenario(name: Optional[str]) -> Trace:
+    """A library scenario at seed 2017, or an empty trace for ``None``; never mutated."""
+    if name is None:
+        return Trace(TraceHeader("empty", 1, 3))
+    return build_scenario(name, seed=2017)
+
+
+def _assert_same(tmp_path, trace: Trace, reference: Trace) -> None:
+    assert trace == reference
+    assert trace.columns() == reference.columns()
+    assert trace_digest(trace) == trace_digest(reference)
+    write_trace(tmp_path / "trace.jsonl", trace)
+    write_trace(tmp_path / "reference.jsonl", reference)
+    assert (tmp_path / "trace.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+
+_NAMES = sorted(SCENARIOS) + [None]
+_ORACLE = settings(max_examples=2, deadline=None,
+                   suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestTransformOracle:
+    """Every library scenario (``viral-groupchat`` and others carry per-event
+    meta) through the columnar transforms and through the per-event
+    comprehensions they replaced: equal traces, columns, digests and bytes."""
+
+    @pytest.mark.parametrize("name", _NAMES)
+    @_ORACLE
+    @given(factor=st.floats(1e-6, 50.0), copies=st.integers(1, 3))
+    def test_time_scale_and_tenant_multiply(self, tmp_path, name, factor, copies):
+        base = _scenario(name)
+        _assert_same(tmp_path, time_scale(base, factor), _reference_time_scale(base, factor))
+        _assert_same(tmp_path, tenant_multiply(base, copies),
+                     _reference_tenant_multiply(base, copies))
+        _assert_same(tmp_path, tenant_multiply(time_scale(base, factor), copies),
+                     _reference_tenant_multiply(_reference_time_scale(base, factor), copies))
+
+    @pytest.mark.parametrize("name", _NAMES)
+    @_ORACLE
+    @given(others=st.lists(st.sampled_from(_NAMES), min_size=0, max_size=2),
+           gap=st.integers(0, 10**10))
+    def test_splice(self, tmp_path, name, others, gap):
+        traces = [_scenario(name)] + [_scenario(other) for other in others]
+        _assert_same(tmp_path, splice(traces, gap_micros=gap), _reference_splice(traces, gap))

@@ -84,7 +84,7 @@ def _reference_digest(trace: Trace) -> str:
 # -- the formatter oracle ------------------------------------------------
 
 _text = st.text(
-    alphabet=st.sampled_from(list('ab/-"\\\n\t\x00\x7fé€😀 ')), max_size=6,
+    alphabet=st.sampled_from(list('ab/-%"\\\n\t\x00\x7fé€😀 ')), max_size=6,
 )
 _ints = st.one_of(st.integers(0, 10), st.integers(0, 2**70))
 _meta_values = st.recursive(
@@ -114,13 +114,19 @@ def _traces(draw, tenants: int = 4) -> Trace:
     return Trace(TraceHeader(draw(_text), draw(_ints), tenants), events)
 
 
+_odd_numbers = st.one_of(st.booleans(), st.floats(0, 1e6, allow_nan=False))
+_odd_names = st.one_of(_text, st.booleans(), st.integers(0, 2))
+
+
 @st.composite
 def _odd_events(draw) -> TraceEvent:
-    """Fields of the wrong exact type: bools where ints belong."""
+    """Fields of the wrong exact type: bools and floats where ints belong,
+    bools and ints where strings belong (``1`` and ``True`` compare equal)."""
     return TraceEvent(
-        draw(st.one_of(st.booleans(), _ints)), draw(st.one_of(st.booleans(), st.integers(0, 3))),
-        draw(_text), draw(_text), draw(st.one_of(st.booleans(), _ints)),
-        draw(_text), draw(_meta),
+        draw(st.one_of(_odd_numbers, _ints)),
+        draw(st.one_of(st.booleans(), st.integers(0, 3))),
+        draw(_odd_names), draw(_text), draw(st.one_of(_odd_numbers, _ints)),
+        draw(_odd_names), draw(_meta),
     )
 
 
@@ -155,6 +161,14 @@ class TestFormatterOracle:
         assert back.header.name == trace.header.name
         assert back.events == trace.events
         assert trace_digest(back) == trace_digest(trace)
+
+    def test_names_that_compare_equal_keep_their_encoding(self):
+        events = [TraceEvent(0, 0, app=1), TraceEvent(1, 0, app=True), TraceEvent(2, 0, app=1.0),
+                  TraceEvent(3, 0, actor=0), TraceEvent(4, 0, actor=False)]
+        trace = Trace(TraceHeader("odd", 0, 1), events)
+        assert trace_digest(trace) == _reference_digest(trace)
+        assert trace.columns().events() == events
+        assert [type(e.app) for e in trace.columns().events()] == [int, bool, float, str, str]
 
     def test_digest_hashes_across_batch_boundaries(self):
         events = [TraceEvent(i, i % 3, actor=f"d{i % 7}") for i in range(10_000)]
