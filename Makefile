@@ -15,7 +15,9 @@ test:
 # "{instance}-<suffix>" resource names outside repro/runtime — and
 # reach Lambda only through the Deployer; every price is read through
 # repro.cloud.billing's rate table; each BENCH_*.json record has one
-# writer, an entry of the CLI's command table.
+# writer, an entry of the CLI's command table; numpy is imported only by
+# repro._optional (and the version probe of repro.analysis.bench), so
+# its _FORCE_FALLBACK hook reaches every numpy path.
 lint:
 	@! grep -rn "ctx\.services\.s3_get\|ctx\.services\.s3_put\|ctx\.services\.s3_list\|ctx\.services\.s3_delete\|ctx\.services\.dynamo_" src/repro/apps/ src/repro/core/ \
 		|| { echo "lint: apps must use kctx.store, not raw storage clients"; exit 1; }
@@ -47,6 +49,8 @@ lint:
 		|| { echo "lint: PriceBook rates and allowances are read only by repro.cloud.billing's rate table"; exit 1; }
 	@! grep -rn 'write_bench_json(' src/repro benchmarks --include="*.py" | grep -v "src/repro/__main__\.py\|src/repro/analysis/bench\.py" \
 		|| { echo "lint: each BENCH_*.json has one writer, a python -m repro" "command"; exit 1; }
+	@! grep -rnE '^\s*(import numpy|from numpy)' src/repro --include="*.py" | grep -v "src/repro/_optional\.py\|src/repro/analysis/bench\.py" \
+		|| { echo "lint: numpy enters src/repro only through repro._optional.numpy_or_none"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).

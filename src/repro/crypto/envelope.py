@@ -27,6 +27,8 @@ from repro.errors import CryptoError
 __all__ = ["WrappedDataKey", "EncryptedBlob", "KeyProvider", "LocalMasterKey", "EnvelopeEncryptor"]
 
 _MAGIC = b"DIY1"
+# The longest key id or wrapped key a ``<H`` length prefix can frame.
+_FIELD_MAX = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,11 @@ class WrappedDataKey:
 
     def serialize(self) -> bytes:
         key_id = self.master_key_id.encode()
+        for name, field in (("master key id", key_id), ("wrapped key", self.wrapped)):
+            if len(field) > _FIELD_MAX:
+                raise CryptoError(
+                    f"{name} of {len(field)} bytes exceeds the envelope's {_FIELD_MAX}"
+                )
         return struct.pack("<H", len(key_id)) + key_id + struct.pack("<H", len(self.wrapped)) + self.wrapped
 
     @classmethod
@@ -49,7 +56,10 @@ class WrappedDataKey:
         offset = 2 + id_len
         if len(data) < offset + 2:
             raise CryptoError("truncated wrapped data key")
-        master_key_id = data[2:offset].decode()
+        try:
+            master_key_id = data[2:offset].decode()
+        except UnicodeDecodeError as exc:
+            raise CryptoError(f"wrapped data key names no UTF-8 master key id ({exc})") from exc
         (wrapped_len,) = struct.unpack_from("<H", data, offset)
         offset += 2
         if len(data) < offset + wrapped_len:

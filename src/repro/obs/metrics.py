@@ -37,8 +37,9 @@ the health plane's histogram quantiles agree on the same inputs (a
 regression test pins both).
 
 This module deliberately imports nothing from the rest of the tree
-except :mod:`repro.errors`: services, fleet engines, and the runtime
-kernel can all attach a plane without import cycles.
+except :mod:`repro.errors` and :mod:`repro._optional` (numpy for
+:meth:`Histogram.observe_block`): services, fleet engines, and the
+runtime kernel can all attach a plane without import cycles.
 """
 
 from __future__ import annotations
@@ -50,12 +51,8 @@ from contextvars import ContextVar
 from math import ceil, floor
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro._optional import numpy_or_none
 from repro.errors import ConfigurationError, SimulationError
-
-try:  # pragma: no cover - exercised via both paths in the test matrix
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "DEFAULT_LATENCY_BOUNDS",
@@ -213,13 +210,14 @@ class Histogram:
         computes the exact bucket indices the scalar ``bisect_left``
         path does, so engines mixing paths stay byte-identical.
         """
-        if _np is not None and isinstance(values, _np.ndarray):
+        np = numpy_or_none()
+        if np is not None and isinstance(values, np.ndarray):
             if values.size == 0:
                 return
             if self._bounds_arr is None:
-                self._bounds_arr = _np.asarray(self.bounds, dtype=_np.int64)
-            idx = _np.searchsorted(self._bounds_arr, values, side="left")
-            block = _np.bincount(idx, minlength=len(self.counts))
+                self._bounds_arr = np.asarray(self.bounds, dtype=np.int64)
+            idx = np.searchsorted(self._bounds_arr, values, side="left")
+            block = np.bincount(idx, minlength=len(self.counts))
             for i, n in enumerate(block.tolist()):
                 if n:
                     self.counts[i] += n

@@ -29,8 +29,9 @@ Cost model: traces move as columns (:class:`TraceColumns`), not as a
 each distinct kind becomes one ``%`` template, and a chunk of 4,096
 lines is filled by one ``%`` over its integers, so formatting costs a
 few C-level passes per chunk; gzip at level 9 is then most of a write.
-Validation takes C-level passes over the columns (sorted, min, max) and
-walks events one by one only to word a failure. One reader serves
+Validation takes C-level passes over the columns (sorted, min, max),
+checks each kind's names once (so the writer refuses what the reader
+would) and walks events one by one only to word a failure. One reader serves
 :func:`read_trace` and :func:`iter_trace`. It takes the decompressed
 body in blocks of about 1 MiB of whole lines and decodes a block of
 canonical lines with one regular expression, straight into integer
@@ -601,6 +602,19 @@ def _validate(header: TraceHeader, columns: TraceColumns) -> None:
                 raise TraceFormatError(f"event {index} carries a negative quantity")
     if not (0 <= min(kind) and max(kind) < len(columns.kinds)):
         raise TraceFormatError(f"trace kind ids must index its {len(columns.kinds)} kinds")
+    # Names are checked once per kind, in the reader's words
+    # (:func:`_event_error`); a kind no event uses is never written.
+    for kind_id, (app, route, actor, _meta) in enumerate(columns.kinds):
+        if (isinstance(app, str) and isinstance(route, str) and isinstance(actor, str)
+                or kind_id not in kind):
+            continue
+        index = kind.index(kind_id)
+        for key, value in (("app", app), ("route", route)):
+            if not isinstance(value, str):
+                raise TraceFormatError(
+                    f"event {index}: field {key!r} must be str, got {value!r}"
+                )
+        raise TraceFormatError(f"event {index}: actor must be a string, got {actor!r}")
 
 
 # -- disk I/O ------------------------------------------------------------

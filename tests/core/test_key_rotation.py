@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.chat import ChatClient, ChatService, chat_manifest
+from repro.cloud.iam import Principal
 from repro.errors import KeyNotFound
 from repro.plan import DeploymentPlan
 from repro.runtime.store import STORAGE_BACKENDS
@@ -75,6 +76,18 @@ class TestRotation:
         with tcb.zone(tcb.Zone.CONTAINER, "attacker"):
             with pytest.raises(KeyNotFound):
                 provider.kms.decrypt_data_key(Principal("root", None), blob.data_key)
+
+
+    def test_an_object_that_only_looks_like_an_envelope_passes_through(
+            self, provider, chat_room, chatting):
+        app = chat_room.app
+        bucket = f"{app.instance_name}-state"
+        lookalike = b"DIY1" + b"\x02\x00\xff\xfe" + b"\x00\x00" + bytes(40)
+        provider.s3.put_object(Principal(f"owner:{app.owner}", None), bucket, "odd", lookalike)
+        new_key = app.rotate_key()
+        assert provider.s3.get_object(chatting[0]._principal, bucket, "odd").data == lookalike
+        assert [s.body for s in chatting[0].fetch_history("room")] == ["pre-rotation message"]
+        assert app.key_id == new_key
 
 
 class TestDynamoRotation:

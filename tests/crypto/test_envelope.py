@@ -78,6 +78,25 @@ class TestSerialization:
         assert parsed == key
         assert consumed == len(key.serialize())
 
+    def test_a_non_utf8_key_id_is_a_crypto_error(self):
+        # Starts like an envelope, but its 2-byte key id is not UTF-8.
+        data = b"DIY1" + b"\x02\x00\xff\xfe" + b"\x00\x00" + bytes(40)
+        with pytest.raises(CryptoError, match="UTF-8"):
+            EncryptedBlob.deserialize(data)
+
+    @pytest.mark.parametrize("key", [
+        WrappedDataKey("k" * 65_536, b"\x01" * 60),
+        WrappedDataKey("master-1", b"\x01" * 65_536),
+    ], ids=["key-id", "wrapped"])
+    def test_a_field_too_long_to_frame_is_a_crypto_error(self, key):
+        with pytest.raises(CryptoError, match="exceeds the envelope's 65535"):
+            key.serialize()
+
+    def test_the_longest_fields_round_trip(self):
+        key = WrappedDataKey("k" * 65_535, b"\x01" * 65_535)
+        parsed, consumed = WrappedDataKey.deserialize(key.serialize())
+        assert parsed == key and consumed == len(key.serialize())
+
 
 class TestKeySeparation:
     def test_wrong_master_key_cannot_decrypt(self):

@@ -46,7 +46,7 @@ from repro.sim.replay import (
 )
 from repro.sim.replay import FLEET_APP, FLEET_ROUTE, TraceColumns, trace_digest
 from repro.sim.replay import replayer
-from repro.sim.replay.format import TraceHeader, event_line, meta_pairs
+from repro.sim.replay.format import TraceHeader, event_line, header_line, meta_pairs
 from repro.sim.scale import ScaleConfig, run_fleet
 from repro.sim.scenarios import build_scenario
 from repro.sim.shard import shard_of
@@ -187,6 +187,35 @@ class TestColumnValidation:
     def test_malformed_columns_are_refused(self, columns, message):
         with pytest.raises(TraceFormatError, match=f"^{message}$"):
             Trace.from_columns(TraceHeader("c", 0, 1), columns).validate()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("app", 1, "field 'app' must be str, got 1"),
+        ("route", None, "field 'route' must be str, got None"),
+        ("actor", 7, "actor must be a string, got 7"),
+    ])
+    def test_the_writer_refuses_names_the_reader_refuses(self, tmp_path, field, value, message):
+        path = tmp_path / "t.jsonl"
+        odd = TraceEvent(5, 0, **{field: value})
+        trace = Trace(TraceHeader("odd", 0, 1), [TraceEvent(0, 0), TraceEvent(1, 0), odd])
+        with pytest.raises(TraceFormatError, match=f"^event 2: {message}$"):
+            write_trace(path, trace)
+        assert not path.exists()
+        # The same event line is what the reader refuses, in the same words.
+        path.write_text(header_line(trace.header, 1) + "\n" + event_line(odd) + "\n")
+        with pytest.raises(TraceFormatError, match=f"^trace line 2: {message}$"):
+            read_trace(path)
+
+    def test_the_writer_refuses_a_falsy_actor_it_would_drop(self, tmp_path):
+        # A line omits an empty actor, so actor 0 would read back as "".
+        trace = Trace(TraceHeader("odd", 0, 1), [TraceEvent(0, 0, actor=0)])
+        with pytest.raises(TraceFormatError, match="^event 0: actor must be a string, got 0$"):
+            write_trace(tmp_path / "t.jsonl", trace)
+
+    def test_a_kind_no_event_uses_is_not_checked(self, tmp_path):
+        columns = TraceColumns([1, 2], [0, 0], [1, 1], [0, 0],
+                               [("a", "/r", "", ()), ("a", 1, "", ())])
+        trace = Trace.from_columns(TraceHeader("c", 0, 1), columns)
+        assert write_trace(tmp_path / "t.jsonl", trace) == 2
 
     def test_a_new_header_drops_the_readers_proof(self, tmp_path):
         path = tmp_path / "t.jsonl"
