@@ -17,7 +17,9 @@ test:
 # repro.cloud.billing's rate table; each BENCH_*.json record has one
 # writer, an entry of the CLI's command table; numpy is imported only by
 # repro._optional (and the version probe of repro.analysis.bench), so
-# its _FORCE_FALLBACK hook reaches every numpy path.
+# its _FORCE_FALLBACK hook reaches every numpy path; XML is written by
+# repro.protocols.xmpp's direct writer, which alone keeps ElementTree's
+# tostring for namespaced attributes.
 lint:
 	@! grep -rn "ctx\.services\.s3_get\|ctx\.services\.s3_put\|ctx\.services\.s3_list\|ctx\.services\.s3_delete\|ctx\.services\.dynamo_" src/repro/apps/ src/repro/core/ \
 		|| { echo "lint: apps must use kctx.store, not raw storage clients"; exit 1; }
@@ -51,6 +53,8 @@ lint:
 		|| { echo "lint: each BENCH_*.json has one writer, a python -m repro" "command"; exit 1; }
 	@! grep -rnE '^\s*(import numpy|from numpy)' src/repro --include="*.py" | grep -v "src/repro/_optional\.py\|src/repro/analysis/bench\.py" \
 		|| { echo "lint: numpy enters src/repro only through repro._optional.numpy_or_none"; exit 1; }
+	@! grep -rn 'tostring(' src/repro --include="*.py" | grep -v "src/repro/protocols/xmpp\.py" \
+		|| { echo "lint: stanzas and BOSH bodies are written directly; tostring( only in repro.protocols.xmpp, for namespaced attributes"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).

@@ -8,13 +8,16 @@ plaintext. Verified against the RFC test vectors in the test suite.
 
 Two paths compute the same keystream, byte for byte:
 
-* the scalar path (:func:`_scalar_keystream`) holds the state in 16
-  locals and runs every quarter-round inline (:func:`_rounds`). Each
-  local is a Python int carrying that word of *every* block of the
-  message, one block per 64-bit lane, so one pass of the rounds makes
-  the whole keystream. :func:`chacha20_block` uses it, and so does a
-  message shorter than ``_LANE_MIN_BLOCKS`` blocks or any message when
-  numpy is absent;
+* the scalar path (:func:`_scalar_keystream`) holds the state in four
+  Python ints, one per row of the 4x4 state, in the row layout SIMD
+  implementations use: row ``r`` carries word ``4r+c`` of block ``j``
+  in 64-bit lane ``cn+j`` of an ``n``-block message. A column round is
+  one quarter-round over the four ints, and a diagonal round is the
+  same quarter-round between whole-int rotations of rows b, c and d by
+  1, 2 and 3 columns, so one pass of 72 int operations per double
+  round makes the whole keystream. :func:`chacha20_block` uses it, and
+  so does a message shorter than ``_LANE_MIN_BLOCKS`` blocks or any
+  message when numpy is absent;
 * the lane path (:func:`_lane_keystream`) computes every block at once
   in numpy ``uint32`` lanes: the state is a ``(16, nblocks)`` array,
   one row per word and one column per block, and each quarter-round
@@ -32,21 +35,28 @@ switches this module to the scalar path too.
 The crossover ``_LANE_MIN_BLOCKS`` comes from a sweep of keystream
 time (µs, the minimum over repeated runs) against message length in
 64-byte blocks, on CPython 3.11, numpy 2.4, a shared 2-vCPU x86-64
-host::
+host. ``unrolled`` is the scalar path the row layout replaced: 16
+locals, one per state word, one block per lane, and all 32
+quarter-rounds of a double round written out::
 
-    blocks      1      2      4      8     16     32     64     80     96    128    256   1024
-    scalar     84     80     85    103    128    176    311    362    426    622   1033   3812
-    lanes     341    351    350    352    365    369    378    386    386    427    452    632
+    blocks        1     2     4     6     8    16    24    32    48    56    62    64    96   128  1024
+    rows         33    38    51    54    65   111   158   197   265   314   336   349   482   633  4864
+    lanes       364   410   336   338   350   341   441   350   333   344   339   354   352   386   577
+    unrolled     76    80    91    89    90   129   141   171   222   241   295   309   424   600  3569
 
-The lanes cost a flat ~0.35 ms (about 460 numpy calls) up to a hundred
-blocks, while the scalar path grows with the width of its ints; they
-tie near 88 blocks (5.5 KiB).
+The row path takes under half the unrolled path's time at one block
+and about 60% at six, where chat's messages sit (2-7 blocks with the
+AEAD's block 0). Its ints are four times wider, so from about 20
+blocks it is the slower scalar path, and it ties with the lanes' flat
+~0.35 ms (about 460 numpy calls) at 62 blocks (3.9 KiB). With numpy
+absent the row path runs at every length; at 1,024 blocks (a 64 KiB
+file chunk) it is about 36% slower than the unrolled path was.
 
 The AEAD (:mod:`repro.crypto.aead`) calls :func:`chacha20_encrypt`
 once per seal or open, from counter 0 over a zero block followed by the
 message, so its Poly1305 key block rides in the same pass. The block
 count that meets the crossover therefore includes block 0: a sealed
-message takes the lanes from 87 blocks of its own.
+message takes the lanes from 61 blocks of its own.
 """
 
 from __future__ import annotations
@@ -67,7 +77,9 @@ _MASK32 = 0xFFFFFFFF
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
 # Calls of at least this many blocks (for the AEAD, block 0 included)
 # take the numpy lane path.
-_LANE_MIN_BLOCKS = 88
+_LANE_MIN_BLOCKS = 62
+# Times a word to copy it into the spare high half of its 64-bit lane.
+_ROTATE = (1 << 32) + 1
 # Row orders that move the diagonals of the 4x4 state into columns.
 _ROT1, _ROT2, _ROT3 = [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]
 
@@ -89,64 +101,48 @@ def _check(key: bytes, counter: int, nonce: bytes, nblocks: int) -> None:
         )
 
 
-def _rounds(x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15, m):
-    """The 20 rounds over 16 state words; ``m`` masks each 32-bit lane."""
-    for _ in range(10):
-        # Column rounds: (0, 4, 8, 12) (1, 5, 9, 13) (2, 6, 10, 14) (3, 7, 11, 15).
-        x0 = (x0 + x4) & m; x12 ^= x0; x12 = (x12 << 16 | x12 >> 16) & m
-        x8 = (x8 + x12) & m; x4 ^= x8; x4 = (x4 << 12 | x4 >> 20) & m
-        x0 = (x0 + x4) & m; x12 ^= x0; x12 = (x12 << 8 | x12 >> 24) & m
-        x8 = (x8 + x12) & m; x4 ^= x8; x4 = (x4 << 7 | x4 >> 25) & m
-        x1 = (x1 + x5) & m; x13 ^= x1; x13 = (x13 << 16 | x13 >> 16) & m
-        x9 = (x9 + x13) & m; x5 ^= x9; x5 = (x5 << 12 | x5 >> 20) & m
-        x1 = (x1 + x5) & m; x13 ^= x1; x13 = (x13 << 8 | x13 >> 24) & m
-        x9 = (x9 + x13) & m; x5 ^= x9; x5 = (x5 << 7 | x5 >> 25) & m
-        x2 = (x2 + x6) & m; x14 ^= x2; x14 = (x14 << 16 | x14 >> 16) & m
-        x10 = (x10 + x14) & m; x6 ^= x10; x6 = (x6 << 12 | x6 >> 20) & m
-        x2 = (x2 + x6) & m; x14 ^= x2; x14 = (x14 << 8 | x14 >> 24) & m
-        x10 = (x10 + x14) & m; x6 ^= x10; x6 = (x6 << 7 | x6 >> 25) & m
-        x3 = (x3 + x7) & m; x15 ^= x3; x15 = (x15 << 16 | x15 >> 16) & m
-        x11 = (x11 + x15) & m; x7 ^= x11; x7 = (x7 << 12 | x7 >> 20) & m
-        x3 = (x3 + x7) & m; x15 ^= x3; x15 = (x15 << 8 | x15 >> 24) & m
-        x11 = (x11 + x15) & m; x7 ^= x11; x7 = (x7 << 7 | x7 >> 25) & m
-        # Diagonal rounds: (0, 5, 10, 15) (1, 6, 11, 12) (2, 7, 8, 13) (3, 4, 9, 14).
-        x0 = (x0 + x5) & m; x15 ^= x0; x15 = (x15 << 16 | x15 >> 16) & m
-        x10 = (x10 + x15) & m; x5 ^= x10; x5 = (x5 << 12 | x5 >> 20) & m
-        x0 = (x0 + x5) & m; x15 ^= x0; x15 = (x15 << 8 | x15 >> 24) & m
-        x10 = (x10 + x15) & m; x5 ^= x10; x5 = (x5 << 7 | x5 >> 25) & m
-        x1 = (x1 + x6) & m; x12 ^= x1; x12 = (x12 << 16 | x12 >> 16) & m
-        x11 = (x11 + x12) & m; x6 ^= x11; x6 = (x6 << 12 | x6 >> 20) & m
-        x1 = (x1 + x6) & m; x12 ^= x1; x12 = (x12 << 8 | x12 >> 24) & m
-        x11 = (x11 + x12) & m; x6 ^= x11; x6 = (x6 << 7 | x6 >> 25) & m
-        x2 = (x2 + x7) & m; x13 ^= x2; x13 = (x13 << 16 | x13 >> 16) & m
-        x8 = (x8 + x13) & m; x7 ^= x8; x7 = (x7 << 12 | x7 >> 20) & m
-        x2 = (x2 + x7) & m; x13 ^= x2; x13 = (x13 << 8 | x13 >> 24) & m
-        x8 = (x8 + x13) & m; x7 ^= x8; x7 = (x7 << 7 | x7 >> 25) & m
-        x3 = (x3 + x4) & m; x14 ^= x3; x14 = (x14 << 16 | x14 >> 16) & m
-        x9 = (x9 + x14) & m; x4 ^= x9; x4 = (x4 << 12 | x4 >> 20) & m
-        x3 = (x3 + x4) & m; x14 ^= x3; x14 = (x14 << 8 | x14 >> 24) & m
-        x9 = (x9 + x14) & m; x4 ^= x9; x4 = (x4 << 7 | x4 >> 25) & m
-    return x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15
-
-
 def _scalar_keystream(key: bytes, counter: int, nonce: bytes, nblocks: int) -> bytes:
-    """``nblocks`` keystream blocks, each state word one Python int.
+    """``nblocks`` keystream blocks, each row of the 4x4 state one Python int.
 
-    Word ``i`` of block ``j`` sits in bits ``64j .. 64j+31`` of local
-    ``i``, so every int operation of :func:`_rounds` advances all blocks
-    at once. Masking with ``m`` after each add and rotate clears the
-    carries and the bits a shift moves into the 32 spare bits of a lane.
+    Row ``r`` holds word ``4r+c`` of block ``j`` in bits ``64(cn+j) ..
+    64(cn+j)+31`` (``n`` = ``nblocks``), so one quarter-round over the
+    four rows is the column round of every block. The diagonal round
+    first rotates rows b, c and d by 1, 2 and 3 columns, each a
+    whole-int shift by ``64n`` bits per column, and rotates them back
+    after. A word rotation multiplies by ``2^32 + 1``, which copies each
+    lane's word into its 32 spare bits, so a right shift by ``32 - k``
+    leaves the word rotated left by ``k``. Masking with ``m`` after each
+    add and rotate clears the carries and the bits a shift moves into
+    the spare bits of a lane.
     """
-    ones = int.from_bytes(b"\x01\0\0\0\0\0\0\0" * nblocks, "little")
-    ramp = int.from_bytes(struct.pack(f"<{nblocks}Q", *range(nblocks)), "little")
-    state = [word * ones for word in _CONSTANTS + _unpack_key(key) + (counter,)
-             + _unpack_nonce(nonce)]
-    state[12] += ramp
-    m = _MASK32 * ones
-    lanes = struct.Struct(f"<{nblocks}Q").unpack
-    rows = [lanes(((x + s) & m).to_bytes(8 * nblocks, "little"))
-            for x, s in zip(_rounds(*state, m), state)]
-    return struct.pack(f"<{16 * nblocks}L", *[word for block in zip(*rows) for word in block])
+    n = nblocks
+    words = _CONSTANTS + _unpack_key(key) + (counter,) + _unpack_nonce(nonce)
+    cells = [word.to_bytes(8, "little") * n for word in words]
+    cells[12] = struct.pack(f"<{n}Q", *range(counter, counter + n))
+    state = [int.from_bytes(b"".join(cells[i : i + 4]), "little") for i in (0, 4, 8, 12)]
+    m = int.from_bytes(b"\xff\xff\xff\xff\0\0\0\0" * (4 * n), "little")
+    s1, s2, s3 = 64 * n, 128 * n, 192 * n
+    low1, low2, low3 = (1 << s1) - 1, (1 << s2) - 1, (1 << s3) - 1
+    r = _ROTATE
+    a, b, c, d = state
+    for _ in range(10):
+        a = (a + b) & m; d = (d ^ a) * r >> 16 & m
+        c = (c + d) & m; b = (b ^ c) * r >> 20 & m
+        a = (a + b) & m; d = (d ^ a) * r >> 24 & m
+        c = (c + d) & m; b = (b ^ c) * r >> 25 & m
+        # Diagonals: column i of ``a`` meets columns i+1, i+2, i+3 (mod 4) of b, c, d.
+        b = b >> s1 | (b & low1) << s3; c = c >> s2 | (c & low2) << s2; d = d >> s3 | (d & low3) << s1
+        a = (a + b) & m; d = (d ^ a) * r >> 16 & m
+        c = (c + d) & m; b = (b ^ c) * r >> 20 & m
+        a = (a + b) & m; d = (d ^ a) * r >> 24 & m
+        c = (c + d) & m; b = (b ^ c) * r >> 25 & m
+        b = b >> s3 | (b & low3) << s1; c = c >> s2 | (c & low2) << s2; d = d >> s1 | (d & low1) << s3
+    lanes = struct.Struct(f"<{4 * n}Q")
+    out = []
+    for x, s in zip((a, b, c, d), state):
+        out += lanes.unpack(((x + s) & m).to_bytes(32 * n, "little"))
+    # ``out[w*n + j]`` is word w of block j, so block j is ``out[j::n]``.
+    return struct.pack(f"<{16 * n}L", *[w for j in range(n) for w in out[j::n]])
 
 
 def _lane_quarter(np, a, b, c, d, t) -> None:

@@ -12,11 +12,14 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
+from xml.etree.ElementTree import _escape_attrib
 
 from repro.errors import XMPPProtocolError
-from repro.protocols.xmpp import Stanza, parse_stanza
+from repro.protocols.xmpp import Stanza, stanza_from_element
 
 __all__ = ["BoshBody", "BoshSession"]
+
+_HTTPBIND_NS = "http://jabber.org/protocol/httpbind"
 
 
 @dataclass(frozen=True)
@@ -28,20 +31,9 @@ class BoshBody:
     stanzas: Tuple[Stanza, ...]
 
     def serialize(self) -> bytes:
-        element = ET.Element("body")
-        element.set("sid", self.sid)
-        element.set("rid", str(self.rid))
-        element.set("xmlns", "http://jabber.org/protocol/httpbind")
+        head = f'<body sid="{_escape_attrib(self.sid)}" rid="{self.rid}" xmlns="{_HTTPBIND_NS}">'
         payload = b"".join(stanza.serialize() for stanza in self.stanzas)
-        head = ET.tostring(element, encoding="utf-8")
-        # Splice children into the self-closing wrapper.
-        if head.endswith(b" />"):
-            open_tag = head[:-3] + b">"
-        elif head.endswith(b"/>"):
-            open_tag = head[:-2] + b">"
-        else:
-            raise XMPPProtocolError("unexpected wrapper serialization")
-        return open_tag + payload + b"</body>"
+        return head.encode("utf-8", "xmlcharrefreplace") + payload + b"</body>"
 
     @classmethod
     def deserialize(cls, data: bytes) -> "BoshBody":
@@ -57,8 +49,10 @@ class BoshBody:
             rid = int(rid_text)
         except ValueError:
             raise XMPPProtocolError(f"bad rid {rid_text!r}") from None
-        stanzas = tuple(parse_stanza(ET.tostring(child)) for child in element)
-        return cls(sid, rid, stanzas)
+        for child in element:
+            if child.tail and child.tail.strip(" \t\r\n"):
+                raise XMPPProtocolError(f"text after a stanza in a BOSH body: {child.tail!r}")
+        return cls(sid, rid, tuple(stanza_from_element(child) for child in element))
 
 
 class BoshSession:

@@ -4,22 +4,58 @@ The §6.2 prototype is "an instant messaging server ... based on the
 XMPP protocol" supporting "basic session initiation and message
 exchange". We model the three stanza kinds — ``message``, ``presence``
 and ``iq`` — with JIDs, ids, and child payloads, serialized as real XML
-(via :mod:`xml.etree.ElementTree`) so stanzas round-trip through bytes
-exactly as they would on a socket.
+so stanzas round-trip through bytes exactly as they would on a socket.
+
+:meth:`Stanza.serialize` writes the XML directly with ``str`` joins and
+ElementTree's own escaping rules, byte for byte what
+:func:`xml.etree.ElementTree.tostring` writes; a stanza with a
+namespaced ``{uri}name`` attribute (``xml:lang``, say) still goes
+through ``tostring``, which owns the prefix rule. Parsing is
+ElementTree's (:func:`parse_stanza`), and :class:`Stanza` refuses what
+that parser would not read back as written: reserved attribute names,
+names that are not XML names, and characters XML 1.0 forbids.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
+from xml.etree.ElementTree import _escape_attrib, _escape_cdata
 
 from repro.errors import XMPPProtocolError
 
-__all__ = ["Jid", "Stanza", "message_stanza", "presence_stanza", "iq_stanza", "parse_stanza"]
+__all__ = [
+    "Jid", "Stanza", "message_stanza", "presence_stanza", "iq_stanza", "parse_stanza",
+    "stanza_from_element",
+]
 
 _STANZA_KINDS = frozenset({"message", "presence", "iq"})
+# Attributes a stanza writes from its own fields.
+_RESERVED = frozenset({"from", "to", "id", "type"})
+# Any character outside XML 1.0's Char production (§2.2): C0 controls
+# other than tab, LF and CR, lone surrogates, U+FFFE and U+FFFF.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 CLIENT_NS = "jabber:client"
+
+
+@functools.lru_cache(maxsize=512)
+def _reads_back(name: str, attribute: bool) -> bool:
+    """Whether ``name`` parses back as itself, as an attribute name or a child tag.
+
+    The parser is the oracle (expat's names are XML 1.0's, without a
+    prefix it has no binding for): a child tag must parse as written,
+    and an attribute name must survive ElementTree's writer, which owns
+    the ``{uri}name`` prefix rule and writes a plain name as it is.
+    """
+    try:
+        if attribute:
+            return ET.fromstring(ET.tostring(ET.Element("x", {name: ""}))).attrib == {name: ""}
+        return ET.fromstring(f"<{name} />".encode("utf-8", "xmlcharrefreplace")).tag == name
+    except (ET.ParseError, ValueError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -73,6 +109,21 @@ class Stanza:
     def __post_init__(self):
         if self.kind not in _STANZA_KINDS:
             raise XMPPProtocolError(f"unknown stanza kind {self.kind!r}")
+        attributes, children = self.attributes, self.children
+        if not _RESERVED.isdisjoint(attributes):
+            name = min(_RESERVED.intersection(attributes))
+            raise XMPPProtocolError(f"attribute {name!r} is reserved for the stanza's own field")
+        for name in attributes:
+            if not _reads_back(name, True):
+                raise XMPPProtocolError(f"attribute name {name!r} is not an XML name")
+        for tag, _text in children:
+            if not _reads_back(tag, False):
+                raise XMPPProtocolError(f"child tag {tag!r} is not an XML name")
+        texts = [self.stanza_id, self.stanza_type, *attributes.values(), *[t for _, t in children]]
+        texts += [str(jid) for jid in (self.from_jid, self.to_jid) if jid is not None]
+        bad = _NOT_XML_CHAR.search("".join(texts))
+        if bad:
+            raise XMPPProtocolError(f"stanza text holds {bad.group()!r}, which XML 1.0 forbids")
 
     def child(self, tag: str) -> Optional[str]:
         for child_tag, text in self.children:
@@ -87,6 +138,33 @@ class Stanza:
     # -- XML codec -----------------------------------------------------
 
     def serialize(self) -> bytes:
+        attributes = self.attributes
+        if any("{" in name for name in attributes):
+            return self._tostring()
+        kind = self.kind
+        out = ["<", kind]
+        for name, value in (("from", self.from_jid), ("to", self.to_jid)):
+            if value is not None:
+                out += " ", name, '="', _escape_attrib(str(value)), '"'
+        if self.stanza_id:
+            out += ' id="', _escape_attrib(self.stanza_id), '"'
+        if self.stanza_type:
+            out += ' type="', _escape_attrib(self.stanza_type), '"'
+        for name, value in sorted(attributes.items()):
+            out += " ", name, '="', _escape_attrib(value), '"'
+        if self.children:
+            out.append(">")
+            for tag, text in self.children:
+                if text:
+                    out += "<", tag, ">", _escape_cdata(text), "</", tag, ">"
+                else:
+                    out += "<", tag, " />"
+            out += "</", kind, ">"
+        else:
+            out.append(" />")
+        return "".join(out).encode("utf-8", "xmlcharrefreplace")
+
+    def _tostring(self) -> bytes:
         element = ET.Element(self.kind)
         if self.from_jid is not None:
             element.set("from", str(self.from_jid))
@@ -110,6 +188,11 @@ def parse_stanza(data: bytes) -> Stanza:
         element = ET.fromstring(data)
     except ET.ParseError as exc:
         raise XMPPProtocolError(f"malformed stanza XML: {exc}") from exc
+    return stanza_from_element(element)
+
+
+def stanza_from_element(element: ET.Element) -> Stanza:
+    """The stanza a parsed element holds (namespaces dropped from tags)."""
     kind = element.tag.split("}")[-1]
     if kind not in _STANZA_KINDS:
         raise XMPPProtocolError(f"unknown stanza kind {kind!r}")
@@ -118,8 +201,7 @@ def parse_stanza(data: bytes) -> Stanza:
         value = element.get(name)
         return Jid.parse(value) if value else None
 
-    reserved = {"from", "to", "id", "type"}
-    attributes = {k: v for k, v in element.attrib.items() if k not in reserved}
+    attributes = {k: v for k, v in element.attrib.items() if k not in _RESERVED}
     children = tuple(
         (child.tag.split("}")[-1], child.text or "") for child in element
     )

@@ -29,9 +29,10 @@ Cost model: traces move as columns (:class:`TraceColumns`), not as a
 each distinct kind becomes one ``%`` template, and a chunk of 4,096
 lines is filled by one ``%`` over its integers, so formatting costs a
 few C-level passes per chunk; gzip at level 9 is then most of a write.
-Validation takes C-level passes over the columns (sorted, min, max),
-checks each kind's names once (so the writer refuses what the reader
-would) and walks events one by one only to word a failure. One reader serves
+Validation takes C-level passes over the columns (types, sorted, min,
+max; the writer's formatter trusts the types it proved), checks each
+kind's names once (so the writer refuses what the reader would) and
+walks events one by one only to word a failure. One reader serves
 :func:`read_trace` and :func:`iter_trace`. It takes the decompressed
 body in blocks of about 1 MiB of whole lines and decodes a block of
 canonical lines with one regular expression, straight into integer
@@ -435,7 +436,7 @@ def _line_template(kind: Kind, strings: _TemplateStrings) -> str:
     return f'\n{head}{encoded(app)},"at":%d,"bytes":%d{tail}{encoded(route)},"tenant":%d}}'
 
 
-def _column_chunks(columns: TraceColumns) -> Iterator[str]:
+def _column_chunks(columns: TraceColumns, ints: bool = False) -> Iterator[str]:
     """The one canonical formatter: the event lines in chunks, each line preceded by a newline.
 
     A line is ``_dumps_sorted(_line_object(...))`` byte for byte. Each
@@ -443,6 +444,8 @@ def _column_chunks(columns: TraceColumns) -> Iterator[str]:
     filled by one ``%`` over its interleaved at, bytes and tenant
     values. In a chunk holding any number of another type (a ``bool``,
     a float), the lines with one go through ``json.dumps`` itself.
+    ``ints`` says the caller has proven every number an ``int``
+    (:func:`_validate`), so no chunk checks again.
     """
     strings = _TemplateStrings()
     templates = [_line_template(kind, strings) for kind in columns.kinds]
@@ -450,7 +453,7 @@ def _column_chunks(columns: TraceColumns) -> Iterator[str]:
         hi = lo + _CHUNK_LINES
         at, size, tenant = columns.at[lo:hi], columns.size[lo:hi], columns.tenant[lo:hi]
         kind = columns.kind[lo:hi]
-        if set(map(type, at)) | set(map(type, size)) | set(map(type, tenant)) == {int}:
+        if ints or set(map(type, at)) | set(map(type, size)) | set(map(type, tenant)) == {int}:
             values = [0] * (3 * len(at))
             values[0::3], values[1::3], values[2::3] = at, size, tenant
             yield "".join(map(templates.__getitem__, kind)) % tuple(values)
@@ -585,10 +588,19 @@ def _validate(header: TraceHeader, columns: TraceColumns) -> None:
         raise TraceFormatError("trace columns differ in length")
     if not at:
         return
-    if not (at[0] >= 0 and at == sorted(at) and 0 <= min(tenant)
+    # Numbers must be exactly ``int``, as the reader parses them: a float
+    # or a bool would be written as JSON the reader refuses.
+    if not ({*map(type, at), *map(type, tenant), *map(type, size)} == {int}
+            and at[0] >= 0 and at == sorted(at) and 0 <= min(tenant)
             and max(tenant) < header.tenants and min(size) >= 0):
         prev = 0
-        for index, (at_micros, tenant_id, payload) in enumerate(zip(at, tenant, size)):
+        for index, numbers in enumerate(zip(at, tenant, size)):
+            for key, value in zip(("at", "tenant", "bytes"), numbers):
+                if type(value) is not int:
+                    raise TraceFormatError(
+                        f"event {index}: field {key!r} must be int, got {value!r}"
+                    )
+            at_micros, tenant_id, payload = numbers
             if at_micros < prev:
                 raise TraceFormatError(
                     f"event {index} at {at_micros} precedes its predecessor at {prev}"
@@ -727,7 +739,7 @@ def write_trace(path: PathLike, trace: Trace) -> int:
     path = Path(path)
     with _open_write(path) as out:
         out.write(header_line(trace.header, len(columns)).encode("ascii"))
-        for chunk in _column_chunks(columns):
+        for chunk in _column_chunks(columns, ints=True):
             out.write(chunk.encode("ascii"))
         out.write(b"\n")
     return len(columns)

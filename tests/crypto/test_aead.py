@@ -83,7 +83,8 @@ class TestOneKeystreamPass:
             monkeypatch.setattr(chacha20, name, spy)
         return passes
 
-    @pytest.mark.parametrize("length", [0, 1, 64, 200, chacha20._LANE_MIN_BLOCKS * 64])
+    # The crossover, and 88 blocks, the crossover of the unrolled scalar path.
+    @pytest.mark.parametrize("length", [0, 1, 64, 200, chacha20._LANE_MIN_BLOCKS * 64, 88 * 64])
     def test_seal_and_open_each_make_one_pass(self, monkeypatch, length):
         passes = self._count_passes(monkeypatch)
         plaintext = bytes(i & 0xFF for i in range(length))

@@ -14,28 +14,26 @@ SUNSCREEN = (
     b"Ladies and Gentlemen of the class of '99: If I could offer you "
     b"only one tip for the future, sunscreen would be it."
 )
+# RFC 8439 §2.3.2: the block at counter 1 under RFC_KEY and RFC_NONCE.
+RFC_BLOCK = bytes.fromhex(
+    "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+    "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+)
+# RFC 8439 §2.4.2: SUNSCREEN encrypted from counter 1 under RFC_KEY and RFC_ENC_NONCE.
+RFC_CIPHERTEXT = bytes.fromhex(
+    "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+    "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+    "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+    "5af90bbf74a35be6b40b8eedf2785e42874d"
+)
 
 
 class TestRfc8439Vectors:
     def test_block_function_vector(self):
-        # RFC 8439 §2.3.2
-        block = chacha20_block(RFC_KEY, 1, RFC_NONCE)
-        expected = bytes.fromhex(
-            "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
-            "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
-        )
-        assert block == expected
+        assert chacha20_block(RFC_KEY, 1, RFC_NONCE) == RFC_BLOCK
 
     def test_encryption_vector(self):
-        # RFC 8439 §2.4.2
-        ciphertext = chacha20_encrypt(RFC_KEY, 1, RFC_ENC_NONCE, SUNSCREEN)
-        expected = bytes.fromhex(
-            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
-            "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
-            "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
-            "5af90bbf74a35be6b40b8eedf2785e42874d"
-        )
-        assert ciphertext == expected
+        assert chacha20_encrypt(RFC_KEY, 1, RFC_ENC_NONCE, SUNSCREEN) == RFC_CIPHERTEXT
 
     def test_decryption_is_inverse(self):
         ciphertext = chacha20_encrypt(RFC_KEY, 1, RFC_ENC_NONCE, SUNSCREEN)
@@ -128,11 +126,41 @@ class TestEncryptValidation:
 
 
 CROSSOVER = chacha20._LANE_MIN_BLOCKS * BLOCK_SIZE
+# 88 blocks was the crossover of the unrolled 16-word scalar path; the
+# lanes now take those lengths from well above the crossover.
+UNROLLED_CROSSOVER = 88 * BLOCK_SIZE
 EDGE_LENGTHS = sorted({
     0, 1, 63, 64, 65,
     CROSSOVER - BLOCK_SIZE, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, CROSSOVER + BLOCK_SIZE,
+    UNROLLED_CROSSOVER - BLOCK_SIZE, UNROLLED_CROSSOVER - 1, UNROLLED_CROSSOVER,
+    UNROLLED_CROSSOVER + 1, UNROLLED_CROSSOVER + BLOCK_SIZE,
     64 * 1024, 64 * 1024 + 11,
 })
+# Block counts for the row-packed scalar path: 1-16 blocks, the crossover
+# +-1 and a 64 KiB chunk's 1,024.
+ROW_BLOCKS = [*range(1, 17), chacha20._LANE_MIN_BLOCKS - 1, chacha20._LANE_MIN_BLOCKS,
+              chacha20._LANE_MIN_BLOCKS + 1, 1024]
+
+
+class TestRowPath:
+    """The row-packed scalar keystream, called directly, whatever the crossover."""
+
+    def test_rfc_block_function_vector(self):
+        assert chacha20._scalar_keystream(RFC_KEY, 1, RFC_NONCE, 1) == RFC_BLOCK
+
+    def test_rfc_encryption_vector(self):
+        keystream = chacha20._scalar_keystream(RFC_KEY, 1, RFC_ENC_NONCE, 2)
+        assert bytes(a ^ b for a, b in zip(SUNSCREEN, keystream)) == RFC_CIPHERTEXT
+
+    @pytest.mark.parametrize("nblocks", ROW_BLOCKS)
+    @pytest.mark.parametrize("where", ["zero", "one", "last"])
+    def test_rows_match_the_numpy_lanes(self, nblocks, where):
+        np = pytest.importorskip("numpy")
+        counter = {"zero": 0, "one": 1, "last": 2**32 - nblocks}[where]
+        key, nonce = bytes(range(7, 39)), bytes(range(200, 212))
+        rows = chacha20._scalar_keystream(key, counter, nonce, nblocks)
+        assert rows == chacha20._lane_keystream(np, key, counter, nonce, nblocks)
+        assert rows[-BLOCK_SIZE:] == chacha20_block(key, counter + nblocks - 1, nonce)
 
 
 class TestNumpyFallbackIdentity:

@@ -34,17 +34,24 @@ from repro.crypto.chacha20 import _LANE_MIN_BLOCKS, BLOCK_SIZE, chacha20_encrypt
 from repro.crypto.poly1305 import _CHUNK, _CLAMP, _LANE_MIN_BYTES, poly1305_mac  # noqa: E402
 
 CROSSOVER = _LANE_MIN_BLOCKS * BLOCK_SIZE
+# 88 blocks was the crossover of the unrolled 16-word scalar path.
+UNROLLED_CROSSOVER = 88 * BLOCK_SIZE
 # A lane chunk edge past the Poly1305 crossover: 16 whole chunks of blocks.
 CHUNK_EDGE = 16 * _CHUNK * 16
 EDGE_LENGTHS = sorted({
     0, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 255, 256, 257,
     CROSSOVER - BLOCK_SIZE, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, CROSSOVER + BLOCK_SIZE,
+    UNROLLED_CROSSOVER - BLOCK_SIZE, UNROLLED_CROSSOVER - 1, UNROLLED_CROSSOVER,
+    UNROLLED_CROSSOVER + 1, UNROLLED_CROSSOVER + BLOCK_SIZE,
     _LANE_MIN_BYTES - 16, _LANE_MIN_BYTES - 1, _LANE_MIN_BYTES, _LANE_MIN_BYTES + 1,
     _LANE_MIN_BYTES + 16,
     CHUNK_EDGE - 16, CHUNK_EDGE - 1, CHUNK_EDGE, CHUNK_EDGE + 1, CHUNK_EDGE + 16,
     64 * 1024, 64 * 1024 + 11,
 })
 NUMPY_ON_OFF = pytest.mark.parametrize("fallback", [False, True], ids=["numpy", "no-numpy"])
+# Block counts for the row-packed scalar path: 1-16 blocks, the crossover
+# +-1 and a 64 KiB chunk's 1,024.
+ROW_BLOCKS = [*range(1, 17), _LANE_MIN_BLOCKS - 1, _LANE_MIN_BLOCKS, _LANE_MIN_BLOCKS + 1, 1024]
 
 keys = st.binary(min_size=32, max_size=32)
 nonces = st.binary(min_size=12, max_size=12)
@@ -161,6 +168,23 @@ def test_a_chunk_of_maximal_limbs_sums_exactly():
     pairs = [min(t, 8 - t, 4) + 1 for t in range(9)]  # (a, b) with a + b = t
     expected = [[n * _CHUNK * top * top for n in pairs]] * 2
     assert poly1305._chunk_positions(np, limbs, table).tolist() == expected
+
+
+@NUMPY_ON_OFF
+@pytest.mark.parametrize("nblocks", ROW_BLOCKS)
+@pytest.mark.parametrize("counter", [0, 1, 2**31, None], ids=["0", "1", "2^31", "last"])
+def test_row_path_matches_the_oracle(nblocks, counter, fallback):
+    # ``None``: the last block takes counter 2^32-1.
+    counter = 2**32 - nblocks if counter is None else counter
+    key, nonce = bytes(range(50, 82)), bytes(range(12))
+    zeros = bytes(nblocks * BLOCK_SIZE)
+    expected = _oracle_keystream_xor(key, counter, nonce, zeros)
+    assert chacha20._scalar_keystream(key, counter, nonce, nblocks) == expected
+    data = _message(nblocks * BLOCK_SIZE - 5)
+    with _numpy(fallback):
+        assert chacha20_encrypt(key, counter, nonce, data) == _oracle_keystream_xor(
+            key, counter, nonce, data
+        )
 
 
 @pytest.mark.parametrize("length", EDGE_LENGTHS[1:])

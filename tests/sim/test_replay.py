@@ -205,6 +205,23 @@ class TestColumnValidation:
         with pytest.raises(TraceFormatError, match=f"^trace line 2: {message}$"):
             read_trace(path)
 
+    @pytest.mark.parametrize("field,value,key", [
+        ("at_micros", 5.5, "at"), ("at_micros", True, "at"), ("tenant", 0.0, "tenant"),
+        ("tenant", False, "tenant"), ("payload_bytes", 2.0, "bytes"),
+        ("payload_bytes", True, "bytes"),
+    ])
+    def test_the_writer_refuses_numbers_the_reader_refuses(self, tmp_path, field, value, key):
+        path = tmp_path / "t.jsonl"
+        odd = replace(TraceEvent(5, 0), **{field: value})
+        trace = Trace(TraceHeader("odd", 0, 1), [TraceEvent(0, 0), TraceEvent(1, 0), odd])
+        message = f"field {key!r} must be int, got {value!r}"
+        with pytest.raises(TraceFormatError, match=f"^event 2: {message}$"):
+            write_trace(path, trace)
+        assert not path.exists()
+        path.write_text(header_line(trace.header, 1) + "\n" + event_line(odd) + "\n")
+        with pytest.raises(TraceFormatError, match=f"^trace line 2: {message}$"):
+            read_trace(path)
+
     def test_the_writer_refuses_a_falsy_actor_it_would_drop(self, tmp_path):
         # A line omits an empty actor, so actor 0 would read back as "".
         trace = Trace(TraceHeader("odd", 0, 1), [TraceEvent(0, 0, actor=0)])
