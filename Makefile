@@ -19,7 +19,9 @@ test:
 # repro._optional (and the version probe of repro.analysis.bench), so
 # its _FORCE_FALLBACK hook reaches every numpy path; XML is written by
 # repro.protocols.xmpp's direct writer, which alone keeps ElementTree's
-# tostring for namespaced attributes.
+# tostring for namespaced attributes; the per-tenant engine in
+# repro.sim.scale takes no trace recorder and no health plane, so the
+# sharded engine is the one that records and replays.
 lint:
 	@! grep -rn "ctx\.services\.s3_get\|ctx\.services\.s3_put\|ctx\.services\.s3_list\|ctx\.services\.s3_delete\|ctx\.services\.dynamo_" src/repro/apps/ src/repro/core/ \
 		|| { echo "lint: apps must use kctx.store, not raw storage clients"; exit 1; }
@@ -55,6 +57,8 @@ lint:
 		|| { echo "lint: numpy enters src/repro only through repro._optional.numpy_or_none"; exit 1; }
 	@! grep -rn 'tostring(' src/repro --include="*.py" | grep -v "src/repro/protocols/xmpp\.py" \
 		|| { echo "lint: stanzas and BOSH bodies are written directly; tostring( only in repro.protocols.xmpp, for namespaced attributes"; exit 1; }
+	@! grep -nE 'recorder|health' src/repro/sim/scale.py \
+		|| { echo "lint: the sharded engine alone records traces and carries the health plane; repro.sim.scale takes neither"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).

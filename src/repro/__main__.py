@@ -25,26 +25,24 @@ from repro.core.advisor import WorkloadProfile, recommend_plan, run_advisor_benc
 from repro.core.costmodel import PAPER_WORKLOADS, VIDEO_WORKLOAD, CostModel
 from repro.core.threatmodel import centralized_tcb_profile, diy_tcb_profile
 from repro.obs.export import decomposition_report, to_chrome_trace, to_jsonl, validate_span_tree
-from repro.obs.metrics import MetricsPlane
 from repro.obs.slo import run_slo_benchmark, run_slo_scenario
 from repro.plan import DeploymentPlan
 from repro.sim.replay import (
     ReplayConfig,
     TraceRecorder,
     read_trace,
-    run_replay_batched,
     run_replay_chaos,
     run_replay_sharded,
-    trace_plan,
+    write_trace,
 )
 from repro.sim.scale import (
     ChaosConfig,
     ScaleConfig,
     run_chaos_fleet,
-    run_fleet,
     run_obs_benchmark,
     run_storage_ablation,
 )
+from repro.sim.shard import FleetConfig, run_fleet_sharded
 from repro.sim.scenarios import build_scenario, scenario_catalog
 from repro.units import ms
 
@@ -66,11 +64,10 @@ _METRICS_OUT = ("--metrics-out",
                 dict(default=None, help="with --metrics: write the JSONL exposition here"))
 
 
-def _scale_config(args) -> ScaleConfig:
-    """The fleet config of ``record`` and ``bench-obs``."""
-    return ScaleConfig(tenants=args.tenants, daily_requests=args.daily_requests,
-                       days=args.days, seed=args.seed, chunk=args.chunk,
-                       plan=DeploymentPlan(memory_mb=args.memory_mb))
+def _fleet(args) -> dict:
+    """The config fields ``_FLEET`` sets; ``--chunk`` is added by each command."""
+    return dict(tenants=args.tenants, daily_requests=args.daily_requests, days=args.days,
+                seed=args.seed, plan=DeploymentPlan(memory_mb=args.memory_mb))
 
 
 def _chat_run(provider, messages: int) -> str:
@@ -82,13 +79,19 @@ def _chat_run(provider, messages: int) -> str:
     return alice.service.app.instance_name
 
 
-def _exposition(health, path):
-    """The health plane's exposition digest row; writes it to ``path`` if given."""
-    exposition = health.to_jsonl()
-    if path:
-        with open(path, "w") as fh:
-            fh.write(exposition)
-    return ("Exposition sha256", hashlib.sha256(exposition.encode("ascii")).hexdigest())
+def _fleet_rows(record, result, args) -> None:
+    """The bill rows ``record`` and ``replay`` share, so a divergence shows, and
+    with ``--metrics`` the exposition digest (the exposition to ``--metrics-out``)."""
+    record["rows"] += [("Billed units", f"{result.billed_units:,}"),
+                       ("Invoice", result.invoice_total)]
+    if result.health is not None:
+        exposition = result.health.to_jsonl()
+        if args.metrics_out:
+            with open(args.metrics_out, "w") as fh:
+                fh.write(exposition)
+            record["wrote"].append(args.metrics_out)
+        record["rows"].append(
+            ("Exposition sha256", hashlib.sha256(exposition.encode("ascii")).hexdigest()))
 
 
 def _render_table(record) -> str:
@@ -359,37 +362,31 @@ def _render_bench_obs(record) -> str:
 
 
 def _run_record(args):
-    config = _scale_config(args)
+    """Run the sharded fleet at one worker and record its trace; ``replay`` reproduces the run."""
+    config = FleetConfig(chunk_events=args.chunk, **_fleet(args))
     recorder = TraceRecorder(name=args.name, seed=config.seed, tenants=config.tenants)
-    health = MetricsPlane() if args.metrics else None
-    result = run_fleet(config, recorder=recorder, health=health)
+    result = run_fleet_sharded(config, collect_health=args.metrics, recorder=recorder)
     trace = recorder.trace()
-    recorder.write(args.out)
+    write_trace(args.out, trace)
     record = {
         "banner": (f"recording {config.tenants} tenants x {config.daily_requests:g} req/day "
                    f"x {config.days:g} days (~{config.expected_requests():,.0f} requests) ..."),
         "title": f"Recorded trace {trace.header.name!r} (seed {config.seed})",
         "rows": [("Events recorded", f"{len(trace):,}"),
                  ("Tenants", trace.header.tenants),
-                 ("Invoice (recorded run)", result.invoice_total),
                  ("Trace sha256", trace.digest())],
         "wrote": [args.out],
     }
-    if health is not None:
-        record["rows"].append(_exposition(health, args.metrics_out))
-        record["wrote"] += [args.metrics_out] if args.metrics_out else []
+    _fleet_rows(record, result, args)
     return record
 
 
 def _run_replay(args):
-    """Replay through the sharded engine, the chaos stacks, or (``--metrics``)
-    the batched engine with the health plane attached.
+    """Replay through the sharded engine or, with ``--chaos``, the chat stacks.
 
-    The batched path re-draws the *recording* run's per-tenant latency
-    streams, so with the recording seed and chunk the emitted
-    exposition is byte-identical to ``record --metrics`` — the health
-    plane rides the record→replay fixpoint. The plan comes from the
-    trace header.
+    The plan and engine settings come from the trace header, so with the
+    recording seed (the header's, by default) a ``record`` trace replays
+    to the recorded run.
     """
     if args.scenario:
         trace = build_scenario(args.scenario, seed=args.seed)
@@ -404,20 +401,7 @@ def _run_replay(args):
     name = trace.header.name
     seed = trace.header.seed if args.replay_seed is None else args.replay_seed
     record = {"banner": f"replaying {len(trace):,} events from {source} ...", "wrote": []}
-    if args.metrics:
-        health = MetricsPlane()
-        result = run_replay_batched(trace, ScaleConfig(
-            tenants=trace.header.tenants, seed=seed, chunk=args.chunk,
-            plan=trace_plan(trace.header),
-        ), health=health)
-        record["title"] = f"Batched replay of {name!r} with health plane"
-        record["rows"] = [("Events replayed", f"{result.arrivals:,}"),
-                          ("Billed ms", f"{result.total_billed_ms:,}"),
-                          ("Invoice", result.invoice_total),
-                          _exposition(health, args.metrics_out),
-                          ("Trace sha256", result.trace_sha256)]
-        record["wrote"] += [args.metrics_out] if args.metrics_out else []
-    elif args.chaos:
+    if args.chaos:
         chaos = run_replay_chaos(trace, error_rate=args.error_rate,
                                  brownout_rate=args.brownout_rate)
         fleet = chaos["fleet"]
@@ -427,17 +411,17 @@ def _run_replay(args):
                           ("Retries", fleet["retries"]),
                           ("Trace sha256", chaos["trace_sha256"])]
     else:
-        result = run_replay_sharded(trace, ReplayConfig(seed=seed), workers=args.workers)
+        result = run_replay_sharded(trace, ReplayConfig(seed=seed), workers=args.workers,
+                                    collect_health=args.metrics)
         digest = result.determinism_digest()
         p99 = digest["latency_p99_ms"]
         record["title"] = f"Sharded replay of {name!r} ({args.workers} worker(s))"
         record["rows"] = [("Events replayed", f"{result.events:,}"),
-                          ("Billed units", f"{result.billed_units:,}"),
                           ("Payload", f"{result.payload_bytes / 1e9:.3f} GB"),
-                          ("Invoice", result.invoice_total),
                           ("Latency p99", f"{p99:.0f} ms" if p99 is not None else "-"),
                           ("Tenant counts sha256", digest["tenant_counts_sha256"]),
                           ("Trace sha256", result.trace_sha256)]
+        _fleet_rows(record, result, args)
     return record
 
 
@@ -603,11 +587,12 @@ COMMANDS = {
             ("--sample-rate", dict(type=float, default=1 / 64)),
             ("--capacity", dict(type=int, default=4096)),
             ("--out", dict(default="BENCH_obs.json", help="where to write the JSON perf record")),
-        ), run=lambda args: run_obs_benchmark(_scale_config(args), sample_rate=args.sample_rate,
+        ), run=lambda args: run_obs_benchmark(ScaleConfig(chunk=args.chunk, **_fleet(args)),
+                                              sample_rate=args.sample_rate,
                                               capacity=args.capacity),
         render=_render_bench_obs, bench="BENCH_obs.json"),
     "record": dict(
-        help="run the batched fleet engine and record its workload trace", args=(
+        help="run the sharded fleet engine at one worker and record its workload trace", args=(
             *_FLEET,
             ("--name", dict(default="fleet", help="trace name written into the header")),
             ("--out", dict(default="trace_fleet.jsonl.gz",
@@ -618,7 +603,8 @@ COMMANDS = {
             _METRICS_OUT,
         ), run=_run_record, render=_render_table),
     "replay": dict(
-        help="replay a recorded trace or a library scenario through the fleet engines", args=(
+        help="replay a recorded trace or a library scenario on the sharded fleet engine",
+        args=(
             ("trace", dict(nargs="?", default=None,
                            help="trace file written by 'record' (or a TraceRecorder)")),
             ("--scenario", dict(default=None,
@@ -627,11 +613,9 @@ COMMANDS = {
             ("--replay-seed", dict(type=int, default=None,
                                    help="latency-RNG seed (default: the trace header's seed)")),
             ("--workers", dict(type=int, default=1)),
-            ("--chunk", dict(type=int, default=4096,
-                             help="batched-engine chunk size (with --metrics)")),
             ("--metrics", dict(action="store_true",
-                               help="batched replay with the health plane: same exposition "
-                                    "bytes as 'record --metrics' under the recording config")),
+                               help="collect the health plane: same exposition bytes as "
+                                    "'record --metrics' for the trace it recorded")),
             _METRICS_OUT,
             ("--chaos", dict(action="store_true",
                              help="drive the trace through real chat stacks under faults")),

@@ -8,9 +8,11 @@ so stanzas round-trip through bytes exactly as they would on a socket.
 
 :meth:`Stanza.serialize` writes the XML directly with ``str`` joins and
 ElementTree's own escaping rules, byte for byte what
-:func:`xml.etree.ElementTree.tostring` writes; a stanza with a
-namespaced ``{uri}name`` attribute (``xml:lang``, say) still goes
-through ``tostring``, which owns the prefix rule. Parsing is
+:func:`xml.etree.ElementTree.tostring` writes but for one thing: a CR in
+text is written ``&#13;``, since XML parsing turns a raw CR (and CRLF)
+into LF. A stanza with a namespaced ``{uri}name`` attribute
+(``xml:lang``, say) still goes through ``tostring``, which owns the
+prefix rule, with the same CR rule applied to its bytes. Parsing is
 ElementTree's (:func:`parse_stanza`), and :class:`Stanza` refuses what
 that parser would not read back as written: reserved attribute names,
 names that are not XML names, and characters XML 1.0 forbids.
@@ -156,7 +158,7 @@ class Stanza:
             out.append(">")
             for tag, text in self.children:
                 if text:
-                    out += "<", tag, ">", _escape_cdata(text), "</", tag, ">"
+                    out += "<", tag, ">", _escape_cdata(text).replace("\r", "&#13;"), "</", tag, ">"
                 else:
                     out += "<", tag, " />"
             out += "</", kind, ">"
@@ -179,7 +181,9 @@ class Stanza:
         for tag, text in self.children:
             child = ET.SubElement(element, tag)
             child.text = text
-        return ET.tostring(element, encoding="utf-8")
+        # Attribute values are written with CR as ``&#13;`` already, so a
+        # raw CR here is in text.
+        return ET.tostring(element, encoding="utf-8").replace(b"\r", b"&#13;")
 
 
 def parse_stanza(data: bytes) -> Stanza:

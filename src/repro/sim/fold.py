@@ -6,10 +6,10 @@ per-request charge for the function and each service call it makes.
 Every fleet path in :mod:`repro.sim` prices requests that way, and each
 of them is only a **source** of arrival chunks for this module:
 
-* :func:`repro.sim.scale.run_fleet` — per-tenant synthetic chunks;
-* :func:`repro.sim.replay.run_replay_batched` — per-tenant trace counts;
+* :func:`repro.sim.scale.run_fleet` — per-tenant synthetic chunks, the
+  traced engine;
 * :func:`repro.sim.shard.run_shard` — pooled shard arrivals, each
-  assigned to a tenant by a uniform draw;
+  assigned to a tenant by a uniform draw (the recording engine);
 * :func:`repro.sim.replay.replay_shard` — a shard's trace columns.
 
 A source owns its arrivals and its latency RNG namespace; one
@@ -296,6 +296,9 @@ class ShardResult:
     # run collected health, else None. Plain data + integer accumulators,
     # so it pickles across the process pool and merges order-free.
     health: Optional[object] = None
+    # When the run records: arrival micros and *global* tenant ids, in draw order.
+    at: Optional[Sequence[int]] = None
+    tenant: Optional[Sequence[int]] = None
 
     def total_billed_ms(self) -> int:
         return self.billed_units * 100

@@ -5,11 +5,11 @@ only ever see diurnal Poisson curves; this package makes *recorded*
 request streams a first-class workload. :mod:`~repro.sim.replay.format`
 defines the versioned JSONL trace format and is the single place trace
 files are parsed; :mod:`~repro.sim.replay.recorder` dumps traces from
-live runs (gateway seam and fleet engine); and
+live runs (gateway seam and sharded fleet); and
 :mod:`~repro.sim.replay.replayer` feeds traces back through the fleet
-fold per tenant (byte-identical record→replay fixpoint) and per shard
-(worker-count- and numpy-independent digests), and through real app
-stacks under chaos. The scenario library in :mod:`repro.sim.scenarios`
+fold per shard (worker-count- and numpy-independent digests, and the
+byte-identical record→replay fixpoint for a trace the fleet recorded),
+and through real app stacks under chaos. The scenario library in :mod:`repro.sim.scenarios`
 builds on this format.
 """
 
@@ -18,6 +18,7 @@ from repro.sim.replay.format import (
     TRACE_VERSION,
     Trace,
     TraceColumns,
+    TraceEngine,
     TraceEvent,
     TraceFormatError,
     TraceHeader,
@@ -26,18 +27,17 @@ from repro.sim.replay.format import (
     read_trace,
     sort_events,
     trace_digest,
+    trace_engine,
     trace_plan,
     write_trace,
 )
 from repro.sim.replay.recorder import FLEET_APP, FLEET_ROUTE, TraceRecorder
 from repro.sim.replay.replayer import (
     ReplayConfig,
-    ReplayResult,
     fleet_sla_report,
     merge_replay,
     partition_trace,
     replay_shard,
-    run_replay_batched,
     run_replay_chaos,
     run_replay_sharded,
 )
@@ -47,6 +47,7 @@ __all__ = [
     "TRACE_VERSION",
     "Trace",
     "TraceColumns",
+    "TraceEngine",
     "TraceEvent",
     "TraceFormatError",
     "TraceHeader",
@@ -55,18 +56,17 @@ __all__ = [
     "sort_events",
     "plan_meta",
     "trace_digest",
+    "trace_engine",
     "trace_plan",
     "write_trace",
     "FLEET_APP",
     "FLEET_ROUTE",
     "TraceRecorder",
     "ReplayConfig",
-    "ReplayResult",
     "fleet_sla_report",
     "merge_replay",
     "partition_trace",
     "replay_shard",
-    "run_replay_batched",
     "run_replay_chaos",
     "run_replay_sharded",
 ]

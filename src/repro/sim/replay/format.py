@@ -61,6 +61,7 @@ from typing import BinaryIO, Dict, Iterable, Iterator, List, NoReturn, Optional,
 from repro.errors import ConfigurationError
 from repro.plan import DEFAULT_PLAN, DeploymentPlan
 from repro.sim.fold import HANDLER_MEMORY_MB, plan_memory_mb
+from repro.sim.shard import DEFAULT_CHUNK_EVENTS, DEFAULT_LATENCY_SAMPLES, DEFAULT_LOGICAL_SHARDS
 
 __all__ = [
     "TRACE_FORMAT",
@@ -79,6 +80,10 @@ __all__ = [
     "trace_digest",
     "plan_meta",
     "trace_plan",
+    "LATENCY_STREAMS",
+    "TraceEngine",
+    "engine_meta",
+    "trace_engine",
     "write_trace",
     "read_trace",
     "iter_trace",
@@ -97,6 +102,11 @@ PLAN_META_DEFAULTS = {
     "memory_mb": DEFAULT_MEMORY_MB,
     "price_book": DEFAULT_PLAN.price_book,
 }
+
+
+# A sharded replay's latency namespaces, ``<stream>/shard-<id>/latency``:
+# the replayer's own, and the one the sharded fleet records with.
+LATENCY_STREAMS = ("replay", "fleet")
 
 
 class TraceFormatError(ConfigurationError):
@@ -269,8 +279,10 @@ class Trace:
       so editing it (``trace.events.reverse()``) is always seen.
       Assigning a new :attr:`header` drops the digest too.
 
-    :meth:`validate` checks every trace but one the reader proved valid
-    as it read it, under the header it read.
+    :meth:`validate` checks a column-backed trace once, as
+    :func:`read_trace` does what it reads, and keeps the proof until the
+    trace hands out its columns or events or takes a new header; an
+    events-backed trace is checked on every call.
     """
 
     def __init__(self, header: TraceHeader, events: Optional[List[TraceEvent]] = None):
@@ -312,6 +324,7 @@ class Trace:
     def columns(self) -> TraceColumns:
         if self._events is not None:
             return TraceColumns.from_events(self._events)
+        self._proven = False  # the caller may edit the columns
         return self._columns
 
     def __len__(self) -> int:
@@ -343,6 +356,7 @@ class Trace:
     def validate(self) -> "Trace":
         if not self._proven:
             _validate(self.header, self.columns())
+            self._proven = self._events is None  # whoever holds a list may edit it
         return self
 
 
@@ -374,6 +388,47 @@ def trace_plan(header: TraceHeader) -> DeploymentPlan:
         return DeploymentPlan(**{key: meta[key] for key in PLAN_META_DEFAULTS if key in meta})
     except ConfigurationError as exc:
         raise TraceFormatError(f"trace meta {exc}") from None
+
+
+@dataclass(frozen=True)
+class TraceEngine:
+    """How the sharded replay draws a trace: what reproduces the run that recorded it."""
+
+    latency_stream: str = "replay"
+    chunk_events: int = DEFAULT_CHUNK_EVENTS
+    logical_shards: int = DEFAULT_LOGICAL_SHARDS
+    sample_stride: int = 1
+
+    @staticmethod
+    def default(events: int) -> "TraceEngine":
+        """What a header without engine keys replays ``events`` events with."""
+        return TraceEngine(sample_stride=max(1, events // DEFAULT_LATENCY_SAMPLES))
+
+
+def engine_meta(engine: TraceEngine, events: int) -> Dict[str, object]:
+    """The flat header meta keys that record ``engine``: like :func:`plan_meta`, no defaults."""
+    default = vars(TraceEngine.default(events))
+    return {key: value for key, value in vars(engine).items() if value != default[key]}
+
+
+def trace_engine(header: TraceHeader, events: Optional[int] = None) -> TraceEngine:
+    """How to replay a trace of ``events`` events (default: the header's count).
+
+    A missing key is the default; a count that is not a positive ``int``,
+    or a stream not in :data:`LATENCY_STREAMS`, raises :class:`TraceFormatError`.
+    """
+    meta = header.meta_dict()
+    default = TraceEngine.default(header.events if events is None else events)
+    values = {key: meta.get(key, value) for key, value in vars(default).items()}
+    for key, value in values.items():
+        if key == "latency_stream":
+            if not (type(value) is str and value in LATENCY_STREAMS):
+                raise TraceFormatError(
+                    f"trace meta latency_stream must be one of {LATENCY_STREAMS}, got {value!r}"
+                )
+        elif type(value) is not int or value <= 0:
+            raise TraceFormatError(f"trace meta {key} must be a positive int, got {value!r}")
+    return TraceEngine(**values)
 
 
 def sort_events(events: Iterable[TraceEvent]) -> List[TraceEvent]:
@@ -538,6 +593,7 @@ def _parse_header(line: str) -> TraceHeader:
     )
     try:
         trace_plan(header)
+        trace_engine(header)
     except TraceFormatError as exc:
         _fail(1, str(exc))
     return header
@@ -583,6 +639,8 @@ def _validate(header: TraceHeader, columns: TraceColumns) -> None:
         raise TraceFormatError(
             f"header declares {header.events} events, trace holds {len(columns)}"
         )
+    trace_plan(header)
+    trace_engine(header, len(columns))
     at, tenant, size, kind = columns.at, columns.tenant, columns.size, columns.kind
     if not len(at) == len(tenant) == len(size) == len(kind):
         raise TraceFormatError("trace columns differ in length")
@@ -734,8 +792,7 @@ def write_trace(path: PathLike, trace: Trace) -> int:
     :func:`sort_events` after composing transforms. A ``.gz`` suffix
     compresses deterministically.
     """
-    columns = trace.columns()
-    _validate(trace.header, columns)
+    columns = trace.validate().columns()
     path = Path(path)
     with _open_write(path) as out:
         out.write(header_line(trace.header, len(columns)).encode("ascii"))

@@ -1,13 +1,13 @@
 """TraceRecorder: dump repro-trace files from live runs.
 
-The recorder sits on the same seams the tracer does — the gateway's
-front door for real app traffic (:meth:`ApiGateway.attach_recorder`,
-installed by :meth:`CloudProvider.enable_recording`) and the batched
-fleet engine's chunk loop (``run_fleet(..., recorder=...)``). It is
-pure observation: it draws from no RNG stream and advances no clock,
-so recording changes nothing billable — the run it records stays
-byte-identical to the unrecorded run, which is what makes the
-record→replay fixpoint test meaningful.
+The recorder has two seams: the gateway's front door for real app
+traffic (:meth:`ApiGateway.attach_recorder`, installed by
+:meth:`CloudProvider.enable_recording`) and the sharded fleet
+(``run_fleet_sharded(..., recorder=...)``). It is pure observation: it
+draws from no RNG stream and advances no clock, so recording changes
+nothing billable — the run it records stays byte-identical to the
+unrecorded run, which is what makes the record→replay fixpoint test
+meaningful.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable, Optional
 
+from repro.errors import ConfigurationError
 from repro.plan import DeploymentPlan
 from repro.sim.replay.format import (
     PLAN_META_DEFAULTS,
@@ -22,7 +23,9 @@ from repro.sim.replay.format import (
     PathLike,
     Trace,
     TraceColumns,
+    TraceEngine,
     TraceHeader,
+    engine_meta,
     meta_pairs,
     plan_meta,
     write_trace,
@@ -38,10 +41,10 @@ class TraceRecorder:
     """Accumulates trace columns from a live run, then emits a Trace.
 
     ``tenants`` declares the dense tenant space; events are appended to
-    the columns in whatever order the run produces them (the fleet
-    engine finishes tenant 0 before starting tenant 1) and :meth:`trace`
-    restores the canonical time order with one stable sort. No
-    :class:`~repro.sim.replay.format.TraceEvent` is built.
+    the columns in whatever order the run produces them (the sharded
+    fleet hands over shard 0's arrivals before shard 1's) and
+    :meth:`trace` restores the canonical time order with one stable
+    sort. No :class:`~repro.sim.replay.format.TraceEvent` is built.
     """
 
     def __init__(
@@ -54,6 +57,7 @@ class TraceRecorder:
         self._header = TraceHeader(
             name=name, seed=seed, tenants=tenants, meta=meta_pairs(meta)
         )
+        self._engine: Optional[TraceEngine] = None
         self._kinds = KindTable()
         self._columns = TraceColumns([], [], [], [], self._kinds.kinds)
 
@@ -70,13 +74,20 @@ class TraceRecorder:
         Default fields (S3, 448 MB, the 2017 book) are left implicit, so
         default traces keep their exact bytes and digests; any other
         value lands in ``meta["storage"]``, ``meta["memory_mb"]`` or
-        ``meta["price_book"]`` for the replayers to bill, or to refuse a
-        config that disagrees.
+        ``meta["price_book"]`` for the replay to bill.
         """
         meta = {key: value for key, value in self._header.meta_dict().items()
                 if key not in PLAN_META_DEFAULTS}
         meta.update(plan_meta(plan))
         self._header = replace(self._header, meta=meta_pairs(meta))
+
+    def set_engine(self, **fields) -> None:
+        """Note how the run drew (:class:`TraceEngine`'s fields), for the replay to draw alike.
+
+        :meth:`trace` writes the values a replay would not assume as flat
+        meta keys (:func:`~repro.sim.replay.format.engine_meta`).
+        """
+        self._engine = TraceEngine(**fields)
 
     def record(
         self,
@@ -116,26 +127,31 @@ class TraceRecorder:
         )
 
     def record_fleet_chunk(
-        self, tenant: int, timestamps: Iterable[int], payload_bytes: int
+        self, timestamps: Iterable[int], tenants: Iterable[int], payload_bytes: int
     ) -> None:
-        """The fleet-engine seam: one chunk of synthetic arrivals.
+        """The fleet seam: synthetic arrivals, one tenant id per timestamp.
 
-        Every arrival in the chunk shares the tenant's synthetic app and
-        payload size — exactly the shape :func:`repro.sim.scale.run_fleet`
-        bills — so replaying these events re-derives the same usage
-        quantities.
+        Every arrival shares the fleet's synthetic app and payload size —
+        exactly the shape the sharded fleet bills — so replaying these
+        events re-derives the same usage quantities.
         """
+        at, tenant = list(map(int, timestamps)), list(map(int, tenants))
+        if len(at) != len(tenant):
+            raise ConfigurationError(f"{len(at)} arrival times but {len(tenant)} tenant ids")
         columns = self._columns
-        start = len(columns)
-        columns.at.extend(map(int, timestamps))
-        count = len(columns) - start
-        columns.tenant.extend([tenant] * count)
+        count = len(at)
+        columns.at += at
+        columns.tenant += tenant
         columns.size.extend([payload_bytes] * count)
         columns.kind.extend([self._kinds.add(FLEET_APP, FLEET_ROUTE, "", ())] * count)
 
     def trace(self) -> Trace:
         """The recorded run as a canonical, validated trace."""
-        return Trace.from_columns(self._header, self._columns.time_sorted()).validate()
+        header = self._header
+        if self._engine is not None:
+            meta = {**header.meta_dict(), **engine_meta(self._engine, len(self))}
+            header = replace(header, meta=meta_pairs(meta))
+        return Trace.from_columns(header, self._columns.time_sorted()).validate()
 
     def write(self, path: PathLike) -> int:
         """Write the canonical trace file; returns the event count."""

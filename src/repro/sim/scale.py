@@ -12,9 +12,9 @@ tenant's :meth:`DiurnalWorkload.arrival_batches` chunks (RNG namespace
 whose latency blocks come from :meth:`LatencyModel.sample_block` under
 ``scale/tenant-<t>/<component>``, one stream per component, drawn in
 base, store, sqs order. These are the seed-era namespaces, so every
-golden invoice and arrival count holds byte for byte. The tracer and
-the trace recorder attach here and nowhere else; the scale-out engine
-is :mod:`repro.sim.shard`.
+golden invoice and arrival count holds byte for byte. It is the engine
+the span tracer attaches to (``bench-obs``); the engine that scales out,
+records traces and carries the metrics plane is :mod:`repro.sim.shard`.
 
 The module also hosts the chaos fleet (real chat stacks under fault
 injection) and the storage-backend ablation.
@@ -51,7 +51,6 @@ __all__ = [
     "ScaleConfig",
     "FleetResult",
     "run_fleet",
-    "tenant_sampler",
     "run_obs_benchmark",
     "HANDLER_COMPONENTS",
     "ChaosConfig",
@@ -134,7 +133,7 @@ class FleetResult:
         }
 
 
-def tenant_sampler(seed: int, tenant: int, components: Tuple[str, ...]) -> Sampler:
+def _tenant_sampler(seed: int, tenant: int, components: Tuple[str, ...]) -> Sampler:
     """A tenant's latency draws: one ``scale/tenant-<t>/<component>`` stream each."""
     models = {
         comp: LatencyModel(rng=SeededRng(seed, f"scale/tenant-{tenant}/{comp}"))
@@ -143,34 +142,13 @@ def tenant_sampler(seed: int, tenant: int, components: Tuple[str, ...]) -> Sampl
     return lambda comp, n, memory_mb: models[comp].sample_block(comp, n, memory_mb)
 
 
-def run_fleet(
-    config: ScaleConfig,
-    tracer: Tracer = None,
-    recorder=None,
-    health=None,
-) -> FleetResult:
+def run_fleet(config: ScaleConfig, tracer: Tracer = None) -> FleetResult:
     """Simulate the whole fleet tenant by tenant and price the month.
 
     ``tracer`` records the head-sampled requests as synthetic span trees
     via :meth:`Tracer.record_request` — the billing math and the
     unsampled fast path are untouched, which is what keeps the
     tracing-on invoice byte-identical.
-
-    ``recorder`` is a :class:`~repro.sim.replay.TraceRecorder` that
-    captures every arrival chunk as trace events. Recording is pure
-    observation — no RNG draw, no extra meter call — so the recorded
-    run's invoice is byte-identical to an unrecorded one, and replaying
-    the trace with the same config reproduces it exactly
-    (``tests/sim/test_replay.py``). The header notes the config's plan
-    wherever it differs from the default, so the replayers bill what the
-    run billed or refuse a config that disagrees.
-
-    ``health`` is a :class:`~repro.obs.metrics.MetricsPlane` that
-    accumulates every request's run time into ``fleet.request_us``
-    (log-bucketed histogram) and counts arrivals/billed ms. Same
-    contract as the tracer: pure observation over the already-sampled
-    latency blocks, so the metered invoice is byte-identical to an
-    unmetered one.
     """
     meter = BillingMeter()
     perf = PerfCounters()
@@ -178,8 +156,6 @@ def run_fleet(
     memory_mb = plan_memory_mb(config.plan)
     per_tenant: List[int] = []
     total_billed_ms = 0
-    if recorder is not None:
-        recorder.set_plan(config.plan)
     start = time.perf_counter()
     with perf.phase("simulate"):
         for tenant in range(config.tenants):
@@ -189,12 +165,10 @@ def run_fleet(
                 HOURLY_PROFILE_PERSONAL,
             )
             fold = Fold(
-                components, tenant_sampler(config.seed, tenant, components),
-                memory_mb, meter=meter, health=health,
+                components, _tenant_sampler(config.seed, tenant, components),
+                memory_mb, meter=meter,
             )
             for chunk in workload.arrival_batches(config.days, chunk=config.chunk):
-                if recorder is not None:
-                    recorder.record_fleet_chunk(tenant, chunk, config.payload_bytes)
                 blocks = fold.chunk(len(chunk))
                 if tracer is not None:
                     fold.trace(tracer, tenant, chunk, blocks)
@@ -584,7 +558,7 @@ def run_obs_benchmark(
     repeats: int = 5,
 ) -> Dict[str, object]:
     """Tracing-off vs tracing-on throughput of :func:`run_fleet`, the
-    batched per-tenant engine.
+    per-tenant engine.
 
     The acceptance budget is <10% overhead at the default 1/64 head
     sample rate. The run also proves tracing changed *nothing* billable

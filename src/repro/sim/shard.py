@@ -24,6 +24,10 @@ the sharded engine's *own* canonical stream — deterministic per seed,
 but not the per-tenant stream of :func:`repro.sim.scale.run_fleet`,
 whose seed-era goldens stay untouched.
 
+It is also the engine that records: :func:`run_fleet_sharded` feeds a
+:class:`~repro.sim.replay.TraceRecorder`, and replaying the trace
+reproduces the run's determinism digest (``tests/sim/test_plan_field.py``).
+
 Determinism contract (``tests/sim/test_shard_fleet.py``):
 
 1. **Worker-count invariance.** ``shard_of`` maps a tenant to its
@@ -73,6 +77,8 @@ from repro.units import DAYS_PER_MONTH
 
 __all__ = [
     "DEFAULT_LOGICAL_SHARDS",
+    "DEFAULT_CHUNK_EVENTS",
+    "DEFAULT_LATENCY_SAMPLES",
     "shard_of",
     "shard_tenants",
     "FleetConfig",
@@ -89,6 +95,9 @@ __all__ = [
 # workers — are the unit of determinism: a worker pool of any size
 # processes whole shards, so results can never depend on worker count.
 DEFAULT_LOGICAL_SHARDS = 64
+# Arrivals per fold chunk, and the fleet-wide latency samples kept.
+DEFAULT_CHUNK_EVENTS = 1 << 18
+DEFAULT_LATENCY_SAMPLES = 1 << 16
 
 _MASK64 = (1 << 64) - 1
 
@@ -178,8 +187,8 @@ class FleetConfig:
     seed: int = 2017
     payload_bytes: int = 2048
     logical_shards: int = DEFAULT_LOGICAL_SHARDS
-    chunk_events: int = 1 << 18
-    latency_samples: int = 1 << 16
+    chunk_events: int = DEFAULT_CHUNK_EVENTS
+    latency_samples: int = DEFAULT_LATENCY_SAMPLES
     plan: DeploymentPlan = DEFAULT_PLAN
     # GB of at-rest state per tenant: 0.0 (the default) meters no
     # storage-month usage at all, keeping pre-plan invoices byte-identical.
@@ -237,7 +246,7 @@ def _shard_rng(config: FleetConfig, shard_id: int, stream: str) -> SeededRng:
 
 
 def run_shard(
-    config: FleetConfig, shard_id: int, collect_health: bool = False
+    config: FleetConfig, shard_id: int, collect_health: bool = False, record: bool = False
 ) -> ShardResult:
     """Simulate one logical shard on the vectorized kernels.
 
@@ -254,6 +263,8 @@ def run_shard(
     ``fleet.billed_ms``, the ``fleet.request_us`` log histogram) and
     rides back on the result. Collection reads the already-computed
     latency blocks — no extra RNG draw — so billing stays byte-identical.
+    With ``record``, the result also carries the shard's arrivals as
+    ``at`` and global ``tenant`` columns, in draw order.
     """
     if not 0 <= shard_id < config.logical_shards:
         raise ConfigurationError(
@@ -276,16 +287,27 @@ def run_shard(
     )
     assign_rng = _shard_rng(config, shard_id, "assign")
     np = vecmath.numpy_or_none()
+    at_col: list = []
+    tenant_col: list = []
     for chunk in workload.arrival_batches_vec(config.days, chunk=config.chunk_events):
         assign = assign_rng.uniform_block(len(chunk))
         # u < 1.0 can still round up to n_t at large n_t; clamp.
         if isinstance(assign, list):
             tenants = [min(int(u * n_t), n_t - 1) for u in assign]
+            if record:
+                at_col += chunk
+                tenant_col += [tenant_ids[t] for t in tenants]
         else:
             tenants = (assign * n_t).astype(np.int64)
             np.minimum(tenants, n_t - 1, out=tenants)
+            if record:
+                at_col += chunk.tolist()
+                tenant_col += tenant_ids[tenants].tolist()
         fold.chunk(len(chunk), at=chunk, tenants=tenants)
-    return fold.result(shard_id, tenant_ids, fold.events * config.payload_bytes, start)
+    result = fold.result(shard_id, tenant_ids, fold.events * config.payload_bytes, start)
+    if record:
+        result.at, result.tenant = at_col, tenant_col
+    return result
 
 
 def merge_shards(config: FleetConfig, results: Sequence[ShardResult]) -> ShardedFleetResult:
@@ -397,10 +419,26 @@ def run_sharded(
     return merged
 
 
+def _record_shards(recorder, config: FleetConfig, results: Sequence[ShardResult]) -> None:
+    """Feed the shards' arrivals to ``recorder`` in shard-id order, then drop them.
+
+    The recorder's stable time sort then makes the trace the same on any
+    worker count.
+    """
+    recorder.set_plan(config.plan)
+    recorder.set_engine(latency_stream="fleet", chunk_events=config.chunk_events,
+                        logical_shards=config.logical_shards,
+                        sample_stride=config.sample_stride())
+    for result in sorted(results, key=lambda r: r.shard_id):
+        recorder.record_fleet_chunk(result.at, result.tenant, config.payload_bytes)
+        result.at = result.tenant = None
+
+
 def run_fleet_sharded(
     config: FleetConfig,
     workers: int = 1,
     collect_health: bool = False,
+    recorder=None,
 ) -> ShardedFleetResult:
     """Run every logical shard — inline or on a worker pool — and merge.
 
@@ -411,12 +449,29 @@ def run_fleet_sharded(
     ``collect_health``, each shard carries a local metrics plane and
     the merge folds them — the merged exposition is byte-identical
     across worker counts too (the digest gains ``exposition_sha256``).
+
+    ``recorder``, a :class:`~repro.sim.replay.TraceRecorder` over the
+    config's tenants, receives every arrival; replaying its trace with
+    the config's seed reproduces this run's determinism digest. A trace
+    cannot carry at-rest storage, so recording refuses a config that
+    meters ``storage_gb_per_tenant``.
     """
+    record = recorder is not None
+    if record and config.storage_gb_per_tenant > 0:
+        raise ConfigurationError("a trace cannot carry per-tenant storage")
+    if record and recorder.tenants != config.tenants:
+        raise ConfigurationError(
+            f"the recorder declares {recorder.tenants} tenants, the fleet runs {config.tenants}"
+        )
     jobs = [
-        (config, shard_id, collect_health)
+        (config, shard_id, collect_health, record)
         for shard_id in range(config.logical_shards)
     ]
-    return run_sharded(
-        run_shard, jobs, lambda results: merge_shards(config, results), workers
-    )
+
+    def merge(results: List[ShardResult]) -> ShardedFleetResult:
+        if record:
+            _record_shards(recorder, config, results)
+        return merge_shards(config, results)
+
+    return run_sharded(run_shard, jobs, merge, workers)
 

@@ -2,30 +2,31 @@
 
 The contracts pinned here:
 
-* attaching a :class:`MetricsPlane` to the per-tenant fleet engine does not
-  move the invoice — the golden bill holds with metrics on;
+* collecting health on the sharded fleet, and recording it, does not
+  move the bill — the golden bill (pinned before the fleet recorded
+  traces) holds with metrics and a recorder attached;
 * the plane's counters agree exactly with the engine's own totals;
 * sharded-fleet exposition is byte-identical across worker counts, and
   the determinism digest only grows an ``exposition_sha256`` key when
   health collection is on (metrics-off digests match the seed's);
 * record→replay extends to the health plane: replaying a recorded run
-  with the recording config reproduces the exposition byte-for-byte.
+  with the recording seed reproduces the exposition byte-for-byte.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import MetricsPlane
 from repro.plan import DeploymentPlan
-from repro.sim.replay import TraceRecorder, run_replay_batched, run_replay_sharded
-from repro.sim.scale import ScaleConfig, run_fleet
+from repro.sim.replay import ReplayConfig, TraceRecorder, run_replay_sharded
 from repro.sim.shard import FleetConfig, run_fleet_sharded
 
-GOLDEN_CONFIG = ScaleConfig(tenants=3, daily_requests=500.0, days=2.0, seed=99)
-GOLDEN_ARRIVALS = (1037, 938, 1047)
-GOLDEN_BILLED_MS = 428100
+GOLDEN_CONFIG = FleetConfig(tenants=3, daily_requests=500.0, days=2.0, seed=99,
+                            logical_shards=8)
+GOLDEN_ARRIVALS = [1031, 995, 1020]
+GOLDEN_BILLED_UNITS = 4322
 GOLDEN_TOTAL = "$0.02"
+GOLDEN_EXPOSITION = "d0560cbcbb0b2ee08aa3e4cf224b6a0d7d4b18fe02caf5a5320474ab4c0ebf45"
 
 SMOKE_FLEET = FleetConfig(
     tenants=200, daily_requests=4.0, days=1.0, seed=2017,
@@ -33,28 +34,35 @@ SMOKE_FLEET = FleetConfig(
 )
 
 
+def _recorded(config: FleetConfig, collect_health: bool = True, workers: int = 1):
+    recorder = TraceRecorder(name="health", seed=config.seed, tenants=config.tenants)
+    result = run_fleet_sharded(config, workers=workers, collect_health=collect_health,
+                               recorder=recorder)
+    return result, recorder.trace()
+
+
 class TestFleetMetricsArePureObservation:
     def test_golden_bill_holds_with_metrics_attached(self):
-        plane = MetricsPlane()
-        result = run_fleet(GOLDEN_CONFIG, health=plane)
-        assert result.per_tenant_arrivals == GOLDEN_ARRIVALS
-        assert result.total_billed_ms == GOLDEN_BILLED_MS
+        result, _ = _recorded(GOLDEN_CONFIG)
+        assert result.tenant_counts == GOLDEN_ARRIVALS
+        assert result.billed_units == GOLDEN_BILLED_UNITS
         assert result.invoice_total == GOLDEN_TOTAL
+        assert result.exposition_sha256() == GOLDEN_EXPOSITION
 
     def test_plane_totals_match_engine_totals(self):
-        plane = MetricsPlane()
-        result = run_fleet(GOLDEN_CONFIG, health=plane)
-        assert plane.counter("fleet.requests").value == result.arrivals
-        assert plane.counter("fleet.billed_ms").value == result.total_billed_ms
-        assert plane.histogram("fleet.request_us").count == result.arrivals
+        result, _ = _recorded(GOLDEN_CONFIG)
+        plane = result.health
+        assert plane.counter("fleet.requests").value == result.events
+        assert plane.counter("fleet.billed_ms").value == result.total_billed_ms()
+        assert plane.histogram("fleet.request_us").count == result.events
 
     def test_metrics_on_and_off_runs_agree(self):
-        bare = run_fleet(GOLDEN_CONFIG)
-        metered = run_fleet(GOLDEN_CONFIG, health=MetricsPlane())
-        assert bare.as_dict()["invoice_total"] == metered.as_dict()["invoice_total"]
-        assert bare.per_tenant_arrivals == metered.per_tenant_arrivals
+        bare = run_fleet_sharded(GOLDEN_CONFIG)
+        metered, _ = _recorded(GOLDEN_CONFIG)
+        digest = metered.determinism_digest()
+        assert digest.pop("exposition_sha256") == GOLDEN_EXPOSITION
+        assert digest == bare.determinism_digest()
         assert bare.samples_drawn == metered.samples_drawn
-        assert bare.meter_hits == metered.meter_hits
 
 
 class TestShardedFleetHealth:
@@ -88,25 +96,19 @@ class TestShardedFleetHealth:
 class TestReplayHealthFixpoint:
     @pytest.mark.parametrize("storage", ["s3", "dynamo"])
     def test_record_then_replay_reproduces_exposition_bytes(self, storage):
-        config = ScaleConfig(tenants=3, daily_requests=300.0, days=1.0, seed=13,
-                             plan=DeploymentPlan(storage=storage))
-        recorder = TraceRecorder(name="health", seed=config.seed,
-                                 tenants=config.tenants)
-        recorded_plane = MetricsPlane()
-        recorded = run_fleet(config, recorder=recorder, health=recorded_plane)
-        replay_plane = MetricsPlane()
-        replayed = run_replay_batched(recorder.trace(), config,
-                                      health=replay_plane)
+        config = FleetConfig(tenants=3, daily_requests=300.0, days=1.0, seed=13,
+                             logical_shards=8, plan=DeploymentPlan(storage=storage))
+        recorded, trace = _recorded(config)
+        replayed = run_replay_sharded(trace, ReplayConfig(seed=config.seed),
+                                      collect_health=True)
         assert replayed.invoice_total == recorded.invoice_total
-        assert recorded_plane.to_jsonl() == replay_plane.to_jsonl()
-        assert recorded_plane.to_prometheus() == replay_plane.to_prometheus()
+        assert recorded.health.to_jsonl() == replayed.health.to_jsonl()
+        assert recorded.health.to_prometheus() == replayed.health.to_prometheus()
 
     def test_sharded_replay_exposition_stable_across_workers(self):
-        config = ScaleConfig(tenants=6, daily_requests=200.0, days=1.0, seed=3)
-        recorder = TraceRecorder(name="health-sharded", seed=config.seed,
-                                 tenants=config.tenants)
-        run_fleet(config, recorder=recorder)
-        trace = recorder.trace()
+        config = FleetConfig(tenants=6, daily_requests=200.0, days=1.0, seed=3,
+                             logical_shards=8)
+        _, trace = _recorded(config, collect_health=False)
         one = run_replay_sharded(trace, workers=1, collect_health=True)
         two = run_replay_sharded(trace, workers=2, collect_health=True)
         assert one.health.to_jsonl() == two.health.to_jsonl()

@@ -4,7 +4,9 @@
   no plan accepts fails when the config is built, naming ``memory_mb``.
 * The ``config`` blocks the benchmarks write keep their keys and values.
 * Properties, each over a few small plans and configs:
-  - record→replay through ``run_replay_batched`` is a fixpoint;
+  - record→replay on the sharded engine is a fixpoint: the replay's
+    determinism digest, health exposition included, is the recording's,
+    on 1 and 2 workers and with numpy on and off;
   - ``trace_plan`` of a recorded header bills like the recording plan,
     and a default plan records nothing;
   - ``run_fleet_sharded`` and ``run_replay_sharded`` are byte-identical
@@ -13,13 +15,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import _optional
 from repro.errors import ConfigurationError
-from repro.obs.metrics import MetricsPlane
 from repro.plan import DEFAULT_PLAN, DeploymentPlan
 from repro.runtime.store import STORAGE_BACKENDS
 from repro.sim.fold import plan_memory_mb
@@ -27,12 +30,11 @@ from repro.sim.replay import (
     ReplayConfig,
     TraceRecorder,
     read_trace,
-    run_replay_batched,
     run_replay_sharded,
     trace_plan,
     write_trace,
 )
-from repro.sim.scale import ChaosConfig, ScaleConfig, run_fleet
+from repro.sim.scale import ChaosConfig, ScaleConfig
 from repro.sim.shard import FleetConfig, run_fleet_sharded
 
 CONFIGS = (ScaleConfig, ChaosConfig, FleetConfig)
@@ -50,9 +52,10 @@ def _bills(plan: DeploymentPlan):
     return plan.storage, plan_memory_mb(plan), plan.price_book
 
 
-def _record(config: ScaleConfig, health=None):
+def _record(config: FleetConfig, workers: int = 1, collect_health: bool = False):
     recorder = TraceRecorder(name="prop", seed=config.seed, tenants=config.tenants)
-    result = run_fleet(config, recorder=recorder, health=health)
+    result = run_fleet_sharded(config, workers=workers, collect_health=collect_health,
+                               recorder=recorder)
     return result, recorder.trace()
 
 
@@ -72,31 +75,44 @@ class TestPlanField:
 
 
 class TestPlanProperties:
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=10, deadline=None)
     @given(
         memory_mb=st.sampled_from((128, 448, 1024)),
         storage=st.sampled_from(STORAGE_BACKENDS),
-        chunk=st.sampled_from((16, 4096)),
-        tenants=st.integers(1, 3),
+        tenants=st.integers(1, 40),
+        chunk_events=st.sampled_from((7, 64, 1 << 18)),
+        logical_shards=st.sampled_from((1, 3, 64)),
+        latency_samples=st.sampled_from((50, 1 << 16)),
+        workers=st.sampled_from((1, 2)),
+        numpy=st.booleans(),
     )
-    def test_record_replay_is_a_fixpoint(self, memory_mb, storage, chunk, tenants):
-        config = ScaleConfig(
-            tenants=tenants, daily_requests=120.0, days=0.5, seed=31, chunk=chunk,
+    def test_record_replay_is_a_fixpoint(self, tmp_path_factory, memory_mb, storage, tenants,
+                                         chunk_events, logical_shards, latency_samples,
+                                         workers, numpy):
+        config = FleetConfig(
+            tenants=tenants, daily_requests=60.0, days=0.5, seed=31,
+            chunk_events=chunk_events, logical_shards=logical_shards,
+            latency_samples=latency_samples,
             plan=DeploymentPlan(memory_mb=memory_mb, storage=storage),
         )
-        recorded_plane, replay_plane = MetricsPlane(), MetricsPlane()
-        recorded, trace = _record(config, health=recorded_plane)
-        replayed = run_replay_batched(trace, config, health=replay_plane)
-        assert replayed.invoice_total == recorded.invoice_total
-        assert replayed.per_tenant_arrivals == recorded.per_tenant_arrivals
-        assert replayed.total_billed_ms == recorded.total_billed_ms
-        assert replay_plane.to_jsonl() == recorded_plane.to_jsonl()
+        path = tmp_path_factory.mktemp("fix") / "fix.jsonl.gz"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_optional, "_FORCE_FALLBACK", not numpy)
+            recorded, trace = _record(config, workers=workers, collect_health=True)
+            write_trace(path, trace)
+            replayed = run_replay_sharded(read_trace(path), ReplayConfig(seed=config.seed),
+                                          workers=workers, collect_health=True)
+        digest = replayed.determinism_digest()
+        assert digest.pop("trace_sha256") == trace.digest()
+        assert digest.pop("payload_bytes") == recorded.payload_bytes
+        assert "exposition_sha256" in digest
+        assert digest == recorded.determinism_digest()
 
     @settings(max_examples=20, deadline=None)
     @given(plan=plans)
     def test_the_header_bills_like_the_recording_plan(self, tmp_path_factory, plan):
         recorder = TraceRecorder(name="plan", seed=1, tenants=1)
-        recorder.record_fleet_chunk(0, [0, 5], 2048)
+        recorder.record_fleet_chunk([0, 5], [0, 0], 2048)
         recorder.set_plan(plan)
         path = tmp_path_factory.mktemp("plan") / "plan.jsonl"
         write_trace(path, recorder.trace())
@@ -109,9 +125,8 @@ class TestPlanProperties:
     def test_sharded_runs_ignore_workers_and_numpy(self, plan, tenants):
         fleet = FleetConfig(tenants=tenants, daily_requests=4.0, days=1.0, seed=7,
                             logical_shards=4, latency_samples=64, plan=plan)
-        _, trace = _record(ScaleConfig(tenants=3, daily_requests=80.0, days=0.5,
-                                       seed=7, plan=plan))
-        replay = ReplayConfig(seed=7, logical_shards=4, latency_samples=64)
+        _, trace = _record(replace(fleet, tenants=3, daily_requests=80.0, days=0.5))
+        replay = ReplayConfig(seed=7)
 
         def digests(workers):
             return (run_fleet_sharded(fleet, workers=workers).determinism_digest(),

@@ -3,12 +3,14 @@
 The load-bearing claims, each pinned here:
 
 * the trace format is canonical — same trace, same bytes, even through
-  gzip — and the validator rejects malformed files at the right line;
-* recording is pure observation — a recorded fleet run bills and counts
-  exactly like an unrecorded one;
-* record→replay is a fixpoint — replaying a recorded trace per tenant
-  reproduces the invoice, per-tenant counts, and SLA report
-  byte-for-byte, on every storage backend;
+  gzip — and the validator rejects malformed files at the right line,
+  engine keys in the header included;
+* recording is pure observation — a recorded sharded fleet run bills
+  and counts exactly like an unrecorded one;
+* record→replay is a fixpoint — replaying a recorded trace reproduces
+  the run's determinism digest (invoice, per-tenant counts, SLA report)
+  byte-for-byte, on every storage backend (the property over plans and
+  configs is in ``test_plan_field.py``);
 * sharded replay is byte-identical across worker counts and with or
   without numpy, and bills the storage backend the trace was recorded on;
 * chaos replay keeps the paper's SLA: 100% eventual delivery.
@@ -26,7 +28,7 @@ from repro import _optional
 from repro.cloud.billing import UsageKind
 from repro.cloud.pricing import PRICE_BOOKS, PRICES_2017
 from repro.errors import ConfigurationError
-from repro.plan import DEFAULT_PLAN, DeploymentPlan
+from repro.plan import DeploymentPlan
 from repro.sim.replay import (
     ReplayConfig,
     Trace,
@@ -37,7 +39,6 @@ from repro.sim.replay import (
     iter_trace,
     partition_trace,
     read_trace,
-    run_replay_batched,
     run_replay_chaos,
     run_replay_sharded,
     sort_events,
@@ -46,10 +47,17 @@ from repro.sim.replay import (
 )
 from repro.sim.replay import FLEET_APP, FLEET_ROUTE, TraceColumns, trace_digest
 from repro.sim.replay import replayer
-from repro.sim.replay.format import TraceHeader, event_line, header_line, meta_pairs
-from repro.sim.scale import ScaleConfig, run_fleet
+from repro.sim.replay.format import (
+    TraceEngine,
+    TraceHeader,
+    engine_meta,
+    event_line,
+    header_line,
+    meta_pairs,
+    trace_engine,
+)
 from repro.sim.scenarios import build_scenario
-from repro.sim.shard import shard_of
+from repro.sim.shard import FleetConfig, run_fleet_sharded, shard_of
 from repro.units import seconds
 
 
@@ -167,7 +175,20 @@ class TestFormat:
         assert edited.digest() != base.digest()
 
 
-FIXPOINT_CONFIG = ScaleConfig(tenants=4, daily_requests=300.0, days=1.0, seed=99)
+FIXPOINT_CONFIG = FleetConfig(tenants=4, daily_requests=300.0, days=1.0, seed=99,
+                              logical_shards=8)
+
+
+def _record(config: FleetConfig, name: str = "fix"):
+    """A recorded sharded run and its trace."""
+    recorder = TraceRecorder(name=name, seed=config.seed, tenants=config.tenants)
+    return run_fleet_sharded(config, recorder=recorder), recorder.trace()
+
+
+def _with_meta(trace: Trace, **keys) -> Trace:
+    """``trace`` with ``keys`` added to its header meta (an engine setting, say)."""
+    trace.header = replace(trace.header, meta=meta_pairs({**trace.header.meta_dict(), **keys}))
+    return trace
 
 
 class TestColumnValidation:
@@ -234,6 +255,33 @@ class TestColumnValidation:
         trace = Trace.from_columns(TraceHeader("c", 0, 1), columns)
         assert write_trace(tmp_path / "t.jsonl", trace) == 2
 
+    def test_a_transformed_trace_is_validated_once_on_its_way_to_disk(self, tmp_path,
+                                                                        monkeypatch):
+        from repro.sim.replay import format as trace_format
+        from repro.sim.scenarios import tenant_multiply
+
+        source = _small_trace(tenants=3)
+        calls = []
+        real = trace_format._validate
+        monkeypatch.setattr(trace_format, "_validate",
+                            lambda *args: calls.append(args) or real(*args))
+        write_trace(tmp_path / "t.jsonl.gz", tenant_multiply(source, 4))
+        assert len(calls) == 1
+
+    def test_handing_out_the_columns_drops_the_proof(self):
+        trace = Trace.from_columns(TraceHeader("c", 0, 1), TraceColumns(
+            [1, 2], [0, 0], [1, 1], [0, 0], [("a", "/r", "", ())])).validate()
+        trace.columns().tenant[1] = 5
+        with pytest.raises(TraceFormatError, match="names tenant 5 outside"):
+            trace.validate()
+
+    def test_an_events_trace_is_checked_on_every_call(self):
+        events = [TraceEvent(0, 0), TraceEvent(1, 0)]
+        trace = Trace(TraceHeader("e", 0, 1), events).validate()
+        events.append(TraceEvent(2, 3))
+        with pytest.raises(TraceFormatError, match="names tenant 3 outside"):
+            trace.validate()
+
     def test_a_new_header_drops_the_readers_proof(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_trace(path, _small_trace(tenants=3))
@@ -257,8 +305,9 @@ def _recordings(draw):
                           draw(st.sampled_from([FLEET_ROUTE, "/chat/send"])),
                           draw(st.integers(0, 5000)), draw(st.sampled_from(["", "dev"])), meta))
         else:
-            calls.append(("chunk", draw(st.integers(0, 3)),
-                          draw(st.lists(st.integers(0, 30), max_size=6)),
+            arrivals = draw(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 3)),
+                                     max_size=6))
+            calls.append(("chunk", [at for at, _ in arrivals], [t for _, t in arrivals],
                           draw(st.sampled_from([2048, 77]))))
     return calls
 
@@ -277,9 +326,10 @@ class TestRecorderOracle:
                 recorder.record(at, tenant, app, route, size, actor, meta)
                 events.append(TraceEvent(at, tenant, app, route, size, actor, meta_pairs(meta)))
             else:
-                _, tenant, timestamps, size = call
-                recorder.record_fleet_chunk(tenant, timestamps, size)
-                events += [TraceEvent(at, tenant, FLEET_APP, FLEET_ROUTE, size) for at in timestamps]
+                _, timestamps, tenants, size = call
+                recorder.record_fleet_chunk(timestamps, tenants, size)
+                events += [TraceEvent(at, tenant, FLEET_APP, FLEET_ROUTE, size)
+                           for at, tenant in zip(timestamps, tenants)]
         reference = Trace(TraceHeader("rec", 3, 4), sort_events(events)).validate()
         trace = recorder.trace()
         assert len(recorder) == len(events)
@@ -291,105 +341,113 @@ class TestRecorderOracle:
 
 class TestRecordReplayFixpoint:
     def test_recording_is_pure_observation(self):
-        plain = run_fleet(FIXPOINT_CONFIG)
-        recorder = TraceRecorder(
-            name="fix", seed=FIXPOINT_CONFIG.seed, tenants=FIXPOINT_CONFIG.tenants
-        )
-        recorded = run_fleet(FIXPOINT_CONFIG, recorder=recorder)
-        assert recorded.invoice_total == plain.invoice_total
-        assert recorded.per_tenant_arrivals == plain.per_tenant_arrivals
-        assert recorded.total_billed_ms == plain.total_billed_ms
-        assert len(recorder.trace().events) == plain.arrivals
+        plain = run_fleet_sharded(FIXPOINT_CONFIG)
+        recorded, trace = _record(FIXPOINT_CONFIG)
+        assert recorded.determinism_digest() == plain.determinism_digest()
+        assert len(trace.events) == plain.events
 
     @pytest.mark.parametrize("storage", ["s3", "dynamo"])
     def test_replay_reproduces_the_recorded_run(self, tmp_path, storage):
         config = replace(FIXPOINT_CONFIG, plan=DeploymentPlan(storage=storage))
-        recorder = TraceRecorder(name="fix", seed=config.seed, tenants=config.tenants)
-        recorded = run_fleet(config, recorder=recorder)
+        recorded, trace = _record(config)
         path = tmp_path / "fix.jsonl.gz"
-        recorder.write(path)
+        write_trace(path, trace)
 
-        replayed = run_replay_batched(read_trace(path), config)
+        replayed = run_replay_sharded(read_trace(path), ReplayConfig(seed=config.seed))
         # The fixpoint: invoice, per-tenant counts, billed time, and the
         # SLA report all byte-identical to the recorded run.
-        assert replayed.invoice_total == recorded.invoice_total
-        assert replayed.arrivals == recorded.arrivals
-        assert replayed.per_tenant_arrivals == recorded.per_tenant_arrivals
-        assert replayed.total_billed_ms == recorded.total_billed_ms
-        recorded_report = fleet_sla_report(recorded.arrivals)
+        digest = replayed.determinism_digest()
+        assert digest.pop("trace_sha256") == trace.digest()
+        assert digest.pop("payload_bytes") == recorded.payload_bytes
+        assert digest == recorded.determinism_digest()
         assert json.dumps(replayed.report, sort_keys=True) == \
-            json.dumps(recorded_report, sort_keys=True)
+            json.dumps(fleet_sla_report(recorded.events, recorded.latency), sort_keys=True)
 
-    def test_replay_rejects_a_storage_the_trace_was_not_recorded_on(self):
-        recorder = TraceRecorder(name="fix", seed=FIXPOINT_CONFIG.seed,
-                                 tenants=FIXPOINT_CONFIG.tenants)
-        run_fleet(replace(FIXPOINT_CONFIG, plan=DeploymentPlan(storage="dynamo")),
-                  recorder=recorder)
-        with pytest.raises(ConfigurationError, match="recorded on 'dynamo'"):
-            run_replay_batched(recorder.trace(), FIXPOINT_CONFIG)
+    def test_replay_draws_with_the_recording_seed_by_default(self):
+        config = replace(FIXPOINT_CONFIG, seed=11)
+        recorded, trace = _record(config)
+        digest = run_replay_sharded(trace).determinism_digest()
+        assert digest["billed_units"] == recorded.billed_units
+        assert digest["latency_p99_ms"] == recorded.determinism_digest()["latency_p99_ms"]
 
-    def test_edited_trace_bills_the_edited_bytes(self, tmp_path):
-        recorder = TraceRecorder(
-            name="fix", seed=FIXPOINT_CONFIG.seed, tenants=FIXPOINT_CONFIG.tenants
-        )
-        run_fleet(FIXPOINT_CONFIG, recorder=recorder)
-        trace = recorder.trace()
+    def test_edited_trace_bills_the_edited_bytes(self):
+        _, trace = _record(FIXPOINT_CONFIG)
         bigger = Trace(trace.header, [
             TraceEvent(e.at_micros, e.tenant, e.app, e.route, e.payload_bytes * 1000)
             for e in trace.events
         ])
-        baseline = run_replay_batched(trace, FIXPOINT_CONFIG)
-        inflated = run_replay_batched(bigger, FIXPOINT_CONFIG)
-        assert inflated.arrivals == baseline.arrivals
+        replay = ReplayConfig(seed=FIXPOINT_CONFIG.seed)
+        baseline = run_replay_sharded(trace, replay)
+        inflated = run_replay_sharded(bigger, replay)
+        assert inflated.events == baseline.events
         assert float(inflated.invoice_total.lstrip("$")) > \
             float(baseline.invoice_total.lstrip("$"))
+
+    def test_recording_refuses_storage_a_trace_cannot_carry(self):
+        config = replace(FIXPOINT_CONFIG, storage_gb_per_tenant=0.5)
+        recorder = TraceRecorder(name="fix", seed=config.seed, tenants=config.tenants)
+        with pytest.raises(ConfigurationError, match="cannot carry per-tenant storage"):
+            run_fleet_sharded(config, recorder=recorder)
+        assert len(recorder) == 0
+
+    def test_recording_refuses_a_recorder_of_another_fleet(self):
+        recorder = TraceRecorder(name="fix", seed=FIXPOINT_CONFIG.seed, tenants=3)
+        with pytest.raises(ConfigurationError, match="declares 3 tenants, the fleet runs 4"):
+            run_fleet_sharded(FIXPOINT_CONFIG, recorder=recorder)
+
+    def test_the_trace_is_the_same_on_any_worker_count(self, tmp_path):
+        paths = []
+        for workers in (1, 2):
+            recorder = TraceRecorder(name="fix", seed=FIXPOINT_CONFIG.seed,
+                                     tenants=FIXPOINT_CONFIG.tenants)
+            run_fleet_sharded(FIXPOINT_CONFIG, workers=workers, recorder=recorder)
+            paths.append(tmp_path / f"w{workers}.jsonl.gz")
+            write_trace(paths[-1], recorder.trace())
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestRecordedMemory:
     """A trace records a non-default Lambda size, and replay bills only that size."""
 
-    CONFIG = ScaleConfig(plan=DeploymentPlan(memory_mb=1024), tenants=4,
-                         daily_requests=2000.0, days=1.0, seed=99)
+    CONFIG = FleetConfig(plan=DeploymentPlan(memory_mb=1024), tenants=4,
+                         daily_requests=2000.0, days=1.0, seed=99, logical_shards=8)
 
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):
-        recorder = TraceRecorder(name="mem", seed=self.CONFIG.seed, tenants=self.CONFIG.tenants)
-        live = run_fleet(self.CONFIG, recorder=recorder)
+        live, trace = _record(self.CONFIG, name="mem")
         path = tmp_path_factory.mktemp("mem") / "mem.jsonl.gz"
-        recorder.write(path)
+        write_trace(path, trace)
         return live, read_trace(path)
+
+    @staticmethod
+    def _silent(trace: Trace) -> Trace:
+        """The trace as if its header did not record the size."""
+        meta = tuple((key, value) for key, value in trace.header.meta if key != "memory_mb")
+        return Trace.from_columns(replace(trace.header, meta=meta), trace.columns())
 
     def test_header_records_the_size(self, recorded):
         _, trace = recorded
-        assert trace.header.meta == (("memory_mb", 1024),)
+        assert trace.header.meta_dict()["memory_mb"] == 1024
         assert trace_plan(trace.header) == DeploymentPlan(memory_mb=1024)
 
-    def test_batched_replay_refuses_another_size(self, recorded):
-        _, trace = recorded
-        default = replace(self.CONFIG, plan=DEFAULT_PLAN)
-        with pytest.raises(ConfigurationError,
-                           match="recorded at 1024 MB, but the replay config bills 448 MB"):
-            run_replay_batched(trace, default)
-
-    def test_batched_replay_at_the_recorded_size_is_the_fixpoint(self, recorded):
+    def test_replay_at_the_recorded_size_is_the_fixpoint(self, recorded):
         live, trace = recorded
-        replayed = run_replay_batched(trace, self.CONFIG)
-        assert replayed.total_billed_ms == live.total_billed_ms
+        replayed = run_replay_sharded(trace, ReplayConfig(seed=self.CONFIG.seed))
+        assert replayed.billed_units == live.billed_units
         assert replayed.invoice_total == live.invoice_total
         # What replay billed before the header carried the size.
-        silent = Trace(replace(trace.header, meta=()), trace.events)
-        assert run_replay_batched(silent, replace(self.CONFIG, plan=DEFAULT_PLAN)) \
-            .total_billed_ms != live.total_billed_ms
+        silent = run_replay_sharded(self._silent(trace), ReplayConfig(seed=self.CONFIG.seed))
+        assert silent.meter.total(UsageKind.LAMBDA_GB_SECONDS) != \
+            live.meter.total(UsageKind.LAMBDA_GB_SECONDS)
 
     def test_sharded_replay_bills_the_recorded_size(self, recorded):
         _, trace = recorded
-        result = run_replay_sharded(trace, ReplayConfig(seed=99, logical_shards=8))
+        result = run_replay_sharded(trace, ReplayConfig(seed=99))
         assert result.events == len(trace)
         # 1024 MB is one GB: each billed 100 ms unit is 0.1 GB-second.
         assert result.meter.total(UsageKind.LAMBDA_GB_SECONDS) == \
             result.billed_units * 100 * (1024 / 1024) / 1000.0
-        silent = Trace(replace(trace.header, meta=()), trace.events)
-        at_448 = run_replay_sharded(silent, ReplayConfig(seed=99, logical_shards=8))
+        at_448 = run_replay_sharded(self._silent(trace), ReplayConfig(seed=99))
         assert at_448.meter.total(UsageKind.LAMBDA_GB_SECONDS) == \
             at_448.billed_units * 100 * (448 / 1024) / 1000.0
 
@@ -431,37 +489,29 @@ class TestRecordedPlan:
         )
         trace = read_trace(path)
         assert trace_plan(trace.header) == DeploymentPlan(storage="dynamo", memory_mb=1024)
-        result = run_replay_sharded(trace, ReplayConfig(seed=3, logical_shards=4))
+        result = run_replay_sharded(trace, ReplayConfig(seed=3))
         assert result.meter.total(UsageKind.DYNAMO_WRITES) == 3.0
         assert result.meter.total(UsageKind.S3_PUT) == 0.0
         assert result.meter.total(UsageKind.LAMBDA_GB_SECONDS) == \
             result.billed_units * 100 * (1024 / 1024) / 1000.0
-        batched = run_replay_batched(trace, ScaleConfig(
-            tenants=2, seed=3, plan=DeploymentPlan(storage="dynamo", memory_mb=1024)))
-        assert batched.per_tenant_arrivals == (2, 1)
+        assert result.tenant_counts == [2, 1]
 
     def test_header_records_a_non_default_price_book(self, monkeypatch):
         monkeypatch.setitem(PRICE_BOOKS, "2018", PRICES_2017)
         plan = DeploymentPlan(price_book="2018")
         config = replace(FIXPOINT_CONFIG, plan=plan)
-        recorder = TraceRecorder(name="book", seed=config.seed, tenants=config.tenants)
-        recorded = run_fleet(config, recorder=recorder)
-        trace = recorder.trace()
-        assert trace.header.meta == (("price_book", "2018"),)
+        recorded, trace = _record(config, name="book")
+        assert trace.header.meta_dict()["price_book"] == "2018"
         assert trace_plan(trace.header) == plan
-        assert run_replay_batched(trace, config).invoice_total == recorded.invoice_total
-        with pytest.raises(ConfigurationError,
-                           match="recorded with the '2018' price book, "
-                                 "but the replay config bills '2017'"):
-            run_replay_batched(trace, FIXPOINT_CONFIG)
+        replayed = run_replay_sharded(trace, ReplayConfig(seed=config.seed))
+        assert replayed.invoice_total == recorded.invoice_total
 
     def test_chaos_replay_deploys_the_recorded_plan(self, monkeypatch):
         from repro.apps import chat
 
-        config = ScaleConfig(tenants=1, daily_requests=20, days=0.5,
+        config = FleetConfig(tenants=1, daily_requests=20, days=0.5, logical_shards=1,
                              plan=DeploymentPlan(storage="dynamo", memory_mb=1024))
-        recorder = TraceRecorder(name="chaos-plan", seed=config.seed, tenants=1)
-        run_fleet(config, recorder=recorder)
+        _, trace = _record(config, name="chaos-plan")
         deployed = []
 
         def spy(*args, **kwargs):
@@ -471,12 +521,59 @@ class TestRecordedPlan:
 
         real = chat.chat_manifest
         monkeypatch.setattr(chat, "chat_manifest", spy)
-        record = run_replay_chaos(recorder.trace(), chaos=False)
+        record = run_replay_chaos(trace, chaos=False)
         assert record["fleet"]["eventual_delivery_rate"] == 1.0
         assert len(deployed) == 1
         (handler,) = [fn for fn in deployed[0].functions if fn.name_suffix == "handler"]
         assert handler.memory_mb == 1024
         assert ("DIY_STORAGE", "dynamo") in handler.environment
+
+
+class TestEngineKeys:
+    """The header keys that say how the sharded replay draws, and their one reader."""
+
+    @staticmethod
+    def _header(meta: str) -> str:
+        return ('{"format":"repro-trace","version":1,"name":"x","seed":0,'
+                f'"tenants":1,"events":0,"meta":{{{meta}}}}}\n')
+
+    @pytest.mark.parametrize("key", ["chunk_events", "logical_shards", "sample_stride"])
+    @pytest.mark.parametrize("value", ["0", "true", '"x"', "-3", "1.5"])
+    def test_the_reader_refuses_a_bad_count(self, tmp_path, key, value):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(self._header(f'"{key}":{value}'))
+        with pytest.raises(TraceFormatError,
+                           match=f"^trace line 1: trace meta {key} must be a positive int"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("value", ['"shard"', '"Fleet"', "0", "true"])
+    def test_the_reader_refuses_an_unknown_stream(self, tmp_path, value):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(self._header(f'"latency_stream":{value}'))
+        with pytest.raises(TraceFormatError,
+                           match="^trace line 1: trace meta latency_stream must be one of"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("key,value", [("logical_shards", 0), ("chunk_events", True),
+                                           ("latency_stream", "x")])
+    def test_the_writer_and_the_replay_refuse_what_the_reader_refuses(self, tmp_path, key,
+                                                                      value):
+        trace = _with_meta(_small_trace(), **{key: value})
+        with pytest.raises(TraceFormatError, match=f"trace meta {key} must be"):
+            write_trace(tmp_path / "t.jsonl", trace)
+        with pytest.raises(TraceFormatError, match=f"trace meta {key} must be"):
+            run_replay_sharded(trace)
+
+    def test_defaults_are_left_out_and_read_back(self):
+        engine = TraceEngine("replay", 1 << 18, 64, 3)
+        assert engine_meta(engine, 3 << 16) == {}
+        assert engine_meta(engine, 1 << 16) == {"sample_stride": 3}
+        header = TraceHeader("x", 0, 1, events=3 << 16)
+        assert trace_engine(header) == engine
+        fleet = TraceEngine("fleet", 16, 8, 1)
+        meta = engine_meta(fleet, 10)
+        assert meta == {"latency_stream": "fleet", "chunk_events": 16, "logical_shards": 8}
+        assert trace_engine(replace(header, meta=meta_pairs(meta)), 10) == fleet
 
 
 def _no_shard_may_run(*args, **kwargs):
@@ -494,8 +591,8 @@ class TestShardedReplay:
             assert ats == sorted(ats)  # trace order survives partitioning
 
     def test_byte_identical_across_worker_counts(self):
-        trace = build_scenario("backup-day", seed=5)
-        config = ReplayConfig(seed=5, logical_shards=16)
+        trace = _with_meta(build_scenario("backup-day", seed=5), logical_shards=16)
+        config = ReplayConfig(seed=5)
         digests = [
             run_replay_sharded(trace, config, workers=w).determinism_digest()
             for w in (1, 2, 4)
@@ -503,8 +600,8 @@ class TestShardedReplay:
         assert digests[0] == digests[1] == digests[2]
 
     def test_byte_identical_without_numpy(self, monkeypatch):
-        trace = build_scenario("mailing-list-storm", seed=3)
-        config = ReplayConfig(seed=3, logical_shards=8)
+        trace = _with_meta(build_scenario("mailing-list-storm", seed=3), logical_shards=8)
+        config = ReplayConfig(seed=3)
         with_numpy = run_replay_sharded(trace, config).determinism_digest()
         monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
         assert run_replay_sharded(trace, config).determinism_digest() == with_numpy
@@ -514,17 +611,18 @@ class TestShardedReplay:
                                                            force_fallback):
         path = tmp_path / "late.jsonl"
         write_trace(path, Trace(TraceHeader("late", 1, 2), [TraceEvent(0, 0), TraceEvent(2**63, 1)]))
-        trace = read_trace(path)
+        trace = _with_meta(read_trace(path), logical_shards=4)
         monkeypatch.setattr(_optional, "_FORCE_FALLBACK", force_fallback)
         monkeypatch.setattr(replayer, "replay_shard", _no_shard_may_run)
         with pytest.raises(TraceFormatError, match=(
             r"^trace 'late': timestamp 9223372036854775808 is not below 2\*\*63 micros"
         )):
-            run_replay_sharded(trace, ReplayConfig(seed=1, logical_shards=4))
+            run_replay_sharded(trace, ReplayConfig(seed=1))
 
     def test_the_last_int64_timestamp_replays_alike_without_numpy(self, monkeypatch):
-        trace = Trace(TraceHeader("edge", 1, 2), [TraceEvent(0, 0), TraceEvent(2**63 - 1, 1)])
-        config = ReplayConfig(seed=1, logical_shards=4)
+        trace = Trace(TraceHeader("edge", 1, 2, meta=(("logical_shards", 4),)),
+                      [TraceEvent(0, 0), TraceEvent(2**63 - 1, 1)])
+        config = ReplayConfig(seed=1)
         with_numpy = run_replay_sharded(trace, config).determinism_digest()
         monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
         assert run_replay_sharded(trace, config).determinism_digest() == with_numpy
@@ -544,14 +642,13 @@ class TestShardedReplay:
         ("dynamo", UsageKind.DYNAMO_WRITES, UsageKind.S3_PUT),
     ])
     def test_bills_the_recorded_storage_backend(self, tmp_path, storage, write, absent):
-        config = ScaleConfig(tenants=3, daily_requests=300.0, days=1.0, seed=5,
-                             plan=DeploymentPlan(storage=storage))
-        recorder = TraceRecorder(name="store", seed=config.seed, tenants=config.tenants)
-        recorded = run_fleet(config, recorder=recorder)
+        config = FleetConfig(tenants=3, daily_requests=300.0, days=1.0, seed=5,
+                             logical_shards=8, plan=DeploymentPlan(storage=storage))
+        recorded, trace = _record(config, name="store")
         path = tmp_path / "store.jsonl.gz"
-        recorder.write(path)
-        result = run_replay_sharded(read_trace(path), ReplayConfig(seed=5, logical_shards=8))
-        assert result.events == recorded.arrivals
+        write_trace(path, trace)
+        result = run_replay_sharded(read_trace(path), ReplayConfig(seed=5))
+        assert result.events == recorded.events
         assert result.meter.total(write) == float(result.events)
         assert result.meter.total(absent) == 0.0
 

@@ -143,7 +143,7 @@ class TestTransforms:
     def test_transforms_compose_and_stay_replayable(self):
         base = build_scenario("viral-groupchat", seed=4)
         composed = tenant_multiply(time_scale(base, 2.0), 2)
-        result = run_replay_sharded(composed, ReplayConfig(seed=4, logical_shards=8))
+        result = run_replay_sharded(composed, ReplayConfig(seed=4))
         assert result.events == len(composed.events)
 
     def test_transforms_are_deterministic(self):

@@ -91,6 +91,27 @@ class TestReplayCli:
                   if line.startswith("Trace sha256")][0]
         assert digest in replayed
 
+    def test_record_and_both_replays_bill_alike(self, capsys, tmp_path):
+        trace = str(tmp_path / "t.jsonl.gz")
+        rec_metrics, rep_metrics = tmp_path / "rec.jsonl", tmp_path / "rep.jsonl"
+        runs = [
+            ["record", "--tenants", "3", "--daily-requests", "300", "--days", "0.5",
+             "--seed", "11", "--chunk", "64", "--out", trace,
+             "--metrics", "--metrics-out", str(rec_metrics)],
+            ["replay", trace],
+            ["replay", trace, "--workers", "2"],
+            ["replay", trace, "--metrics", "--metrics-out", str(rep_metrics)],
+        ]
+        bills = []
+        for argv in runs:
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            bills.append([line.split()[-1] for line in out.splitlines()
+                          if line.startswith(("Billed units ", "Invoice "))])
+        assert len(bills[0]) == 2
+        assert bills == [bills[0]] * len(runs)
+        assert rec_metrics.read_bytes() == rep_metrics.read_bytes()
+
     def test_replay_scenario_by_name(self, capsys):
         assert main(["replay", "--scenario", "viral-groupchat"]) == 0
         out = capsys.readouterr().out
