@@ -3,8 +3,9 @@
 numpy is an accelerator, never a requirement. The fleet kernels
 (:mod:`repro.sim.vecmath` and its callers), the ChaCha20 lanes
 (:mod:`repro.crypto.chacha20`), the Poly1305 lanes
-(:mod:`repro.crypto.poly1305`) and the histogram's block observe
-(:meth:`repro.obs.metrics.Histogram.observe_block`) each have a
+(:mod:`repro.crypto.poly1305`), the histogram's block observe
+(:meth:`repro.obs.metrics.Histogram.observe_block`) and the trace
+reader's block decoder (:mod:`repro.sim.replay.format`) each have a
 pure-python twin with bitwise-identical output, and ask
 :func:`numpy_or_none` which one to run; no other module of
 ``src/repro`` imports numpy (``make lint`` checks). The module sits

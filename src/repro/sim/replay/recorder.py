@@ -55,7 +55,7 @@ class TraceRecorder:
         meta: Optional[Dict[str, object]] = None,
     ):
         self._header = TraceHeader(
-            name=name, seed=seed, tenants=tenants, meta=meta_pairs(meta)
+            name=name, seed=seed, tenants=tenants, meta=meta
         )
         self._engine: Optional[TraceEngine] = None
         self._kinds = KindTable()
@@ -79,7 +79,7 @@ class TraceRecorder:
         meta = {key: value for key, value in self._header.meta_dict().items()
                 if key not in PLAN_META_DEFAULTS}
         meta.update(plan_meta(plan))
-        self._header = replace(self._header, meta=meta_pairs(meta))
+        self._header = replace(self._header, meta=meta)
 
     def set_engine(self, **fields) -> None:
         """Note how the run drew (:class:`TraceEngine`'s fields), for the replay to draw alike.
@@ -150,7 +150,7 @@ class TraceRecorder:
         header = self._header
         if self._engine is not None:
             meta = {**header.meta_dict(), **engine_meta(self._engine, len(self))}
-            header = replace(header, meta=meta_pairs(meta))
+            header = replace(header, meta=meta)
         return Trace.from_columns(header, self._columns.time_sorted()).validate()
 
     def write(self, path: PathLike) -> int:

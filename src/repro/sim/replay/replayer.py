@@ -59,7 +59,7 @@ from repro.sim.replay.format import (
 )
 from repro.sim.rng import SeededRng
 from repro.sim.scale import ChaosTenant, chaos_rollup
-from repro.sim.shard import DEFAULT_LOGICAL_SHARDS, run_sharded, shard_of
+from repro.sim.shard import DEFAULT_LOGICAL_SHARDS, run_sharded, shard_ids, shard_of
 from repro.units import seconds
 
 __all__ = [
@@ -89,7 +89,9 @@ class ReplayConfig:
 _INT64_LIMIT = 1 << 63
 
 # A shard's slice of a trace, as parallel integer columns (picklable,
-# vectorizable): arrival micros, tenant ids, payload bytes.
+# vectorizable): arrival micros, tenant ids, payload bytes. Under numpy
+# they are int64 arrays (payloads past int64 in an object array), else
+# lists of ``int``.
 ShardColumns = Tuple[List[int], List[int], List[int]]
 
 
@@ -102,19 +104,43 @@ def partition_trace(trace: Trace, shards: int = DEFAULT_LOGICAL_SHARDS) -> List[
     partitioning, which is what makes sharded replay byte-identical on
     any pool size. The trace's columns feed it; no event is built.
 
+    Under numpy the columns stay int64 arrays (a trace read under numpy
+    already holds them; list columns are converted once). Each event's
+    shard id is gathered from the cached shard map
+    (:func:`~repro.sim.shard.shard_ids`) as ``uint8`` when there are at
+    most 256 shards, and one stable argsort of the ids orders every
+    column by shard. On the ``replay-iot`` trace (505,551 events, 64
+    shards; 2-vCPU x86-64 host, best of 5) that takes 11 ms, where the
+    loop over a dict it replaced took 57 ms: numpy sorts the ``uint8``
+    ids by radix in 1.8 ms, where int64 ids take 27 ms. Without numpy
+    the loop remains, and its lists hold the same values.
+
     The shard kernels hold arrival times as int64 under numpy, so a
     trace whose last timestamp reaches ``2**63`` raises
     :class:`TraceFormatError` here, with or without numpy.
     """
     if shards <= 0:
         raise ConfigurationError(f"shard count must be positive, got {shards}")
-    columns = trace.columns()
+    columns = trace.readonly_columns()
     # Timestamps are non-decreasing, so the last one is the largest.
     if len(columns) and columns.at[-1] >= _INT64_LIMIT:
         raise TraceFormatError(
-            f"trace {trace.header.name!r}: timestamp {columns.at[-1]} is not below "
+            f"trace {trace.header.name!r}: timestamp {int(columns.at[-1])} is not below "
             f"2**63 micros, the sharded replay's int64 limit"
         )
+    np = vecmath.numpy_or_none()
+    if np is not None:
+        at = np.asarray(columns.at, dtype=np.int64)
+        tenant = np.asarray(columns.tenant, dtype=np.int64)
+        try:
+            size = np.asarray(columns.size, dtype=np.int64)
+        except OverflowError:  # a payload past int64 keeps its exact int
+            size = np.asarray(columns.size, dtype=object)
+        owners = shard_ids(np, tenant, trace.header.tenants, shards)
+        order = np.argsort(owners, kind="stable")
+        cuts = np.cumsum(np.bincount(owners, minlength=shards))[:-1]
+        return list(zip(*(np.split(column[order], cuts) for column in (at, tenant, size))))
+    columns = columns.lists()
     parts: List[ShardColumns] = [([], [], []) for _ in range(shards)]
     shard_cache: Dict[int, ShardColumns] = {}
     for at, tenant, size in zip(columns.at, columns.tenant, columns.size):
@@ -165,7 +191,16 @@ def replay_shard(
     for lo in range(0, len(at_col), chunk):
         hi = min(lo + chunk, len(at_col))
         fold.chunk(hi - lo, at=at_col[lo:hi], tenants=tenants[lo:hi])
-    return fold.result(shard_id, tenant_ids, sum(payload_col), start)
+    return fold.result(shard_id, tenant_ids, _payload_sum(payload_col), start)
+
+
+def _payload_sum(column) -> int:
+    """A payload column's exact sum; an int64 array is summed in int64 only where it cannot overflow."""
+    if type(column) is list or column.dtype == object:
+        return sum(column)
+    if len(column) and int(column.max()) > (_INT64_LIMIT - 1) // len(column):
+        return sum(column.tolist())
+    return int(column.sum())
 
 
 def merge_replay(

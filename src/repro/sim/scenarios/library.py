@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.errors import ConfigurationError
-from repro.sim.replay.format import Trace, TraceEvent, TraceHeader, sort_events
+from repro.sim.replay.format import Trace, TraceEvent, TraceHeader, meta_pairs, sort_events
 from repro.sim.replay.replayer import ReplayConfig, run_replay_sharded
 from repro.sim.rng import SeededRng
 from repro.units import MICROS_PER_HOUR, MICROS_PER_MINUTE, MICROS_PER_SECOND
@@ -87,7 +87,7 @@ def flash_crowd(seed: int = DEFAULT_SCENARIO_SEED) -> Trace:
             at_micros=peak + round(decay_hours * MICROS_PER_HOUR),
             tenant=tenant, app="web", route="/web/page",
             payload_bytes=crowd.randint(600, 2400),
-            meta={"phase": "crowd"},
+            meta=meta_pairs({"phase": "crowd"}),
         ))
     header = TraceHeader("flash-crowd", seed, tenants,
                          meta={"hot_tenant": hot})
@@ -112,7 +112,7 @@ def viral_groupchat(seed: int = DEFAULT_SCENARIO_SEED) -> Trace:
         events.append(TraceEvent(
             at_micros=at, tenant=tenant, app="chat", route="/chat/send",
             payload_bytes=rng.randint(200, 1800), actor=actor,
-            meta={"generation": generation},
+            meta=meta_pairs({"generation": generation}),
         ))
         # Early generations spread hard, then the meme fatigues.
         mean_shares = max(3.2 * (0.8 ** generation), 0.05)
@@ -200,7 +200,7 @@ def mailing_list_storm(seed: int = DEFAULT_SCENARIO_SEED) -> Trace:
                         at_micros=at, tenant=tenant, app="email",
                         route="/email/outbound",
                         payload_bytes=lrng.randint(4_000, 40_000),
-                        actor=sender, meta={"wave": wave},
+                        actor=sender, meta=meta_pairs({"wave": wave}),
                     ))
                 at += round(lrng.expovariate(30.0) * MICROS_PER_HOUR)  # ~2 min
             wave_replies = max(1, _poisson(lrng, max(6.0 - 1.5 * wave, 0.4)))
@@ -224,7 +224,7 @@ def backup_day(seed: int = DEFAULT_SCENARIO_SEED) -> Trace:
                     at_micros=at, tenant=tenant, app="filetransfer",
                     route="/xfer/upload",
                     payload_bytes=trng.randint(48_000, 66_000),
-                    actor="backup-agent", meta={"file": file_no},
+                    actor="backup-agent", meta=meta_pairs({"file": file_no}),
                 ))
                 at += trng.randint(40_000, 400_000)  # 40–400 ms between chunks
             at += round(trng.expovariate(60.0) * MICROS_PER_HOUR)  # ~1 min between files

@@ -80,6 +80,7 @@ __all__ = [
     "DEFAULT_CHUNK_EVENTS",
     "DEFAULT_LATENCY_SAMPLES",
     "shard_of",
+    "shard_ids",
     "shard_tenants",
     "FleetConfig",
     "ShardResult",
@@ -126,20 +127,37 @@ def shard_of(tenant_id: int, shards: int = DEFAULT_LOGICAL_SHARDS) -> int:
 _shard_maps: Dict[Tuple[int, int], object] = {}
 
 
+def _hash_shards(np, ids, shards: int):
+    """``shard_of(t, shards)`` for each ``t`` of a uint64 array, in the narrowest unsigned dtype."""
+    x = (ids + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(_MASK64)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    x = x ^ (x >> np.uint64(31))
+    return (x % np.uint64(shards)).astype(np.min_scalar_type(shards - 1))
+
+
 def _shard_map(np, tenants: int, shards: int):
     """``shard_of(t, shards)`` for every ``t`` in ``range(tenants)`` (cached)."""
     key = (tenants, shards)
     owners = _shard_maps.get(key)
     if owners is None:
-        ids = np.arange(tenants, dtype=np.uint64)
-        x = (ids + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(_MASK64)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        x = x ^ (x >> np.uint64(31))
-        owners = (x % np.uint64(shards)).astype(np.min_scalar_type(shards - 1))
+        owners = _hash_shards(np, np.arange(tenants, dtype=np.uint64), shards)
         _shard_maps.clear()
         _shard_maps[key] = owners
     return owners
+
+
+def shard_ids(np, tenant_ids, tenants: int, shards: int):
+    """``shard_of(t, shards)`` for each ``t`` of an int64 array, in the narrowest unsigned dtype.
+
+    Ids of a fleet of ``tenants`` read the cached shard map when it is
+    no larger than the array; any others are hashed as they are (a
+    negative id wraps to uint64 as ``shard_of`` masks it).
+    """
+    if (len(tenant_ids) and tenants <= len(tenant_ids)
+            and int(tenant_ids.min()) >= 0 and int(tenant_ids.max()) < tenants):
+        return _shard_map(np, tenants, shards)[tenant_ids]
+    return _hash_shards(np, tenant_ids.astype(np.uint64), shards)
 
 
 def shard_tenants(

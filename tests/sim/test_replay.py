@@ -56,7 +56,7 @@ from repro.sim.replay.format import (
     meta_pairs,
     trace_engine,
 )
-from repro.sim.scenarios import build_scenario
+from repro.sim.scenarios import build_scenario, tenant_multiply
 from repro.sim.shard import FleetConfig, run_fleet_sharded, shard_of
 from repro.units import seconds
 
@@ -585,7 +585,9 @@ class TestShardedReplay:
         trace = build_scenario("backup-day", seed=5)
         shards = partition_trace(trace, shards=16)
         assert sum(len(col[0]) for col in shards) == len(trace.events)
-        for shard_id, (ats, tenants, payloads) in enumerate(shards):
+        for shard_id, columns in enumerate(shards):
+            # int64 arrays under numpy: compare their values as ints.
+            ats, tenants, payloads = (list(map(int, column)) for column in columns)
             assert len(ats) == len(tenants) == len(payloads)
             assert all(shard_of(t, 16) == shard_id for t in tenants)
             assert ats == sorted(ats)  # trace order survives partitioning
@@ -651,6 +653,74 @@ class TestShardedReplay:
         assert result.events == recorded.events
         assert result.meter.total(write) == float(result.events)
         assert result.meter.total(absent) == 0.0
+
+
+def _shard_values(parts):
+    """Per-shard columns as lists of ``int``, whatever holds them."""
+    return [[list(map(int, column)) for column in part] for part in parts]
+
+
+class TestArrayPartition:
+    """The numpy partition against the no-numpy loop, on read (int64) and built (list) columns."""
+
+    @pytest.mark.parametrize("shards", [1, 64, 300])
+    @pytest.mark.parametrize("source", ["read", "built"])
+    def test_same_shards_with_and_without_numpy(self, tmp_path, monkeypatch, shards, source):
+        trace = tenant_multiply(build_scenario("iot-fleet", seed=3), 12)
+        if source == "read":
+            path = tmp_path / "t.jsonl.gz"
+            write_trace(path, trace)
+            trace = read_trace(path)
+            assert type(trace.readonly_columns().at) is not list
+        with_numpy = partition_trace(trace, shards)
+        assert all(column.dtype.name == "int64" for part in with_numpy for column in part)
+        monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
+        without = partition_trace(trace, shards)
+        assert all(type(column) is list for part in without for column in part)
+        assert _shard_values(with_numpy) == _shard_values(without)
+        assert len(without) == shards
+        tenants = trace.columns().tenant
+        for shard_id, (_, shard_tenants, _) in enumerate(without):
+            assert all(shard_of(t, shards) == shard_id for t in shard_tenants)
+        assert sum(len(part[0]) for part in without) == len(tenants)
+
+    def test_tenants_past_the_header_hash_alike(self, monkeypatch):
+        # Many declared tenants and few events: the ids are hashed, not mapped.
+        trace = Trace(TraceHeader("sparse", 1, 10**12),
+                      [TraceEvent(i, tenant) for i, tenant in enumerate([5, 10**12 - 1, 7, 5])])
+        with_numpy = _shard_values(partition_trace(trace, 8))
+        monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
+        assert with_numpy == _shard_values(partition_trace(trace, 8))
+
+    def test_a_payload_past_int64_is_summed_exactly(self, monkeypatch):
+        trace = Trace(TraceHeader("fat", 1, 2, meta=(("logical_shards", 2),)),
+                      [TraceEvent(0, 0, payload_bytes=2**70), TraceEvent(1, 1, payload_bytes=3),
+                       TraceEvent(2, 0, payload_bytes=2**62)])
+        result = run_replay_sharded(trace, ReplayConfig(seed=1))
+        assert result.payload_bytes == 2**70 + 3 + 2**62
+        monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
+        assert run_replay_sharded(trace, ReplayConfig(seed=1)).determinism_digest() == \
+            result.determinism_digest()
+
+    def test_a_read_trace_replays_alike_without_numpy(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.jsonl.gz"
+        write_trace(path, _with_meta(build_scenario("iot-fleet", seed=3), logical_shards=8))
+        with_numpy = run_replay_sharded(read_trace(path)).determinism_digest()
+        monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
+        assert run_replay_sharded(read_trace(path)).determinism_digest() == with_numpy
+
+    @pytest.mark.parametrize("force_fallback", [False, True])
+    def test_the_int64_limit_keeps_its_wording(self, tmp_path, monkeypatch, force_fallback):
+        path = tmp_path / "late.jsonl.gz"
+        write_trace(path, Trace(TraceHeader("late", 1, 2),
+                                [TraceEvent(0, 0), TraceEvent(2**63 - 1, 1), TraceEvent(2**63, 0)]))
+        monkeypatch.setattr(_optional, "_FORCE_FALLBACK", force_fallback)
+        with pytest.raises(TraceFormatError) as info:
+            partition_trace(read_trace(path))
+        assert str(info.value) == (
+            "trace 'late': timestamp 9223372036854775808 is not below 2**63 micros, "
+            "the sharded replay's int64 limit"
+        )
 
 
 class TestChaosReplay:

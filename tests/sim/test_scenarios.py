@@ -9,6 +9,7 @@ serialization shows up here as a digest break and must be deliberate
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import pytest
@@ -20,6 +21,7 @@ from repro.sim.replay import (
     Trace,
     TraceEvent,
     TraceHeader,
+    read_trace,
     run_replay_sharded,
     sort_events,
     trace_digest,
@@ -79,6 +81,24 @@ class TestLibraryGoldens:
             assert catalog[name]["tenants"] == tenants
             assert catalog[name]["events"] == events
             assert catalog[name]["trace_sha256"] == digest
+
+    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    def test_a_built_trace_equals_its_written_copy(self, tmp_path, name):
+        built = build_scenario(name, seed=2017)
+        hash(built.header)
+        path = tmp_path / f"{name}.jsonl.gz"
+        write_trace(path, built)
+        read = read_trace(path)
+        # A built header declares no event count; the written one does.
+        assert read == Trace(replace(built.header, events=len(built)), built.events)
+        assert read.digest() == built.digest() == GOLDENS[name][2]
+        assert hash(read.header) == hash(replace(built.header, events=len(built)))
+
+    def test_a_header_given_a_mapping_holds_sorted_pairs(self):
+        header = TraceHeader("h", 0, 1, meta={"b": 2, "a": 1})
+        assert header.meta == (("a", 1), ("b", 2))
+        assert header == TraceHeader("h", 0, 1, meta=(("a", 1), ("b", 2)))
+        assert hash(header) == hash(TraceHeader("h", 0, 1, meta=(("a", 1), ("b", 2))))
 
     def test_different_seed_different_trace(self):
         assert build_scenario("backup-day", seed=1).digest() != \

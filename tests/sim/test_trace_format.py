@@ -9,7 +9,9 @@
 * A ``.gz`` write closes every handle it opens and compresses to the
   same bytes as a text-mode writer over :class:`gzip.GzipFile`.
 * The block reader agrees with a line-by-line reference reader on every
-  file, canonical or not: length, columns, events, digest and errors.
+  file, canonical or not: length, columns, events, digest and errors,
+  with numpy and without; the numpy block decoder reads drawn blocks
+  exactly as the ``findall`` decoder does.
 * A line the canonical pattern matches is exactly the formatter's line
   for the fields ``json.loads`` decodes from it.
 """
@@ -30,6 +32,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import _optional
 from repro.sim.replay import (
     Trace,
     TraceEvent,
@@ -133,7 +136,11 @@ def _odd_events(draw) -> TraceEvent:
 _SETTINGS = settings(max_examples=150, deadline=None,
                      suppress_health_check=[HealthCheck.function_scoped_fixture])
 # Each example of the reader oracle writes a file and reads it three ways.
-_READ_SETTINGS = settings(_SETTINGS, max_examples=60)
+# Its tests also run from a subclass with numpy off, a second executor.
+_READ_SETTINGS = settings(
+    _SETTINGS, max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.differing_executors],
+)
 
 
 class TestFormatterOracle:
@@ -496,6 +503,119 @@ class TestBlockReaderOracle:
                   '"tenants":4,"version":1}' % len(events))
         path.write_text("\n".join([header, *map(event_line, events)]) + "\n")
         _assert_reads_like_reference(path)
+
+
+class TestBlockReaderOracleWithoutNumpy(TestBlockReaderOracle):
+    """The same oracle with numpy off: the ``findall`` decoder reads every canonical block."""
+
+    @pytest.fixture(autouse=True)
+    def _no_numpy(self, monkeypatch):
+        monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
+
+
+# -- the numpy block decoder against the findall decoder ------------------
+
+_names = st.text(alphabet=st.sampled_from(list("ab-/~ 0")), max_size=4)
+_short_numbers = st.one_of(
+    st.integers(0, 99),
+    st.integers(10**17, 10**18 - 1),  # 18 digits: the numpy decoder's widest
+)
+_wide_numbers = st.one_of(
+    _short_numbers,
+    st.integers(10**18, 10**19 - 1),  # 19 digits: only the findall decoder's
+    st.just(2**63 - 1),
+)
+
+
+@st.composite
+def _drawn_files(draw) -> str:
+    """A header and drawn event lines, ending in LF or CRLF.
+
+    Each file draws which oddities it may hold: 19-digit numbers
+    (``2**63 - 1`` among them), lines that are not canonical (a ``meta``
+    object, an empty actor), tenants outside the header's four, and
+    timestamps out of order (across a block boundary too, at the small
+    block sizes); about a third of the files hold none, so the numpy
+    decoder reads whole blocks. Lines have an actor or not and may have
+    an empty app.
+    """
+    wide, odd, strays, unsorted = (draw(st.sampled_from([False, False, False, True]))
+                                   for _ in range(4))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        numbers = _wide_numbers if wide else _short_numbers
+        tenant = draw(st.integers(0, 4 if strays else 3))
+        event = TraceEvent(draw(numbers), tenant, draw(_names), draw(_names), draw(numbers),
+                           draw(st.one_of(st.just(""), _names)))
+        shape = draw(st.integers(0, 3)) if odd else 3
+        if shape == 0:
+            event = dataclasses.replace(event, meta=(("k", 1),))
+        line = event_line(event)
+        if shape == 1:
+            line = line.replace('{"app"', '{"actor":"","app"')
+        lines.append(line)
+    if not unsorted:
+        lines.sort(key=lambda line: json.loads(line)["at"])
+    ending = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    header = ('{"events":%d,"format":"repro-trace","name":"drawn","seed":0,'
+              '"tenants":4,"version":1}' % len(lines))
+    return ending.join([header, *lines]) + ending
+
+
+def _read_views(path: Path):
+    """What :func:`read_trace` makes of ``path``: its error, or columns, kinds, digest and events."""
+    try:
+        trace = read_trace(path)
+    except TraceFormatError as exc:
+        return str(exc)
+    digest = trace_digest(trace)
+    columns = trace.columns()
+    events = trace.events
+    assert all(type(e.at_micros) is int and type(e.tenant) is int
+               and type(e.payload_bytes) is int for e in events)
+    return columns, columns.kinds, digest, events
+
+
+class TestNumpyDecoderOracle:
+    @settings(_READ_SETTINGS, max_examples=150)
+    @given(_drawn_files(), st.sampled_from([64, 200, 1 << 20]))
+    def test_drawn_blocks_read_alike(self, tmp_path, monkeypatch, body, block):
+        monkeypatch.setattr(trace_format, "_BLOCK_BYTES", block)
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(body.encode("ascii"))
+        with_numpy = _read_views(path)
+        with monkeypatch.context() as patch:  # numpy is back on for the next example
+            patch.setattr(_optional, "_FORCE_FALLBACK", True)
+            assert _read_views(path) == with_numpy
+
+    def test_a_canonical_block_is_decoded_as_arrays(self, tmp_path):
+        path = tmp_path / "t.jsonl.gz"
+        write_trace(path, _small())
+        trace = read_trace(path)
+        assert type(trace.readonly_columns().at) is not list
+        assert trace.columns() == _small().columns()
+        assert type(trace.readonly_columns().at) is list  # handed out as lists
+
+    @pytest.mark.parametrize("at", [10**18, 2**63 - 1])
+    def test_a_19_digit_number_is_read_as_lists(self, tmp_path, at):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, Trace(TraceHeader("wide", 0, 3), [TraceEvent(0, 0), TraceEvent(at, 1)]))
+        trace = read_trace(path)
+        assert type(trace.readonly_columns().at) is list
+        assert trace._digest is not None  # still canonical
+        assert trace.events[-1].at_micros == at
+
+    def test_a_read_write_round_trip_keeps_the_bytes(self, tmp_path):
+        first, second = tmp_path / "a.jsonl.gz", tmp_path / "b.jsonl.gz"
+        write_trace(first, _small(events=5000))
+        write_trace(second, read_trace(first))
+        assert second.read_bytes() == first.read_bytes()
+        events = read_trace(first).events
+        streamed = list(trace_format.iter_trace(first))[1:]
+        for read in (events, streamed):
+            assert all(type(e.at_micros) is int and type(e.tenant) is int
+                       and type(e.payload_bytes) is int for e in read)
+            assert read == _small(events=5000).events
 
 
 # -- across 1 MiB blocks -------------------------------------------------

@@ -15,7 +15,9 @@ import math
 import pytest
 
 from repro import _optional
+from repro.plan import MEMORY_SIZES
 from repro.sim import vecmath
+from repro.sim.fold import handler_components
 from repro.sim.latency import LatencyModel
 from repro.sim.rng import SeededRng
 from repro.sim.shard import FleetConfig, run_fleet_sharded, run_shard, shard_tenants
@@ -89,6 +91,55 @@ class TestQuantileTables:
         assert vecmath.exponential_gaps(uniforms) == vec
         # The tail branch really is the exact closed form.
         assert vec[4] == -vecmath.plog(1.0 - tail_p)
+
+
+def _per_table_values(mu, sigma, scale, ppf, bits=16):
+    """The per-table build the shared grid replaced, kept as the oracle.
+
+    ``ppf(i)`` is ``norm_ppf(i / 2**bits)``: the caller computes each
+    once, since calling it 65,535 times a table is the cost the grid saves.
+    """
+    size = 1 << bits
+    values = [0.0] * (size + 1)
+    for i in range(1, size):
+        values[i] = scale * math.exp(mu + sigma * ppf(i))
+    values[0] = values[1]
+    values[size] = values[size - 1]
+    return tuple(values)
+
+
+class TestSharedNormalGrid:
+    def test_tables_at_every_plan_size_equal_the_per_table_build(self, monkeypatch):
+        # Every (mu, sigma, scale) the handler components draw with, each
+        # storage backend at each deployable Lambda size.
+        monkeypatch.setattr(vecmath, "_lognormal_tables", {})
+        model = LatencyModel(rng=SeededRng(1, "grid"))
+        for storage in ("s3", "dynamo"):
+            for component in handler_components(storage):
+                for memory in MEMORY_SIZES:
+                    model.sample_block_vec(component, 0, memory)
+        assert len(vecmath._lognormal_tables) > 40
+        size = 1 << 16
+        ppf = [None] + [vecmath.norm_ppf(i / size) for i in range(1, size)]
+        for (mu, sigma, scale, bits), table in vecmath._lognormal_tables.items():
+            assert table.values == _per_table_values(mu, sigma, scale, ppf.__getitem__, bits)
+
+    def test_norm_ppf_runs_once_per_grid_point_per_process(self, monkeypatch):
+        calls = []
+        norm_ppf = vecmath.norm_ppf
+
+        def counted(p):
+            calls.append(p)
+            return norm_ppf(p)
+
+        monkeypatch.setattr(vecmath, "norm_ppf", counted)
+        monkeypatch.setattr(vecmath, "_normal_grids", {})
+        monkeypatch.setattr(vecmath, "_lognormal_tables", {})
+        for scale in (1.0, 1.5, 2.0, 3.4285714285714284):
+            vecmath.lognormal_table(math.log(19000), 0.18, scale)
+            vecmath.lognormal_table(math.log(2000), 0.3, scale)
+        assert len(vecmath._lognormal_tables) == 8
+        assert len(calls) == (1 << 16) - 1 == 65_535
 
 
 class TestVectorizedKernels:
