@@ -26,7 +26,11 @@ __all__ = [
 
 def percentile(samples: Iterable[float], q: float) -> float:
     """Linear-interpolated percentile, ``q`` in [0, 100]."""
-    data = sorted(samples)
+    return _sorted_percentile(sorted(samples), q)
+
+
+def _sorted_percentile(data: List[float], q: float) -> float:
+    """:func:`percentile` of samples already in ascending order."""
     if not data:
         raise SimulationError("percentile of an empty series")
     if not 0 <= q <= 100:
@@ -45,19 +49,26 @@ def percentile(samples: Iterable[float], q: float) -> float:
 
 
 class MetricSeries:
-    """An append-only series of numeric samples with summary statistics."""
+    """An append-only series of numeric samples with summary statistics.
+
+    The samples in sorted order are kept from the first percentile read
+    until the next ``record``, ``extend`` or ``merge``, so a report that
+    reads several percentiles sorts once.
+    """
 
     def __init__(self, name: str, unit: str = ""):
         self.name = name
         self.unit = unit
         self._samples: List[float] = []
+        self._sorted: Optional[List[float]] = None
 
     def record(self, value: float) -> None:
         self._samples.append(float(value))
+        self._sorted = None
 
     def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.record(value)
+        self._samples.extend(map(float, values))
+        self._sorted = None
 
     def merge(self, other: "MetricSeries") -> "MetricSeries":
         """Fold another series' samples into this one.
@@ -72,6 +83,7 @@ class MetricSeries:
         (``tests/sim/test_merge_properties.py``).
         """
         self._samples.extend(other._samples)
+        self._sorted = None
         return self
 
     @property
@@ -95,19 +107,21 @@ class MetricSeries:
         return math.fsum(self._samples) / len(self._samples)
 
     def median(self) -> float:
-        return percentile(self._samples, 50)
+        return self.p(50)
 
     def p(self, q: float) -> float:
-        return percentile(self._samples, q)
+        if self._sorted is None:
+            self._sorted = sorted(self._samples)
+        return _sorted_percentile(self._sorted, q)
 
     def p50(self) -> float:
-        return percentile(self._samples, 50)
+        return self.p(50)
 
     def p95(self) -> float:
-        return percentile(self._samples, 95)
+        return self.p(95)
 
     def p99(self) -> float:
-        return percentile(self._samples, 99)
+        return self.p(99)
 
     def histogram(self, bucket_bounds: Iterable[float]) -> List[Tuple[float, int]]:
         """Bucket counts over strictly increasing upper bounds.

@@ -35,18 +35,20 @@ kind's names once (so the writer refuses what the reader would) and
 walks events one by one only to word a failure. One reader serves
 :func:`read_trace` and :func:`iter_trace`. It takes the decompressed
 body in blocks of about 1 MiB of whole lines. Under numpy a block is
-proven canonical by one ``fullmatch`` of a pattern without groups, and
-decoded by position into int64 columns (:meth:`_TraceScan._canonical_arrays`):
-newline and quote offsets, the three digit runs eight digits to a
-word, and one ``np.unique`` over the names, so :class:`KindTable`
-runs once per distinct kind. Without numpy, or for a block with a
-19-digit number, one ``findall`` decodes canonical lines into lists of
-``int``; any other block is decoded line by line around :mod:`json`,
+proven canonical and decoded by position (:func:`_prove_block`): from
+its newline and quote offsets, each line's quote count and fixed text
+(masked little-endian words) prove its layout, its three digit runs are
+checked and read eight digits to a word, and its names are keyed by a
+``uint64`` hash, grouped by one ``np.unique`` and proven equal word for
+word, so the name check and :class:`KindTable` run once per distinct
+kind. Without numpy, or for a block the proof refuses (one with a
+19-digit number, say), one ``findall`` decodes canonical lines into
+lists of ``int``; any other block is decoded line by line around :mod:`json`,
 which also names a refused line's error. On the ``replay-iot`` trace
 (505,551 events, 43 blocks; 2-vCPU x86-64 host, CPython 3.11, numpy
-2.4, best of 3) the numpy decoder takes 7.9 ms a block, 3.1 ms of it
-the ``fullmatch``, against 12.3 ms for ``findall``, and ``read_trace``
-0.44 s against 0.63 s; inflating and hashing the body (about 0.12 s)
+2.4, best of several) the proof and decode take 6.5 ms a block, where
+a regex proof and the decode took 9.2 ms, and ``read_trace`` 0.41 s
+against 0.57 s; inflating and hashing the body (about 0.12 s)
 is the floor. A trace read from disk, built by the recorder or made by
 a transform is columnar: its :class:`TraceEvent` objects are built only
 when ``trace.events`` is asked for, and when every line read was
@@ -134,7 +136,9 @@ class TraceEvent:
     space declared by the header; ``actor`` names the device or user
     that issued the op (empty when the recorder couldn't tell).
     ``meta`` is a sorted tuple of ``(key, value)`` pairs so events stay
-    hashable and serialize canonically.
+    hashable and serialize canonically; a mapping (or ``None``) given for
+    it is normalized with :func:`meta_pairs`, as :class:`TraceHeader`
+    does, so an event equals the one its line reads back as.
     """
 
     at_micros: int
@@ -144,6 +148,10 @@ class TraceEvent:
     payload_bytes: int = 2048
     actor: str = ""
     meta: Tuple[Tuple[str, object], ...] = ()
+
+    def __post_init__(self):
+        if not isinstance(self.meta, tuple):
+            object.__setattr__(self, "meta", meta_pairs(self.meta))
 
     def meta_dict(self) -> Dict[str, object]:
         return dict(self.meta)
@@ -763,16 +771,6 @@ _CANONICAL_LINE = re.compile(
     re.MULTILINE,
 )
 _PREFIX, _AT, _SIZE, _ROUTE, _TENANT = map(itemgetter, range(5))
-# A block the numpy decoder takes: canonical lines, each ending in a
-# newline, whose numbers have at most 18 digits (below ``10**18``, so a
-# run of them sums in int64). The pattern has no groups: one
-# ``fullmatch`` proves the block, and the fields are found by position.
-_SHORT_NUMBER = rb'(?:0|[1-9][0-9]{0,17})'
-_CANONICAL_BLOCK = re.compile(
-    rb'(?:\{(?:"actor":"' + _SAFE + rb'++",)?"app":"' + _SAFE + rb'*+","at":' + _SHORT_NUMBER
-    + rb',"bytes":' + _SHORT_NUMBER + rb',"route":"' + _SAFE + rb'*+","tenant":' + _SHORT_NUMBER
-    + rb'\}\n)*+'
-)
 # The header's terminator as a text-mode reader sees it: universal newlines.
 _LINE_END = re.compile(rb'\r\n?|\n')
 
@@ -796,42 +794,198 @@ def _as_list(column) -> List[int]:
 # little-endian word.
 _LOW_BYTES = tuple((1 << 8 * k) - 1 for k in range(9))
 _ZEROS = 0x3030303030303030  # eight ASCII "0"s
+# The odd multiplier of the kind-key hash: ``key = (key ^ word) * _MIX``.
+_MIX = 0x9E3779B97F4A7C15
+# What a canonical line's names and the quotes around them are made of:
+# printable ASCII but '\'.
+_NAME_BYTES = bytes(range(0x20, 0x7F)).replace(b"\\", b"")
 
 
-def _digit_runs(np, words, low_bytes, lo, hi):
+def _text(literal: bytes) -> Tuple[int, int]:
+    """``literal`` as a little-endian word, and the mask of its bytes in a word."""
+    return int.from_bytes(literal, "little"), _LOW_BYTES[len(literal)]
+
+
+# The fixed text of a canonical line, as :func:`_prove_block` reads it.
+_NEWLINE, _QUOTE, _COMMA, _CLOSE_BRACE, _ZERO = b'\n",}0'
+_APP_OPEN = _text(b'{"app":"')
+_ACTOR_OPEN = _text(b'{"actor"')
+_ACTOR_COLON = _text(b':"')
+_ACTOR_APP = _text(b'","app":')
+_AT_KEY = _text(b'","at":')
+_BYTES_KEY = _text(b'"bytes":')
+_ROUTE_KEY = _text(b'"route":')
+_TENANT_HEAD = _text(b'","tenan')
+_TENANT_KEY = _text(b'tenant":')
+
+
+def _prove_block(np, block: bytes):
+    """Prove by position that ``block`` holds only canonical lines; decode them.
+
+    The proof accepts exactly a non-empty block of lines that
+    ``_CANONICAL_LINE`` matches, each ending in ``\\n``, with numbers of
+    at most 18 digits (below ``10**18``, so a run of them sums in int64).
+    For any other block it returns ``None``; otherwise the at, tenant and
+    size columns as int64 arrays, each line's index into ``names``, and
+    ``names``: each distinct raw ``actor``/``app`` prefix and route, in
+    order of first appearance.
+
+    Names hold no quote, so a canonical line has 14 quotes, or 18 with
+    an actor. Numbering a line's quotes from its last (0) back, each piece
+    of fixed text is one word read at an offset from a quote and compared
+    under the mask of its bytes:
+
+    * at the line's start, ``{"app":"``; or ``{"actor"`` then ``:"``, and
+      at quote 14 (past a non-empty actor) ``","app":``, with quote 11
+      eight bytes on;
+    * at quote 10 (the app's end), ``","at":``;
+    * at quotes 7 and 5, ``"bytes":`` and ``"route":``, each after a
+      ``,``, and quote 3 eight bytes past quote 5;
+    * at quote 2 (the route's end), ``","tenan``, and ``tenant":`` three
+      bytes on; then ``}`` before the newline.
+
+    A literal holds no newline, so one that matches lies inside its
+    line, and each places the quotes it holds: the quote count leaves
+    room for no other. The digit runs between must be numbers
+    (:func:`_digit_runs`), and the names are checked
+    against the bytes a name may hold once per distinct prefix and route
+    (:func:`_distinct_kinds`).
+    """
+    if len(block) < 8 or block[-1] != _NEWLINE:
+        return None
+    buf = np.frombuffer(block, dtype=np.uint8)
+    # The eight bytes from every offset, as overlapping little-endian words.
+    words = np.ndarray((len(block) - 7,), dtype="<u8", buffer=block, strides=(1,))
+    ends = np.flatnonzero(buf == _NEWLINE)
+    quotes = np.flatnonzero(buf == _QUOTE)
+    last = np.searchsorted(quotes, ends) - 1
+    count = np.diff(last, prepend=-1)
+    actor = count == 18
+    if not (actor | (count == 14)).all():
+        return None
+    route_close, route_open, route_key = quotes[last - 2], quotes[last - 3], quotes[last - 5]
+    bytes_key, app_close = quotes[last - 7], quotes[last - 10]
+    # A word read below either ends inside its line (digits, names) or
+    # starts no later than ``route_close + 3``, and each line but the last
+    # is followed by one of at least 15 bytes; so when the last line's
+    # reads fit, every read is inside the block.
+    if int(route_close[-1]) + 3 > len(words) - 1:
+        return None
+
+    def matches(at, text):
+        value, mask = text
+        return (words[at] & mask) == value
+
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    head = words[starts]
+    proven = (np.where(actor, head == _ACTOR_OPEN[0], head == _APP_OPEN[0])
+              & matches(app_close, _AT_KEY)
+              & (buf[bytes_key - 1] == _COMMA) & matches(bytes_key, _BYTES_KEY)
+              & (buf[route_key - 1] == _COMMA) & matches(route_key, _ROUTE_KEY)
+              & (route_open == route_key + 8)
+              & matches(route_close, _TENANT_HEAD) & matches(route_close + 3, _TENANT_KEY)
+              & (buf[ends - 1] == _CLOSE_BRACE))
+    if actor.any():
+        # Clipped: a first line without an actor has no quote 14.
+        actor_close = quotes.take(last - 14, mode="clip")
+        proven &= ~actor | (matches(starts + 8, _ACTOR_COLON) & (actor_close > starts + 10)
+                            & matches(actor_close, _ACTOR_APP)
+                            & (quotes[last - 11] == actor_close + 8))
+    if not proven.all():
+        return None
+    numbers = [_digit_runs(np, buf, words, lo, hi) for lo, hi in (
+        (app_close + 7, bytes_key - 1), (route_close + 11, ends - 1), (bytes_key + 8, route_key - 1),
+    )]
+    if any(number is None for number in numbers):
+        return None
+    kinds = _distinct_kinds(np, block, words, actor, starts + 1, app_close + 1,
+                            route_open + 1, route_close)
+    if kinds is None:
+        return None
+    return (*numbers, *kinds)
+
+
+def _digit_runs(np, buf, words, lo, hi):
     """The number written in ``block[lo:hi]`` for each row, as int64.
 
-    Each run is one to 18 ASCII digits, taken eight at a time from the
-    right: the word ending at a chunk's last digit has the bytes before
-    the chunk set to ``"0"``, and three multiply-add-mask steps turn its
-    eight digits into their value. ``low_bytes`` is :data:`_LOW_BYTES` as
-    a uint64 array.
+    ``None`` unless every run is one to 18 digits with no leading zero.
+    A run is taken eight bytes at a time from the right: the word ending
+    at a chunk's last byte, less ``"0"`` from each byte and with the
+    bytes before the chunk set to zero, holds eight digit values, and
+    three multiply-add-mask steps turn them into a number.
     """
     length = hi - lo
-    value = np.zeros(len(lo), dtype=np.uint64)
-    scale = 1
+    if not ((length >= 1) & (length <= 18)).all() or ((buf[lo] == _ZERO) & (length > 1)).any():
+        return None
+    low_bytes = np.array(_LOW_BYTES, dtype=np.uint64)
+    value = flags = 0
     for chunk in range(int(length.max() + 7) // 8):
-        end = hi - 8 * chunk
         pad = low_bytes[8 - np.clip(length - 8 * chunk, 0, 8)]
-        x = (words[np.clip(end - 8, 0, len(words) - 1)] & ~pad) | (pad & _ZEROS)
-        x -= _ZEROS
+        x = (words[np.maximum(hi - 8 * chunk - 8, 0)] | pad) - (pad | _ZEROS)
+        # Each byte is now 0 to 9 if every byte was a digit. The lowest
+        # byte that was not sets its high bit here, or once 0x76 is added.
+        flags |= x | (x + 0x7676767676767676)
         x = (x * 10 + (x >> 8)) & 0x00FF00FF00FF00FF
         x = (x * 100 + (x >> 16)) & 0x0000FFFF0000FFFF
         x = (x * 10000 + (x >> 32)) & 0xFFFFFFFF
-        value += x * scale
-        scale *= 10 ** 8
+        value = value + x * 10 ** (8 * chunk) if chunk else x
+    if (flags & 0x8080808080808080).any():
+        return None
     return value.astype(np.int64)
 
 
-def _span_words(np, words, low_bytes, lo, hi):
-    """Each row's bytes ``block[lo:hi]`` as uint64 words, the bytes past ``hi`` zeroed."""
-    length = hi - lo
-    count = int(length.max() + 7) // 8
-    spans = np.empty((len(lo), count), dtype=np.uint64)
-    for word in range(count):
-        keep = low_bytes[np.clip(length - 8 * word, 0, 8)]
-        spans[:, word] = words[np.clip(lo + 8 * word, 0, len(words) - 1)] & keep
-    return spans
+def _span_reads(np, lo, hi):
+    """Word offsets that cover each row's span ``[lo, hi)`` of at least eight bytes.
+
+    The ``k``-th read starts at ``lo + 8 * k``, or at ``hi - 8`` if that
+    is earlier; so two rows whose spans have one length are read at the
+    same offsets into their spans, and no read leaves its span.
+    """
+    last = hi - 8
+    for word in range(int((hi - lo).max() + 7) // 8):
+        yield np.minimum(lo + 8 * word, last)
+
+
+def _distinct_kinds(np, block, words, actor, prefix_lo, prefix_hi, route_lo, route_hi):
+    """Each line's index into its block's distinct prefix and route pairs, and those pairs.
+
+    The pairs come in order of first appearance, as raw bytes; ``None``
+    when a pair holds a byte no name may hold, or when two distinct pairs
+    share a key. A line is keyed by two spans that fix its pair: the
+    prefix past a proven ``"actor":``, and the route, widened where it is
+    shorter than a word by the proven ``route":"`` before it. The key
+    hashes both span lengths and the spans' words. After one
+    ``np.unique`` over the keys, each line's lengths and words are
+    compared with those of the first line with its key, so lines with
+    one key are proven to hold one pair.
+    """
+    spans = ((prefix_lo + 8 * actor, prefix_hi), (np.minimum(route_lo, route_hi - 8), route_hi))
+    lengths = ((spans[0][1] - spans[0][0]) << 32 | (spans[1][1] - spans[1][0])).view(np.uint64)
+    key = lengths
+    for lo, hi in spans:
+        for at in _span_reads(np, lo, hi):
+            key = (key ^ words[at]) * _MIX
+    _, group = np.unique(key, return_inverse=True)
+    first = np.full(int(group.max()) + 1, len(key))
+    np.minimum.at(first, group, np.arange(len(key)))
+    rep = first[group]
+    if (lengths[rep] != lengths).any():
+        return None
+    for lo, hi in spans:
+        for at in _span_reads(np, lo, hi):
+            word = words[at]
+            if (word[rep] != word).any():
+                return None
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    lines = first[order]
+    names = [(block[a:b], block[c:d]) for a, b, c, d in zip(
+        prefix_lo[lines].tolist(), prefix_hi[lines].tolist(),
+        route_lo[lines].tolist(), route_hi[lines].tolist())]
+    if b"".join(itertools.chain.from_iterable(names)).translate(None, _NAME_BYTES):
+        return None
+    return rank[group], names
 
 
 @contextlib.contextmanager
@@ -943,11 +1097,13 @@ class _TraceScan:
     is the trace digest when every event line was canonical, else
     ``None``.
 
-    A block whose lines all match :data:`_CANONICAL_LINE` is decoded by
-    one ``findall`` and checked over its columns. Any other block, and a
-    canonical block that fails a check, goes line by line through
-    ``raw_decode`` and exact-type checks, and :func:`_event_error` names
-    a refused line — the same messages and line numbers either way.
+    A block whose lines all match :data:`_CANONICAL_LINE` is decoded
+    and checked over its columns: under numpy by position once
+    :func:`_prove_block` proves it, else by one ``findall``. Any other
+    block, and a canonical block that fails a check, goes line by line
+    through ``raw_decode`` and exact-type checks, and
+    :func:`_event_error` names a refused line — the same messages and
+    line numbers either way.
     """
 
     def __init__(self, path: PathLike):
@@ -1009,14 +1165,20 @@ class _TraceScan:
     def _canonical(self, block: bytes, prev_at: int, tenants: int) -> Optional[_BlockColumns]:
         """The block's columns if every line is canonical and passes; else ``None``.
 
-        Under numpy a block :data:`_CANONICAL_BLOCK` matches is decoded
-        into int64 arrays (:meth:`_canonical_arrays`); any other block
-        goes through the ``findall`` decoder, the no-numpy twin, which
-        also takes 19-digit numbers.
+        Under numpy a block :func:`_prove_block` proves is decoded into
+        int64 arrays; any other block goes through the ``findall``
+        decoder, the no-numpy twin, which also takes 19-digit numbers.
         """
         np = numpy_or_none()
-        if np is not None and _CANONICAL_BLOCK.fullmatch(block):
-            return self._canonical_arrays(np, block, prev_at, tenants)
+        proven = None if np is None else _prove_block(np, block)
+        if proven is not None:
+            at, tenant, size, kind, names = proven
+            # The proof admits no negative number: the same two checks left.
+            if (int(at[0]) < prev_at or bool((at[1:] < at[:-1]).any())
+                    or int(tenant.max()) >= tenants):
+                return None
+            ids = np.array([self._raw_kinds[raw] for raw in names], dtype=np.int64)
+            return at, tenant, size, ids[kind]
         matches = _CANONICAL_LINE.findall(block)
         if len(matches) != block.count(b"\n"):
             return None
@@ -1030,47 +1192,6 @@ class _TraceScan:
         kind = list(map(self._raw_kinds.__getitem__,
                         zip(map(_PREFIX, matches), map(_ROUTE, matches))))
         return at, tenant, list(map(int, map(_SIZE, matches))), kind
-
-    def _canonical_arrays(self, np, block: bytes, prev_at: int, tenants: int):
-        """A proven canonical block's columns as int64 arrays, or ``None`` if a check fails.
-
-        Quotes only delimit names in a canonical line, so a line's last
-        eleven quotes place its fields, with or without an ``actor``: the
-        digits of at, bytes and tenant follow the 9th, 7th and last quote
-        from the end (counting from 1), the route sits between the 4th and
-        3rd, and the ``actor``/``app`` prefix runs from the brace to the
-        11th. Each distinct prefix and route pair, found by one
-        ``np.unique``, gets its kind in order of first appearance, as the
-        ``findall`` decoder numbers them.
-        """
-        buf = np.frombuffer(block, dtype=np.uint8)
-        # The eight bytes from every offset, as overlapping little-endian words.
-        words = np.ndarray((len(block) - 7,), dtype="<u8", buffer=block, strides=(1,))
-        low_bytes = np.array(_LOW_BYTES, dtype=np.uint64)
-        ends = np.flatnonzero(buf == 10)
-        quotes = np.flatnonzero(buf == 34)
-        last = np.searchsorted(quotes, ends) - 1
-        at = _digit_runs(np, words, low_bytes, quotes[last - 8] + 2, quotes[last - 7] - 1)
-        tenant = _digit_runs(np, words, low_bytes, quotes[last] + 2, ends - 1)
-        if (int(at[0]) < prev_at or bool((at[1:] < at[:-1]).any())
-                or int(tenant.max()) >= tenants):
-            return None
-        size = _digit_runs(np, words, low_bytes, quotes[last - 6] + 2, quotes[last - 5] - 1)
-        prefix_lo = np.concatenate(([1], ends[:-1] + 2))
-        prefix_hi = quotes[last - 10] + 1
-        route_lo, route_hi = quotes[last - 3] + 1, quotes[last - 2]
-        # NUL never occurs in a name, so zero-padded keys are equal exactly
-        # when the prefix and route pairs are.
-        keys = np.concatenate((_span_words(np, words, low_bytes, prefix_lo, prefix_hi),
-                               _span_words(np, words, low_bytes, route_lo, route_hi)), axis=1)
-        keys = keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        ids = np.empty(len(first), dtype=np.int64)
-        for key in np.argsort(first).tolist():
-            line = int(first[key])
-            ids[key] = self._raw_kinds[(block[prefix_lo[line]:prefix_hi[line]],
-                                        block[route_lo[line]:route_hi[line]])]
-        return at, tenant, size, ids[inverse]
 
     def _line_by_line(
         self, block: bytes, line_no: int, prev_at: int, tenants: int,

@@ -58,23 +58,36 @@ __all__ = [
 # -- block uniforms ------------------------------------------------------
 
 
+# The process's one numpy generator for :func:`uniform_block`. Each call
+# replaces its whole MT19937 state, so it carries nothing from one call
+# to the next; a forked worker inherits it and is just as stateless. Two
+# threads must not draw through it at once: the engines run shards in
+# processes, and nothing in this package starts a thread.
+_block_state = None
+
+
 def uniform_block(pyrandom, n: int):
     """``n`` floats, stream-identical to ``n`` successive ``random()`` calls.
 
     With numpy available the underlying Mersenne-Twister state is
-    transplanted into a ``RandomState``, the block is drawn in C, and
-    the python generator's state is synchronized to the post-draw
-    position — callers can freely interleave scalar and block draws.
-    Returns an ``ndarray`` under numpy, a ``list`` under the fallback.
+    transplanted into the process's one ``RandomState`` (``set_state``
+    replaces all of its state, so no draw depends on an earlier call),
+    the block is drawn in C, and the python generator's state is
+    synchronized to the post-draw position — callers can freely
+    interleave scalar and block draws. Returns an ``ndarray`` under
+    numpy, a ``list`` under the fallback.
     """
+    global _block_state
     if n < 0:
         raise ConfigurationError(f"uniform block size cannot be negative: {n}")
     np = numpy_or_none()
     if np is None:
         rnd = pyrandom.random
         return [rnd() for _ in range(n)]
+    if _block_state is None:
+        _block_state = np.random.RandomState(0)
+    state = _block_state
     version, internal, gauss_next = pyrandom.getstate()
-    state = np.random.RandomState()
     state.set_state(("MT19937", np.asarray(internal[:-1], dtype=np.uint32), internal[-1]))
     out = state.random_sample(n)
     _, key, pos = state.get_state()[:3]

@@ -1,7 +1,7 @@
 """Metric series and percentile math (what Table 3 reports)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.metrics import MetricRegistry, MetricSeries, percentile
@@ -128,3 +128,40 @@ def test_property_percentile_within_range(samples):
                           min_value=-1e9, max_value=1e9), min_size=2))
 def test_property_percentiles_monotone(samples):
     assert percentile(samples, 25) <= percentile(samples, 75)
+
+
+_samples = st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                              min_value=-1e9, max_value=1e9), max_size=6)
+# A mutation, then the percentile it is read at, or no read.
+_steps = st.lists(st.tuples(
+    st.one_of(
+        st.tuples(st.just("record"), st.floats(-1e9, 1e9)),
+        st.tuples(st.just("extend"), _samples),
+        st.tuples(st.just("merge"), _samples),
+    ),
+    st.one_of(st.none(), st.floats(0, 100)),
+), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_steps)
+def test_property_cached_percentiles_follow_every_mutation(steps):
+    """Reads between mutations see every sample so far: the sorted cache never goes stale."""
+    series, plain = MetricSeries("s"), []
+    for (step, value), q in steps:
+        if step == "record":
+            series.record(value)
+            plain.append(value)
+        elif step == "extend":
+            series.extend(iter(value))  # a one-pass iterable, as a generator would be
+            plain.extend(value)
+        else:
+            other = MetricSeries("other")
+            other.extend(value)
+            assert series.merge(other) is series
+            plain.extend(value)
+        if q is not None and plain:
+            assert series.p(q) == percentile(plain, q)
+            assert [series.median(), series.p50(), series.p95(), series.p99()] == [
+                percentile(plain, p) for p in (50, 50, 95, 99)]
+    assert series.samples == plain

@@ -12,6 +12,10 @@
   file, canonical or not: length, columns, events, digest and errors,
   with numpy and without; the numpy block decoder reads drawn blocks
   exactly as the ``findall`` decoder does.
+* The numpy decoder's positional proof accepts a block exactly when the
+  pattern it replaced (kept here as the oracle) matches it, and then
+  decodes it as the ``findall`` decoder does; every block of a written
+  library trace that the pattern accepts is decoded as arrays.
 * A line the canonical pattern matches is exactly the formatter's line
   for the fields ``json.loads`` decodes from it.
 """
@@ -23,7 +27,9 @@ import gc
 import gzip
 import hashlib
 import io
+import functools
 import json
+import re
 import sys
 import warnings
 import zlib
@@ -42,6 +48,7 @@ from repro.sim.replay import (
     write_trace,
 )
 from repro.sim.replay import format as trace_format
+from repro.sim.scenarios import SCENARIOS, iot_fleet, tenant_multiply
 from repro.sim.replay.format import (
     TraceHeader,
     _event_error,
@@ -616,6 +623,197 @@ class TestNumpyDecoderOracle:
             assert all(type(e.at_micros) is int and type(e.tenant) is int
                        and type(e.payload_bytes) is int for e in read)
             assert read == _small(events=5000).events
+
+
+# -- the positional proof against the pattern it replaced ------------------
+
+# The block the numpy decoder takes, as a pattern without groups:
+# canonical lines, each ending in a newline, whose numbers have at most
+# 18 digits. ``_prove_block`` must accept exactly the blocks it matches.
+_SAFE_BYTE = rb'[ !#-\[\]-~]'  # printable ASCII but '"' and '\'
+_SHORT_NUMBER = rb'(?:0|[1-9][0-9]{0,17})'
+_CANONICAL_BLOCK = re.compile(
+    rb'(?:\{(?:"actor":"' + _SAFE_BYTE + rb'++",)?"app":"' + _SAFE_BYTE + rb'*+","at":'
+    + _SHORT_NUMBER + rb',"bytes":' + _SHORT_NUMBER + rb',"route":"' + _SAFE_BYTE
+    + rb'*+","tenant":' + _SHORT_NUMBER + rb'\}\n)*+'
+)
+
+
+def _numpy():
+    np = _optional.numpy_or_none()
+    if np is None:
+        pytest.skip("the positional proof runs under numpy")
+    return np
+
+
+def _assert_proof_agrees(block: bytes) -> None:
+    """The proof accepts ``block`` exactly when the pattern does, and decodes it as ``findall`` does."""
+    proven = trace_format._prove_block(_numpy(), block)
+    assert (proven is not None) == (_CANONICAL_BLOCK.fullmatch(block) is not None), block
+    if proven is None:
+        return
+    at, tenant, size, kind, names = proven
+    matches = trace_format._CANONICAL_LINE.findall(block)
+    assert [at.tolist(), size.tolist(), tenant.tolist()] == [
+        [int(match[field]) for match in matches] for field in (1, 2, 4)]
+    pairs = [(match[0], match[3]) for match in matches]
+    assert names == list(dict.fromkeys(pairs))  # each pair once, in order of first appearance
+    assert [names[k] for k in kind.tolist()] == pairs
+
+
+def _raw_line(at=1, size=2, tenant=0, app="a", route="/r", actor="") -> bytes:
+    """An event line in the formatter's layout, with its names written raw, unescaped."""
+    head = f'"actor":"{actor}",' if actor else ""
+    return (f'{{{head}"app":"{app}","at":{at},"bytes":{size},"route":"{route}",'
+            f'"tenant":{tenant}}}\n').encode("latin-1")
+
+
+_proof_names = st.text(alphabet=st.sampled_from(list("ab/~ 0:,{}")), max_size=9)
+_proof_numbers = st.one_of(
+    st.integers(0, 9), st.integers(0, 10**6),
+    st.integers(10**17, 10**18 - 1), st.integers(10**18, 10**19 - 1),
+)
+# What a mutation writes: bytes a name or a number may not hold, and
+# bytes of the line's own fixed text.
+_MUTATION_BYTES = list(b'\x00\\"\r\x7f\x800123456789{}:,\n')
+
+
+@st.composite
+def _mutated_blocks(draw) -> bytes:
+    """One to four canonical lines, then up to three byte inserts, deletes or replacements."""
+    block = bytearray()
+    for _ in range(draw(st.integers(1, 4))):
+        event = TraceEvent(draw(_proof_numbers), draw(_proof_numbers), draw(_proof_names),
+                           draw(_proof_names), draw(_proof_numbers),
+                           draw(st.one_of(st.just(""), _proof_names)))
+        block += event_line(event).encode("ascii") + b"\n"
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(block) - 1))
+        byte = draw(st.sampled_from(_MUTATION_BYTES))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            block.insert(at, byte)
+        elif edit == "replace":
+            block[at] = byte
+        elif len(block) > 1:
+            del block[at]
+    return bytes(block)
+
+
+PROOF_CASES = {
+    "18-digit-numbers": _raw_line(at=10**18 - 1, size=10**17, tenant=10**18 - 1),
+    "19-digit-at": _raw_line(at=10**18),
+    "19-digit-tenant": _raw_line(tenant=10**18),
+    "zeros": _raw_line(at=0, size=0, tenant=0),
+    "leading-zero-at": b'{"app":"a","at":01,"bytes":2,"route":"/r","tenant":0}\n',
+    "leading-zero-bytes": b'{"app":"a","at":1,"bytes":00,"route":"/r","tenant":0}\n',
+    "leading-zero-tenant": b'{"app":"a","at":1,"bytes":2,"route":"/r","tenant":07}\n',
+    "empty-number": b'{"app":"a","at":,"bytes":2,"route":"/r","tenant":0}\n',
+    "letter-in-a-number": b'{"app":"a","at":1x,"bytes":2,"route":"/r","tenant":0}\n',
+    "space-in-a-number": b'{"app":"a","at":1,"bytes":2 ,"route":"/r","tenant":0}\n',
+    "brace-in-a-number": b'{"app":"a","at":1,"bytes":2,"route":"/r","tenant":0}}\n',
+    "text-between-route-key-and-route": b'{"app":"a","at":1,"bytes":2,"route": "/r","tenant":0}\n',
+    "short-tenant-key-at-the-end": b'{"app":"a","at":1,"bytes":2,"route":"/r","t"}\n',
+    "empty-app-and-route": _raw_line(app="", route="", actor="d"),
+    "empty-actor": b'{"actor":"","app":"a","at":1,"bytes":2,"route":"/r","tenant":0}\n',
+    "colons-and-commas": _raw_line(app=":", route=",", actor="a,b:c") + _raw_line(app='a:b,c'),
+    "fixed-text-in-names": _raw_line(app=',at:', route='{route:,tenant:}', actor='app:'),
+    "escaped-name": b'{"app":"a\\"b","at":1,"bytes":2,"route":"/r","tenant":0}\n',
+    "name-ending-in-nul": _raw_line(app="ab") + _raw_line(app="ab\x00"),
+    "route-ending-in-nul": _raw_line(route="") + _raw_line(route="\x00"),
+    "names-one-prefix-of-another": b"".join(
+        _raw_line(route=route, actor=actor)
+        for route in ("", "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefgh")
+        for actor in ("", "x", "abcdefgh")),
+    "crlf": _raw_line().replace(b"\n", b"\r\n"),
+    "control-byte": _raw_line(app="a\x1fb"),
+    "del-byte": _raw_line(route="/\x7f"),
+    "high-byte": _raw_line(actor="\x80"),
+    "blank-line": _raw_line() + b"\n" + _raw_line(),
+    "no-final-newline": _raw_line()[:-1],
+    "reordered-keys": b'{"app":"a","bytes":2,"at":1,"route":"/r","tenant":0}\n',
+    "quote-in-a-number": b'{"app":"a","at":"1","bytes":2,"route":"/r","tenant":0}\n',
+    **{f"{size}-bytes": b"{}\n1234"[:size - 1] + b"\n" for size in range(1, 8)},
+}
+
+
+class TestPositionalProof:
+    @pytest.mark.parametrize("case", sorted(PROOF_CASES))
+    def test_cases(self, case):
+        _assert_proof_agrees(PROOF_CASES[case])
+
+    def test_a_last_line_that_ends_anywhere(self):
+        """Every cut of a block, with and without a newline after it: no read leaves the block."""
+        block = _raw_line(at=123, actor="dev-1") + _raw_line(at=1234, app="", route="")
+        for cut in range(1, len(block) + 1):
+            _assert_proof_agrees(block[:cut])
+            _assert_proof_agrees(block[:cut] + b"\n")
+            _assert_proof_agrees(block[:cut] + b"}\n")
+
+    @settings(max_examples=400, deadline=None)
+    @given(_mutated_blocks())
+    def test_mutated_blocks(self, block):
+        _assert_proof_agrees(block)
+
+    def test_a_key_collision_goes_to_findall(self, tmp_path, monkeypatch):
+        """With every key equal, only the word comparison tells kinds apart."""
+        np = _numpy()
+        one_kind = _raw_line(at=1) + _raw_line(at=2)
+        two_kinds = one_kind + _raw_line(at=3, route="/s")
+        monkeypatch.setattr(trace_format, "_MIX", 0)
+        assert trace_format._prove_block(np, one_kind) is not None
+        assert trace_format._prove_block(np, two_kinds) is None
+        # Spans of eight and nine "a"s read as equal words; only their lengths differ.
+        assert trace_format._prove_block(np, _raw_line(route="a" * 8) + _raw_line(route="a" * 9)) is None
+        path = tmp_path / "t.jsonl"
+        write_trace(path, _small())
+        _assert_reads_like_reference(path)
+        assert type(read_trace(path).readonly_columns().at) is list
+
+
+@functools.lru_cache(maxsize=None)
+def _library_trace(name: str) -> Trace:
+    if name == "iot-fleet*3":
+        return tenant_multiply(iot_fleet(2017), 3)
+    return SCENARIOS[name](2017)
+
+
+class TestArrayPath:
+    """A block the proof should take but refuses is decoded right, only slower; no digest shows it."""
+
+    @pytest.mark.parametrize("block", [1 << 12, 1 << 20])
+    @pytest.mark.parametrize("name", ["iot-fleet*3", *sorted(SCENARIOS)])
+    def test_every_canonical_block_is_decoded_as_arrays(self, tmp_path, monkeypatch, name, block):
+        _numpy()
+        trace = _library_trace(name)
+        path = tmp_path / "t.jsonl.gz"
+        write_trace(path, trace)
+        monkeypatch.setattr(trace_format, "_BLOCK_BYTES", block)
+        pattern, to_findall = trace_format._CANONICAL_LINE, []
+
+        class Spy:
+            def findall(self, data):
+                to_findall.append(data)
+                return pattern.findall(data)
+
+        monkeypatch.setattr(trace_format, "_CANONICAL_LINE", Spy())
+        read = read_trace(path)
+        assert [data for data in to_findall if _CANONICAL_BLOCK.fullmatch(data)] == []
+        if not any(meta for *_, meta in trace.columns().kinds):
+            assert to_findall == []
+            assert type(read.readonly_columns().at) is not list
+        assert read.digest() == trace.digest()
+
+
+class TestEventMeta:
+    def test_a_mapping_is_normalized_to_pairs(self, tmp_path):
+        trace = Trace(TraceHeader("x", 0, 1, events=1), [TraceEvent(0, 0, meta={"k": 1})])
+        assert trace.events[0].meta == (("k", 1),)
+        hash(trace.events[0])  # raised TypeError while the dict was kept
+        path = tmp_path / "t.jsonl"
+        write_trace(path, trace)
+        assert read_trace(path) == trace
+        assert TraceEvent(0, 0, meta=None) == TraceEvent(0, 0)
 
 
 # -- across 1 MiB blocks -------------------------------------------------

@@ -11,6 +11,8 @@ fleet run.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import random
 
 import pytest
 
@@ -58,6 +60,52 @@ class TestUniformBlock:
         with_numpy = stream(SeededRng(9, "mix"))
         fallback()
         assert stream(SeededRng(9, "mix")) == with_numpy
+
+
+def _fresh_state_block(pyrandom, n):
+    """The block draw through a new ``RandomState`` per call: the reference for the shared one."""
+    np = vecmath.numpy_or_none()
+    version, internal, gauss_next = pyrandom.getstate()
+    state = np.random.RandomState()
+    state.set_state(("MT19937", np.asarray(internal[:-1], dtype=np.uint32), internal[-1]))
+    out = state.random_sample(n)
+    _, key, pos = state.get_state()[:3]
+    pyrandom.setstate((version, tuple(key.tolist()) + (int(pos),), gauss_next))
+    return out
+
+
+def _interleaved(block, seed):
+    """Scalar and block draws from two generators, taking turns."""
+    first, second = random.Random(seed), random.Random(seed + 1)
+    out = []
+    for n in (5, 0, 1, 700, 3):
+        out.append(first.random())
+        out.extend(_floats(block(first, n)))
+        out.extend(_floats(block(second, n + 1)))
+        out.append(second.random())
+    return out + [first.random(), second.random()]
+
+
+def _shared_state_stream(seed):
+    return _interleaved(vecmath.uniform_block, seed)
+
+
+class TestSharedBlockState:
+    """One ``RandomState`` per process draws what a fresh one per call drew."""
+
+    def test_interleaved_draws_match_a_fresh_state_per_call(self):
+        for seed in (0, 7, 2017):
+            assert _shared_state_stream(seed) == _interleaved(_fresh_state_block, seed)
+
+    def test_a_forked_worker_draws_the_same_stream(self):
+        _shared_state_stream(1)  # the parent's state object exists before the fork
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-forking platforms
+            pytest.skip("fork is not available")
+        with context.Pool(1) as pool:
+            in_worker = pool.map_async(_shared_state_stream, [3, 4]).get(timeout=120)
+        assert in_worker == [_interleaved(_fresh_state_block, seed) for seed in (3, 4)]
 
 
 class TestPortableLog:
