@@ -11,26 +11,37 @@ pure-python twin with bitwise-identical output, and ask
 ``src/repro`` imports numpy (``make lint`` checks). The module sits
 outside the packages so ``crypto`` need not import ``sim``.
 
-numpy is imported with this module, so a process pays for the import
-where it imports the package, not in whichever call first needs an
-array.
+numpy is imported on the first call of :func:`numpy_or_none`, not with
+this module, so a process that never runs an array kernel (a chat
+deployment, say) never loads it. The fleet engines pay for it in their
+set-up: :mod:`repro.sim.vecmath`, which every fleet, replay and
+trace-reader module imports, calls the switch when it is imported, and
+``make lint`` keeps every other module-level call out. The crypto lanes
+load numpy on their first message above their crossover.
 """
 
 from __future__ import annotations
 
 __all__ = ["numpy_or_none"]
 
-try:
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised via _FORCE_FALLBACK
-    _numpy = None
-
 # Test hook: monkeypatch to True to exercise the pure-python fallbacks
 # with numpy still importable (tests/sim/test_vec_fallback.py,
 # tests/crypto/test_chacha20.py, tests/crypto/test_crypto_oracle.py).
 _FORCE_FALLBACK = False
 
+# The numpy module once imported, None when it is absent, and Ellipsis
+# until the first call has tried.
+_numpy = ...
+
 
 def numpy_or_none():
     """The ``numpy`` module, or ``None`` when absent (or forced off)."""
-    return None if _FORCE_FALLBACK else _numpy
+    global _numpy
+    if _FORCE_FALLBACK:
+        return None
+    if _numpy is ...:
+        try:
+            import numpy as _numpy
+        except ImportError:
+            _numpy = None
+    return _numpy

@@ -12,26 +12,3 @@
 Each package exports a manifest factory (for the app store / deployer)
 and a client class.
 """
-
-from repro.apps.chat import chat_manifest, ChatClient, ChatService
-from repro.apps.email import email_manifest, EmailClient, EmailService_ as DIYEmailService
-from repro.apps.filetransfer import file_transfer_manifest, FileTransferClient
-from repro.apps.iot import iot_manifest, IotClient, SimulatedDevice
-from repro.apps.video import VideoRelay, CallSession, hd_call_cost
-
-__all__ = [
-    "chat_manifest",
-    "ChatClient",
-    "ChatService",
-    "email_manifest",
-    "EmailClient",
-    "DIYEmailService",
-    "file_transfer_manifest",
-    "FileTransferClient",
-    "iot_manifest",
-    "IotClient",
-    "SimulatedDevice",
-    "VideoRelay",
-    "CallSession",
-    "hd_call_cost",
-]

@@ -15,54 +15,6 @@
   function endpoint.
 """
 
-from repro.core.app import AppManifest, DIYApp, PermissionGrant
 from repro.core.deployment import Deployer
-from repro.core.costmodel import (
-    CostModel,
-    CostEstimate,
-    ServerlessWorkload,
-    VmWorkload,
-    PAPER_WORKLOADS,
-)
-from repro.core.threatmodel import (
-    TcbComponent,
-    TcbProfile,
-    diy_tcb_profile,
-    centralized_tcb_profile,
-    PrivacyAuditor,
-)
-from repro.core.attestation import Enclave, Quote, AttestationVerifier, measure_function
-from repro.core.appstore import AppStore, AppListing, InstalledApp
-from repro.core.advisor import RequestProfile
-from repro.core.client import SecureChannel, open_channel
-from repro.core.framework import DiyWebApp, JsonResponse, TextResponse
 
-__all__ = [
-    "AppManifest",
-    "DIYApp",
-    "PermissionGrant",
-    "Deployer",
-    "CostModel",
-    "CostEstimate",
-    "ServerlessWorkload",
-    "VmWorkload",
-    "PAPER_WORKLOADS",
-    "TcbComponent",
-    "TcbProfile",
-    "diy_tcb_profile",
-    "centralized_tcb_profile",
-    "PrivacyAuditor",
-    "Enclave",
-    "Quote",
-    "AttestationVerifier",
-    "measure_function",
-    "AppStore",
-    "AppListing",
-    "InstalledApp",
-    "RequestProfile",
-    "SecureChannel",
-    "open_channel",
-    "DiyWebApp",
-    "JsonResponse",
-    "TextResponse",
-]
+__all__ = ["Deployer"]

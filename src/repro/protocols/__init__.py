@@ -15,30 +15,3 @@ through HTTPS (§6.2). This package implements the protocol substrate:
 - :mod:`repro.protocols.spam` — a SpamAssassin-style rule scorer
   (§6.1: "DIY could also support features like spam detection").
 """
-
-from repro.protocols.mime import EmailMessage, Address, parse_email
-from repro.protocols.smtp import SmtpServer, SmtpClient, SmtpReply
-from repro.protocols.xmpp import Stanza, Jid, message_stanza, iq_stanza, presence_stanza
-from repro.protocols.bosh import BoshSession, BoshBody
-from repro.protocols.rtp import RtpPacket
-from repro.protocols.spam import SpamScorer, SpamVerdict, default_rules
-
-__all__ = [
-    "EmailMessage",
-    "Address",
-    "parse_email",
-    "SmtpServer",
-    "SmtpClient",
-    "SmtpReply",
-    "Stanza",
-    "Jid",
-    "message_stanza",
-    "iq_stanza",
-    "presence_stanza",
-    "BoshSession",
-    "BoshBody",
-    "RtpPacket",
-    "SpamScorer",
-    "SpamVerdict",
-    "default_rules",
-]

@@ -30,6 +30,7 @@ from typing import Dict, List, Set, Tuple
 from repro.cloud.billing import BillingMeter, Invoice, UsageKind, price_usage
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.collector import TraceCollector
+from repro.obs.export import decomposition_report
 from repro.obs.trace import Tracer
 from repro.plan import DEFAULT_PLAN, DeploymentPlan
 from repro.sim.clock import SimClock
@@ -575,10 +576,6 @@ def run_obs_benchmark(
     ``repeats``, and each mode's run also reports its median wall time
     (``median_wall_seconds``) beside the best, so the spread shows.
     """
-    # Function-level: obs.export pulls in sim.metrics, whose package
-    # init imports this module (a cycle at import time, not at runtime).
-    from repro.obs.export import decomposition_report
-
     if repeats < 1:
         raise ConfigurationError("obs benchmark needs at least one repeat")
     # Interleave the modes (off, on, off, on, ...) so a load drift on

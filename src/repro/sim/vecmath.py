@@ -12,17 +12,19 @@ numpy array form and a plain-python scalar form — that execute the
 *identical sequence of IEEE-754 double operations*, so their outputs
 are bitwise equal:
 
-* :func:`uniform_block` — a block of uniforms from a
-  :class:`random.Random`, drawn through numpy's MT19937 when available
+* :func:`block_generator` / :func:`restore_stream` — a
+  :class:`random.Random`'s stream moved into a numpy MT19937 and back
   (CPython's ``random()`` and ``RandomState.random_sample`` share the
   same 53-bit recipe over the same generator, so the streams match
-  exactly and the python state is resynchronized after the draw).
+  exactly); :meth:`repro.sim.rng.SeededRng.uniform_block` draws its
+  blocks through one.
 * :func:`plog` / ``plog_block`` — a portable fdlibm-style ``log``
   built from +,-,*,/ and exponent bit-twiddling only. Used for the
   exact exponential tail; ~0.5 ulp accuracy.
 * :class:`QuantileTable` — inverse-CDF sampling through a uniform-grid
-  quantile table. The table itself is always built by *scalar* python
-  (so its values cannot depend on numpy's presence); sampling is one
+  quantile table. Its values cannot depend on numpy's presence: the
+  shared normal grid's numpy twin runs the scalar build's operations
+  and libm calls, and the rest is scalar python; sampling is one
   gather plus a linear interpolation, which is pure arithmetic and
   therefore bit-reproducible. This is how the fleet engine samples
   log-normal latencies and exponential arrival gaps at tens of
@@ -33,6 +35,11 @@ equals ``[f(x) for x in block]`` under the fallback, bit for bit.
 ``tests/sim/test_vec_fallback.py`` enforces it, switching numpy off
 through ``repro._optional._FORCE_FALLBACK``; :func:`numpy_or_none` is
 re-exported from there.
+
+Importing this module is the fleet engines' numpy set-up: every fleet,
+replay and trace-reader module imports it, and it loads numpy (and
+``numpy.random``, which numpy itself loads lazily) here, so no timed
+call pays for either. The app path never imports it.
 """
 
 from __future__ import annotations
@@ -45,7 +52,8 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "numpy_or_none",
-    "uniform_block",
+    "block_generator",
+    "restore_stream",
     "plog",
     "plog_block",
     "norm_ppf",
@@ -57,42 +65,30 @@ __all__ = [
 
 # -- block uniforms ------------------------------------------------------
 
-
-# The process's one numpy generator for :func:`uniform_block`. Each call
-# replaces its whole MT19937 state, so it carries nothing from one call
-# to the next; a forked worker inherits it and is just as stateless. Two
-# threads must not draw through it at once: the engines run shards in
-# processes, and nothing in this package starts a thread.
-_block_state = None
+_np = numpy_or_none()
+if _np is not None:
+    _np.random  # numpy imports its random package on first access
 
 
-def uniform_block(pyrandom, n: int):
-    """``n`` floats, stream-identical to ``n`` successive ``random()`` calls.
+def block_generator(pyrandom):
+    """A numpy ``RandomState`` that continues ``pyrandom``'s stream.
 
-    With numpy available the underlying Mersenne-Twister state is
-    transplanted into the process's one ``RandomState`` (``set_state``
-    replaces all of its state, so no draw depends on an earlier call),
-    the block is drawn in C, and the python generator's state is
-    synchronized to the post-draw position — callers can freely
-    interleave scalar and block draws. Returns an ``ndarray`` under
-    numpy, a ``list`` under the fallback.
+    Its ``random_sample(n)`` draws what ``n`` successive
+    ``pyrandom.random()`` calls would; ``pyrandom`` itself is left where
+    it was, so hand the stream back with :func:`restore_stream` before
+    drawing from it again.
     """
-    global _block_state
-    if n < 0:
-        raise ConfigurationError(f"uniform block size cannot be negative: {n}")
     np = numpy_or_none()
-    if np is None:
-        rnd = pyrandom.random
-        return [rnd() for _ in range(n)]
-    if _block_state is None:
-        _block_state = np.random.RandomState(0)
-    state = _block_state
-    version, internal, gauss_next = pyrandom.getstate()
+    internal = pyrandom.getstate()[1]
+    state = np.random.RandomState(0)
     state.set_state(("MT19937", np.asarray(internal[:-1], dtype=np.uint32), internal[-1]))
-    out = state.random_sample(n)
+    return state
+
+
+def restore_stream(pyrandom, state) -> None:
+    """Move the stream ``state`` has reached back into ``pyrandom``."""
     _, key, pos = state.get_state()[:3]
-    pyrandom.setstate((version, tuple(key.tolist()) + (int(pos),), gauss_next))
-    return out
+    pyrandom.setstate((pyrandom.VERSION, tuple(key.tolist()) + (int(pos),), pyrandom.gauss_next))
 
 
 # -- portable log (fdlibm) ----------------------------------------------
@@ -197,6 +193,39 @@ def norm_ppf(p: float) -> float:
     return x - u / (1.0 + x * u / 2.0)
 
 
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _per_element(np, fn, x):
+    """``fn`` (a :mod:`math` function) over the array ``x``, one libm call each."""
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=len(x))
+
+
+def _norm_ppf_block(np, p):
+    """:func:`norm_ppf` over an array of ``p`` in (0, 1), bit for bit.
+
+    The same IEEE operations in the same order: ``+ - * /`` and ``sqrt``
+    as array ops, which round exactly like their scalar twins, and
+    ``log``, ``erfc`` and ``exp`` through :mod:`math` per element.
+    """
+    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
+    q = p - 0.5
+    r = q * q
+    x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
+         / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
+    low = p < 0.02425
+    high = p > 1.0 - 0.02425
+    for tail, tail_p, sign in ((low, p[low], 1.0), (high, 1.0 - p[high], -1.0)):
+        if len(tail_p):
+            q = np.sqrt(-2.0 * _per_element(np, math.log, tail_p))
+            x[tail] = sign * ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
+                              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+    err = 0.5 * _per_element(np, math.erfc, -x / _SQRT_2) - p
+    u = err * _SQRT_2PI * _per_element(np, math.exp, x * x / 2.0)
+    return x - u / (1.0 + x * u / 2.0)
+
+
 # -- quantile-table sampling ---------------------------------------------
 
 
@@ -270,6 +299,7 @@ class QuantileTable:
 
 
 _TABLE_BITS_DEFAULT = 16
+_GRID_BLOCK = 4096  # quantiles per array pass: small temporaries, few passes
 _normal_grids: Dict[int, List[float]] = {}
 _lognormal_tables: Dict[Tuple[float, float, float, int], QuantileTable] = {}
 _exponential_tables: Dict[int, QuantileTable] = {}
@@ -279,13 +309,23 @@ def _normal_grid(bits: int) -> List[float]:
     """The (cached) standard-normal quantiles at ``i / 2**bits``, ``i`` from 1 to ``2**bits - 1``.
 
     Every log-normal table of a resolution shares this one grid, so a
-    process pays for :func:`norm_ppf` once per resolution, not once per
-    table (``make lint`` keeps every other caller out).
+    process builds it once per resolution, not once per table (``make
+    lint`` keeps every other caller of :func:`norm_ppf` out). Under
+    numpy, :func:`_norm_ppf_block` builds it ``_GRID_BLOCK`` quantiles
+    at a time, bit for bit the scalar grid.
     """
     grid = _normal_grids.get(bits)
     if grid is None:
         size = 1 << bits
-        grid = _normal_grids[bits] = [norm_ppf(i / size) for i in range(1, size)]
+        np = numpy_or_none()
+        if np is None:
+            grid = _normal_grids[bits] = [norm_ppf(i / size) for i in range(1, size)]
+        else:
+            grid = []
+            for lo in range(1, size, _GRID_BLOCK):
+                p = np.arange(lo, min(lo + _GRID_BLOCK, size), dtype=np.float64) / size
+                grid += _norm_ppf_block(np, p).tolist()
+            _normal_grids[bits] = grid
     return grid
 
 
@@ -294,12 +334,12 @@ def lognormal_table(
 ) -> QuantileTable:
     """The (cached) quantile table of ``scale * LogNormal(mu, sigma)``.
 
-    Built scalar so the values are independent of numpy's presence;
-    ``scale`` folds a constant factor (the Lambda memory penalty) into
-    the table instead of into every sample. The standard-normal
-    quantiles come from the shared :func:`_normal_grid`: at the default
-    16 bits its 65,535 ``norm_ppf`` calls take about 0.10 s once per
-    process, and each table is then one ``scale * exp(mu + sigma * z)``
+    Built so the values are independent of numpy's presence; ``scale``
+    folds a constant factor (the Lambda memory penalty) into the table
+    instead of into every sample. The standard-normal quantiles come
+    from the shared :func:`_normal_grid`: at the default 16 bits it
+    takes about 13 ms once per process under numpy and 66 ms without,
+    and each table is then one scalar ``scale * exp(mu + sigma * z)``
     pass of about 0.011 s (2-vCPU host, CPython 3.11), where building
     every table from ``norm_ppf`` took about 0.10 s a table. The values
     are bit for bit those of the per-table build.

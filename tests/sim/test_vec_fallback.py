@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import random
 
 import pytest
 
 from repro import _optional
+from repro.errors import ConfigurationError
 from repro.plan import MEMORY_SIZES
 from repro.sim import vecmath
 from repro.sim.fold import handler_components
@@ -62,50 +62,78 @@ class TestUniformBlock:
         assert stream(SeededRng(9, "mix")) == with_numpy
 
 
-def _fresh_state_block(pyrandom, n):
-    """The block draw through a new ``RandomState`` per call: the reference for the shared one."""
-    np = vecmath.numpy_or_none()
-    version, internal, gauss_next = pyrandom.getstate()
-    state = np.random.RandomState()
-    state.set_state(("MT19937", np.asarray(internal[:-1], dtype=np.uint32), internal[-1]))
-    out = state.random_sample(n)
-    _, key, pos = state.get_state()[:3]
-    pyrandom.setstate((version, tuple(key.tolist()) + (int(pos),), gauss_next))
+_STEPS = (5, 0, 1, 700, 3)
+
+
+def _draws(n):
+    """One step's draws, ``(generator, block size)``, ``None`` for a scalar draw."""
+    return [("first", None), ("first", n), ("first", n),
+            ("second", n + 1), ("second", 1), ("second", None)]
+
+
+def _twin_streams(seed, before_draw=lambda draw: None):
+    """Scalar and block draws from two generators, taking turns."""
+    rngs = {name: SeededRng(seed, name) for name in ("first", "second")}
+    out = []
+    draw = 0
+    for n in _STEPS:
+        for name, size in _draws(n):
+            before_draw(draw)
+            draw += 1
+            rng = rngs[name]
+            out.extend([rng.random()] if size is None else _floats(rng.uniform_block(size)))
     return out
 
 
-def _interleaved(block, seed):
-    """Scalar and block draws from two generators, taking turns."""
-    first, second = random.Random(seed), random.Random(seed + 1)
+def _reference_streams(seed):
+    """The same draws, each one ``random.Random.random()``."""
+    pyrandoms = {name: SeededRng(seed, name)._py for name in ("first", "second")}
     out = []
-    for n in (5, 0, 1, 700, 3):
-        out.append(first.random())
-        out.extend(_floats(block(first, n)))
-        out.extend(_floats(block(second, n + 1)))
-        out.append(second.random())
-    return out + [first.random(), second.random()]
+    for n in _STEPS:
+        for name, size in _draws(n):
+            out.extend(pyrandoms[name].random() for _ in range(1 if size is None else size))
+    return out
 
 
-def _shared_state_stream(seed):
-    return _interleaved(vecmath.uniform_block, seed)
+# A generator whose stream the parent moved into numpy before forking.
+_INHERITED = SeededRng(11, "inherited")
 
 
-class TestSharedBlockState:
-    """One ``RandomState`` per process draws what a fresh one per call drew."""
+def _continue_inherited(n):
+    return _floats(_INHERITED.uniform_block(n)) + [_INHERITED.random()]
 
-    def test_interleaved_draws_match_a_fresh_state_per_call(self):
+
+class TestBlockGenerator:
+    """Each generator's own numpy MT19937 continues its ``random.Random`` stream."""
+
+    def test_interleaved_draws_match_random_random(self):
         for seed in (0, 7, 2017):
-            assert _shared_state_stream(seed) == _interleaved(_fresh_state_block, seed)
+            assert _twin_streams(seed) == _reference_streams(seed)
 
     def test_a_forked_worker_draws_the_same_stream(self):
-        _shared_state_stream(1)  # the parent's state object exists before the fork
+        head = _floats(_INHERITED.uniform_block(10))
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-forking platforms
             pytest.skip("fork is not available")
         with context.Pool(1) as pool:
-            in_worker = pool.map_async(_shared_state_stream, [3, 4]).get(timeout=120)
-        assert in_worker == [_interleaved(_fresh_state_block, seed) for seed in (3, 4)]
+            in_worker = pool.map_async(_twin_streams, [3, 4]).get(timeout=120)
+            inherited = pool.apply_async(_continue_inherited, (50,)).get(timeout=120)
+        assert in_worker == [_reference_streams(seed) for seed in (3, 4)]
+        reference = SeededRng(11, "inherited")._py
+        assert head + inherited == [reference.random() for _ in range(61)]
+
+    def test_fallback_flipped_between_draws(self, monkeypatch):
+        # Every third draw runs with numpy off, so a block draw with numpy
+        # off follows one with numpy on, and the other way round.
+        def flip(draw):
+            monkeypatch.setattr(_optional, "_FORCE_FALLBACK", draw % 3 == 1)
+
+        assert _twin_streams(2017, flip) == _reference_streams(2017)
+
+    def test_negative_block_size_is_refused(self):
+        with pytest.raises(ConfigurationError):
+            SeededRng(1, "neg").uniform_block(-1)
 
 
 class TestPortableLog:
@@ -172,22 +200,46 @@ class TestSharedNormalGrid:
         for (mu, sigma, scale, bits), table in vecmath._lognormal_tables.items():
             assert table.values == _per_table_values(mu, sigma, scale, ppf.__getitem__, bits)
 
-    def test_norm_ppf_runs_once_per_grid_point_per_process(self, monkeypatch):
-        calls = []
-        norm_ppf = vecmath.norm_ppf
+    def test_norm_ppf_runs_once_per_grid_point_per_process(self, monkeypatch, fallback):
+        scalar_points, block_points = [], []
+        norm_ppf, norm_ppf_block = vecmath.norm_ppf, vecmath._norm_ppf_block
 
         def counted(p):
-            calls.append(p)
+            scalar_points.append(p)
             return norm_ppf(p)
 
+        def counted_block(np, p):
+            block_points.extend(p.tolist())
+            return norm_ppf_block(np, p)
+
+        def build_tables():
+            monkeypatch.setattr(vecmath, "_normal_grids", {})
+            monkeypatch.setattr(vecmath, "_lognormal_tables", {})
+            for scale in (1.0, 1.5, 2.0, 3.4285714285714284):
+                vecmath.lognormal_table(math.log(19000), 0.18, scale)
+                vecmath.lognormal_table(math.log(2000), 0.3, scale)
+            assert len(vecmath._lognormal_tables) == 8
+
         monkeypatch.setattr(vecmath, "norm_ppf", counted)
-        monkeypatch.setattr(vecmath, "_normal_grids", {})
-        monkeypatch.setattr(vecmath, "_lognormal_tables", {})
-        for scale in (1.0, 1.5, 2.0, 3.4285714285714284):
-            vecmath.lognormal_table(math.log(19000), 0.18, scale)
-            vecmath.lognormal_table(math.log(2000), 0.3, scale)
-        assert len(vecmath._lognormal_tables) == 8
-        assert len(calls) == (1 << 16) - 1 == 65_535
+        monkeypatch.setattr(vecmath, "_norm_ppf_block", counted_block)
+        build_tables()
+        assert scalar_points == []
+        assert block_points == [i / (1 << 16) for i in range(1, 1 << 16)]
+        fallback()
+        build_tables()
+        assert scalar_points == block_points
+        assert len(scalar_points) == (1 << 16) - 1 == 65_535
+
+    def test_numpy_grid_equals_the_scalar_grid_bit_for_bit(self, monkeypatch):
+        for bits in range(4, 17):
+            monkeypatch.setattr(vecmath, "_normal_grids", {})
+            with_numpy = [z.hex() for z in vecmath._normal_grid(bits)]
+            monkeypatch.setattr(vecmath, "_normal_grids", {})
+            monkeypatch.setattr(_optional, "_FORCE_FALLBACK", True)
+            scalar = [z.hex() for z in vecmath._normal_grid(bits)]
+            monkeypatch.setattr(_optional, "_FORCE_FALLBACK", False)
+            assert with_numpy == scalar, bits
+            assert len(scalar) == (1 << bits) - 1
 
 
 class TestVectorizedKernels:
