@@ -26,7 +26,9 @@ test:
 # rebuilds the grid; the regex block proof, _CANONICAL_BLOCK, lives only
 # in the tests, as the oracle of the reader's positional proof; only
 # repro.sim.vecmath calls numpy_or_none() at import, so the app path
-# never loads numpy before it runs an array kernel.
+# never loads numpy before it runs an array kernel; gzip and zlib are
+# used only by repro.sim.replay.format, so the deterministic trace
+# container and its deflate level have one home.
 lint:
 	@! grep -rn "ctx\.services\.s3_get\|ctx\.services\.s3_put\|ctx\.services\.s3_list\|ctx\.services\.s3_delete\|ctx\.services\.dynamo_" src/repro/apps/ src/repro/core/ \
 		|| { echo "lint: apps must use kctx.store, not raw storage clients"; exit 1; }
@@ -70,6 +72,8 @@ lint:
 		|| { echo "lint: _CANONICAL_BLOCK is the tests' oracle; the trace reader proves blocks by position"; exit 1; }
 	@! grep -rnE '^[^[:space:]#].*numpy_or_none\(' src/repro --include="*.py" | grep -v 'src/repro/sim/vecmath\.py:\|src/repro/_optional\.py:[0-9]*:def numpy_or_none(' \
 		|| { echo "lint: only repro.sim.vecmath calls numpy_or_none() at import; every other module loads numpy on first use"; exit 1; }
+	@! grep -rnE '\b(gzip|zlib)\.|^\s*(import|from)\s.*\b(gzip|zlib)\b' src/repro --include="*.py" | grep -v 'src/repro/sim/replay/format\.py:' \
+		|| { echo "lint: trace compression lives only in repro.sim.replay.format; no gzip or zlib elsewhere in src/repro"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).

@@ -5,15 +5,17 @@ email, file transfer, IoT control, video conferencing — on serverless
 platforms, storing only *encrypted* data outside a tiny trusted
 computing base (the function's container and a key manager).
 
-The public API re-exported here is the downstream-user surface:
+The package exports only :class:`~repro.cloud.provider.CloudProvider`
+(a simulated AWS account: Lambda, S3, KMS, SQS, SES, EC2, IAM, API
+gateway), :class:`~repro.units.Money`, :func:`~repro.units.usd` and
+``__version__``; everything else is imported from where it lives:
 
-- :class:`~repro.cloud.provider.CloudProvider` — a simulated AWS
-  account (Lambda, S3, KMS, SQS, SES, EC2, IAM, API gateway).
-- :class:`~repro.core.deployment.Deployer` and
-  :class:`~repro.core.app.DIYApp` — one-call DIY deployment (Figure 1).
-- The applications under :mod:`repro.apps`.
-- :class:`~repro.core.costmodel.CostModel` — regenerates the paper's
-  cost tables.
+- ``from repro.core import Deployer`` and ``from repro.core.app import
+  DIYApp`` — one-call DIY deployment (Figure 1);
+- the applications under :mod:`repro.apps` (``from repro.apps.chat
+  import ChatService``, ...);
+- ``from repro.core.costmodel import CostModel`` — regenerates the
+  paper's cost tables;
 - :mod:`repro.tcb` and :mod:`repro.core.threatmodel` — the checkable
   privacy invariants.
 

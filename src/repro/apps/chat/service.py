@@ -4,7 +4,7 @@ Room creation is an owner operation (her device, her key): the roster
 is encrypted client-side and written to the app's state store, and
 each member gets an SQS inbox queue. The Lambda handler then only ever
 *reads* the roster. The store itself comes from
-:func:`repro.runtime.owner_store`, so the service transparently follows
+:func:`repro.runtime.owner.owner_store`, so the service transparently follows
 whichever backend the deployment plan chose.
 """
 

@@ -17,7 +17,7 @@ to the function, but the inbound hook also writes a KMS-envelope
 and only the function, inside its container — can decrypt to answer
 search queries. Two encryption tiers, one per trust decision.
 
-All three functions are assembled by :class:`repro.runtime.AppKernel`
+All three functions are assembled by :class:`repro.runtime.kernel.AppKernel`
 from one spec; the mailbox lives in whichever backend the deployment
 plan chose.
 """

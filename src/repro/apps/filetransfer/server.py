@@ -1,7 +1,7 @@
 """The file-transfer function.
 
 Endpoints (all tunneled over the app's HTTPS route, declared on the
-:class:`repro.runtime.AppKernel` router):
+:class:`repro.runtime.kernel.AppKernel` router):
 
 - ``POST /offer``  — create a transfer ticket {filename, recipient, chunks}.
 - ``PUT  /chunk``  — upload one encrypted chunk (the function buffers it,

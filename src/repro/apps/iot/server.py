@@ -1,6 +1,6 @@
 """The IoT controller function.
 
-Endpoints (declared on the :class:`repro.runtime.AppKernel` router):
+Endpoints (declared on the :class:`repro.runtime.kernel.AppKernel` router):
 
 - ``POST /cmd``       — relay a command to a device (encrypted onto its
   command queue) and store encrypted query metadata.

@@ -130,14 +130,16 @@ class CloudProvider:
         lands in the returned :class:`~repro.sim.replay.TraceRecorder`
         (app = first path segment, actor = client name). Recording is
         pure observation — no RNG draw, no clock advance — so a
-        recorded run stays byte-identical to an unrecorded one. Write
-        the trace with ``provider.recorder.write(path)``.
+        recorded run stays byte-identical to an unrecorded one. The
+        trace header notes this provider's plan, so a replay bills it.
+        Write the trace with ``provider.recorder.write(path)``.
         """
         from repro.sim.replay import TraceRecorder
 
         self.recorder = TraceRecorder(
             name=name or f"{self.name}-gateway", seed=self.rng.seed, tenants=1
         )
+        self.recorder.set_plan(self.plan)
         self.gateway.attach_recorder(self.recorder)
         return self.recorder
 

@@ -63,25 +63,35 @@ def tenant_multiply(trace: Trace, copies: int, name: Optional[str] = None) -> Tr
     if copies <= 0:
         raise ConfigurationError(f"tenant_multiply needs a positive copy count, got {copies}")
     base = trace.header.tenants
-    columns = trace.columns()
+    source = trace.columns()
+    # Copy k of event i lands at index i * copies + k, so the copies meet
+    # the kinds in the original's order: numbered once here, the copied
+    # kind column is canonical as it stands, unless some kind is an
+    # event's own, which each copy must take afresh.
+    columns = TraceColumns.canonical(
+        source.at, source.tenant, source.size, source.kind, source.kinds,
+    )
     total = len(columns) * copies
     at, tenant, size, kind = [0] * total, [0] * total, [0] * total, [0] * total
-    # Copy k of event i lands at index i * copies + k.
     for k in range(copies):
         at[k::copies] = columns.at
         size[k::copies] = columns.size
         kind[k::copies] = columns.kind
+        # Copy 0 keeps the original's values, so validation sees a tenant
+        # that is not an int (``True + 0`` would be one).
         offset = k * base
-        tenant[k::copies] = [t + offset for t in columns.tenant]
+        tenant[k::copies] = [t + offset for t in columns.tenant] if k else columns.tenant
     header = TraceHeader(
         name=name or f"{trace.header.name}*{copies}",
         seed=trace.header.seed,
         tenants=base * copies,
         meta=trace.header.meta,
     )
-    return Trace.from_columns(
-        header, TraceColumns.canonical(at, tenant, size, kind, columns.kinds),
-    ).validate()
+    if columns.own_kinds():
+        copied = TraceColumns.canonical(at, tenant, size, kind, columns.kinds)
+    else:
+        copied = TraceColumns(at, tenant, size, kind, columns.kinds)
+    return Trace.from_columns(header, copied).validate()
 
 
 def splice(

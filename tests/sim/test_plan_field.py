@@ -11,6 +11,8 @@
     and a default plan records nothing;
   - ``run_fleet_sharded`` and ``run_replay_sharded`` are byte-identical
     on 1 and 2 workers, and with numpy on and off.
+* A chat exchange recorded at a provider's gateway carries the
+  provider's plan in its header.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import _optional
+from repro import CloudProvider, _optional
+from repro.apps.chat import ChatClient, ChatService, chat_manifest
+from repro.core.deployment import Deployer
 from repro.errors import ConfigurationError
 from repro.plan import DEFAULT_PLAN, DeploymentPlan
 from repro.runtime.store import STORAGE_BACKENDS
@@ -34,6 +38,7 @@ from repro.sim.replay import (
     trace_plan,
     write_trace,
 )
+from repro.sim.replay.format import PLAN_META_DEFAULTS
 from repro.sim.scale import ChaosConfig, ScaleConfig
 from repro.sim.shard import FleetConfig, run_fleet_sharded
 
@@ -137,3 +142,34 @@ class TestPlanProperties:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_optional, "_FORCE_FALLBACK", True)
             assert digests(1) == one
+
+
+def _record_chat(plan: DeploymentPlan, path):
+    """A two-client chat exchange recorded at the gateway of a provider at ``plan``."""
+    provider = CloudProvider(seed=1, plan=plan)
+    recorder = provider.enable_recording()
+    service = ChatService(Deployer(provider).deploy(chat_manifest(plan=plan), owner="alice"))
+    service.create_room("room", ["alice@diy", "bob@diy"])
+    alice, bob = ChatClient(service, "alice@diy"), ChatClient(service, "bob@diy")
+    for client in (alice, bob):
+        client.join("room")
+        client.connect()
+    alice.send("room", "hello")
+    assert [message.body for message in bob.poll()] == ["hello"]
+    recorder.write(path)
+    return read_trace(path)
+
+
+class TestGatewayRecording:
+    def test_the_header_holds_the_provider_plan(self, tmp_path):
+        plan = DeploymentPlan(memory_mb=1024, storage="dynamo")
+        trace = _record_chat(plan, tmp_path / "chat.jsonl.gz")
+        assert len(trace) > 0
+        recorded = trace_plan(trace.header)
+        assert (recorded.memory_mb, recorded.storage) == (1024, "dynamo")
+        assert _bills(recorded) == _bills(plan)
+
+    def test_a_default_plan_writes_no_plan_keys(self, tmp_path):
+        trace = _record_chat(DEFAULT_PLAN, tmp_path / "chat.jsonl.gz")
+        assert len(trace) > 0
+        assert not set(trace.header.meta_dict()) & set(PLAN_META_DEFAULTS)

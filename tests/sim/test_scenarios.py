@@ -20,6 +20,7 @@ from repro.sim.replay import (
     ReplayConfig,
     Trace,
     TraceEvent,
+    TraceFormatError,
     TraceHeader,
     read_trace,
     run_replay_sharded,
@@ -147,6 +148,12 @@ class TestTransforms:
             assert {c.tenant for c in copies} == {
                 event.tenant + k * base.header.tenants for k in range(3)
             }
+
+    @pytest.mark.parametrize("tenant", [True, 1.0])
+    def test_tenant_multiply_refuses_a_tenant_that_is_not_an_int(self, tenant):
+        trace = Trace(TraceHeader("odd", 1, 2), [TraceEvent(0, tenant)])
+        with pytest.raises(TraceFormatError, match="field 'tenant' must be int"):
+            tenant_multiply(trace, 2)
 
     def test_splice_concatenates_with_a_gap(self):
         first = build_scenario("viral-groupchat", seed=4)

@@ -7,7 +7,10 @@
 * Corrupt files (truncated or non-gzip ``.gz``, non-ASCII bytes) fail
   with :class:`TraceFormatError` naming the path.
 * A ``.gz`` write closes every handle it opens and compresses to the
-  same bytes as a text-mode writer over :class:`gzip.GzipFile`.
+  same bytes as a text-mode writer over :class:`gzip.GzipFile` at the
+  module's deflate level, zlib's default: the same bytes on every write,
+  a deflate stream of exactly that level, and a level-9 file written as
+  earlier writers did still reads to the same columns and digest.
 * The block reader agrees with a line-by-line reference reader on every
   file, canonical or not: length, columns, events, digest and errors,
   with numpy and without; the numpy block decoder reads drawn blocks
@@ -309,7 +312,8 @@ class TestGzipWriter:
         path = tmp_path / "t.jsonl.gz"
         write_trace(path, trace)
         reference = io.BytesIO()
-        raw = gzip.GzipFile(fileobj=reference, mode="wb", filename="", mtime=0)
+        raw = gzip.GzipFile(fileobj=reference, mode="wb", compresslevel=trace_format._GZIP_LEVEL,
+                            filename="", mtime=0)
         out = io.TextIOWrapper(raw, encoding="ascii", newline="\n")
         out.write(header_line(trace.header, len(trace.events)))
         for event in trace.events:
@@ -317,6 +321,56 @@ class TestGzipWriter:
         out.write("\n")
         out.close()  # flushes, then closes the GzipFile but not the BytesIO
         assert path.read_bytes() == reference.getvalue()
+
+    @_SETTINGS
+    @given(_traces())
+    def test_bytes_are_deterministic_at_the_module_level(self, tmp_path, trace):
+        first, second = tmp_path / "a.jsonl.gz", tmp_path / "b.jsonl.gz"
+        write_trace(first, trace)
+        write_trace(second, trace)
+        raw = first.read_bytes()
+        assert raw == second.read_bytes()
+        # Magic, deflate, no flags, mtime 0, XFL 0 (neither level 1 nor 9), OS unknown.
+        assert raw[:10] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
+        body = gzip.decompress(raw)
+        deflate = zlib.compressobj(trace_format._GZIP_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+        stream = deflate.compress(body) + deflate.flush(zlib.Z_SYNC_FLUSH) + deflate.flush()
+        assert raw[10:-8] == stream
+        assert raw[-8:] == (zlib.crc32(body).to_bytes(4, "little")
+                            + len(body).to_bytes(4, "little"))
+
+    def test_the_level_is_zlibs_default(self, tmp_path):
+        # Z_DEFAULT_COMPRESSION (-1) means level 6 inside zlib; on this
+        # body every other level deflates to other bytes.
+        write_trace(tmp_path / "iot.jsonl", iot_fleet(2017))
+        body = (tmp_path / "iot.jsonl").read_bytes()
+        deflated = [zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS)
+                    for level in (trace_format._GZIP_LEVEL, zlib.Z_DEFAULT_COMPRESSION)]
+        assert len({d.compress(body) + d.flush() for d in deflated}) == 1
+
+    def test_a_level_9_trace_reads_as_the_written_one(self, tmp_path):
+        """A trace written at gzip's level 9, as earlier writers did, still reads alike."""
+        trace = tenant_multiply(iot_fleet(2017), 2)
+        new, old = tmp_path / "new.jsonl.gz", tmp_path / "old.jsonl.gz"
+        write_trace(new, trace)
+        with open(old, "wb") as handle:
+            with gzip.GzipFile(fileobj=handle, mode="wb", compresslevel=9,
+                               filename="", mtime=0) as out:
+                out.write(header_line(trace.header, len(trace)).encode("ascii"))
+                for event in trace.events:
+                    out.write(("\n" + _reference_line(event)).encode("ascii"))
+                out.write(b"\n")
+                out.flush()
+        assert old.read_bytes() != new.read_bytes()
+        assert gzip.decompress(old.read_bytes()) == gzip.decompress(new.read_bytes())
+        for numpy in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_optional, "_FORCE_FALLBACK", not numpy)
+                read_old, read_new = read_trace(old), read_trace(new)
+            assert read_old.header == read_new.header
+            assert read_old.columns() == read_new.columns() == trace.columns()
+            assert read_old.columns().kinds == read_new.columns().kinds
+            assert read_old.digest() == read_new.digest() == trace_digest(trace)
 
 
 # -- the block reader against a line-by-line reference --------------------

@@ -61,6 +61,14 @@ def test_the_app_path_loads_no_numpy_and_no_fleet_engine(module):
     assert [name for name in loaded if name.startswith(FLEET_ONLY)] == []
 
 
+def test_the_runtime_package_loads_no_kernel_module():
+    loaded = _loaded_after("repro.runtime")
+    assert "repro.runtime" in loaded
+    kernel = ("repro.runtime.kernel", "repro.runtime.router", "repro.runtime.store",
+              "repro.runtime.owner")
+    assert [name for name in loaded if name in kernel] == []
+
+
 @pytest.mark.parametrize("module", ["repro.sim.shard", "repro.sim.replay"])
 def test_the_fleet_engines_load_numpy_at_import(module):
     loaded = _loaded_after(module)
