@@ -23,12 +23,10 @@ test:
 # repro.sim.scale takes no trace recorder and no health plane, so the
 # sharded engine is the one that records and replays; norm_ppf is
 # called only by repro.sim.vecmath's shared quantile grid, so no table
-# rebuilds the grid; the regex block proof, _CANONICAL_BLOCK, lives only
-# in the tests, as the oracle of the reader's positional proof; only
-# repro.sim.vecmath calls numpy_or_none() at import, so the app path
-# never loads numpy before it runs an array kernel; gzip and zlib are
-# used only by repro.sim.replay.format, so the deterministic trace
-# container and its deflate level have one home.
+# rebuilds the grid; only repro.sim.vecmath calls numpy_or_none() at
+# import, so the app path never loads numpy before it runs an array
+# kernel; gzip and zlib are used only by repro.sim.replay.format, so
+# the deterministic trace container and its deflate level have one home.
 lint:
 	@! grep -rn "ctx\.services\.s3_get\|ctx\.services\.s3_put\|ctx\.services\.s3_list\|ctx\.services\.s3_delete\|ctx\.services\.dynamo_" src/repro/apps/ src/repro/core/ \
 		|| { echo "lint: apps must use kctx.store, not raw storage clients"; exit 1; }
@@ -68,8 +66,6 @@ lint:
 		|| { echo "lint: the sharded engine alone records traces and carries the health plane; repro.sim.scale takes neither"; exit 1; }
 	@! grep -rn 'norm_ppf(' src/repro --include="*.py" | grep -v 'src/repro/sim/vecmath\.py:[0-9]*:def norm_ppf(\|src/repro/sim/vecmath\.py:[0-9]*: *grid = _normal_grids\[bits\] = \[norm_ppf(' \
 		|| { echo "lint: norm_ppf runs only in repro.sim.vecmath._normal_grid; tables share its grid"; exit 1; }
-	@! grep -rn '_CANONICAL_BLOCK' . --include="*.py" | grep -v '^\./tests/' \
-		|| { echo "lint: _CANONICAL_BLOCK is the tests' oracle; the trace reader proves blocks by position"; exit 1; }
 	@! grep -rnE '^[^[:space:]#].*numpy_or_none\(' src/repro --include="*.py" | grep -v 'src/repro/sim/vecmath\.py:\|src/repro/_optional\.py:[0-9]*:def numpy_or_none(' \
 		|| { echo "lint: only repro.sim.vecmath calls numpy_or_none() at import; every other module loads numpy on first use"; exit 1; }
 	@! grep -rnE '\b(gzip|zlib)\.|^\s*(import|from)\s.*\b(gzip|zlib)\b' src/repro --include="*.py" | grep -v 'src/repro/sim/replay/format\.py:' \

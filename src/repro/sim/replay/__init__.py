@@ -3,8 +3,8 @@
 The synthetic engines (:mod:`repro.sim.scale`, :mod:`repro.sim.shard`)
 only ever see diurnal Poisson curves; this package makes *recorded*
 request streams a first-class workload. :mod:`~repro.sim.replay.format`
-defines the versioned JSONL trace format and is the single place trace
-files are parsed; :mod:`~repro.sim.replay.recorder` dumps traces from
+defines the versioned trace format (a JSON header, then int64 column
+blocks) and is the single place trace files are parsed; :mod:`~repro.sim.replay.recorder` dumps traces from
 live runs (gateway seam and sharded fleet); and
 :mod:`~repro.sim.replay.replayer` feeds traces back through the fleet
 fold per shard (worker-count- and numpy-independent digests, and the
@@ -22,7 +22,6 @@ from repro.sim.replay.format import (
     TraceEvent,
     TraceFormatError,
     TraceHeader,
-    iter_trace,
     plan_meta,
     read_trace,
     sort_events,
@@ -51,7 +50,6 @@ __all__ = [
     "TraceEvent",
     "TraceFormatError",
     "TraceHeader",
-    "iter_trace",
     "read_trace",
     "sort_events",
     "plan_meta",

@@ -1,82 +1,49 @@
-"""The versioned JSONL trace format: recorded request streams on disk.
+"""The versioned trace format: recorded request streams on disk.
 
-A **trace** is the unit of workload portability: a header line plus one
-JSON object per request, ordered by virtual arrival time. Everything
-the replay engines need to re-drive a workload — tenant, application,
-route, payload size, the issuing device — travels in the event; free
-anything else rides in ``meta``. The format is:
+A **trace** is the unit of workload portability: a header plus the
+requests, ordered by virtual arrival time. Everything the replay engines
+need to re-drive a workload — tenant, application, route, payload size,
+the issuing device — travels in the trace; anything else rides in
+``meta``. A trace file (version 2) is:
 
-* **versioned** — the header carries ``{"format": "repro-trace",
-  "version": 1}``; readers reject unknown versions instead of
-  misinterpreting them;
-* **canonical** — events serialize with sorted keys, compact
-  separators, and defaults omitted, so the same trace always produces
-  the same bytes (and therefore the same :func:`trace_digest`). One
-  formatter makes every event line for :func:`write_trace`,
-  :func:`trace_digest` and :func:`event_line`;
-* **gzip-friendly** — :func:`write_trace` writes ``*.gz`` paths
-  through :class:`gzip.GzipFile` with ``mtime=0``, an empty filename
-  and one fixed deflate level (``_GZIP_LEVEL``), keeping even the
-  *compressed* bytes deterministic. This module is the only one in
-  ``src/repro`` that uses :mod:`gzip` or :mod:`zlib` (``make lint``).
+* one ASCII JSON **header line**: ``format``, ``version``, ``name``,
+  ``seed``, ``tenants``, ``events``, ``meta`` (omitted when empty) and
+  ``kinds``, the trace's distinct ``[app, route, actor, meta]`` in
+  :class:`KindTable` order;
+* then **blocks** of at most ``_BLOCK_EVENTS`` events. A block is its
+  event count, then four columns of that many values: each event's step
+  in ``at`` from the event before it (the first event's from 0), its
+  tenant, its payload size and its index into ``kinds``. Every number is
+  a little-endian int64.
 
-This module is the **only** place that parses trace JSONL (the
-``make lint`` grep enforces it); every consumer goes through
-:func:`read_trace` / :func:`iter_trace` and gets schema validation for
-free. A corrupt file fails loudly: a truncated or non-gzip ``.gz`` and
-a non-ASCII byte raise :class:`TraceFormatError` naming the path.
+A file's version is read from its header, whatever its suffix; a file of
+another version (the JSON-lines text of version 1, say) raises
+:class:`TraceFormatError` naming the path and the version. A ``*.gz``
+path is deflated through :class:`gzip.GzipFile` at ``_GZIP_LEVEL``
+(zlib's default) with ``mtime=0`` and an empty filename, so equal
+traces write equal bytes, compressed or not. This module is the only
+one in ``src/repro`` that parses trace files or uses :mod:`gzip` or
+:mod:`zlib` (``make lint``).
 
-Cost model: traces move as columns (:class:`TraceColumns`), not as a
-:class:`TraceEvent` per line. The writer and the digest format columns:
-each distinct kind becomes one ``%`` template, and a chunk of 4,096
-lines is filled by one ``%`` over its integers, so formatting costs a
-few C-level passes per chunk; deflate is then most of a write. It runs
-at level 6, zlib's default, not at :class:`gzip.GzipFile`'s 9. On the
-``replay-iot`` trace's 49.3 MB of text (505,551 events; 2-vCPU x86-64
-Xeon, CPython 3.11.7, zlib 1.2.13, best of 3), deflate alone takes:
+:func:`read_trace` decodes each column with one C-level call — under
+numpy ``np.frombuffer`` over the joined bytes, else ``array("q")`` — and
+checks it with C-level passes: steps and sizes not negative, no arrival
+time at or past ``2**63``, tenants in ``[0, tenants)``, kind ids in
+``[0, len(kinds))``, and block counts that sum to the header's. A
+truncated or corrupt file, trailing bytes and a count that disagrees
+with the header raise :class:`TraceFormatError` naming the path; a
+value out of range also names its event. A trace read under numpy keeps
+int64 columns for the sharded replay (:meth:`Trace.readonly_columns`);
+without numpy its columns are lists of ``int``.
 
-=====  =======  ===================
-level  seconds  bytes / level 9's
-=====  =======  ===================
-1      0.18     1.41
-4      0.34     1.24
-5      0.33     1.19
-6      0.43     1.17
-7      0.44     1.16
-8      0.88     1.00
-9      1.03     1.00
-=====  =======  ===================
-
-and inflating the level-6 stream is no slower (best of 11: 83 ms,
-against 89 ms at level 9).
-
-Validation takes C-level passes over the columns (types, sorted, min,
-max; the writer's formatter trusts the types it proved), checks each
-kind's names once (so the writer refuses what the reader would) and
-walks events one by one only to word a failure. One reader serves
-:func:`read_trace` and :func:`iter_trace`. It takes the decompressed
-body in blocks of about 1 MiB of whole lines. Under numpy a block is
-proven canonical and decoded by position (:func:`_prove_block`): from
-its newline and quote offsets, each line's quote count and fixed text
-(masked little-endian words) prove its layout, its three digit runs are
-checked and read eight digits to a word, and its names are keyed by a
-``uint64`` hash, grouped by one ``np.unique`` and proven equal word for
-word, so the name check and :class:`KindTable` run once per distinct
-kind. Without numpy, or for a block the proof refuses (one with a
-19-digit number, say), one ``findall`` decodes canonical lines into
-lists of ``int``; any other block is decoded line by line around :mod:`json`,
-which also names a refused line's error. On the ``replay-iot`` trace
-(505,551 events, 43 blocks; 2-vCPU x86-64 host, CPython 3.11, numpy
-2.4, best of several) the proof and decode take 6.5 ms a block, where
-a regex proof and the decode took 9.2 ms, and ``read_trace`` 0.41 s
-against 0.57 s; inflating and hashing the body (about 0.12 s)
-is the floor. A trace read from disk, built by the recorder or made by
-a transform is columnar: its :class:`TraceEvent` objects are built only
-when ``trace.events`` is asked for, and when every line read was
-canonical its digest is the sha256 of the raw lines, taken during the
-read. A trace read under numpy keeps int64 columns for the sharded
-replay (:meth:`Trace.readonly_columns`); its events, its
-:meth:`Trace.columns` and its written lines see exact ``int``.
+The **digest** is not taken over the file. :func:`trace_digest` is the
+sha256 of the trace's canonical JSON-lines text: :func:`header_line`
+(which names version 1, the text's version) and one :func:`event_line`
+per event, with sorted keys, compact separators and defaults omitted.
+The scenario goldens and the benchmark pin that text digest, so it is
+the same for a trace however it is stored. It is formatted in chunks of
+``_CHUNK_LINES`` lines, one ``%`` template per kind, and a column-backed
+trace keeps it until its columns, events or header change hands.
 """
 
 from __future__ import annotations
@@ -86,12 +53,13 @@ import gzip
 import hashlib
 import itertools
 import json
-import re
+import operator
+import sys
 import zlib
+from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro._optional import numpy_or_none
 from repro.errors import ConfigurationError
@@ -122,11 +90,14 @@ __all__ = [
     "trace_engine",
     "write_trace",
     "read_trace",
-    "iter_trace",
 ]
 
 TRACE_FORMAT = "repro-trace"
-TRACE_VERSION = 1
+# The version a trace file's header names; :func:`read_trace` reads no other.
+TRACE_VERSION = 2
+# The version the canonical text's header line names. The digest hashes
+# that text, and every pinned digest was taken with this version in it.
+_TEXT_VERSION = 1
 # The Lambda memory size a header with no ``memory_mb`` meta was
 # recorded at.
 DEFAULT_MEMORY_MB = HANDLER_MEMORY_MB
@@ -322,6 +293,11 @@ class TraceColumns:
         ))
 
 
+def _as_list(column) -> List[int]:
+    """A column as a list of ``int``: itself, or an int64 array's ``tolist()``."""
+    return column if type(column) is list else column.tolist()
+
+
 def _column_events(
     kinds: List[Kind], at: List[int], tenant: List[int], size: List[int], kind: List[int],
 ) -> Iterator[TraceEvent]:
@@ -341,12 +317,13 @@ class Trace:
       the list is the truth; :meth:`columns` derives columns from it
       afresh on every call, since whoever holds the list may change it;
     * built from columns (the recorder, the transforms,
-      :func:`read_trace`), the columns are the truth, plus the digest
-      when the reader proved every line canonical. The first access to
+      :func:`read_trace`), the columns are the truth, and
+      :func:`trace_digest` keeps the digest it takes. The first access to
       :attr:`events` builds the list from the columns; from then on that
       list is the truth and the column and digest caches are dropped,
       so editing it (``trace.events.reverse()``) is always seen.
-      Assigning a new :attr:`header` drops the digest too.
+      Handing out the columns (:meth:`columns`) or assigning a new
+      :attr:`header` drops the digest too.
 
     A trace :func:`read_trace` decoded under numpy keeps its columns as
     int64 arrays: :meth:`readonly_columns` passes them to the sharded
@@ -367,12 +344,10 @@ class Trace:
         self._proven = False
 
     @classmethod
-    def from_columns(
-        cls, header: TraceHeader, columns: TraceColumns, digest: Optional[str] = None,
-    ) -> "Trace":
-        """A trace whose truth is ``columns``; ``digest`` must be its :func:`trace_digest`."""
+    def from_columns(cls, header: TraceHeader, columns: TraceColumns) -> "Trace":
+        """A trace whose truth is ``columns``."""
         trace = cls(header)
-        trace._events, trace._columns, trace._digest = None, columns, digest
+        trace._events, trace._columns = None, columns
         return trace
 
     @property
@@ -398,7 +373,7 @@ class Trace:
     def columns(self) -> TraceColumns:
         if self._events is not None:
             return TraceColumns.from_events(self._events)
-        self._proven = False  # the caller may edit the columns
+        self._proven, self._digest = False, None  # the caller may edit the columns
         self._columns = self._columns.lists()
         return self._columns
 
@@ -581,14 +556,17 @@ def _column_chunks(columns: TraceColumns, ints: bool = False) -> Iterator[str]:
     values. In a chunk holding any number of another type (a ``bool``,
     a float), the lines with one go through ``json.dumps`` itself.
     ``ints`` says the caller has proven every number an ``int``
-    (:func:`_validate`), so no chunk checks again.
+    (:func:`_validate`), so no chunk checks again. Int64 array columns
+    are turned into ``int`` a chunk at a time, so no whole-trace list is built.
     """
     strings = _TemplateStrings()
     templates = [_line_template(kind, strings) for kind in columns.kinds]
     for lo in range(0, len(columns), _CHUNK_LINES):
         hi = lo + _CHUNK_LINES
-        at, size, tenant = columns.at[lo:hi], columns.size[lo:hi], columns.tenant[lo:hi]
-        kind = columns.kind[lo:hi]
+        at, size, tenant, kind = (
+            _as_list(column[lo:hi])
+            for column in (columns.at, columns.size, columns.tenant, columns.kind)
+        )
         if ints or set(map(type, at)) | set(map(type, size)) | set(map(type, tenant)) == {int}:
             values = [0] * (3 * len(at))
             values[0::3], values[1::3], values[2::3] = at, size, tenant
@@ -608,9 +586,10 @@ def event_line(event: TraceEvent) -> str:
 
 
 def header_line(header: TraceHeader, events: int) -> str:
+    """The canonical text's header line, the first line :func:`trace_digest` hashes."""
     obj: Dict[str, object] = {
         "format": TRACE_FORMAT,
-        "version": TRACE_VERSION,
+        "version": _TEXT_VERSION,
         "name": header.name,
         "seed": header.seed,
         "tenants": header.tenants,
@@ -622,95 +601,28 @@ def header_line(header: TraceHeader, events: int) -> str:
 
 
 def trace_digest(trace: Trace) -> str:
-    """sha256 over the canonical lines — the byte-identity probe.
+    """sha256 over the canonical text lines — the byte-identity probe.
 
     Two traces digest equal iff their headers (name, seed, tenants)
     and every event field agree; this is the value the scenario
     library pins per seed and the replay engines carry into their
-    determinism digests. It is the sha256 of the written file minus its
-    final newline, hashed in bounded chunks. A trace read from a
-    canonical file returns the digest its reader took of the raw lines.
+    determinism digests. It hashes :func:`header_line` and each
+    :func:`event_line`, joined by newlines, in bounded chunks, whatever
+    the trace's storage; a column-backed trace keeps it (see :class:`Trace`).
     """
     if trace._digest is not None:
         return trace._digest
-    columns = trace.columns()
+    columns = trace.readonly_columns()
     sha = hashlib.sha256(header_line(trace.header, len(columns)).encode("ascii"))
     for chunk in _column_chunks(columns):
         sha.update(chunk.encode("ascii"))
-    return sha.hexdigest()
+    digest = sha.hexdigest()
+    if trace._events is None:
+        trace._digest = digest
+    return digest
 
 
 # -- schema validation ---------------------------------------------------
-
-_EVENT_REQUIRED: Tuple[Tuple[str, type], ...] = (
-    ("at", int), ("tenant", int), ("app", str), ("route", str), ("bytes", int),
-)
-
-
-def _fail(line_no: int, message: str) -> NoReturn:
-    raise TraceFormatError(f"trace line {line_no}: {message}")
-
-
-def _parse_header(line: str) -> TraceHeader:
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:
-        _fail(1, f"header is not JSON ({exc})")
-    if not isinstance(obj, dict) or obj.get("format") != TRACE_FORMAT:
-        _fail(1, f"not a {TRACE_FORMAT} header: {line[:80]!r}")
-    if obj.get("version") != TRACE_VERSION:
-        _fail(1, f"unsupported version {obj.get('version')!r} (expected {TRACE_VERSION})")
-    for key, kind in (("name", str), ("seed", int), ("tenants", int), ("events", int)):
-        if not isinstance(obj.get(key), kind) or isinstance(obj.get(key), bool):
-            _fail(1, f"header field {key!r} must be {kind.__name__}, got {obj.get(key)!r}")
-    if obj["tenants"] <= 0:
-        _fail(1, f"header declares {obj['tenants']} tenants; need at least one")
-    meta = obj.get("meta", {})
-    if not isinstance(meta, dict):
-        _fail(1, "header meta must be an object")
-    header = TraceHeader(
-        name=obj["name"], seed=obj["seed"], tenants=obj["tenants"],
-        events=obj["events"], meta=meta,
-    )
-    try:
-        trace_plan(header)
-        trace_engine(header)
-    except TraceFormatError as exc:
-        _fail(1, str(exc))
-    return header
-
-
-def _event_error(line: str, tenants: int, prev_at: int) -> str:
-    """Why an event line fails the schema: the first failed check.
-
-    The reader's per-line path accepts exactly the lines that pass
-    every check here; a line it refuses is explained by this slow path.
-    """
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:
-        return f"event is not JSON ({exc})"
-    if not isinstance(obj, dict):
-        return "event must be a JSON object"
-    for key, kind in _EVENT_REQUIRED:
-        value = obj.get(key)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            return f"field {key!r} must be {kind.__name__}, got {value!r}"
-    if obj["at"] < 0:
-        return f"negative timestamp {obj['at']}"
-    if obj["at"] < prev_at:
-        return f"timestamps must be non-decreasing ({obj['at']} after {prev_at})"
-    if not 0 <= obj["tenant"] < tenants:
-        return f"tenant {obj['tenant']} outside [0, {tenants})"
-    if obj["bytes"] < 0:
-        return f"negative payload size {obj['bytes']}"
-    actor = obj.get("actor", "")
-    if not isinstance(actor, str):
-        return f"actor must be a string, got {actor!r}"
-    if not isinstance(obj.get("meta", {}), dict):
-        return "event meta must be an object"
-    raise AssertionError(f"the reader refused a valid event line: {line[:80]!r}")
-
 
 def _validate(header: TraceHeader, columns: TraceColumns) -> None:
     """Check a trace's columns: C-level passes, then one slow pass to word a failure."""
@@ -727,8 +639,8 @@ def _validate(header: TraceHeader, columns: TraceColumns) -> None:
         raise TraceFormatError("trace columns differ in length")
     if not at:
         return
-    # Numbers must be exactly ``int``, as the reader parses them: a float
-    # or a bool would be written as JSON the reader refuses.
+    # Numbers must be exactly ``int``: a float or a bool would change the
+    # digest's text, and the writer packs them as int64.
     if not ({*map(type, at), *map(type, tenant), *map(type, size)} == {int}
             and at[0] >= 0 and at == sorted(at) and 0 <= min(tenant)
             and max(tenant) < header.tenants and min(size) >= 0):
@@ -753,8 +665,7 @@ def _validate(header: TraceHeader, columns: TraceColumns) -> None:
                 raise TraceFormatError(f"event {index} carries a negative quantity")
     if not (0 <= min(kind) and max(kind) < len(columns.kinds)):
         raise TraceFormatError(f"trace kind ids must index its {len(columns.kinds)} kinds")
-    # Names are checked once per kind, in the reader's words
-    # (:func:`_event_error`); a kind no event uses is never written.
+    # Names are checked once per kind; a kind no event uses is never written.
     for kind_id, (app, route, actor, _meta) in enumerate(columns.kinds):
         if (isinstance(app, str) and isinstance(route, str) and isinstance(actor, str)
                 or kind_id not in kind):
@@ -768,6 +679,7 @@ def _validate(header: TraceHeader, columns: TraceColumns) -> None:
         raise TraceFormatError(f"event {index}: actor must be a string, got {actor!r}")
 
 
+
 # -- disk I/O ------------------------------------------------------------
 
 PathLike = Union[str, Path]
@@ -776,246 +688,19 @@ PathLike = Union[str, Path]
 # not gzip at all or fails its CRC, and corrupt deflate data.
 _CORRUPT_GZIP = (EOFError, gzip.BadGzipFile, zlib.error)
 
-# Decompressed bytes per read: a block is this much, cut after its last newline.
-_BLOCK_BYTES = 1 << 20
-
 # The deflate level of every written ``.gz`` trace: zlib's own default
-# (``Z_DEFAULT_COMPRESSION``), not gzip's 9, which deflates about 2.4
-# times slower for files about 15% smaller (see the module docstring).
+# (``Z_DEFAULT_COMPRESSION``), not gzip's 9, which deflates several times
+# slower for a file barely smaller.
 _GZIP_LEVEL = 6
 
-# A canonical event line: exactly what the formatter writes for an event
-# with no ``meta``, ``str`` names free of characters ``json.dumps``
-# escapes, and ``int`` numbers of at most 19 digits. Keys come in sorted
-# order and ``actor`` only when non-empty, so a line that matches is
-# byte for byte the formatter's line for the event it decodes to. The
-# groups are the ``actor``/``app`` prefix, at, bytes, route and tenant.
-# A string's class excludes its closing quote, so its quantifiers are
-# possessive: no backtracking can change a match, and none is tried.
-_SAFE = rb'[ !#-\[\]-~]'  # printable ASCII but '"' and '\'
-_NUMBER = rb'(0|[1-9][0-9]{0,18})'
-_CANONICAL_LINE = re.compile(
-    rb'^\{((?:"actor":"' + _SAFE + rb'++",)?"app":"' + _SAFE + rb'*+"),"at":' + _NUMBER
-    + rb',"bytes":' + _NUMBER + rb',"route":"(' + _SAFE + rb'*+)","tenant":' + _NUMBER
-    + rb'\}$',
-    re.MULTILINE,
-)
-_PREFIX, _AT, _SIZE, _ROUTE, _TENANT = map(itemgetter, range(5))
-# The header's terminator as a text-mode reader sees it: universal newlines.
-_LINE_END = re.compile(rb'\r\n?|\n')
+# Events per written block: 2 MiB of columns, the unit a reader takes at once.
+_BLOCK_EVENTS = 1 << 16
 
-# ``json.loads`` minus its whitespace passes: the reader strips each line
-# and checks that the object spans all of it.
-_decode_json = json.JSONDecoder().raw_decode
-# An absent event ``meta``: read only, never mutated.
-_NO_META: Dict[str, object] = {}
-
-# One block's events as columns: at, tenant, size, kind; lists of
-# ``int``, or int64 arrays from the numpy decoder.
-_BlockColumns = Tuple[List[int], List[int], List[int], List[int]]
-
-
-def _as_list(column) -> List[int]:
-    """A column as a list of ``int``: itself, or an int64 array's ``tolist()``."""
-    return column if type(column) is list else column.tolist()
-
-
-# ``(1 << 8 * k) - 1`` for ``k`` from 0 to 8: the low ``k`` bytes of a
-# little-endian word.
-_LOW_BYTES = tuple((1 << 8 * k) - 1 for k in range(9))
-_ZEROS = 0x3030303030303030  # eight ASCII "0"s
-# The odd multiplier of the kind-key hash: ``key = (key ^ word) * _MIX``.
-_MIX = 0x9E3779B97F4A7C15
-# What a canonical line's names and the quotes around them are made of:
-# printable ASCII but '\'.
-_NAME_BYTES = bytes(range(0x20, 0x7F)).replace(b"\\", b"")
-
-
-def _text(literal: bytes) -> Tuple[int, int]:
-    """``literal`` as a little-endian word, and the mask of its bytes in a word."""
-    return int.from_bytes(literal, "little"), _LOW_BYTES[len(literal)]
-
-
-# The fixed text of a canonical line, as :func:`_prove_block` reads it.
-_NEWLINE, _QUOTE, _COMMA, _CLOSE_BRACE, _ZERO = b'\n",}0'
-_APP_OPEN = _text(b'{"app":"')
-_ACTOR_OPEN = _text(b'{"actor"')
-_ACTOR_COLON = _text(b':"')
-_ACTOR_APP = _text(b'","app":')
-_AT_KEY = _text(b'","at":')
-_BYTES_KEY = _text(b'"bytes":')
-_ROUTE_KEY = _text(b'"route":')
-_TENANT_HEAD = _text(b'","tenan')
-_TENANT_KEY = _text(b'tenant":')
-
-
-def _prove_block(np, block: bytes):
-    """Prove by position that ``block`` holds only canonical lines; decode them.
-
-    The proof accepts exactly a non-empty block of lines that
-    ``_CANONICAL_LINE`` matches, each ending in ``\\n``, with numbers of
-    at most 18 digits (below ``10**18``, so a run of them sums in int64).
-    For any other block it returns ``None``; otherwise the at, tenant and
-    size columns as int64 arrays, each line's index into ``names``, and
-    ``names``: each distinct raw ``actor``/``app`` prefix and route, in
-    order of first appearance.
-
-    Names hold no quote, so a canonical line has 14 quotes, or 18 with
-    an actor. Numbering a line's quotes from its last (0) back, each piece
-    of fixed text is one word read at an offset from a quote and compared
-    under the mask of its bytes:
-
-    * at the line's start, ``{"app":"``; or ``{"actor"`` then ``:"``, and
-      at quote 14 (past a non-empty actor) ``","app":``, with quote 11
-      eight bytes on;
-    * at quote 10 (the app's end), ``","at":``;
-    * at quotes 7 and 5, ``"bytes":`` and ``"route":``, each after a
-      ``,``, and quote 3 eight bytes past quote 5;
-    * at quote 2 (the route's end), ``","tenan``, and ``tenant":`` three
-      bytes on; then ``}`` before the newline.
-
-    A literal holds no newline, so one that matches lies inside its
-    line, and each places the quotes it holds: the quote count leaves
-    room for no other. The digit runs between must be numbers
-    (:func:`_digit_runs`), and the names are checked
-    against the bytes a name may hold once per distinct prefix and route
-    (:func:`_distinct_kinds`).
-    """
-    if len(block) < 8 or block[-1] != _NEWLINE:
-        return None
-    buf = np.frombuffer(block, dtype=np.uint8)
-    # The eight bytes from every offset, as overlapping little-endian words.
-    words = np.ndarray((len(block) - 7,), dtype="<u8", buffer=block, strides=(1,))
-    ends = np.flatnonzero(buf == _NEWLINE)
-    quotes = np.flatnonzero(buf == _QUOTE)
-    last = np.searchsorted(quotes, ends) - 1
-    count = np.diff(last, prepend=-1)
-    actor = count == 18
-    if not (actor | (count == 14)).all():
-        return None
-    route_close, route_open, route_key = quotes[last - 2], quotes[last - 3], quotes[last - 5]
-    bytes_key, app_close = quotes[last - 7], quotes[last - 10]
-    # A word read below either ends inside its line (digits, names) or
-    # starts no later than ``route_close + 3``, and each line but the last
-    # is followed by one of at least 15 bytes; so when the last line's
-    # reads fit, every read is inside the block.
-    if int(route_close[-1]) + 3 > len(words) - 1:
-        return None
-
-    def matches(at, text):
-        value, mask = text
-        return (words[at] & mask) == value
-
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    head = words[starts]
-    proven = (np.where(actor, head == _ACTOR_OPEN[0], head == _APP_OPEN[0])
-              & matches(app_close, _AT_KEY)
-              & (buf[bytes_key - 1] == _COMMA) & matches(bytes_key, _BYTES_KEY)
-              & (buf[route_key - 1] == _COMMA) & matches(route_key, _ROUTE_KEY)
-              & (route_open == route_key + 8)
-              & matches(route_close, _TENANT_HEAD) & matches(route_close + 3, _TENANT_KEY)
-              & (buf[ends - 1] == _CLOSE_BRACE))
-    if actor.any():
-        # Clipped: a first line without an actor has no quote 14.
-        actor_close = quotes.take(last - 14, mode="clip")
-        proven &= ~actor | (matches(starts + 8, _ACTOR_COLON) & (actor_close > starts + 10)
-                            & matches(actor_close, _ACTOR_APP)
-                            & (quotes[last - 11] == actor_close + 8))
-    if not proven.all():
-        return None
-    numbers = [_digit_runs(np, buf, words, lo, hi) for lo, hi in (
-        (app_close + 7, bytes_key - 1), (route_close + 11, ends - 1), (bytes_key + 8, route_key - 1),
-    )]
-    if any(number is None for number in numbers):
-        return None
-    kinds = _distinct_kinds(np, block, words, actor, starts + 1, app_close + 1,
-                            route_open + 1, route_close)
-    if kinds is None:
-        return None
-    return (*numbers, *kinds)
-
-
-def _digit_runs(np, buf, words, lo, hi):
-    """The number written in ``block[lo:hi]`` for each row, as int64.
-
-    ``None`` unless every run is one to 18 digits with no leading zero.
-    A run is taken eight bytes at a time from the right: the word ending
-    at a chunk's last byte, less ``"0"`` from each byte and with the
-    bytes before the chunk set to zero, holds eight digit values, and
-    three multiply-add-mask steps turn them into a number.
-    """
-    length = hi - lo
-    if not ((length >= 1) & (length <= 18)).all() or ((buf[lo] == _ZERO) & (length > 1)).any():
-        return None
-    low_bytes = np.array(_LOW_BYTES, dtype=np.uint64)
-    value = flags = 0
-    for chunk in range(int(length.max() + 7) // 8):
-        pad = low_bytes[8 - np.clip(length - 8 * chunk, 0, 8)]
-        x = (words[np.maximum(hi - 8 * chunk - 8, 0)] | pad) - (pad | _ZEROS)
-        # Each byte is now 0 to 9 if every byte was a digit. The lowest
-        # byte that was not sets its high bit here, or once 0x76 is added.
-        flags |= x | (x + 0x7676767676767676)
-        x = (x * 10 + (x >> 8)) & 0x00FF00FF00FF00FF
-        x = (x * 100 + (x >> 16)) & 0x0000FFFF0000FFFF
-        x = (x * 10000 + (x >> 32)) & 0xFFFFFFFF
-        value = value + x * 10 ** (8 * chunk) if chunk else x
-    if (flags & 0x8080808080808080).any():
-        return None
-    return value.astype(np.int64)
-
-
-def _span_reads(np, lo, hi):
-    """Word offsets that cover each row's span ``[lo, hi)`` of at least eight bytes.
-
-    The ``k``-th read starts at ``lo + 8 * k``, or at ``hi - 8`` if that
-    is earlier; so two rows whose spans have one length are read at the
-    same offsets into their spans, and no read leaves its span.
-    """
-    last = hi - 8
-    for word in range(int((hi - lo).max() + 7) // 8):
-        yield np.minimum(lo + 8 * word, last)
-
-
-def _distinct_kinds(np, block, words, actor, prefix_lo, prefix_hi, route_lo, route_hi):
-    """Each line's index into its block's distinct prefix and route pairs, and those pairs.
-
-    The pairs come in order of first appearance, as raw bytes; ``None``
-    when a pair holds a byte no name may hold, or when two distinct pairs
-    share a key. A line is keyed by two spans that fix its pair: the
-    prefix past a proven ``"actor":``, and the route, widened where it is
-    shorter than a word by the proven ``route":"`` before it. The key
-    hashes both span lengths and the spans' words. After one
-    ``np.unique`` over the keys, each line's lengths and words are
-    compared with those of the first line with its key, so lines with
-    one key are proven to hold one pair.
-    """
-    spans = ((prefix_lo + 8 * actor, prefix_hi), (np.minimum(route_lo, route_hi - 8), route_hi))
-    lengths = ((spans[0][1] - spans[0][0]) << 32 | (spans[1][1] - spans[1][0])).view(np.uint64)
-    key = lengths
-    for lo, hi in spans:
-        for at in _span_reads(np, lo, hi):
-            key = (key ^ words[at]) * _MIX
-    _, group = np.unique(key, return_inverse=True)
-    first = np.full(int(group.max()) + 1, len(key))
-    np.minimum.at(first, group, np.arange(len(key)))
-    rep = first[group]
-    if (lengths[rep] != lengths).any():
-        return None
-    for lo, hi in spans:
-        for at in _span_reads(np, lo, hi):
-            word = words[at]
-            if (word[rep] != word).any():
-                return None
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[order] = np.arange(len(first))
-    lines = first[order]
-    names = [(block[a:b], block[c:d]) for a, b, c, d in zip(
-        prefix_lo[lines].tolist(), prefix_hi[lines].tolist(),
-        route_lo[lines].tolist(), route_hi[lines].tolist())]
-    if b"".join(itertools.chain.from_iterable(names)).translate(None, _NAME_BYTES):
-        return None
-    return rank[group], names
+# Every column value is an int64: arrival times, tenants and sizes at or
+# past this do not fit a trace file.
+_INT64_LIMIT = 1 << 63
+_INT64 = 8  # bytes per value
+_COLUMNS = 4  # at steps, tenant, size, kind
 
 
 @contextlib.contextmanager
@@ -1029,8 +714,8 @@ def _open_write(path: Path) -> Iterator[BinaryIO]:
         with gzip.GzipFile(fileobj=raw, mode="wb", compresslevel=_GZIP_LEVEL,
                            filename="", mtime=0) as out:
             yield out
-            # A sync flush before the final block, as a text-mode writer's
-            # close makes: traces keep the compressed bytes of such a writer.
+            # A sync flush before the final block, so the compressed
+            # bytes do not depend on how the writes were split.
             out.flush()
 
 
@@ -1040,267 +725,211 @@ def _open_read(path: Path) -> BinaryIO:
     return open(path, "rb")
 
 
-def _blocks(handle: BinaryIO) -> Iterator[bytes]:
-    """The file's bytes in blocks of whole lines, each ending in a newline.
+def _int64_bytes(column) -> bytes:
+    """A column of int64-range ``int`` (a list) or an int64 array, as little-endian bytes."""
+    if type(column) is not list:
+        return column.astype("<i8").tobytes()
+    packed = array("q", column)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes()
 
-    A final line with no newline gets one, so every block splits into
-    lines the same way. ``read1`` hands over each piece as soon as it is
-    decompressed, so a damaged stream still yields every whole line
-    before the damage, then raises: its error names the first line not
-    read whole, as a line-at-a-time reader's would.
-    """
-    rest = b""
-    while True:
-        pieces, fresh = [rest], 0
-        try:
-            while fresh < _BLOCK_BYTES:
-                piece = handle.read1(_BLOCK_BYTES)
-                if not piece:
-                    break
-                pieces.append(piece)
-                fresh += len(piece)
-        except _CORRUPT_GZIP:
-            data = b"".join(pieces)
-            cut = data.rfind(b"\n") + 1
-            if cut:
-                yield data[:cut]
-            raise
-        if not fresh:
-            break
-        data = b"".join(pieces)
-        cut = data.rfind(b"\n") + 1
-        rest = data[cut:]
-        if cut:
-            yield data[:cut]
-    if rest:
-        yield rest + b"\n"
+
+def _file_header(header: TraceHeader, events: int, kinds: List[Kind]) -> bytes:
+    """The header line of a version-2 file."""
+    obj: Dict[str, object] = {
+        "format": TRACE_FORMAT, "version": TRACE_VERSION, "name": header.name,
+        "seed": header.seed, "tenants": header.tenants, "events": events,
+        "kinds": [[app, route, actor, dict(meta)] for app, route, actor, meta in kinds],
+    }
+    if header.meta:
+        obj["meta"] = dict(header.meta)
+    return _dumps_sorted(obj).encode("ascii") + b"\n"
 
 
 def write_trace(path: PathLike, trace: Trace) -> int:
-    """Write the trace canonically; returns the event count.
+    """Write the trace as a version-2 file; returns the event count.
 
     The events must already be in canonical (time-sorted) order — use
-    :func:`sort_events` after composing transforms. A ``.gz`` suffix
-    compresses deterministically.
+    :func:`sort_events` after composing transforms. The kind table is
+    written in :class:`KindTable` order with only the kinds some event
+    uses, so equal traces write equal bytes. A number that does not fit
+    an int64 raises :class:`TraceFormatError` before the file is opened.
     """
-    columns = trace.validate().columns()
+    columns = trace.validate().readonly_columns()
+    at = columns.at
+    if type(at) is list:
+        for key, column in (("at", at), ("tenant", columns.tenant), ("bytes", columns.size)):
+            if column and max(column) >= _INT64_LIMIT:
+                index = next(i for i, value in enumerate(column) if value >= _INT64_LIMIT)
+                raise TraceFormatError(
+                    f"event {index}: field {key!r} is {column[index]}, "
+                    f"not below 2**63 as a trace file's int64 columns need"
+                )
+        steps = at[:1] + list(map(operator.sub, itertools.islice(at, 1, None), at))
+    else:
+        steps = numpy_or_none().diff(at, prepend=0)
+    table = TraceColumns.canonical(at, columns.tenant, columns.size, _as_list(columns.kind),
+                                   columns.kinds)
     path = Path(path)
     with _open_write(path) as out:
-        out.write(header_line(trace.header, len(columns)).encode("ascii"))
-        for chunk in _column_chunks(columns, ints=True):
-            out.write(chunk.encode("ascii"))
-        out.write(b"\n")
-    return len(columns)
+        out.write(_file_header(trace.header, len(table), table.kinds))
+        for lo in range(0, len(table), _BLOCK_EVENTS):
+            hi = min(lo + _BLOCK_EVENTS, len(table))
+            out.write((hi - lo).to_bytes(_INT64, "little"))
+            for column in (steps, table.tenant, table.size, table.kind):
+                out.write(_int64_bytes(column[lo:hi]))
+    return len(table)
 
 
-class _Tenants(dict):
-    """Tenant ids keyed by their raw digits: one ``int`` per tenant, parsed once."""
-
-    def __missing__(self, raw: bytes) -> int:
-        self[raw] = tenant = int(raw)
-        return tenant
-
-
-class _RawKinds(dict):
-    """Kind ids keyed by a canonical line's raw ``actor``/``app`` prefix and route."""
-
-    def __init__(self, kinds: KindTable):
-        super().__init__()
-        self._kinds = kinds
-
-    def __missing__(self, raw: Tuple[bytes, bytes]) -> int:
-        prefix, route = raw
-        names = json.loads(b"{" + prefix + b"}")
-        self[raw] = kind = self._kinds.add(
-            names["app"], route.decode("ascii"), names.get("actor", ""), (),
+def _parse_header(line: bytes) -> Tuple[TraceHeader, List[Kind]]:
+    """The header and kind table of a version-2 header line; raises ``TraceFormatError`` without the path."""
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise TraceFormatError(f"header is not JSON ({exc})") from None
+    if not isinstance(obj, dict) or obj.get("format") != TRACE_FORMAT:
+        raise TraceFormatError(f"not a {TRACE_FORMAT} header: {line[:80]!r}")
+    if obj.get("version") != TRACE_VERSION:
+        raise TraceFormatError(
+            f"trace version {obj.get('version')!r} is not supported; this reader reads "
+            f"version {TRACE_VERSION}"
         )
-        return kind
-
-
-class _TraceScan:
-    """One validating pass over a trace file, a block of lines at a time.
-
-    Iterating yields the header, then each block's events as columns
-    ``(at, tenant, size, kind)`` whose kinds index :attr:`kinds`. Every
-    check runs as the file is read (schema, monotone timestamps, tenant
-    range, the declared event count), so a malformed file fails at the
-    offending line with its number. Once the pass is over, :attr:`digest`
-    is the trace digest when every event line was canonical, else
-    ``None``.
-
-    A block whose lines all match :data:`_CANONICAL_LINE` is decoded
-    and checked over its columns: under numpy by position once
-    :func:`_prove_block` proves it, else by one ``findall``. Any other
-    block, and a canonical block that fails a check, goes line by line
-    through ``raw_decode`` and exact-type checks, and
-    :func:`_event_error` names a refused line — the same messages and
-    line numbers either way.
-    """
-
-    def __init__(self, path: PathLike):
-        self.path = Path(path)
-        self.kinds = KindTable()
-        self.digest: Optional[str] = None
-        self._raw_kinds = _RawKinds(self.kinds)
-        self._tenants = _Tenants()
-
-    def __iter__(self) -> Iterator[Union[TraceHeader, _BlockColumns]]:
-        path = self.path
-        handle = _open_read(path)
-        line_no = 0  # the last line read whole
-        try:
-            with handle:
-                blocks = _blocks(handle)
-                first = next(blocks, b"")
-                end = _LINE_END.search(first)
-                line = first[:end.start()].decode("latin-1") if end else ""
-                rest = first[end.end():] if end else b""
-                line_no = 1
-                if not line.isascii():
-                    raise TraceFormatError(f"{path}: line 1: non-ASCII byte in trace")
-                if not line.strip():
-                    raise TraceFormatError(f"{path}: empty trace file")
-                header = _parse_header(line.strip())
-                yield header
-                sha = hashlib.sha256(header_line(header, header.events).encode("ascii"))
-                prev_at = count = 0
-                for block in itertools.chain((rest,), blocks):
-                    if not block:
-                        continue
-                    columns = self._canonical(block, prev_at, header.tenants)
-                    if columns is not None:
-                        lines = len(columns[0])
-                        if sha is not None:
-                            sha.update(b"\n")
-                            sha.update(memoryview(block)[:-1])
-                    else:
-                        sha = None
-                        columns, lines = self._line_by_line(
-                            block, line_no, prev_at, header.tenants,
-                        )
-                    line_no += lines
-                    if len(columns[0]):
-                        prev_at = int(columns[0][-1])
-                        count += len(columns[0])
-                        yield columns
-                if header.events != count:
-                    raise TraceFormatError(
-                        f"{path}: header declares {header.events} events, file holds {count}"
-                    )
-                self.digest = sha.hexdigest() if sha is not None else None
-        except _CORRUPT_GZIP as exc:
+    for key, kind in (("name", str), ("seed", int), ("tenants", int), ("events", int)):
+        if not isinstance(obj.get(key), kind) or isinstance(obj.get(key), bool):
             raise TraceFormatError(
-                f"{path}: line {line_no + 1}: corrupt gzip stream ({exc})"
-            ) from exc
-
-    def _canonical(self, block: bytes, prev_at: int, tenants: int) -> Optional[_BlockColumns]:
-        """The block's columns if every line is canonical and passes; else ``None``.
-
-        Under numpy a block :func:`_prove_block` proves is decoded into
-        int64 arrays; any other block goes through the ``findall``
-        decoder, the no-numpy twin, which also takes 19-digit numbers.
-        """
-        np = numpy_or_none()
-        proven = None if np is None else _prove_block(np, block)
-        if proven is not None:
-            at, tenant, size, kind, names = proven
-            # The proof admits no negative number: the same two checks left.
-            if (int(at[0]) < prev_at or bool((at[1:] < at[:-1]).any())
-                    or int(tenant.max()) >= tenants):
-                return None
-            ids = np.array([self._raw_kinds[raw] for raw in names], dtype=np.int64)
-            return at, tenant, size, ids[kind]
-        matches = _CANONICAL_LINE.findall(block)
-        if len(matches) != block.count(b"\n"):
-            return None
-        at = list(map(int, map(_AT, matches)))
-        tenant = list(map(self._tenants.__getitem__, map(_TENANT, matches)))
-        # The pattern admits no negative number, so these are the only
-        # checks left: timestamps non-decreasing, also across blocks, and
-        # the tenant range.
-        if at[0] < prev_at or at != sorted(at) or max(tenant) >= tenants:
-            return None
-        kind = list(map(self._raw_kinds.__getitem__,
-                        zip(map(_PREFIX, matches), map(_ROUTE, matches))))
-        return at, tenant, list(map(int, map(_SIZE, matches))), kind
-
-    def _line_by_line(
-        self, block: bytes, line_no: int, prev_at: int, tenants: int,
-    ) -> Tuple[_BlockColumns, int]:
-        """The block decoded one line at a time; returns its columns and line count.
-
-        Lines split as a text-mode reader splits them (``\\n``, ``\\r\\n``
-        or ``\\r``), and each is decoded once and checked by exact type.
-        """
-        # Latin-1 maps every byte to one character, so a non-ASCII byte
-        # reaches the line check as a character it can place on its line.
-        lines = block.decode("latin-1").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        lines.pop()  # the empty text after the block's final newline
-        at_col: List[int] = []
-        tenant_col: List[int] = []
-        size_col: List[int] = []
-        kind_col: List[int] = []
-        add_kind = self.kinds.add
-        for line_no, line in enumerate(lines, start=line_no + 1):
-            if not line.isascii():
-                raise TraceFormatError(f"{self.path}: line {line_no}: non-ASCII byte in trace")
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj, end = _decode_json(line)
-                at, tenant, size = obj["at"], obj["tenant"], obj["bytes"]
-                app, route = obj["app"], obj["route"]
-                actor, meta = obj.get("actor", ""), obj.get("meta", _NO_META)
-            except (ValueError, KeyError, TypeError):
-                end = -1
-            if not (end == len(line) and type(at) is int and type(tenant) is int
-                    and type(size) is int and type(app) is str and type(route) is str
-                    and type(actor) is str and type(meta) is dict
-                    and prev_at <= at and 0 <= tenant < tenants and size >= 0):
-                _fail(line_no, _event_error(line, tenants, prev_at))
-            at_col.append(at)
-            tenant_col.append(tenant)
-            size_col.append(size)
-            kind_col.append(add_kind(app, route, actor, meta_pairs(meta)))
-            prev_at = at
-        return (at_col, tenant_col, size_col, kind_col), len(lines)
+                f"header field {key!r} must be {kind.__name__}, got {obj.get(key)!r}"
+            )
+    if obj["tenants"] <= 0:
+        raise TraceFormatError(f"header declares {obj['tenants']} tenants; need at least one")
+    if obj["events"] < 0:
+        raise TraceFormatError(f"header declares {obj['events']} events")
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict):
+        raise TraceFormatError("header meta must be an object")
+    kinds = obj.get("kinds")
+    if not isinstance(kinds, list):
+        raise TraceFormatError(f"header kinds must be a list, got {kinds!r}")
+    for kind in kinds:
+        if not (isinstance(kind, list) and len(kind) == 4
+                and all(type(name) is str for name in kind[:3]) and type(kind[3]) is dict):
+            raise TraceFormatError(
+                f"header kind must be [app, route, actor, meta] with str names, got {kind!r}"
+            )
+    header = TraceHeader(
+        name=obj["name"], seed=obj["seed"], tenants=obj["tenants"],
+        events=obj["events"], meta=meta,
+    )
+    trace_plan(header)
+    trace_engine(header)
+    return header, [(app, route, actor, meta_pairs(meta)) for app, route, actor, meta in kinds]
 
 
-def iter_trace(path: PathLike) -> Iterator[Union[TraceHeader, TraceEvent]]:
-    """Stream a trace file: yields the header first, then each event.
+def _read_exact(handle: BinaryIO, size: int, what: str) -> bytes:
+    data = handle.read(size)
+    if len(data) != size:
+        raise TraceFormatError(f"truncated: {what} ends after {len(data)} of {size} bytes")
+    return data
 
-    Validation happens as the file is read (schema, monotone
-    timestamps, tenant range), so a malformed file fails at the
-    offending line with its number instead of producing a half-parsed
-    workload. A corrupt file (truncated or non-gzip ``.gz``, a
-    non-ASCII byte) fails with :class:`TraceFormatError` naming the path
-    and the line. Events come from the same blocks :func:`read_trace`
-    reads, so a bad line fails before any event of its block.
+
+def _read_column_bytes(handle: BinaryIO, events: int) -> List[bytes]:
+    """The file's blocks after the header, joined into one little-endian run per column."""
+    pieces: List[List[memoryview]] = [[] for _ in range(_COLUMNS)]
+    done = 0
+    while done < events:
+        count = int.from_bytes(_read_exact(handle, _INT64, f"block at event {done}"),
+                               "little", signed=True)
+        if not 0 < count <= events - done:
+            raise TraceFormatError(
+                f"block at event {done} holds {count} events; the header declares "
+                f"{events} in all"
+            )
+        width = count * _INT64
+        data = memoryview(_read_exact(handle, _COLUMNS * width, f"block at event {done}"))
+        for column in range(_COLUMNS):
+            pieces[column].append(data[column * width:(column + 1) * width])
+        done += count
+    if handle.read(1):
+        raise TraceFormatError(f"trailing bytes after the header's {events} events")
+    return [b"".join(column) for column in pieces]
+
+
+def _decode(np, raw: bytes):
+    """One column's little-endian int64 bytes: an int64 array under numpy, else ``array("q")``."""
+    if np is not None:
+        return np.frombuffer(raw, dtype="<i8")
+    column = array("q")
+    column.frombytes(raw)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
+
+
+def _column_error(
+    header: TraceHeader, kinds: int, steps: List[int], tenant: List[int], size: List[int],
+    kind: List[int],
+) -> str:
+    """Why decoded columns fail :func:`_check_columns`: the first bad event, in its words."""
+    at = 0
+    for index, values in enumerate(zip(steps, tenant, size, kind)):
+        step, tenant_id, payload, kind_id = values
+        at += step
+        if step < 0:
+            return f"event {index}: arrival time steps back by {-step}"
+        if at >= _INT64_LIMIT:
+            return f"event {index}: arrival time {at} is not below 2**63"
+        if not 0 <= tenant_id < header.tenants:
+            return f"event {index}: tenant {tenant_id} outside [0, {header.tenants})"
+        if payload < 0:
+            return f"event {index}: negative payload size {payload}"
+        if not 0 <= kind_id < kinds:
+            return f"event {index}: kind {kind_id} outside [0, {kinds})"
+    raise AssertionError("the column checks refused valid columns")
+
+
+def _check_columns(np, header: TraceHeader, kinds: int, steps, at, tenant, size, kind) -> bool:
+    """Whether decoded columns hold a valid trace: a few C-level passes each.
+
+    Under numpy ``at`` is the int64 running sum of ``steps``, which wraps
+    past ``2**63``: with every step at least 0, the first sum past it
+    wraps negative, so ``min(at) >= 0`` holds exactly when none wraps.
     """
-    scan = _TraceScan(path)
-    blocks = iter(scan)
-    yield next(blocks)
-    for columns in blocks:
-        yield from _column_events(scan.kinds.kinds, *map(_as_list, columns))
+    low, high = (np.min, np.max) if np is not None else (min, max)
+    return (not len(steps)
+            or (low(steps) >= 0 and low(at) >= 0 and high(at) < _INT64_LIMIT
+                and low(tenant) >= 0 and high(tenant) < header.tenants and low(size) >= 0
+                and low(kind) >= 0 and high(kind) < kinds))
 
 
 def read_trace(path: PathLike) -> Trace:
-    """Read and validate a whole trace file into a columnar :class:`Trace`.
+    """Read and validate a version-2 trace file into a columnar :class:`Trace`.
 
-    Under numpy, when the numpy decoder read every block, the columns
-    are int64 arrays (see :class:`Trace`); otherwise lists of ``int``.
+    Under numpy the columns are int64 arrays (see :class:`Trace`);
+    otherwise lists of ``int``. Any fault in the file raises
+    :class:`TraceFormatError` naming the path.
     """
-    scan = _TraceScan(path)
-    blocks = iter(scan)
-    header = next(blocks)
-    parts = list(blocks)
+    path = Path(path)
     np = numpy_or_none()
-    if np is not None and parts and all(type(part[0]) is not list for part in parts):
-        joined = [np.concatenate(column) for column in zip(*parts)]
+    try:
+        with _open_read(path) as handle:
+            line = handle.readline()
+            if not line.endswith(b"\n"):
+                raise TraceFormatError("empty trace file" if not line else "truncated header")
+            header, kinds = _parse_header(line)
+            raw = _read_column_bytes(handle, header.events)
+    except _CORRUPT_GZIP as exc:
+        raise TraceFormatError(f"{path}: corrupt gzip stream ({exc})") from exc
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
+    steps, tenant, size, kind = (_decode(np, column) for column in raw)
+    if np is not None:
+        at = np.cumsum(steps)
     else:
-        joined = [list(itertools.chain.from_iterable(map(_as_list, column)))
-                  for column in zip(*parts)] or [[], [], [], []]
-    trace = Trace.from_columns(header, TraceColumns(*joined, scan.kinds.kinds), scan.digest)
-    trace._proven = True  # the scan checked every line against this header
+        at = list(itertools.accumulate(steps))
+        tenant, size, kind = tenant.tolist(), size.tolist(), kind.tolist()
+    if not _check_columns(np, header, len(kinds), steps, at, tenant, size, kind):
+        message = _column_error(header, len(kinds), *map(_as_list, (steps, tenant, size, kind)))
+        raise TraceFormatError(f"{path}: {message}")
+    trace = Trace.from_columns(header, TraceColumns(at, tenant, size, kind, kinds))
+    trace._proven = True  # the checks above cover what _validate checks
     return trace

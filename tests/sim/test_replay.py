@@ -3,8 +3,8 @@
 The load-bearing claims, each pinned here:
 
 * the trace format is canonical — same trace, same bytes, even through
-  gzip — and the validator rejects malformed files at the right line,
-  engine keys in the header included;
+  gzip — and the validator rejects malformed files at the offending
+  event, engine keys in the header included;
 * recording is pure observation — a recorded sharded fleet run bills
   and counts exactly like an unrecorded one;
 * record→replay is a fixpoint — replaying a recorded trace reproduces
@@ -36,7 +36,6 @@ from repro.sim.replay import (
     TraceFormatError,
     TraceRecorder,
     fleet_sla_report,
-    iter_trace,
     partition_trace,
     read_trace,
     run_replay_chaos,
@@ -52,7 +51,6 @@ from repro.sim.replay.format import (
     TraceHeader,
     engine_meta,
     event_line,
-    header_line,
     meta_pairs,
     trace_engine,
 )
@@ -93,15 +91,6 @@ class TestFormat:
         write_trace(b, trace)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_iter_trace_streams_header_then_events(self, tmp_path):
-        trace = _small_trace()
-        path = tmp_path / "t.jsonl"
-        write_trace(path, trace)
-        stream = iter_trace(path)
-        header = next(stream)
-        assert header.events == len(trace.events)
-        assert list(stream) == trace.events
-
     def test_defaults_are_omitted_from_event_lines(self):
         line = event_line(TraceEvent(at_micros=5, tenant=0))
         assert "actor" not in line and "meta" not in line
@@ -135,28 +124,27 @@ class TestFormat:
         trace = _small_trace(events=4)
         path = tmp_path / "t.jsonl"
         write_trace(path, trace)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")  # drop the last event
-        with pytest.raises(TraceFormatError, match="declares 4"):
+        header, body = path.read_bytes().split(b"\n", 1)
+        header = header.replace(b'"events":4', b'"events":3')
+        path.write_bytes(header + b"\n" + body)  # the block holds one event more
+        with pytest.raises(TraceFormatError, match="declares 3"):
             read_trace(path)
 
     def test_reader_reports_offending_line(self, tmp_path):
         trace = _small_trace(events=3)
         path = tmp_path / "t.jsonl"
         write_trace(path, trace)
-        lines = path.read_text().splitlines()
-        lines[2] = '{"at":-5,"tenant":0,"app":"a","route":"/r","bytes":1}'
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceFormatError, match="line 3"):
+        header, body = path.read_bytes().split(b"\n", 1)
+        # The block's count, then its steps in ``at``: event 2 steps back 5 micros.
+        body = body[:24] + (-5).to_bytes(8, "little", signed=True) + body[32:]
+        path.write_bytes(header + b"\n" + body)
+        with pytest.raises(TraceFormatError, match="t.jsonl: event 2: arrival time steps back"):
             read_trace(path)
 
     def test_reader_rejects_unknown_storage(self, tmp_path):
         path = tmp_path / "disk.jsonl"
-        path.write_text(
-            '{"format":"repro-trace","version":1,"name":"x","seed":0,'
-            '"tenants":1,"events":0,"meta":{"storage":"floppy"}}\n'
-        )
-        with pytest.raises(TraceFormatError, match="line 1: .*'floppy'"):
+        path.write_text(_header_only(meta={"storage": "floppy"}))
+        with pytest.raises(TraceFormatError, match="disk.jsonl: trace meta .*'floppy'"):
             read_trace(path)
 
     def test_s3_traces_keep_a_bare_header(self):
@@ -177,6 +165,13 @@ class TestFormat:
 
 FIXPOINT_CONFIG = FleetConfig(tenants=4, daily_requests=300.0, days=1.0, seed=99,
                               logical_shards=8)
+
+
+def _header_only(**fields) -> str:
+    """A version-2 file that holds only a header: no events, no kinds."""
+    obj = {"format": "repro-trace", "version": 2, "name": "x", "seed": 0, "tenants": 1,
+           "events": 0, "kinds": [], **fields}
+    return json.dumps(obj) + "\n"
 
 
 def _record(config: FleetConfig, name: str = "fix"):
@@ -221,9 +216,10 @@ class TestColumnValidation:
         with pytest.raises(TraceFormatError, match=f"^event 2: {message}$"):
             write_trace(path, trace)
         assert not path.exists()
-        # The same event line is what the reader refuses, in the same words.
-        path.write_text(header_line(trace.header, 1) + "\n" + event_line(odd) + "\n")
-        with pytest.raises(TraceFormatError, match=f"^trace line 2: {message}$"):
+        # A file whose kind table holds the same name is refused by the reader.
+        path.write_text(_header_only(kinds=[[odd.app, odd.route, odd.actor, {}]]))
+        with pytest.raises(TraceFormatError, match="t.jsonl: header kind must be "
+                                                   r"\[app, route, actor, meta\] with str names"):
             read_trace(path)
 
     @pytest.mark.parametrize("field,value,key", [
@@ -238,10 +234,7 @@ class TestColumnValidation:
         message = f"field {key!r} must be int, got {value!r}"
         with pytest.raises(TraceFormatError, match=f"^event 2: {message}$"):
             write_trace(path, trace)
-        assert not path.exists()
-        path.write_text(header_line(trace.header, 1) + "\n" + event_line(odd) + "\n")
-        with pytest.raises(TraceFormatError, match=f"^trace line 2: {message}$"):
-            read_trace(path)
+        assert not path.exists()  # a file holds int64 numbers only, so none is written
 
     def test_the_writer_refuses_a_falsy_actor_it_would_drop(self, tmp_path):
         # A line omits an empty actor, so actor 0 would read back as "".
@@ -454,22 +447,16 @@ class TestRecordedMemory:
     @pytest.mark.parametrize("value", ['"big"', "0", "true", "1.5"])
     def test_reader_rejects_a_bad_size(self, tmp_path, value):
         path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"format":"repro-trace","version":1,"name":"x","seed":0,'
-            f'"tenants":1,"events":0,"meta":{{"memory_mb":{value}}}}}\n'
-        )
+        path.write_text(_header_only(meta={"memory_mb": json.loads(value)}))
         with pytest.raises(TraceFormatError,
-                           match="trace line 1: trace meta memory_mb must be a positive int"):
+                           match="bad.jsonl: trace meta memory_mb must be a positive int"):
             read_trace(path)
 
     def test_reader_rejects_a_size_lambda_does_not_offer(self, tmp_path):
         path = tmp_path / "odd.jsonl"
-        path.write_text(
-            '{"format":"repro-trace","version":1,"name":"x","seed":0,'
-            '"tenants":1,"events":0,"meta":{"memory_mb":1000}}\n'
-        )
+        path.write_text(_header_only(meta={"memory_mb": 1000}))
         with pytest.raises(TraceFormatError,
-                           match="trace line 1: trace meta memory_mb must be a deployable size"):
+                           match="odd.jsonl: trace meta memory_mb must be a deployable size"):
             read_trace(path)
 
 
@@ -477,16 +464,13 @@ class TestRecordedPlan:
     """The header's flat plan keys: older headers, the price book, and chaos replay."""
 
     def test_an_older_header_reads_and_replays_at_its_values(self, tmp_path):
-        # Written by hand the way traces were before the price book was
+        # A header the way traces were written before the price book was
         # recorded: flat ``storage`` and ``memory_mb`` keys only.
         path = tmp_path / "old.jsonl"
-        path.write_text(
-            '{"format":"repro-trace","version":1,"name":"old","seed":3,"tenants":2,'
-            '"events":3,"meta":{"memory_mb":1024,"storage":"dynamo"}}\n'
-            '{"app":"fleet","at":0,"bytes":2048,"route":"/fleet/request","tenant":0}\n'
-            '{"app":"fleet","at":5,"bytes":2048,"route":"/fleet/request","tenant":1}\n'
-            '{"app":"fleet","at":9,"bytes":2048,"route":"/fleet/request","tenant":0}\n'
-        )
+        meta = {"memory_mb": 1024, "storage": "dynamo"}
+        write_trace(path, Trace(TraceHeader("old", 3, 2, meta=meta), [
+            TraceEvent(0, 0), TraceEvent(5, 1), TraceEvent(9, 0)]))
+        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["meta"] == meta
         trace = read_trace(path)
         assert trace_plan(trace.header) == DeploymentPlan(storage="dynamo", memory_mb=1024)
         result = run_replay_sharded(trace, ReplayConfig(seed=3))
@@ -532,26 +516,21 @@ class TestRecordedPlan:
 class TestEngineKeys:
     """The header keys that say how the sharded replay draws, and their one reader."""
 
-    @staticmethod
-    def _header(meta: str) -> str:
-        return ('{"format":"repro-trace","version":1,"name":"x","seed":0,'
-                f'"tenants":1,"events":0,"meta":{{{meta}}}}}\n')
-
     @pytest.mark.parametrize("key", ["chunk_events", "logical_shards", "sample_stride"])
     @pytest.mark.parametrize("value", ["0", "true", '"x"', "-3", "1.5"])
     def test_the_reader_refuses_a_bad_count(self, tmp_path, key, value):
         path = tmp_path / "bad.jsonl"
-        path.write_text(self._header(f'"{key}":{value}'))
+        path.write_text(_header_only(meta={key: json.loads(value)}))
         with pytest.raises(TraceFormatError,
-                           match=f"^trace line 1: trace meta {key} must be a positive int"):
+                           match=f"^{path}: trace meta {key} must be a positive int"):
             read_trace(path)
 
     @pytest.mark.parametrize("value", ['"shard"', '"Fleet"', "0", "true"])
     def test_the_reader_refuses_an_unknown_stream(self, tmp_path, value):
         path = tmp_path / "bad.jsonl"
-        path.write_text(self._header(f'"latency_stream":{value}'))
+        path.write_text(_header_only(meta={"latency_stream": json.loads(value)}))
         with pytest.raises(TraceFormatError,
-                           match="^trace line 1: trace meta latency_stream must be one of"):
+                           match=f"^{path}: trace meta latency_stream must be one of"):
             read_trace(path)
 
     @pytest.mark.parametrize("key,value", [("logical_shards", 0), ("chunk_events", True),
@@ -611,9 +590,9 @@ class TestShardedReplay:
     @pytest.mark.parametrize("force_fallback", [False, True])
     def test_a_timestamp_past_int64_fails_before_any_shard(self, tmp_path, monkeypatch,
                                                            force_fallback):
-        path = tmp_path / "late.jsonl"
-        write_trace(path, Trace(TraceHeader("late", 1, 2), [TraceEvent(0, 0), TraceEvent(2**63, 1)]))
-        trace = _with_meta(read_trace(path), logical_shards=4)
+        # A trace file cannot hold it (its columns are int64), but a built trace can.
+        trace = _with_meta(Trace(TraceHeader("late", 1, 2), [TraceEvent(0, 0), TraceEvent(2**63, 1)]),
+                           logical_shards=4)
         monkeypatch.setattr(_optional, "_FORCE_FALLBACK", force_fallback)
         monkeypatch.setattr(replayer, "replay_shard", _no_shard_may_run)
         with pytest.raises(TraceFormatError, match=(
@@ -711,12 +690,11 @@ class TestArrayPartition:
 
     @pytest.mark.parametrize("force_fallback", [False, True])
     def test_the_int64_limit_keeps_its_wording(self, tmp_path, monkeypatch, force_fallback):
-        path = tmp_path / "late.jsonl.gz"
-        write_trace(path, Trace(TraceHeader("late", 1, 2),
-                                [TraceEvent(0, 0), TraceEvent(2**63 - 1, 1), TraceEvent(2**63, 0)]))
+        trace = Trace.from_columns(TraceHeader("late", 1, 2), TraceColumns(
+            [0, 2**63 - 1, 2**63], [0, 1, 0], [1, 1, 1], [0, 0, 0], [("a", "/r", "", ())]))
         monkeypatch.setattr(_optional, "_FORCE_FALLBACK", force_fallback)
         with pytest.raises(TraceFormatError) as info:
-            partition_trace(read_trace(path))
+            partition_trace(trace)
         assert str(info.value) == (
             "trace 'late': timestamp 9223372036854775808 is not below 2**63 micros, "
             "the sharded replay's int64 limit"
