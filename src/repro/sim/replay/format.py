@@ -506,8 +506,8 @@ def meta_pairs(meta: Optional[Dict[str, object]]) -> Tuple[Tuple[str, object], .
 
 # -- canonical serialization ---------------------------------------------
 
-# Lines per hashed or written chunk: bounds the memory of a digest or a
-# write to a few hundred KiB whatever the trace's length.
+# Lines per hashed chunk: bounds the memory of a digest to a few
+# hundred KiB whatever the trace's length.
 _CHUNK_LINES = 4096
 
 # ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, with its encoder built once.
@@ -547,7 +547,7 @@ def _line_template(kind: Kind, strings: _TemplateStrings) -> str:
     return f'\n{head}{encoded(app)},"at":%d,"bytes":%d{tail}{encoded(route)},"tenant":%d}}'
 
 
-def _column_chunks(columns: TraceColumns, ints: bool = False) -> Iterator[str]:
+def _column_chunks(columns: TraceColumns) -> Iterator[str]:
     """The one canonical formatter: the event lines in chunks, each line preceded by a newline.
 
     A line is ``_dumps_sorted(_line_object(...))`` byte for byte. Each
@@ -555,9 +555,8 @@ def _column_chunks(columns: TraceColumns, ints: bool = False) -> Iterator[str]:
     filled by one ``%`` over its interleaved at, bytes and tenant
     values. In a chunk holding any number of another type (a ``bool``,
     a float), the lines with one go through ``json.dumps`` itself.
-    ``ints`` says the caller has proven every number an ``int``
-    (:func:`_validate`), so no chunk checks again. Int64 array columns
-    are turned into ``int`` a chunk at a time, so no whole-trace list is built.
+    Int64 array columns are turned into ``int`` a chunk at a time, so no
+    whole-trace list is built.
     """
     strings = _TemplateStrings()
     templates = [_line_template(kind, strings) for kind in columns.kinds]
@@ -567,7 +566,7 @@ def _column_chunks(columns: TraceColumns, ints: bool = False) -> Iterator[str]:
             _as_list(column[lo:hi])
             for column in (columns.at, columns.size, columns.tenant, columns.kind)
         )
-        if ints or set(map(type, at)) | set(map(type, size)) | set(map(type, tenant)) == {int}:
+        if set(map(type, at)) | set(map(type, size)) | set(map(type, tenant)) == {int}:
             values = [0] * (3 * len(at))
             values[0::3], values[1::3], values[2::3] = at, size, tenant
             yield "".join(map(templates.__getitem__, kind)) % tuple(values)
@@ -652,6 +651,8 @@ def _validate(header: TraceHeader, columns: TraceColumns) -> None:
                         f"event {index}: field {key!r} must be int, got {value!r}"
                     )
             at_micros, tenant_id, payload = numbers
+            if payload < 0 or at_micros < 0:
+                raise TraceFormatError(f"event {index} carries a negative quantity")
             if at_micros < prev:
                 raise TraceFormatError(
                     f"event {index} at {at_micros} precedes its predecessor at {prev}"
@@ -661,8 +662,6 @@ def _validate(header: TraceHeader, columns: TraceColumns) -> None:
                 raise TraceFormatError(
                     f"event {index} names tenant {tenant_id} outside [0, {header.tenants})"
                 )
-            if payload < 0 or at_micros < 0:
-                raise TraceFormatError(f"event {index} carries a negative quantity")
     if not (0 <= min(kind) and max(kind) < len(columns.kinds)):
         raise TraceFormatError(f"trace kind ids must index its {len(columns.kinds)} kinds")
     # Names are checked once per kind; a kind no event uses is never written.
@@ -839,10 +838,12 @@ def _read_column_bytes(handle: BinaryIO, events: int) -> List[bytes]:
     while done < events:
         count = int.from_bytes(_read_exact(handle, _INT64, f"block at event {done}"),
                                "little", signed=True)
-        if not 0 < count <= events - done:
+        # Checked before the block is read, so a count from a damaged
+        # file never sizes a read.
+        if not 0 < count <= min(_BLOCK_EVENTS, events - done):
             raise TraceFormatError(
-                f"block at event {done} holds {count} events; the header declares "
-                f"{events} in all"
+                f"block at event {done} holds {count} events; a block holds 1 to "
+                f"{_BLOCK_EVENTS} and the header declares {events} in all"
             )
         width = count * _INT64
         data = memoryview(_read_exact(handle, _COLUMNS * width, f"block at event {done}"))
@@ -865,26 +866,19 @@ def _decode(np, raw: bytes):
     return column
 
 
-def _column_error(
-    header: TraceHeader, kinds: int, steps: List[int], tenant: List[int], size: List[int],
-    kind: List[int],
-) -> str:
-    """Why decoded columns fail :func:`_check_columns`: the first bad event, in its words."""
-    at = 0
-    for index, values in enumerate(zip(steps, tenant, size, kind)):
-        step, tenant_id, payload, kind_id = values
-        at += step
-        if step < 0:
-            return f"event {index}: arrival time steps back by {-step}"
-        if at >= _INT64_LIMIT:
-            return f"event {index}: arrival time {at} is not below 2**63"
-        if not 0 <= tenant_id < header.tenants:
-            return f"event {index}: tenant {tenant_id} outside [0, {header.tenants})"
-        if payload < 0:
-            return f"event {index}: negative payload size {payload}"
-        if not 0 <= kind_id < kinds:
-            return f"event {index}: kind {kind_id} outside [0, {kinds})"
-    raise AssertionError("the column checks refused valid columns")
+def _column_error(header: TraceHeader, kinds: List[Kind], steps, tenant, size, kind) -> str:
+    """Why decoded columns fail :func:`_check_columns`, in :func:`_validate`'s words.
+
+    Only the int64 bound on arrival times is the file's own: a built
+    trace may hold later ones, so :func:`_validate` does not refuse them.
+    """
+    at = list(itertools.accumulate(_as_list(steps)))
+    try:
+        _validate(header, TraceColumns(at, *map(_as_list, (tenant, size, kind)), kinds))
+    except TraceFormatError as exc:
+        return str(exc)
+    index = next(i for i, value in enumerate(at) if value >= _INT64_LIMIT)
+    return f"event {index}: arrival time {at[index]} is not below 2**63"
 
 
 def _check_columns(np, header: TraceHeader, kinds: int, steps, at, tenant, size, kind) -> bool:
@@ -928,8 +922,7 @@ def read_trace(path: PathLike) -> Trace:
         at = list(itertools.accumulate(steps))
         tenant, size, kind = tenant.tolist(), size.tolist(), kind.tolist()
     if not _check_columns(np, header, len(kinds), steps, at, tenant, size, kind):
-        message = _column_error(header, len(kinds), *map(_as_list, (steps, tenant, size, kind)))
-        raise TraceFormatError(f"{path}: {message}")
+        raise TraceFormatError(f"{path}: {_column_error(header, kinds, steps, tenant, size, kind)}")
     trace = Trace.from_columns(header, TraceColumns(at, tenant, size, kind, kinds))
     trace._proven = True  # the checks above cover what _validate checks
     return trace

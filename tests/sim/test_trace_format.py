@@ -292,21 +292,30 @@ READER_ERRORS = {
     "too-few-blocks": (_header(events=3) + GOOD_BLOCK,
                        "truncated: block at event 2 ends after 0 of 8 bytes"),
     "a-block-past-the-count": (_header(events=1) + GOOD_BLOCK,
-                               "block at event 0 holds 2 events; the header declares 1 in all"),
+                               "block at event 0 holds 2 events; a block holds 1 to 65536 "
+                               "and the header declares 1 in all"),
+    # Refused before a read is sized by it.
+    "a-block-past-the-limit": (_header(events=2**62) + _pack(2**62),
+                               "block at event 0 holds 4611686018427387904 events; "
+                               "a block holds 1 to 65536"),
+    "a-block-one-past-the-limit": (_header(events=65537) + _pack(65537),
+                                   "block at event 0 holds 65537 events"),
     "an-empty-block": (_header() + _pack(0) + GOOD_BLOCK, "block at event 0 holds 0 events"),
     "a-negative-block": (_header() + _pack(-2) + GOOD_BLOCK, "block at event 0 holds -2 events"),
     "a-step-back": (_header() + _block([10, -1], [0, 0], [1, 1], [0, 0]),
-                    "event 1: arrival time steps back by 1"),
+                    "event 1 at 9 precedes its predecessor at 10"),
+    "a-negative-first-time": (_header() + _block([-1, 1], [0, 0], [1, 1], [0, 0]),
+                              "event 0 carries a negative quantity"),
     "a-time-past-int64": (_header() + _block([2**62, 2**62], [0, 0], [1, 1], [0, 0]),
                           "event 1: arrival time 9223372036854775808 is not below 2**63"),
     "a-tenant-out-of-range": (_header() + _block([1, 1], [0, 3], [1, 1], [0, 0]),
-                              "event 1: tenant 3 outside [0, 3)"),
+                              "event 1 names tenant 3 outside [0, 3)"),
     "a-negative-tenant": (_header() + _block([1, 1], [-1, 0], [1, 1], [0, 0]),
-                          "event 0: tenant -1 outside [0, 3)"),
+                          "event 0 names tenant -1 outside [0, 3)"),
     "a-negative-size": (_header() + _block([1, 1], [0, 0], [1, -4], [0, 0]),
-                        "event 1: negative payload size -4"),
+                        "event 1 carries a negative quantity"),
     "a-kind-out-of-range": (_header() + _block([1, 1], [0, 0], [1, 1], [0, 1]),
-                            "event 1: kind 1 outside [0, 1)"),
+                            "trace kind ids must index its 1 kinds"),
     "a-bad-meta-key": (_header(meta={"storage": "floppy"}), "trace meta"),
 }
 
