@@ -29,10 +29,11 @@ one in ``src/repro`` that parses trace files or uses :mod:`gzip` or
 numpy ``np.frombuffer`` over the joined bytes, else ``array("q")`` — and
 checks it with C-level passes: steps and sizes not negative, no arrival
 time at or past ``2**63``, tenants in ``[0, tenants)``, kind ids in
-``[0, len(kinds))``, and block counts that sum to the header's. A
-truncated or corrupt file, trailing bytes and a count that disagrees
-with the header raise :class:`TraceFormatError` naming the path; a
-value out of range also names its event. A trace read under numpy keeps
+``[0, len(kinds))``, and block counts of at most ``_BLOCK_EVENTS`` that
+sum to the header's. A truncated or corrupt file, trailing bytes and a
+count that disagrees with the header raise :class:`TraceFormatError`
+naming the path; a value out of range also names its event, in
+:func:`_validate`'s words. A trace read under numpy keeps
 int64 columns for the sharded replay (:meth:`Trace.readonly_columns`);
 without numpy its columns are lists of ``int``.
 
